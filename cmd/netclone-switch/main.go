@@ -95,14 +95,16 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
+	routes := make([]udpemu.ServerRoute, 0, len(servers))
 	for sid, addr := range servers {
 		udpAddr, err := net.ResolveUDPAddr("udp", addr)
 		if err != nil {
 			fatal(fmt.Errorf("server %d: %w", sid, err))
 		}
-		if err := sw.AddServer(sid, udpAddr); err != nil {
-			fatal(err)
-		}
+		routes = append(routes, udpemu.ServerRoute{SID: sid, Addr: udpAddr})
+	}
+	if err := sw.InstallServers(routes); err != nil {
+		fatal(err)
 	}
 
 	fmt.Printf("netclone-switch listening on %s (%d servers, %d groups, cloning=%v filtering=%v racksched=%v, io=%s batched=%v)\n",

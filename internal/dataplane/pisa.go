@@ -134,6 +134,7 @@ type matchTable[V any] struct {
 	object
 	entries []V
 	valid   []bool
+	writes  int64 // control-plane installs and removes since construction
 }
 
 func newMatchTable[V any](name string, stage, capacity int) *matchTable[V] {
@@ -154,6 +155,11 @@ func (t *matchTable[V]) lookup(p *pass, key int) (V, bool) {
 	return t.entries[key], true
 }
 
+// has reports whether key is installed (a control-plane read).
+func (t *matchTable[V]) has(key int) bool {
+	return key >= 0 && key < len(t.valid) && t.valid[key]
+}
+
 // install writes an entry from the control plane (no pass needed; control
 // plane updates are out-of-band and slow, §3.8).
 func (t *matchTable[V]) install(key int, v V) {
@@ -162,6 +168,7 @@ func (t *matchTable[V]) install(key int, v V) {
 	}
 	t.entries[key] = v
 	t.valid[key] = true
+	t.writes++
 }
 
 // remove deletes an entry from the control plane.
@@ -172,6 +179,7 @@ func (t *matchTable[V]) remove(key int) {
 	var zero V
 	t.entries[key] = zero
 	t.valid[key] = false
+	t.writes++
 }
 
 // size returns the table capacity.

@@ -1,7 +1,9 @@
 package dataplane
 
 import (
+	"fmt"
 	"math/rand/v2"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -191,5 +193,142 @@ func TestDeterministicReplay(t *testing.T) {
 		if a1[i] != a2[i] {
 			t.Fatalf("action %d differs: %v vs %v", i, a1[i], a2[i])
 		}
+	}
+}
+
+// sameControlPlane reports the first difference between two switches'
+// control-plane views: membership, group count, every group, every
+// first-candidate range, and (white-box) the raw group and address
+// tables, so an entry left valid beyond NumGroups is a difference.
+func sameControlPlane(a, b *Switch) string {
+	if !slices.Equal(a.Servers(), b.Servers()) {
+		return fmt.Sprintf("Servers %v != %v", a.Servers(), b.Servers())
+	}
+	if a.NumGroups() != b.NumGroups() {
+		return fmt.Sprintf("NumGroups %d != %d", a.NumGroups(), b.NumGroups())
+	}
+	for g := -1; g <= a.NumGroups(); g++ {
+		a1, a2, aok := a.Group(g)
+		b1, b2, bok := b.Group(g)
+		if a1 != b1 || a2 != b2 || aok != bok {
+			return fmt.Sprintf("Group(%d): (%d,%d,%v) != (%d,%d,%v)", g, a1, a2, aok, b1, b2, bok)
+		}
+	}
+	for i := -1; i <= len(a.alive); i++ {
+		alo, ahi := a.GroupsWithFirst(i)
+		blo, bhi := b.GroupsWithFirst(i)
+		if alo != blo || ahi != bhi {
+			return fmt.Sprintf("GroupsWithFirst(%d): [%d,%d) != [%d,%d)", i, alo, ahi, blo, bhi)
+		}
+	}
+	for g, v := range a.groupT.valid {
+		if v != b.groupT.valid[g] || a.groupT.entries[g] != b.groupT.entries[g] {
+			return fmt.Sprintf("group-table slot %d: (%v,%v) != (%v,%v)",
+				g, a.groupT.entries[g], v, b.groupT.entries[g], b.groupT.valid[g])
+		}
+		if v != (g < a.NumGroups()) {
+			return fmt.Sprintf("group-table slot %d valid=%v with NumGroups %d", g, v, a.NumGroups())
+		}
+	}
+	if !slices.Equal(a.addrT.valid, b.addrT.valid) || !slices.Equal(a.addrT.entries, b.addrT.entries) {
+		return "address tables differ"
+	}
+	return ""
+}
+
+// TestBulkInstallMatchesIncremental pins the single-rebuild control
+// plane: one InstallServers over a random membership leaves exactly the
+// tables that adding the same servers one by one in random order does,
+// and RemoveServer after a bulk install leaves exactly a bulk install
+// without that server — including no valid entry past the shrunken
+// group count.
+func TestBulkInstallMatchesIncremental(t *testing.T) {
+	const maxServers = 12
+	cfg := testConfig()
+	cfg.MaxServers = maxServers
+	mk := func() *Switch {
+		s, err := New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return s
+	}
+	f := func(seed uint64) bool {
+		rng := rand.New(rand.NewPCG(seed, 7))
+		var members []ServerEntry
+		for sid := 0; sid < maxServers; sid++ {
+			if rng.IntN(3) > 0 {
+				members = append(members, ServerEntry{SID: uint16(sid), Addr: uint32(1000 + rng.IntN(100))})
+			}
+		}
+		rng.Shuffle(len(members), func(i, j int) { members[i], members[j] = members[j], members[i] })
+
+		bulk, inc := mk(), mk()
+		if err := bulk.InstallServers(members); err != nil {
+			t.Log(err)
+			return false
+		}
+		for _, e := range members {
+			if err := inc.AddServer(e.SID, e.Addr); err != nil {
+				t.Log(err)
+				return false
+			}
+		}
+		if d := sameControlPlane(bulk, inc); d != "" {
+			t.Logf("seed %d bulk vs incremental: %s", seed, d)
+			return false
+		}
+		if n := len(members); bulk.groupT.writes != int64(n*(n-1)) {
+			t.Logf("seed %d: bulk install of %d servers wrote the group table %d times, want n(n-1) = %d",
+				seed, n, bulk.groupT.writes, n*(n-1))
+			return false
+		}
+
+		// Remove members one at a time, down to the empty set; after
+		// each step the survivor tables equal a fresh bulk install.
+		for len(members) > 0 {
+			k := rng.IntN(len(members))
+			bulk.RemoveServer(members[k].SID)
+			members = slices.Delete(members, k, k+1)
+			want := mk()
+			if err := want.InstallServers(members); err != nil {
+				t.Log(err)
+				return false
+			}
+			if d := sameControlPlane(bulk, want); d != "" {
+				t.Logf("seed %d after removal to %d members: %s", seed, len(members), d)
+				return false
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestInstallServersRejectsOutOfRangeAtomically: one bad ID installs
+// nothing, and re-installing a member only updates its address.
+func TestInstallServersRejectsOutOfRangeAtomically(t *testing.T) {
+	cfg := testConfig()
+	s, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bad := []ServerEntry{{SID: 0, Addr: 1}, {SID: uint16(cfg.MaxServers), Addr: 2}}
+	if err := s.InstallServers(bad); err == nil {
+		t.Fatal("out-of-range server ID accepted")
+	}
+	if len(s.Servers()) != 0 || s.NumGroups() != 0 || s.addrT.has(0) {
+		t.Fatalf("rejected install left state behind: servers %v, groups %d", s.Servers(), s.NumGroups())
+	}
+	if err := s.InstallServers([]ServerEntry{{0, 1}, {1, 2}, {0, 9}}); err != nil {
+		t.Fatal(err)
+	}
+	if got := s.Servers(); !slices.Equal(got, []uint16{0, 1}) {
+		t.Fatalf("Servers = %v, want [0 1]", got)
+	}
+	if s.addrT.entries[0] != 9 {
+		t.Fatalf("duplicate entry did not update the address: %d", s.addrT.entries[0])
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math/bits"
+	"slices"
 
 	"netclone/internal/wire"
 )
@@ -229,18 +230,37 @@ func (s *Switch) Config() Config { return s.cfg }
 // Stats returns a copy of the event counters.
 func (s *Switch) Stats() Stats { return s.stats }
 
-// AddServer installs (or updates) a server in the address table and
-// rebuilds the group table over the alive set. Control-plane operation.
-func (s *Switch) AddServer(sid uint16, addr uint32) error {
-	if int(sid) >= s.cfg.MaxServers {
-		return fmt.Errorf("dataplane: server ID %d exceeds MaxServers %d", sid, s.cfg.MaxServers)
+// ServerEntry is one address-table row: a server ID and its address.
+type ServerEntry struct {
+	SID  uint16
+	Addr uint32
+}
+
+// InstallServers installs (or updates) every entry in the address table
+// and rebuilds the group table over the resulting alive set once, the
+// way the paper's control plane installs the 2*C(n,2) groups out of
+// band (§3.3, §3.8). Nothing is installed when any ID is out of range.
+func (s *Switch) InstallServers(entries []ServerEntry) error {
+	for _, e := range entries {
+		if int(e.SID) >= s.cfg.MaxServers {
+			return fmt.Errorf("dataplane: server ID %d exceeds MaxServers %d", e.SID, s.cfg.MaxServers)
+		}
 	}
-	s.addrT.install(int(sid), addr)
-	if !contains(s.alive, sid) {
-		s.alive = insertSorted(s.alive, sid)
+	for _, e := range entries {
+		if !s.addrT.has(int(e.SID)) {
+			s.alive = append(s.alive, e.SID)
+		}
+		s.addrT.install(int(e.SID), e.Addr)
 	}
+	slices.Sort(s.alive)
 	s.rebuildGroups()
 	return nil
+}
+
+// AddServer installs (or updates) one server: the incremental form of
+// InstallServers, for a control plane that learns servers one by one.
+func (s *Switch) AddServer(sid uint16, addr uint32) error {
+	return s.InstallServers([]ServerEntry{{SID: sid, Addr: addr}})
 }
 
 // RemoveServer removes a failed server from the address and group tables
@@ -248,7 +268,9 @@ func (s *Switch) AddServer(sid uint16, addr uint32) error {
 // ... by updating relevant tables").
 func (s *Switch) RemoveServer(sid uint16) {
 	s.addrT.remove(int(sid))
-	s.alive = removeVal(s.alive, sid)
+	if i, ok := slices.BinarySearch(s.alive, sid); ok {
+		s.alive = slices.Delete(s.alive, i, i+1)
+	}
 	s.rebuildGroups()
 }
 
@@ -285,17 +307,11 @@ func (s *Switch) GroupsWithFirst(i int) (lo, hi int) {
 }
 
 // rebuildGroups installs all ordered pairs of alive servers: group
-// g = i*(n-1) + k maps to (alive[i], alive[k >= i ? k+1 : k]).
+// g = i*(n-1) + k maps to (alive[i], alive[k >= i ? k+1 : k]). Entries
+// below the new group count are overwritten in place; only the tail a
+// shrinking alive set leaves behind is removed.
 func (s *Switch) rebuildGroups() {
 	n := len(s.alive)
-	for g := 0; g < s.numGroups; g++ {
-		s.groupT.remove(g)
-	}
-	s.numGroups = 0
-	if n < 2 {
-		return
-	}
-	s.numGroups = n * (n - 1)
 	g := 0
 	for i := 0; i < n; i++ {
 		for k := 0; k < n-1; k++ {
@@ -307,6 +323,10 @@ func (s *Switch) rebuildGroups() {
 			g++
 		}
 	}
+	for stale := g; stale < s.numGroups; stale++ {
+		s.groupT.remove(stale)
+	}
+	s.numGroups = g
 }
 
 // Reset clears all soft state (sequencer, state/shadow tables, filter
@@ -556,33 +576,4 @@ func foldLamport(lamport uint64) uint32 {
 func (s *Switch) nextPass() uint64 {
 	s.passID++
 	return s.passID
-}
-
-func contains(xs []uint16, v uint16) bool {
-	for _, x := range xs {
-		if x == v {
-			return true
-		}
-	}
-	return false
-}
-
-func insertSorted(xs []uint16, v uint16) []uint16 {
-	i := 0
-	for i < len(xs) && xs[i] < v {
-		i++
-	}
-	xs = append(xs, 0)
-	copy(xs[i+1:], xs[i:])
-	xs[i] = v
-	return xs
-}
-
-func removeVal(xs []uint16, v uint16) []uint16 {
-	for i, x := range xs {
-		if x == v {
-			return append(xs[:i], xs[i+1:]...)
-		}
-	}
-	return xs
 }

@@ -299,9 +299,7 @@ func runWithInfo(cfg Config, info *ShardInfo) (Result, error) {
 	for _, t := range c.tors {
 		t.dp.Recycle()
 	}
-	c.recyclePackets()
-	putEngine(c.eng)
-	c.eng = nil
+	c.release()
 	return res, nil
 }
 
@@ -349,7 +347,7 @@ func newClusterShell(cfg Config, topo *topology.Compiled) *cluster {
 		c.breakdown = &breakdownAgg{}
 	}
 	if cfg.TraceRate > 0 {
-		c.rec = trace.NewRecorder(cfg.TraceRate, cfg.TraceCap)
+		c.rec = getRecorder(cfg.TraceRate, cfg.TraceCap)
 		// Gauge bins: ~256 samples across the whole run (including the
 		// drain slack), capacity-bounded so sampling never allocates.
 		bin := (cfg.WarmupNS + 2*cfg.DurationNS) / 256
@@ -494,6 +492,12 @@ func (c *cluster) buildSwitches() error {
 		dcfg.EnableCloning = true
 	default: // Baseline, CClone, LAEDGE: plain forwarding only
 	}
+	// Every ToR carries the global server tables; each installs them in
+	// one control-plane step, so a rack costs one n(n-1) group build.
+	entries := make([]dataplane.ServerEntry, len(c.cfg.Workers))
+	for sid := range entries {
+		entries[sid] = dataplane.ServerEntry{SID: uint16(sid), Addr: uint32(sid)}
+	}
 	c.tors = make([]*switchNode, c.topo.Racks)
 	c.dSwTrans = make([]int64, c.topo.Racks)
 	for r := range c.tors {
@@ -503,10 +507,8 @@ func (c *cluster) buildSwitches() error {
 		if err != nil {
 			return err
 		}
-		for sid := range c.cfg.Workers {
-			if err := dp.AddServer(uint16(sid), uint32(sid)); err != nil {
-				return err
-			}
+		if err := dp.InstallServers(entries); err != nil {
+			return err
 		}
 		owner := c.ownerForRack(r)
 		c.tors[r] = &switchNode{cl: owner, dp: dp, rack: r}
@@ -517,42 +519,55 @@ func (c *cluster) buildSwitches() error {
 	return nil
 }
 
+// buildServers and buildClients allocate each entity kind as one slab
+// (generators inline, pending rings carved from one more), so building
+// costs a fixed handful of allocations whatever the population.
 func (c *cluster) buildServers() {
-	c.servers = make([]*server, len(c.cfg.Workers))
+	slab := make([]server, len(c.cfg.Workers))
+	c.servers = make([]*server, len(slab))
 	for sid, w := range c.cfg.Workers {
 		owner := c.ownerForRack(c.topo.ServerRack[sid])
-		c.servers[sid] = &server{
+		s := &slab[sid]
+		*s = server{
 			cl:      owner,
 			sid:     uint16(sid),
 			workers: w,
 			tor:     c.tors[c.topo.ServerRack[sid]],
-			rng:     simnet.NewRNG(c.cfg.Seed, 200+uint64(sid)),
 		}
-		c.servers[sid].hid = owner.eng.Register(c.servers[sid])
+		s.rng.Seed(c.cfg.Seed, 200+uint64(sid))
+		s.hid = owner.eng.Register(s)
+		c.servers[sid] = s
 	}
 }
 
 func (c *cluster) buildClients() {
-	c.clients = make([]*client, c.cfg.NumClients)
-	perClient := c.cfg.OfferedRPS / float64(c.cfg.NumClients)
+	n := c.cfg.NumClients
+	perClient := c.cfg.OfferedRPS / float64(n)
 	// Per-send invariants, hoisted out of the generation loop: group and
 	// server counts are fixed after buildSwitch (no control-plane
 	// add/remove happens mid-run; switch failure only clears soft state).
 	numGroups := maxInt(c.sw.dp.NumGroups(), 1)
 	nServers := len(c.servers)
-	for i := range c.clients {
+	ring := pendRingSizeFor(perClient)
+	slab := make([]client, n)
+	rings := make([]pendSlot, n*ring)
+	c.clients = make([]*client, n)
+	for i := range slab {
 		owner := c.ownerForClient(i)
-		c.clients[i] = &client{
+		cl := &slab[i]
+		*cl = client{
 			cl:           owner,
 			id:           uint16(i),
-			rng:          simnet.NewRNG(c.cfg.Seed, 100+uint64(i)),
 			arrival:      workload.Poisson{RatePerSec: perClient},
 			numGroups:    numGroups,
 			nServers:     nServers,
 			filterTables: c.cfg.FilterTables,
 			numCoords:    len(c.coords),
+			pendRing:     rings[i*ring : (i+1)*ring : (i+1)*ring],
 		}
-		c.clients[i].hid = owner.eng.Register(c.clients[i])
+		cl.rng.Seed(c.cfg.Seed, 100+uint64(i))
+		cl.hid = owner.eng.Register(cl)
+		c.clients[i] = cl
 	}
 }
 
@@ -1015,7 +1030,7 @@ type server struct {
 	hid     int32 // registered engine handler ID
 	workers int
 	tor     *switchNode // the server's home-rack ToR
-	rng     *rand.Rand
+	rng     simnet.RNG
 
 	queue pktFIFO
 	busy  int
@@ -1132,9 +1147,9 @@ func (s *server) startService(p *packet) {
 
 func (s *server) serviceTime(op workload.OpKind) int64 {
 	if s.cl.cfg.Mix != nil {
-		return s.cl.cfg.Cost.Sample(op, s.rng)
+		return s.cl.cfg.Cost.Sample(op, &s.rng.Rand)
 	}
-	return s.cl.cfg.Service.Sample(s.rng)
+	return s.cl.cfg.Service.Sample(&s.rng.Rand)
 }
 
 // finish completes p, emits the response, and pulls the next queued
@@ -1196,14 +1211,33 @@ type pendingReq struct {
 // monotonically and requests complete within a small window, so the
 // outstanding set lives in a power-of-two ring indexed by the low seq
 // bits — a 3-instruction lookup instead of a map probe on every
-// response. A slot whose request never completed (response lost) is
-// displaced to the spill map when the ring laps it, so nothing is
-// dropped; the spill map stays empty in loss-free steady state.
+// response. The table is an exact seq -> request map at every ring
+// size, so sizing is purely a cost decision:
+//
+//   - rings are carved from one per-cluster slab (buildClients), sized
+//     to the requests a client sends in pendHorizonNS at its own offered
+//     rate — pendRingMax for the few-client scenarios, pendRingMin when
+//     1e5 clients each send less than one request per run;
+//   - a put that would lap a live slot doubles the ring (heap-allocated,
+//     off the steady path) up to pendRingMax;
+//   - at pendRingMax a lapped slot whose request never completed
+//     (response lost) is displaced to the spill map, so nothing is
+//     dropped; the spill map stays empty in loss-free steady state.
 const (
-	pendRingBits = 6 // 64 slots: far above per-client in-flight peaks
-	pendRingSize = 1 << pendRingBits
-	pendRingMask = pendRingSize - 1
+	pendRingMin   = 4
+	pendRingMax   = 64 // far above per-client in-flight peaks
+	pendHorizonNS = 1e6
 )
+
+// pendRingSizeFor returns the initial ring size of a client offering
+// perClientRPS requests per second.
+func pendRingSizeFor(perClientRPS float64) int {
+	size := pendRingMin
+	for size < pendRingMax && float64(size) < perClientRPS*pendHorizonNS/1e9 {
+		size *= 2
+	}
+	return size
+}
 
 type pendSlot struct {
 	seq   uint32
@@ -1213,19 +1247,43 @@ type pendSlot struct {
 
 // putPending records an outstanding request under seq.
 func (c *client) putPending(seq uint32, req pendingReq) {
-	s := &c.pendRing[seq&pendRingMask]
+	s := &c.pendRing[seq&uint32(len(c.pendRing)-1)]
 	if s.valid {
-		if c.pendSpill == nil {
-			c.pendSpill = make(map[uint32]pendingReq)
-		}
-		c.pendSpill[s.seq] = s.req
+		s = c.lapPending(seq)
 	}
 	*s = pendSlot{seq: seq, valid: true, req: req}
 }
 
+// lapPending makes room for seq when its slot still holds a live
+// request: it doubles the ring until the slot is free, and at
+// pendRingMax spills the occupant. It returns seq's (free) slot.
+func (c *client) lapPending(seq uint32) *pendSlot {
+	for len(c.pendRing) < pendRingMax {
+		grown := make([]pendSlot, 2*len(c.pendRing))
+		mask := uint32(len(grown) - 1)
+		for _, s := range c.pendRing {
+			if s.valid {
+				// Live seqs distinct modulo the old size stay distinct
+				// modulo the new one.
+				grown[s.seq&mask] = s
+			}
+		}
+		c.pendRing = grown
+		if s := &grown[seq&mask]; !s.valid {
+			return s
+		}
+	}
+	s := &c.pendRing[seq&(pendRingMax-1)]
+	if c.pendSpill == nil {
+		c.pendSpill = make(map[uint32]pendingReq)
+	}
+	c.pendSpill[s.seq] = s.req
+	return s
+}
+
 // takePending claims and removes the outstanding request for seq.
 func (c *client) takePending(seq uint32) (pendingReq, bool) {
-	s := &c.pendRing[seq&pendRingMask]
+	s := &c.pendRing[seq&uint32(len(c.pendRing)-1)]
 	if s.valid && s.seq == seq {
 		s.valid = false
 		return s.req, true
@@ -1245,7 +1303,7 @@ type client struct {
 	cl      *cluster
 	id      uint16
 	hid     int32 // registered engine handler ID
-	rng     *rand.Rand
+	rng     simnet.RNG
 	arrival workload.Poisson
 
 	// Hoisted per-send invariants (see buildClients).
@@ -1255,7 +1313,7 @@ type client struct {
 	numCoords    int
 
 	nextSeq     uint32
-	pendRing    [pendRingSize]pendSlot
+	pendRing    []pendSlot // power-of-two length; see the pending-request table
 	pendSpill   map[uint32]pendingReq
 	txBusyUntil int64
 	rxQueue     pktFIFO
@@ -1279,7 +1337,7 @@ func (c *client) OnEvent(kind uint8, arg any, x int64) {
 
 // start schedules the first generation event.
 func (c *client) start() {
-	c.cl.eng.ScheduleAfter(c.arrival.NextGap(c.rng), c.hid, evCliGenerate, nil, 0)
+	c.cl.eng.ScheduleAfter(c.arrival.NextGap(&c.rng.Rand), c.hid, evCliGenerate, nil, 0)
 }
 
 // generate creates one request (two packets under C-Clone) and schedules
@@ -1294,7 +1352,7 @@ func (c *client) generate() {
 	op := workload.OpGet
 	var key uint64
 	if c.cl.cfg.Mix != nil {
-		op, key = c.cl.cfg.Mix.Next(c.rng)
+		op, key = c.cl.cfg.Mix.Next(&c.rng.Rand)
 	}
 	_ = key // the simulated server does not need the key, only the op kind
 
@@ -1347,7 +1405,7 @@ func (c *client) generate() {
 		c.sendPacket(p, now)
 	}
 
-	c.cl.eng.ScheduleAfter(c.arrival.NextGap(c.rng), c.hid, evCliGenerate, nil, 0)
+	c.cl.eng.ScheduleAfter(c.arrival.NextGap(&c.rng.Rand), c.hid, evCliGenerate, nil, 0)
 }
 
 // pickGroup selects the client's random group ID. In normal operation it

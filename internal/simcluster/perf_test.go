@@ -369,3 +369,67 @@ func TestPktFIFOCompaction(t *testing.T) {
 		}
 	}
 }
+
+// xlFabricConfig is the scale-racks-xl shape: racks x 3 servers x 8
+// threads, NetClone at 30% load, with a 1 us window so a Run is
+// construction and teardown and next to no simulation.
+func xlFabricConfig(racks, clients int) Config {
+	rs := make([]topology.Rack, racks)
+	for r := range rs {
+		rs[r] = topology.HomRack(3, 8, 0)
+	}
+	return Config{
+		Scheme:     NetClone,
+		Topology:   topology.New(rs...),
+		NumClients: clients,
+		Service:    workload.Exp(25),
+		OfferedRPS: 0.3 * float64(racks*3*8) / 25e-6,
+		DurationNS: 1000,
+		Seed:       1,
+	}
+}
+
+// TestConstructionAllocsIndependentOfClientCount pins linear-time,
+// slab-allocated construction: building a 16-rack fabric costs a fixed
+// allocation budget (per-switch tables dominate it), and quadrupling the
+// client population adds slab bytes, not allocations.
+func TestConstructionAllocsIndependentOfClientCount(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds 25,600-client fabrics")
+	}
+	allocsFor := func(clients int) float64 {
+		cfg := xlFabricConfig(16, clients)
+		return testing.AllocsPerRun(3, func() {
+			if _, err := Run(cfg); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	small, large := allocsFor(6400), allocsFor(25600)
+	t.Logf("16 racks: %.0f allocs with 6,400 clients, %.0f with 25,600", small, large)
+	// About 510 measured: 16 switches' tables and register arrays, the
+	// entity slabs, engine and handler-table growth, the result. The
+	// pre-slab build spent three per client (77,461).
+	const bound = 1000
+	if large > bound {
+		t.Errorf("building 16 racks with 25,600 clients allocates %.0f times, want <= %d", large, bound)
+	}
+	if large > 2*small {
+		t.Errorf("allocations scale with clients: %.0f at 25,600 vs %.0f at 6,400", large, small)
+	}
+}
+
+// BenchmarkBuildFabricXL times construction at scale-racks-xl's
+// largest point — 64 racks, 192 servers, 102,400 clients — through a
+// 1 us window, the way the benchmark of record's
+// simcluster.setup_us_per_run does (scripts/bench.sh micro, CI
+// bench-smoke).
+func BenchmarkBuildFabricXL(b *testing.B) {
+	cfg := xlFabricConfig(64, 102400)
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if _, err := Run(cfg); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

@@ -4,6 +4,7 @@ import (
 	"sync"
 
 	"netclone/internal/simnet"
+	"netclone/internal/trace"
 	"netclone/internal/wire"
 )
 
@@ -40,6 +41,34 @@ func getEngine() *simnet.Engine {
 func putEngine(e *simnet.Engine) {
 	e.Reset()
 	engPool.Put(e)
+}
+
+// recPool recycles flight-recorder rings across traced runs: the
+// default ring is 65,536 records (2 MB), and allocating and zeroing one
+// per run was most of what WithTrace cost a millisecond-scale run.
+var recPool sync.Pool
+
+func getRecorder(rate, capacity int) *trace.Recorder {
+	if r, ok := recPool.Get().(*trace.Recorder); ok {
+		r.Reset(rate, capacity)
+		return r
+	}
+	return trace.NewRecorder(rate, capacity)
+}
+
+// release hands a dead cluster's pooled parts back — packet slab,
+// recorder ring, engine. Only valid once the result (and the trace
+// snapshot, a copy) has been extracted.
+func (c *cluster) release() {
+	c.recyclePackets()
+	if c.rec != nil {
+		recPool.Put(c.rec)
+		c.rec = nil
+	}
+	if c.eng != nil {
+		putEngine(c.eng)
+		c.eng = nil
+	}
 }
 
 // Packet freelist (DESIGN.md § Performance model). The cluster is

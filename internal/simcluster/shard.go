@@ -185,7 +185,7 @@ func buildSharded(cfg Config, n int) (*shardedCluster, error) {
 		sc.shards[s] = cl
 	}
 	if err := sc.shards[0].populate(); err != nil {
-		sc.recycleEngines()
+		sc.release()
 		return nil, err
 	}
 
@@ -221,7 +221,7 @@ func buildSharded(cfg Config, n int) (*shardedCluster, error) {
 		if lookTo0[s] <= 0 || look0to[s] <= 0 {
 			// A zero-delay cross-shard edge: the window protocol could
 			// never advance past it. Sequential fallback.
-			sc.recycleEngines()
+			sc.release()
 			return nil, nil
 		}
 	}
@@ -245,12 +245,10 @@ func buildSharded(cfg Config, n int) (*shardedCluster, error) {
 	return sc, nil
 }
 
-func (sc *shardedCluster) recycleEngines() {
+// release returns every shard's pooled parts (cluster.release).
+func (sc *shardedCluster) release() {
 	for _, c := range sc.shards {
-		if c != nil && c.eng != nil {
-			putEngine(c.eng)
-			c.eng = nil
-		}
+		c.release()
 	}
 }
 
@@ -480,11 +478,7 @@ func runSharded(cfg Config, n int, info *ShardInfo) (res Result, ok bool, err er
 	for _, t := range sc.shards[0].tors {
 		t.dp.Recycle()
 	}
-	for _, c := range sc.shards {
-		c.recyclePackets()
-		putEngine(c.eng)
-		c.eng = nil
-	}
+	sc.release()
 	return res, true, nil
 }
 

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"reflect"
+	"sync"
 	"testing"
 
 	"netclone/internal/trace"
@@ -353,6 +354,38 @@ func TestTraceRingHeadDrop(t *testing.T) {
 	tail := fres.Trace.Events[len(fres.Trace.Events)-64:]
 	if !reflect.DeepEqual(res.Trace.Events, tail) {
 		t.Error("head-drop ring does not hold the newest 64 records")
+	}
+}
+
+// TestTraceRecycledRingIdentical pins the recorder pool (pool.go): a
+// traced run that picks up another run's used ring — different seed,
+// rate, capacity and shard count, so every slot holds foreign records —
+// reports the trace and result a never-recycled recorder does.
+func TestTraceRecycledRingIdentical(t *testing.T) {
+	cfg := perfTestConfigs()["multirack"]
+	cfg.TraceRate = 7
+	dirty := cfg
+	dirty.Seed, dirty.TraceRate = cfg.Seed+1, 1
+	for _, tcap := range []int{0, 4096} {
+		cfg.TraceCap = tcap
+		recPool = sync.Pool{} // the reference run builds its own recorder
+		want, err := Run(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, shards := range []int{0, 2} {
+			dirty.Shards = shards
+			if _, err := Run(dirty); err != nil {
+				t.Fatal(err)
+			}
+			got, err := Run(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Errorf("cap %d, after a %d-shard run: a recycled ring changed the traced result", tcap, shards)
+			}
+		}
 	}
 }
 

@@ -831,5 +831,23 @@ func (e *Engine) Run() {
 // NewRNG derives a deterministic RNG for a component: same (seed, stream)
 // always yields the same sequence, and distinct streams are independent.
 func NewRNG(seed, stream uint64) *rand.Rand {
-	return rand.New(rand.NewPCG(seed, stream*0x9E3779B97F4A7C15+0xD1B54A32D192ED03))
+	r := new(RNG)
+	r.Seed(seed, stream)
+	return &r.Rand
+}
+
+// RNG is a component generator held by value: the PCG state and the
+// Rand drawing from it in one struct, so a slab of entities carries its
+// generators inline instead of two heap objects apiece. Seed it where
+// it will live; copying a seeded RNG leaves the copy drawing from the
+// original's state.
+type RNG struct {
+	rand.Rand
+	pcg rand.PCG
+}
+
+// Seed (re)starts the generator on NewRNG's (seed, stream) sequence.
+func (r *RNG) Seed(seed, stream uint64) {
+	r.pcg.Seed(seed, stream*0x9E3779B97F4A7C15+0xD1B54A32D192ED03)
+	r.Rand = *rand.New(&r.pcg)
 }

@@ -140,13 +140,28 @@ type Recorder struct {
 // NewRecorder builds a recorder sampling every rate-th request per
 // client into a ring of the given capacity (DefaultCap when cap <= 0).
 func NewRecorder(rate, capacity int) *Recorder {
+	r := &Recorder{}
+	r.Reset(rate, capacity)
+	return r
+}
+
+// Reset re-arms r for a new run — empty, shard 0, no drops, the given
+// rate and capacity — keeping the ring it already has when that is
+// large enough, so a recycled recorder costs no allocation. Stale
+// records need no clearing: only slots written since Reset are ever
+// read back.
+func (r *Recorder) Reset(rate, capacity int) {
 	if rate < 1 {
 		rate = 1
 	}
 	if capacity <= 0 {
 		capacity = DefaultCap
 	}
-	return &Recorder{rate: uint32(rate), buf: make([]Event, capacity)}
+	buf := r.buf
+	if cap(buf) < capacity {
+		buf = make([]Event, capacity)
+	}
+	*r = Recorder{rate: uint32(rate), buf: buf[:capacity]}
 }
 
 // SetShard sets the shard index stamped onto every subsequent record.

@@ -3,6 +3,7 @@ package trace
 import (
 	"bytes"
 	"encoding/json"
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -75,6 +76,52 @@ func TestRecorderDefaultCap(t *testing.T) {
 	r := NewRecorder(1, 0)
 	if got := len(r.buf); got != DefaultCap {
 		t.Errorf("cap %d, want DefaultCap %d", got, DefaultCap)
+	}
+}
+
+// TestRecorderResetReusesRing: a recorder that wrapped, dropped and was
+// shard-stamped comes back from Reset indistinguishable from a new one
+// of the requested shape, on the same backing array when it is large
+// enough — stale records included, since none can be read back.
+func TestRecorderResetReusesRing(t *testing.T) {
+	r := NewRecorder(3, 8)
+	r.SetShard(5)
+	for i := 0; i < 20; i++ {
+		r.Record(Event{At: int64(i), Seq: 99})
+	}
+	ring := &r.buf[0]
+
+	r.Reset(2, 4)
+	if r.Len() != 0 || r.Dropped() != 0 || r.Rate() != 2 || len(r.buf) != 4 {
+		t.Fatalf("after Reset(2, 4): Len %d, Dropped %d, Rate %d, ring %d", r.Len(), r.Dropped(), r.Rate(), len(r.buf))
+	}
+	if &r.buf[0] != ring {
+		t.Error("Reset to a smaller capacity reallocated the ring")
+	}
+	if got := r.Snapshot().Events; len(got) != 0 {
+		t.Fatalf("stale records readable after Reset: %+v", got)
+	}
+	r.Record(Event{At: 7})
+	fresh := NewRecorder(2, 4)
+	fresh.Record(Event{At: 7})
+	if got, want := r.Snapshot(), fresh.Snapshot(); !reflect.DeepEqual(got, want) {
+		t.Errorf("recycled recorder snapshot %+v, fresh %+v", got, want)
+	}
+	for i := 0; i < 9; i++ { // wrap the smaller ring inside the larger backing
+		r.Record(Event{At: int64(10 + i)})
+	}
+	if got := r.Snapshot().Events; len(got) != 4 || got[0].At != 15 || got[3].At != 18 {
+		t.Errorf("wrapped recycled ring holds %+v, want the last four records", got)
+	}
+
+	r.Reset(1, 16)
+	if len(r.buf) != 16 || r.Len() != 0 {
+		t.Errorf("Reset to a larger capacity: ring %d, Len %d", len(r.buf), r.Len())
+	}
+	// AllocsPerRun's warm-up call grows the ring to DefaultCap once;
+	// after that both shapes fit the ring the recorder keeps.
+	if n := testing.AllocsPerRun(10, func() { r.Reset(1, 0); r.Reset(1, 16) }); n != 0 {
+		t.Errorf("Reset allocates %.0f times with a large enough ring kept", n)
 	}
 }
 

@@ -161,6 +161,7 @@ func StartCluster(cfg ClusterConfig) (*Cluster, error) {
 		c.Relays = append(c.Relays, rel)
 	}
 
+	routes := make([]ServerRoute, 0, len(workers))
 	for sid, threads := range workers {
 		var rel *Relay
 		if serverRack != nil {
@@ -183,16 +184,16 @@ func StartCluster(cfg ClusterConfig) (*Cluster, error) {
 		}
 		c.Servers = append(c.Servers, srv)
 		go srv.Serve() //nolint:errcheck
+		route := ServerRoute{SID: uint16(sid), Addr: srv.Addr()}
 		if rel != nil {
-			rel.AddServer(uint16(sid), srv.Addr())
-			err = sw.AddServerVia(uint16(sid), srv.Addr(), rel.DownAddr())
-		} else {
-			err = sw.AddServer(uint16(sid), srv.Addr())
+			rel.AddServer(route.SID, route.Addr)
+			route.RelayDown = rel.DownAddr()
 		}
-		if err != nil {
-			c.Close()
-			return nil, fmt.Errorf("udpemu: register server %d: %w", sid, err)
-		}
+		routes = append(routes, route)
+	}
+	if err := sw.InstallServers(routes); err != nil {
+		c.Close()
+		return nil, fmt.Errorf("udpemu: register servers: %w", err)
 	}
 	for _, rel := range c.Relays {
 		rel.Serve()

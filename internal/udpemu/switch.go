@@ -124,33 +124,45 @@ func (s *Switch) Addr() *net.UDPAddr { return s.conn.LocalAddr().(*net.UDPAddr) 
 // Batched reports whether this switch runs the recvmmsg/sendmmsg path.
 func (s *Switch) Batched() bool { return s.bc != nil }
 
-// AddServer registers a worker server with the control plane. The
-// address-table entry is the server's UDP port.
-func (s *Switch) AddServer(sid uint16, addr *net.UDPAddr) error {
+// ServerRoute is one server's control-plane registration: its ID, its
+// own socket, and — for a server on a remote rack — the downlink of the
+// rack relay it is reached through (nil for a directly attached server).
+type ServerRoute struct {
+	SID       uint16
+	Addr      *net.UDPAddr
+	RelayDown *net.UDPAddr
+}
+
+// InstallServers registers every route with the control plane in one
+// data-plane install (one group-table build). The address-table entry
+// is the server's UDP port; a relayed server's forwarding entry points
+// at the relay downlink with the server's ID as the encapsulation
+// preamble.
+func (s *Switch) InstallServers(routes []ServerRoute) error {
+	entries := make([]dataplane.ServerEntry, len(routes))
+	for i, r := range routes {
+		entries[i] = dataplane.ServerEntry{SID: r.SID, Addr: uint32(r.Addr.Port)}
+	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if err := s.dp.AddServer(sid, uint32(addr.Port)); err != nil {
+	if err := s.dp.InstallServers(entries); err != nil {
 		return err
 	}
-	s.servers[sid] = newSendTarget(addr)
+	for _, r := range routes {
+		if r.RelayDown == nil {
+			s.servers[r.SID] = newSendTarget(r.Addr)
+			continue
+		}
+		t := newSendTarget(r.RelayDown)
+		t.encap, t.encapSID = true, r.SID
+		s.servers[r.SID] = t
+	}
 	return nil
 }
 
-// AddServerVia registers a remote-rack server reached through its rack
-// relay: the data plane learns the server's real port, while the
-// forwarding table points at the relay downlink with the server's ID
-// as the encapsulation preamble.
-func (s *Switch) AddServerVia(sid uint16, serverAddr, relayDown *net.UDPAddr) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if err := s.dp.AddServer(sid, uint32(serverAddr.Port)); err != nil {
-		return err
-	}
-	t := newSendTarget(relayDown)
-	t.encap = true
-	t.encapSID = sid
-	s.servers[sid] = t
-	return nil
+// AddServer registers one directly attached worker server.
+func (s *Switch) AddServer(sid uint16, addr *net.UDPAddr) error {
+	return s.InstallServers([]ServerRoute{{SID: sid, Addr: addr}})
 }
 
 // RemoveServer removes a failed server (§3.6).

@@ -53,8 +53,10 @@ mode="${1:-all}"
 # steady state, driven serially so the figure is core-count-portable),
 # and ClusterSteadyStateTraced (the flight recorder sampling every 64th
 # request on the fabric path — Record writes into a preallocated ring,
-# so it must hold the same 0 allocs/op).
-bench_re="${BENCH:-Engine|SwitchPipeline|ClusterSteadyState|SwitchProcess|SimulatedMillisecond|ZipfRank|KVMixNext|PoissonGap|SummarizeFrozen}"
+# so it must hold the same 0 allocs/op). BuildFabricXL is construction
+# alone: a 64-rack, 102,400-client fabric built and torn down through a
+# 1 us window (~2k allocs/op; three per client before slab allocation).
+bench_re="${BENCH:-Engine|SwitchPipeline|ClusterSteadyState|SwitchProcess|SimulatedMillisecond|BuildFabricXL|ZipfRank|KVMixNext|PoissonGap|SummarizeFrozen}"
 benchtime="${BENCHTIME:-1s}"
 experiments="${EXPERIMENTS:-all}"
 parallel="${PARALLEL:-1}"
