@@ -5,24 +5,30 @@
 // (FIFO), and identical seeds produce identical runs.
 //
 // The engine is organized around burst draining (DESIGN.md
-// § Performance model): pending events live in a calendar ring of
-// fixed-width time buckets, so scheduling is an O(1) chain push instead
-// of a heap sift, and execution pops the occupied buckets of a small
+// § Performance model): pending events live in a two-tier calendar —
+// a ring of fine fixed-width time buckets for the near future and a
+// coarse far tier whose buckets each span half a ring — so scheduling
+// is an O(1) chain push at any distance a simulation reaches instead of
+// a heap sift, and execution pops the occupied buckets of a small
 // leading time window at once — the burst — into a reusable index
 // batch, sorts each bucket's chain as one segment of the batch, and
 // dispatches it as a tight linear scan. Equal-timestamp events always
 // share a bucket, so a burst contains at minimum every queued event of
 // the head timestamp. The dispatch order is exactly the (at, seq)
-// total order a per-event heap would pop; burst mode is a pure
+// total order a per-event heap would pop; the tiers only bucket events
+// by time and never compare two of them, so both are a pure
 // scheduling-machinery optimization, observable only as wall-clock
 // speed.
 //
 // Event records are stored once in a growable slab and never move;
-// every queue structure (bucket chains, the batch, the overflow heap)
-// holds int32 slab indices. Moving indices instead of records keeps the
-// sort and heap machinery free of GC write barriers — eventRec carries
-// an interface payload, so record copies are barrier-traffic a profile
-// showed dominating a value-based layout.
+// every queue structure (ring and far chains, the batch, the overflow
+// heap) holds int32 slab indices. Moving indices instead of records
+// keeps the sort and heap machinery free of GC write barriers —
+// eventRec carries an interface payload, so record copies are
+// barrier-traffic a profile showed dominating a value-based layout. For
+// the same reason a record is written once, in place, when it is
+// scheduled and read field by field when it is dispatched: it is never
+// built or copied out whole.
 //
 // Hot callers Register a Handler once and schedule through the typed
 // Schedule/ScheduleAfter API with the returned handler ID — events
@@ -93,20 +99,49 @@ type stampRec struct {
 	s1, s2, s3 int64
 }
 
-// Calendar-ring geometry. The bucket width (128 ns) is chosen below the
-// simulated cluster's smallest calibrated delay (150 ns dispatcher
-// cost), so an event a handler schedules mid-burst almost always lands
-// in a later bucket via the O(1) fast path; only near-zero delays merge
-// into the running burst by splice. The ring spans
-// numBuckets*2^bucketShift ns (1024 x 128 ns ≈ 131 µs with these
-// values — past the Exp(25 µs) service tail); rarer farther-out events
-// overflow to a slow-path heap and are pulled back in as the ring
+// Calendar geometry, two tiers. The fine bucket width (128 ns) is
+// chosen below the simulated cluster's smallest calibrated delay
+// (150 ns dispatcher cost), so an event a handler schedules mid-burst
+// almost always lands in a later bucket via the O(1) fast path; only
+// near-zero delays merge into the running burst by splice.
+//
+// The ring has numBuckets fine buckets (2048 x 128 ns ≈ 262 µs). The
+// far tier behind it has numFar coarse buckets of 2^farShift fine
+// buckets each — half a ring, 2^17 ns ≈ 131 µs — so it reaches
+// 1024 x 131 µs ≈ 134 ms: past every inter-arrival gap the suite
+// draws, including the ≈5.5 ms of a 1e5-client point. What divides the
+// tiers is the far edge, far bucket farBase:
+//
+//	the ring (with the burst collected from it) holds exactly the
+//	pending events whose fine bucket is below farBase<<farShift, and
+//	farBase <= curB>>farShift + farLead.
+//
+// The first half is what makes the order safe: everything in the ring
+// precedes everything behind the edge, so the tiers never have to
+// compare two events. The second is what makes the ring safe: it spans
+// at most numBuckets, so no two pending ring events share a slot
+// without sharing a bucket. A whole far bucket spills into the ring as
+// the cursor enters the half-ring before it — not when the ring runs
+// dry — so every burst starts with the edge farLead (2) half-rings past
+// the start of the cursor's own and the ring horizon stays between
+// 131 µs and 262 µs: never under half a ring, and past the Exp(25 µs)
+// service tail, so the cluster's own delays file straight into the
+// ring. Only events beyond the far horizon (fault
+// transitions seconds out, tests that schedule at 2^62) reach the
+// slow-path heap, and they migrate into the far tier as the edge
 // advances.
 const (
-	bucketShift = 7 // 128 ns per bucket
-	numBuckets  = 1024
+	bucketShift = 7  // 128 ns per fine bucket
+	farShift    = 10 // 1024 fine buckets per far bucket
+	farLead     = 2  // far buckets the edge may lead the cursor's by
+	numBuckets  = farLead << farShift
 	bucketMask  = numBuckets - 1
 	occWords    = numBuckets / 64
+
+	farTimeShift = bucketShift + farShift // 2^17 ns per far bucket
+	numFar       = 1024
+	farMask      = numFar - 1
+	farOccWords  = numFar / 64
 
 	nilIdx = int32(-1)
 
@@ -142,12 +177,21 @@ type Engine struct {
 	freeHead int32
 
 	// Calendar ring: head[b&bucketMask] chains (unordered) the events
-	// with at>>bucketShift == b for b in [curB, curB+numBuckets). occ
+	// with at>>bucketShift == b for b in [curB, farBase<<farShift). occ
 	// is the slot-occupancy bitmap used to skip empty buckets in O(1).
 	curB      int64
 	ringCount int
 	head      [numBuckets]int32
 	occ       [occWords]uint64
+
+	// Far tier: farHead[f&farMask] chains (unordered) the events with
+	// at>>farTimeShift == f for f in [farBase, farBase+numFar), with
+	// its own occupancy bitmap. farBase is the far edge (see the
+	// geometry comment for the invariant that ties it to curB).
+	farBase  int64
+	farCount int
+	farHead  [numFar]int32
+	farOcc   [farOccWords]uint64
 
 	// Burst state: the bucket being drained, its indices collected into
 	// batch and sorted by (at, seq). batchPos is the dispatch cursor.
@@ -161,7 +205,7 @@ type Engine struct {
 	batch    []int32
 	batchPos int
 
-	overflow []int32 // binary min-heap: events beyond the ring horizon
+	overflow []int32 // binary min-heap: events beyond the far horizon
 
 	// handlers[hid-1] is the target of typed events scheduled with hid;
 	// ID 0 means a closure event. Registration order is irrelevant to
@@ -235,9 +279,24 @@ func NewEngine() *Engine {
 func (e *Engine) initStorage() {
 	e.slab = make([]eventRec, 0, initialSlabCap)
 	e.freeHead = nilIdx
+	e.clearCalendar()
+}
+
+// clearCalendar empties both tiers and re-anchors them at the clock:
+// the cursor on now's bucket, the far edge farLead half-rings past the
+// start of the cursor's. The caller owns whatever the chains held.
+func (e *Engine) clearCalendar() {
 	for i := range e.head {
 		e.head[i] = nilIdx
 	}
+	for i := range e.farHead {
+		e.farHead[i] = nilIdx
+	}
+	e.occ = [occWords]uint64{}
+	e.farOcc = [farOccWords]uint64{}
+	e.ringCount, e.farCount = 0, 0
+	e.curB = e.now >> bucketShift
+	e.farBase = e.curB>>farShift + farLead
 }
 
 // alloc returns a free slab index, growing the slab when the free list
@@ -245,9 +304,9 @@ func (e *Engine) initStorage() {
 // reference into the slab is an index, so nothing dangles.
 func (e *Engine) alloc() int32 {
 	if e.slab == nil {
-		// Zero-value engine: freeHead (0) and head[] (0) are not yet the
-		// nilIdx sentinels, so storage must be initialized before the
-		// free-list check — alloc runs before any container access on
+		// Zero-value engine: freeHead (0) and the chain heads (0) are not
+		// yet the nilIdx sentinels, so storage must be initialized before
+		// the free-list check — alloc runs before any container access on
 		// every schedule path, making this the single lazy-init point.
 		e.initStorage()
 	}
@@ -263,22 +322,12 @@ func (e *Engine) alloc() int32 {
 	return int32(len(e.slab) - 1)
 }
 
-// release returns a slab slot to the free list. The payload references
-// are cleared so a dispatched event does not pin its argument until the
-// slot is reused.
-func (e *Engine) release(i int32) {
-	rec := &e.slab[i]
-	rec.arg = nil
-	rec.nxt = e.freeHead
-	e.freeHead = i
-}
-
 // Now returns the current virtual time.
 func (e *Engine) Now() Time { return e.now }
 
 // Pending returns the number of scheduled events.
 func (e *Engine) Pending() int {
-	return e.ringCount + len(e.overflow) + (len(e.batch) - e.batchPos)
+	return e.ringCount + e.farCount + len(e.overflow) + (len(e.batch) - e.batchPos)
 }
 
 // Steps returns the number of events executed so far — the simulator's
@@ -294,15 +343,12 @@ func (e *Engine) Reset() {
 	clear(e.slab) // drop payload references so recycled engines don't pin them
 	e.slab = e.slab[:0]
 	e.freeHead = nilIdx
-	for i := range e.head {
-		e.head[i] = nilIdx
-	}
-	e.occ = [occWords]uint64{}
+	e.now, e.seq, e.steps = 0, 0, 0
+	e.clearCalendar()
 	e.batch = e.batch[:0]
 	e.overflow = e.overflow[:0]
-	e.curB, e.ringCount, e.batchPos = 0, 0, 0
+	e.batchPos = 0
 	e.draining = false
-	e.now, e.seq, e.steps = 0, 0, 0
 	clear(e.handlers) // drop handler references so recycled engines don't pin them
 	e.handlers = e.handlers[:0]
 	e.stamped, e.stampID = false, 0
@@ -346,29 +392,41 @@ func (e *Engine) before(a, b int32) bool {
 // schedule enqueues one event at absolute time t. Times in the past are
 // clamped to now, so the event runs at the current time after all
 // already-queued events for that time (FIFO via seq).
+//
+// The record is written once, through a pointer taken after alloc (which
+// may grow the slab), and the common destination — a ring bucket past
+// the live burst — is pushed here, inline; insert files everything
+// else.
 func (e *Engine) schedule(t Time, hid int32, kind uint8, arg any, x int64) {
 	if t < e.now {
 		t = e.now
 	}
+	var seq uint64
 	if e.stamped {
-		seq := e.mintSeq()
-		i := e.alloc()
-		e.slab[i] = eventRec{at: t, seq: seq, x: x, arg: arg, hid: hid, kind: kind}
+		seq = e.mintSeq()
+	} else {
+		if e.seq == math.MaxUint64 {
+			// Sequence-counter wraparound would mint a tie-breaker below
+			// already-queued events and violate FIFO. Renumber the pending
+			// events (order-preserving) and restart the counter; at 10^9
+			// events/sec this branch is ~584 years away, but correctness
+			// here is what the FIFO guarantee rests on.
+			e.renumber()
+		}
+		e.seq++
+		seq = e.seq
+	}
+	i := e.alloc()
+	rec := &e.slab[i]
+	rec.at, rec.seq, rec.x, rec.arg, rec.hid, rec.kind = t, seq, x, arg, hid, kind
+	if e.stamped {
 		e.stamps[i] = stampRec{s1: e.cur1, s2: e.cur2, s3: e.cur3}
-		e.insert(i)
+	}
+	b := t >> bucketShift
+	if b < e.farBase<<farShift && !(e.draining && b <= e.burstB) {
+		e.chainPush(int(b)&bucketMask, i)
 		return
 	}
-	if e.seq == math.MaxUint64 {
-		// Sequence-counter wraparound would mint a tie-breaker below
-		// already-queued events and violate FIFO. Renumber the pending
-		// events (order-preserving) and restart the counter; at 10^9
-		// events/sec this branch is ~584 years away, but correctness
-		// here is what the FIFO guarantee rests on.
-		e.renumber()
-	}
-	e.seq++
-	i := e.alloc()
-	e.slab[i] = eventRec{at: t, seq: e.seq, x: x, arg: arg, hid: hid, kind: kind}
 	e.insert(i)
 }
 
@@ -407,7 +465,8 @@ func (e *Engine) ScheduleStamped(t Time, s1, s2, s3 int64, seq uint64, hid int32
 		t = e.now
 	}
 	i := e.alloc()
-	e.slab[i] = eventRec{at: t, seq: seq, x: x, arg: arg, hid: hid, kind: kind}
+	rec := &e.slab[i]
+	rec.at, rec.seq, rec.x, rec.arg, rec.hid, rec.kind = t, seq, x, arg, hid, kind
 	e.stamps[i] = stampRec{s1: s1, s2: s2, s3: s3}
 	e.insert(i)
 }
@@ -415,19 +474,26 @@ func (e *Engine) ScheduleStamped(t Time, s1, s2, s3 int64, seq uint64, hid int32
 // insert places one stored record into the structure that owns its
 // timestamp: spliced into the running burst when it lands at or before
 // the bucket being drained (so it merges into the dispatch order), a
-// ring bucket within the horizon, or the overflow heap beyond it.
+// ring bucket below the far edge, a far chain within the far horizon,
+// or the overflow heap beyond it. The three calendar destinations are
+// chosen by time alone.
 func (e *Engine) insert(i int32) {
 	b := e.slab[i].at >> bucketShift
-	if e.draining && b <= e.burstB {
+	f := b >> farShift
+	switch {
+	case e.draining && b <= e.burstB:
 		e.splice(i)
-		return
+	case f < e.farBase:
+		e.chainPush(int(b)&bucketMask, i)
+	case f-e.farBase < numFar:
+		slot := int(f) & farMask
+		e.slab[i].nxt = e.farHead[slot]
+		e.farHead[slot] = i
+		e.farOcc[slot>>6] |= 1 << (slot & 63)
+		e.farCount++
+	default:
+		e.overflow = e.heapPush(e.overflow, i)
 	}
-	if b-e.curB < numBuckets {
-		slot := int(b) & bucketMask
-		e.chainPush(slot, i)
-		return
-	}
-	e.overflow = e.heapPush(e.overflow, i)
 }
 
 // chainPush prepends record i to bucket chain slot (LIFO; the segment
@@ -463,14 +529,16 @@ func (e *Engine) splice(i int32) {
 // renumber compacts the sequence space: pending events keep their
 // relative order but are renumbered 1..n. The containers are rebuilt
 // from scratch — this is the cold path (tests, or once per 2^64
-// events), and rebuilding keeps the ring/burst invariants trivially
+// events), and rebuilding keeps the calendar/burst invariants trivially
 // true even when the wraparound lands mid-burst.
 func (e *Engine) renumber() {
 	all := make([]int32, 0, e.Pending())
 	all = append(all, e.batch[e.batchPos:]...)
-	for slot := range e.head {
-		for i := e.head[slot]; i != nilIdx; i = e.slab[i].nxt {
-			all = append(all, i)
+	for _, heads := range [][]int32{e.head[:], e.farHead[:]} {
+		for _, i := range heads {
+			for ; i != nilIdx; i = e.slab[i].nxt {
+				all = append(all, i)
+			}
 		}
 	}
 	all = append(all, e.overflow...)
@@ -491,17 +559,13 @@ func (e *Engine) renumber() {
 	}
 	e.seq = uint64(len(all))
 
-	for i := range e.head {
-		e.head[i] = nilIdx
-	}
-	e.occ = [occWords]uint64{}
+	// Re-anchor the calendar at the clock; every pending event is at or
+	// after now, so the whole set re-inserts into [curB, ∞).
+	e.clearCalendar()
 	e.batch = e.batch[:0]
 	e.overflow = e.overflow[:0]
-	e.ringCount, e.batchPos = 0, 0
+	e.batchPos = 0
 	e.draining = false
-	// Re-anchor the ring at the clock; every pending event is at or
-	// after now, so the whole set re-inserts into [curB, ∞).
-	e.curB = e.now >> bucketShift
 	for _, i := range all {
 		e.insert(i)
 	}
@@ -578,25 +642,51 @@ func (e *Engine) heapPop(h []int32) (int32, []int32) {
 	return top, h
 }
 
-// nextOccupiedDist returns the distance (in buckets, 0-based) from curB
-// to the nearest occupied ring bucket. Must only be called with
-// ringCount > 0.
-func (e *Engine) nextOccupiedDist() int64 {
-	start := int(e.curB) & bucketMask
+// nextSet returns the distance from bit start of the occupancy bitmap
+// occ (a power-of-two number of words, scanned cyclically) to the
+// nearest set bit at or after it. Must only be called with a bit set.
+func nextSet(occ []uint64, start int) int64 {
 	w, bit := start>>6, start&63
-	if x := e.occ[w] >> bit; x != 0 {
+	if x := occ[w] >> bit; x != 0 {
 		return int64(bits.TrailingZeros64(x))
 	}
 	d := int64(64 - bit)
-	for i := 1; i < occWords; i++ {
-		if x := e.occ[(w+i)%occWords]; x != 0 {
+	for i := 1; i < len(occ); i++ {
+		if x := occ[(w+i)&(len(occ)-1)]; x != 0 {
 			return d + int64(bits.TrailingZeros64(x))
 		}
 		d += 64
 	}
 	// Wrap around into the starting word's low bits.
-	x := e.occ[w] & (1<<bit - 1)
+	x := occ[w] & (1<<bit - 1)
 	return d + int64(bits.TrailingZeros64(x))
+}
+
+// spillTo advances the far edge to far bucket f: every far chain below
+// it moves into the ring, bucket by time, and the heap events the far
+// horizon now covers are refiled the same way. Callers keep f within
+// farLead of the cursor's far bucket, so the loop runs once or twice.
+func (e *Engine) spillTo(f int64) {
+	for ; e.farBase < f; e.farBase++ {
+		slot := int(e.farBase) & farMask
+		i := e.farHead[slot]
+		if i == nilIdx {
+			continue
+		}
+		e.farHead[slot] = nilIdx
+		e.farOcc[slot>>6] &^= 1 << (slot & 63)
+		for i != nilIdx {
+			nxt := e.slab[i].nxt
+			e.chainPush(int(e.slab[i].at>>bucketShift)&bucketMask, i)
+			e.farCount--
+			i = nxt
+		}
+	}
+	for len(e.overflow) > 0 && e.slab[e.overflow[0]].at>>farTimeShift-f < numFar {
+		var i int32
+		i, e.overflow = e.heapPop(e.overflow)
+		e.insert(i)
+	}
 }
 
 // ensureBurst makes the engine's burst state hold the next pending
@@ -607,41 +697,36 @@ func (e *Engine) ensureBurst() bool {
 	if e.draining {
 		return true
 	}
-	if e.ringCount == 0 && len(e.overflow) == 0 {
-		return false
-	}
-	if e.ringCount > 0 {
-		adv := e.curB + e.nextOccupiedDist()
-		// Bound the advance by the overflow head's bucket: the ring's
-		// nearest occupied bucket can be up to numBuckets-1 ahead, far
-		// enough that an overflow event sorts before it. Advancing past
-		// that event would make the pull below chainPush it behind the
-		// cursor, where its bucket aliases modulo numBuckets and it
-		// dispatches out of order. Clamped, the pulled event's bucket
-		// becomes the collection start instead.
-		if len(e.overflow) > 0 {
-			if ob := e.slab[e.overflow[0]].at >> bucketShift; ob < adv {
-				adv = ob
-			}
+	if e.ringCount == 0 {
+		// Ring empty: jump the cursor and the far edge straight to the
+		// next occupied far bucket — every far bucket before it is empty,
+		// and every heap event lies beyond them all — or, with the far
+		// tier empty too, to the heap head's.
+		switch {
+		case e.farCount > 0:
+			e.farBase += nextSet(e.farOcc[:], int(e.farBase)&farMask)
+		case len(e.overflow) > 0:
+			e.farBase = e.slab[e.overflow[0]].at >> farTimeShift
+		default:
+			return false
 		}
-		e.curB = adv
-	} else {
-		// Ring empty: jump straight to the overflow head's bucket.
-		e.curB = e.slab[e.overflow[0]].at >> bucketShift
+		e.curB = e.farBase << farShift
+		e.spillTo(e.farBase + 1)
 	}
-	// Pull every overflow event the advanced horizon now covers back
-	// into the ring. A pulled event can land in bucket curB itself
-	// when the ring was empty and curB jumped to the overflow head,
-	// which is why the pull precedes the chain collection below.
-	for len(e.overflow) > 0 && e.slab[e.overflow[0]].at>>bucketShift-e.curB < numBuckets {
-		var i int32
-		i, e.overflow = e.heapPop(e.overflow)
-		e.chainPush(int(e.slab[i].at>>bucketShift)&bucketMask, i)
+	// Everything in the ring precedes everything behind the far edge, so
+	// the nearest occupied bucket holds the earliest pending events.
+	// Entering the half-ring before the edge spills the next far bucket:
+	// that keeps the ring horizon at half a ring or more, and — done
+	// ahead of the collection below — lets a burst window that starts
+	// in a half-ring's last buckets take in the first of the next.
+	e.curB += nextSet(e.occ[:], int(e.curB)&bucketMask)
+	if f := e.curB>>farShift + farLead; f > e.farBase {
+		e.spillTo(f)
 	}
 
 	// Collect every occupied bucket in [curB, curB+burstSpanBuckets)
 	// into one burst. Multiple buckets per burst amortizes the fixed
-	// burst machinery (bitmap scan, overflow check, drain transitions)
+	// burst machinery (bitmap scan, far-edge check, drain transitions)
 	// across an order of magnitude more events. Each bucket's chain is
 	// sorted as its own segment; bucket ranges are disjoint and
 	// collected in increasing order, so the concatenation is globally
@@ -746,27 +831,33 @@ func (e *Engine) endBurstIfDone() {
 	}
 }
 
-// dispatch runs the event at slab index i. The record is copied out and
-// its slot released before the callback runs: the callback may schedule
-// (growing or reusing the slab), so no slab pointer may be held across
-// it, and releasing first lets steady-state traffic cycle through a
-// slab no larger than the pending high-water mark.
+// dispatch runs the event at slab index i. The fields the callback
+// needs are loaded into locals and the slot released before it runs:
+// the callback may schedule (growing or reusing the slab), so no slab
+// pointer may be held across it, and releasing first lets steady-state
+// traffic cycle through a slab no larger than the pending high-water
+// mark.
 func (e *Engine) dispatch(i int32) {
-	rec := e.slab[i]
+	rec := &e.slab[i]
+	at, x, arg, hid, kind := rec.at, rec.x, rec.arg, rec.hid, rec.kind
 	if e.stamped {
 		// Anything this event schedules inherits (dispatch time, s1, s2)
 		// as its ancestry stamp — the event's own dispatch time becomes
 		// the child's s1, pushing the older generations down one level.
-		st := e.stamps[i]
-		e.cur1, e.cur2, e.cur3 = rec.at, st.s1, st.s2
+		st := &e.stamps[i]
+		e.cur1, e.cur2, e.cur3 = at, st.s1, st.s2
 	}
-	e.release(i)
-	e.now = rec.at
+	// Release the slot, dropping the payload reference so a dispatched
+	// event does not pin its argument until the slot is reused.
+	rec.arg = nil
+	rec.nxt = e.freeHead
+	e.freeHead = i
+	e.now = at
 	e.steps++
-	if rec.hid != 0 {
-		e.handlers[rec.hid-1].OnEvent(rec.kind, rec.arg, rec.x)
+	if hid != 0 {
+		e.handlers[hid-1].OnEvent(kind, arg, x)
 	} else {
-		rec.arg.(func())()
+		arg.(func())()
 	}
 }
 

@@ -1,6 +1,9 @@
 package simnet
 
 import (
+	"cmp"
+	"math"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -233,21 +236,120 @@ func TestSeqOverflowPreservesFIFO(t *testing.T) {
 	}
 }
 
+// TestEngineReset leaves events in every tier — ring, far chains, heap —
+// and requires Reset to drop them all: engines are pooled
+// (simcluster/pool.go), so a chain surviving Reset would replay a
+// previous run's events into the next.
 func TestEngineReset(t *testing.T) {
 	e := NewEngine()
 	e.At(10, func() {})
 	e.At(20, func() {})
 	e.Run()
-	e.At(30, func() {})
+	stale := func() { t.Errorf("event of the previous run fired at %d after Reset", e.Now()) }
+	e.At(30, stale)               // ring
+	e.At(5*farSpan, stale)        // far tier
+	e.At(farHorizon/2, stale)     // far tier, high slot
+	e.At(3*farHorizon, stale)     // heap
+	e.At(math.MaxInt64>>1, stale) // heap
+	if e.ringCount != 1 || e.farCount != 2 || len(e.overflow) != 2 || e.Pending() != 5 {
+		t.Fatalf("setup: ring=%d far=%d heap=%d pending=%d, want 1/2/2 and 5",
+			e.ringCount, e.farCount, len(e.overflow), e.Pending())
+	}
 	e.Reset()
 	if e.Now() != 0 || e.Pending() != 0 || e.Steps() != 0 {
 		t.Fatalf("Reset left now=%d pending=%d steps=%d", e.Now(), e.Pending(), e.Steps())
 	}
-	var fired Time = -1
-	e.At(5, func() { fired = e.Now() })
+	if msg := checkCalendar(e); msg != "" {
+		t.Fatalf("Reset left the calendar inconsistent: %s", msg)
+	}
 	e.Run()
-	if fired != 5 || e.seq != 1 {
-		t.Fatalf("reused engine fired at %d with seq %d, want 5 and 1", fired, e.seq)
+	if e.Steps() != 0 || e.Now() != 0 {
+		t.Fatalf("Run after Reset dispatched %d events, clock at %d", e.Steps(), e.Now())
+	}
+	// The far edge is back at the origin: a short delay files into the
+	// ring and a long one behind it, as on a fresh engine.
+	var fired []Time
+	rec := func() { fired = append(fired, e.Now()) }
+	e.At(5, rec)
+	if e.seq != 1 {
+		t.Fatalf("first schedule after Reset got seq %d, want 1", e.seq)
+	}
+	e.At(5*farSpan+1, rec)
+	if e.ringCount != 1 || e.farCount != 1 {
+		t.Fatalf("reused engine filed ring=%d far=%d, want 1/1", e.ringCount, e.farCount)
+	}
+	e.Run()
+	if !slices.Equal(fired, []Time{5, 5*farSpan + 1}) {
+		t.Fatalf("reused engine fired %v, want [5 %d]", fired, 5*farSpan+1)
+	}
+}
+
+// TestFarTierHoldsArrivalsInOrder is the 1e5-client arrival pattern in
+// miniature: 1e5 typed events at Exp(5.5 ms) gaps, all within 100 ms —
+// inside the far horizon, so none may touch the heap — fired in exactly
+// the order of a sorted (at, seq) reference.
+func TestFarTierHoldsArrivalsInOrder(t *testing.T) {
+	const (
+		total  = 100_000
+		meanNS = 5.5e6
+		endNS  = 100e6
+	)
+	e := NewEngine()
+	rng := NewRNG(7, 18)
+	var want, got []refFire // ids count schedules, so (at, id) is (at, seq)
+	var hid int32
+	arrive := func(from Time) {
+		at := from + Time(rng.ExpFloat64()*meanNS)
+		if len(want) == total || at > endNS {
+			return
+		}
+		want = append(want, refFire{at, len(want)})
+		e.Schedule(at, hid, 0, nil, int64(len(want)-1))
+	}
+	hid = e.Register(handlerFunc(func(_ uint8, _ any, x int64) {
+		if len(e.overflow) != 0 {
+			t.Fatalf("t=%d: %d events in the heap, want the far tier to hold them all", e.Now(), len(e.overflow))
+		}
+		got = append(got, refFire{e.Now(), int(x)})
+		arrive(e.Now())
+		arrive(e.Now())
+	}))
+	for range 10_000 {
+		arrive(0)
+	}
+	if e.farCount < 9_000 {
+		t.Fatalf("only %d of 10000 initial arrivals filed in the far tier", e.farCount)
+	}
+	e.Run()
+	if len(want) != total || len(got) != total {
+		t.Fatalf("scheduled %d and fired %d events, want %d", len(want), len(got), total)
+	}
+	slices.SortFunc(want, func(a, b refFire) int {
+		return cmp.Or(cmp.Compare(a.at, b.at), cmp.Compare(a.id, b.id))
+	})
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("firing %d = %+v, sorted (at, seq) reference has %+v", i, got[i], want[i])
+		}
+	}
+}
+
+// TestTelemetryOverflowCountsBeyondRing pins the gauge's meaning:
+// Overflow is everything pending beyond the ring — far tier plus heap —
+// and Pending includes it.
+func TestTelemetryOverflowCountsBeyondRing(t *testing.T) {
+	e := NewEngine()
+	tel := NewTelemetry(1, 4)
+	e.SetTelemetry(tel)
+	for _, at := range []Time{10, 20, 4 * farSpan, 9 * farSpan, 2 * farHorizon} {
+		e.At(at, func() {})
+	}
+	e.RunUntil(10)
+	if len(tel.Samples) != 1 {
+		t.Fatalf("took %d samples, want 1", len(tel.Samples))
+	}
+	if s := tel.Samples[0]; s.Pending != 5 || s.Overflow != 3 {
+		t.Fatalf("sample %+v, want Pending 5 (all tiers) and Overflow 3 (2 far + 1 heap)", s)
 	}
 }
 
@@ -427,13 +529,22 @@ func TestZeroValueEngine(t *testing.T) {
 	var e Engine
 	var got []Time
 	rec := func() { got = append(got, e.Now()) }
+	// A far-tier delay first: the far chains' heads need the same lazy
+	// nilIdx initialization as the ring's, and the far edge its anchor.
+	e.At(3*farSpan+7, rec)
 	e.At(30, rec)
 	e.At(10, func() {
 		rec()
 		e.After(5, rec)
 	})
+	if e.ringCount != 2 || e.farCount != 1 {
+		t.Fatalf("zero-value engine filed ring=%d far=%d, want 2/1", e.ringCount, e.farCount)
+	}
+	if i := e.farHead[3]; e.slab[i].at != 3*farSpan+7 || e.slab[i].nxt != nilIdx {
+		t.Fatalf("zero-value engine: far chain 3 is not the one event scheduled into it")
+	}
 	e.Run()
-	want := []Time{10, 15, 30}
+	want := []Time{10, 15, 30, 3*farSpan + 7}
 	if len(got) != len(want) {
 		t.Fatalf("fired %v, want %v", got, want)
 	}
@@ -441,6 +552,38 @@ func TestZeroValueEngine(t *testing.T) {
 		if got[i] != want[i] {
 			t.Fatalf("fired %v, want %v", got, want)
 		}
+	}
+}
+
+// BenchmarkEngineFarFuture is the hold model of a 1e5-client point
+// (scale-racks-xl): 1e5 pending typed events, each rescheduling itself
+// Exp(5.5 ms) ahead — forty ring horizons out, so every schedule files
+// beyond the ring and every dispatch was filed there once. One op is one
+// event. Gaps come from a precomputed table so the figure is the
+// engine's, not the sampler's.
+func BenchmarkEngineFarFuture(b *testing.B) {
+	const pending = 100_000
+	rng := NewRNG(1, 1)
+	var gaps [1 << 12]int64
+	for i := range gaps {
+		gaps[i] = int64(rng.ExpFloat64() * 5.5e6)
+	}
+	e := NewEngine()
+	n := 0
+	var hid int32
+	hid = e.Register(handlerFunc(func(_ uint8, _ any, x int64) {
+		n++
+		e.ScheduleAfter(gaps[n&(len(gaps)-1)], hid, 0, nil, x)
+	}))
+	for i := range pending {
+		e.ScheduleAfter(gaps[i&(len(gaps)-1)], hid, 0, nil, int64(i))
+	}
+	// Warm up past the initial transient: one mean gap of virtual time.
+	e.RunUntil(5_500_000)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for n = 0; n < b.N; {
+		e.DrainBatch(math.MaxInt64)
 	}
 }
 

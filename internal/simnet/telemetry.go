@@ -35,9 +35,10 @@ type TelemetrySample struct {
 	// At is the burst's first event time.
 	At int64
 	// Pending counts all scheduled events at the snapshot (calendar
-	// ring + overflow heap + the collected batch).
+	// ring + far tier + overflow heap + the collected batch).
 	Pending int32
-	// Overflow is the portion of Pending in the beyond-horizon heap.
+	// Overflow is the portion of Pending beyond the ring: the far tier
+	// plus the beyond-far-horizon heap.
 	Overflow int32
 	// Aux is the Aux hook's reading (0 when no hook is set).
 	Aux int32
@@ -81,10 +82,11 @@ func (e *Engine) observeBurst() {
 	if t.Aux != nil {
 		aux = t.Aux()
 	}
+	beyond := e.farCount + len(e.overflow)
 	t.Samples = append(t.Samples, TelemetrySample{
 		At:       at,
-		Pending:  int32(e.ringCount + len(e.overflow) + len(e.batch)),
-		Overflow: int32(len(e.overflow)),
+		Pending:  int32(e.ringCount + beyond + len(e.batch)),
+		Overflow: int32(beyond),
 		Aux:      aux,
 	})
 }

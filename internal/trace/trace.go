@@ -261,16 +261,16 @@ type ShardStats struct {
 }
 
 // EngineSample is one time-binned engine occupancy gauge: how full the
-// calendar ring and overflow heap were when a burst began, plus the
+// calendar (ring, far tier, overflow heap) was when a burst began, plus the
 // congestion model's total port occupancy when one is configured.
 type EngineSample struct {
 	// At is the virtual time of the burst that took the sample.
 	At int64
-	// Pending is the number of scheduled events (calendar + overflow +
-	// current burst) at the sample point.
+	// Pending is the number of scheduled events (calendar ring + far
+	// tier + overflow heap + current burst) at the sample point.
 	Pending int32
-	// Overflow is the portion of Pending sitting in the beyond-horizon
-	// overflow heap.
+	// Overflow is the portion of Pending beyond the ring's horizon: the
+	// far tier plus the overflow heap.
 	Overflow int32
 	// PortDepth is the congestion model's total queued-packet count
 	// across all egress ports (0 when no model is configured).

@@ -53,7 +53,9 @@ mode="${1:-all}"
 # steady state, driven serially so the figure is core-count-portable),
 # and ClusterSteadyStateTraced (the flight recorder sampling every 64th
 # request on the fabric path — Record writes into a preallocated ring,
-# so it must hold the same 0 allocs/op). BuildFabricXL is construction
+# so it must hold the same 0 allocs/op). Engine also matches
+# EngineFarFuture (1e5 pending events rescheduling Exp(5.5 ms) ahead:
+# the calendar's far tier, 0 allocs/op). BuildFabricXL is construction
 # alone: a 64-rack, 102,400-client fabric built and torn down through a
 # 1 us window (~2k allocs/op; three per client before slab allocation).
 bench_re="${BENCH:-Engine|SwitchPipeline|ClusterSteadyState|SwitchProcess|SimulatedMillisecond|BuildFabricXL|ZipfRank|KVMixNext|PoissonGap|SummarizeFrozen}"
