@@ -30,11 +30,7 @@ import (
 //	   — table1/table2 compute closed-form tables, no simulation — are
 //	   explicitly excluded from comparison instead of silently recording
 //	   zeros). readBenchJSON upgrades schema-1 files on load.
-//	3: adds the hot_path_sharded probe (the parallel-in-time core at
-//	   shards 1/2/4/8 plus the best-over-sequential speedup). Older
-//	   files upgrade on load exactly as before — a nil hot_path_sharded
-//	   means "probe predates this snapshot" and compare warn-skips the
-//	   sharded gate, mirroring how a missing hot_path is handled.
+//	3: added a probe of a since-deleted engine; old files' hot_path_sharded field is ignored.
 //	4: adds the emu_loopback probe (the UDP emulation's end-to-end
 //	   sustained request rate, portable single-syscall path vs the
 //	   recvmmsg/sendmmsg ring path, DESIGN.md §12). A nil emu_loopback
@@ -42,17 +38,16 @@ import (
 //	   emu gate; a nil batched sub-entry means the host has no batch
 //	   path compiled in, which skips only the sustained-rate floor.
 type benchFile struct {
-	Schema      int                  `json:"schema"`
-	CreatedUTC  string               `json:"created_utc"`
-	GoVersion   string               `json:"go_version"`
-	GOMAXPROCS  int                  `json:"gomaxprocs"`
-	Parallel    int                  `json:"parallelism"`
-	Backend     string               `json:"backend"`
-	Host        *benchHost           `json:"host,omitempty"`
-	HotPath     *benchHotPath        `json:"hot_path,omitempty"`
-	HotSharded  *benchHotPathSharded `json:"hot_path_sharded,omitempty"`
-	EmuLoopback *benchEmuLoopback    `json:"emu_loopback,omitempty"`
-	Runs        []benchExperiment    `json:"experiments"`
+	Schema      int               `json:"schema"`
+	CreatedUTC  string            `json:"created_utc"`
+	GoVersion   string            `json:"go_version"`
+	GOMAXPROCS  int               `json:"gomaxprocs"`
+	Parallel    int               `json:"parallelism"`
+	Backend     string            `json:"backend"`
+	Host        *benchHost        `json:"host,omitempty"`
+	HotPath     *benchHotPath     `json:"hot_path,omitempty"`
+	EmuLoopback *benchEmuLoopback `json:"emu_loopback,omitempty"`
+	Runs        []benchExperiment `json:"experiments"`
 }
 
 // benchHost identifies the hardware a snapshot was taken on. Snapshots
@@ -110,26 +105,6 @@ type benchHotPath struct {
 	EventsPerSec float64 `json:"events_per_sec"`
 	NSPerOp      float64 `json:"ns_per_op"`
 	AllocsPerOp  float64 `json:"allocs_per_op"`
-}
-
-// benchShardPoint is one shard count's throughput sample from the
-// sharded probe.
-type benchShardPoint struct {
-	Shards       int     `json:"shards"`
-	Runs         int     `json:"runs"`
-	EventsPerSec float64 `json:"events_per_sec"`
-}
-
-// benchHotPathSharded is the parallel-in-time probe: one fixed 8-rack
-// fabric scenario run at shards 1, 2, 4, and 8. Shards=1 resolves to
-// the sequential engine (the simcluster fallback), so Speedup — the
-// best sharded events/sec over the shards=1 figure — measures exactly
-// what the sharded core buys on this host. On a single-CPU host the
-// shard drivers run serially and Speedup hovers near 1; compare only
-// enforces a speedup floor when the host has the cores to show one.
-type benchHotPathSharded struct {
-	Points  []benchShardPoint `json:"points"`
-	Speedup float64           `json:"speedup"`
 }
 
 // benchEmuLoopback is the emu I/O probe: the loopback cluster's
@@ -244,54 +219,6 @@ func meterHotPath(minWall time.Duration) (*benchHotPath, error) {
 		NSPerOp:      float64(wall.Nanoseconds()) / float64(runs),
 		AllocsPerOp:  dAllocs / float64(runs),
 	}, nil
-}
-
-// meterHotPathSharded probes the parallel-in-time core: a NetClone
-// scenario over an 8-rack fabric (192 worker threads, clients spread
-// across shards), run at each shard count for at least minWall/4 of
-// wall time. The scenario is inside the shardable envelope — multi-rack,
-// positive uplinks, no loss/congestion/sampling — so every shard count
-// above 1 actually exercises the window driver, and the merged Result
-// is byte-identical across counts (the events/sec figure is therefore
-// events-per-wall-second over identical event sequences).
-func meterHotPathSharded(minWall time.Duration) (*benchHotPathSharded, error) {
-	racks := make([]netclone.Rack, 8)
-	for i := range racks {
-		racks[i] = netclone.HomRack(3, 8, 0)
-	}
-	base := netclone.NewScenario(
-		netclone.WithScheme(netclone.NetClone),
-		netclone.WithRacks(racks...),
-		netclone.WithWorkload(netclone.WithJitter(netclone.Exp(25), 0.01)),
-		netclone.WithClients(8),
-		netclone.WithOfferedLoad(3e6),
-		netclone.WithWindow(0, 4*time.Millisecond),
-	)
-	be := netclone.Sim()
-	out := &benchHotPathSharded{}
-	perCount := minWall / 4
-	var seq float64
-	for _, n := range []int{1, 2, 4, 8} {
-		var runs, events int64
-		start := time.Now()
-		for time.Since(start) < perCount || runs < 2 {
-			sc := base.With(netclone.WithShards(n), netclone.WithSeed(uint64(runs+1)))
-			res, err := be.Run(sc)
-			if err != nil {
-				return nil, err
-			}
-			runs++
-			events += res.EngineEvents
-		}
-		eps := float64(events) / time.Since(start).Seconds()
-		out.Points = append(out.Points, benchShardPoint{Shards: n, Runs: int(runs), EventsPerSec: eps})
-		if n == 1 {
-			seq = eps
-		} else if seq > 0 && eps/seq > out.Speedup {
-			out.Speedup = eps / seq
-		}
-	}
-	return out, nil
 }
 
 // meterEmuLoopback probes the UDP emulation's I/O paths: the loopback

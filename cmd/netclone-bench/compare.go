@@ -46,15 +46,6 @@ const minEmuSustainedRPS = 40_000
 // wiggle). Finer regressions are the absolute floor's job.
 const maxEmuRateLoss = 0.55
 
-// minShardSpeedup is the absolute floor on the sharded probe's
-// best-over-sequential speedup — the parallel-in-time core must buy at
-// least this much on hardware that can show it. Enforced only when the
-// candidate host has at least shardSpeedupCores CPUs: the probe runs 8
-// shards, and on fewer cores the drivers time-slice (a 1-CPU host runs
-// them serially), so the speedup measures the host, not the code.
-const minShardSpeedup = 3.0
-const shardSpeedupCores = 8
-
 // compareReport is the outcome of diffing two snapshots. failures gate
 // (non-zero exit); warnings never do. When the snapshots come from
 // different hosts every would-be failure lands in warnings instead —
@@ -112,37 +103,6 @@ func compareBench(base, cand benchFile) compareReport {
 		if c.AllocsPerOp > b.AllocsPerOp+allocSlack {
 			r.gatef(crossHost, "hot_path allocs/op grew %.1f -> %.1f (any growth fails)",
 				b.AllocsPerOp, c.AllocsPerOp)
-		}
-	}
-
-	// Sharded hot-path probe: the same regression ratchet on the
-	// highest-shard-count throughput, plus the host-conditional absolute
-	// speedup floor. A schema-2 baseline predates the probe, so the gate
-	// warn-skips exactly as a missing hot_path does.
-	switch {
-	case base.HotSharded == nil:
-		r.warnf("baseline has no hot_path_sharded probe (schema < 3): sharded throughput gate skipped")
-	case cand.HotSharded == nil:
-		r.gatef(crossHost, "candidate has no hot_path_sharded probe (baseline does): sharded throughput gate cannot run")
-	default:
-		b, c := bestShardPoint(base.HotSharded), bestShardPoint(cand.HotSharded)
-		d := delta(b.EventsPerSec, c.EventsPerSec)
-		r.linef("hot_path_sharded events/sec at %d shards: %.3gM -> %.3gM (%+.1f%%), speedup %.2fx -> %.2fx",
-			c.Shards, b.EventsPerSec/1e6, c.EventsPerSec/1e6, 100*d,
-			base.HotSharded.Speedup, cand.HotSharded.Speedup)
-		if d < -maxEventsLoss {
-			r.gatef(crossHost, "hot_path_sharded events/sec regressed %.1f%% (%.3gM -> %.3gM, tolerance %.0f%%)",
-				-100*d, b.EventsPerSec/1e6, c.EventsPerSec/1e6, 100*maxEventsLoss)
-		}
-		if cand.Host != nil && cand.Host.NumCPU >= shardSpeedupCores {
-			if cand.HotSharded.Speedup < minShardSpeedup {
-				r.failures = append(r.failures, fmt.Sprintf(
-					"hot_path_sharded speedup %.2fx is below the %.1fx floor on a %d-CPU host",
-					cand.HotSharded.Speedup, minShardSpeedup, cand.Host.NumCPU))
-			}
-		} else {
-			r.linef("hot_path_sharded speedup floor (%.1fx) not enforced: candidate host has %d CPU(s), probe needs %d",
-				minShardSpeedup, hostCPUs(cand.Host), shardSpeedupCores)
 		}
 	}
 
@@ -218,18 +178,6 @@ func compareBench(base, cand benchFile) compareReport {
 	return r
 }
 
-// bestShardPoint returns the probe's highest-shard-count sample — the
-// point the ratchet tracks.
-func bestShardPoint(hp *benchHotPathSharded) benchShardPoint {
-	var best benchShardPoint
-	for _, p := range hp.Points {
-		if p.Shards >= best.Shards {
-			best = p
-		}
-	}
-	return best
-}
-
 // emuSustained tolerates a snapshot whose portable entry is missing
 // (hand-edited or truncated files) rather than panicking mid-report.
 func emuSustained(r *benchEmuRate) float64 {
@@ -237,13 +185,6 @@ func emuSustained(r *benchEmuRate) float64 {
 		return 0
 	}
 	return r.SustainedRPS
-}
-
-func hostCPUs(h *benchHost) int {
-	if h == nil {
-		return 0
-	}
-	return h.NumCPU
 }
 
 func delta(old, new float64) float64 {

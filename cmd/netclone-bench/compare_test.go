@@ -18,15 +18,6 @@ func goodSnapshot() benchFile {
 		Backend: "sim",
 		Host:    &benchHost{GOOS: "linux", GOARCH: "amd64", NumCPU: 8, CPUModel: "testcpu"},
 		HotPath: &benchHotPath{Runs: 100, EventsPerSec: 10e6, NSPerOp: 1e6, AllocsPerOp: 104.2},
-		HotSharded: &benchHotPathSharded{
-			Points: []benchShardPoint{
-				{Shards: 1, Runs: 20, EventsPerSec: 9e6},
-				{Shards: 2, Runs: 20, EventsPerSec: 16e6},
-				{Shards: 4, Runs: 20, EventsPerSec: 27e6},
-				{Shards: 8, Runs: 20, EventsPerSec: 34e6},
-			},
-			Speedup: 34.0 / 9.0,
-		},
 		EmuLoopback: &benchEmuLoopback{
 			Portable: &benchEmuRate{SustainedRPS: 60e3, Rungs: []benchEmuRung{
 				{OfferedRPS: 4e3, AchievedRPS: 4e3, CompletedFrac: 0.999},
@@ -129,59 +120,6 @@ func TestCompareExperimentRegressionOnlyWarns(t *testing.T) {
 	}
 	if !strings.Contains(strings.Join(r.warnings, "\n"), "fig7a") {
 		t.Fatalf("experiment regression not warned: %v", r.warnings)
-	}
-}
-
-// The sharded-probe gate: the highest-shard-count throughput ratchets
-// exactly like the sequential hot path, and the absolute speedup floor
-// binds only on hosts with enough cores to show a speedup.
-
-func TestCompareShardedRegressionFails(t *testing.T) {
-	cand := goodSnapshot()
-	cand.HotSharded.Points[3].EventsPerSec *= 0.90 // -10% at 8 shards
-	r := compareBench(goodSnapshot(), cand)
-	if len(r.failures) != 1 || !strings.Contains(r.failures[0], "hot_path_sharded events/sec regressed") {
-		t.Fatalf("sharded throughput regression not gated: %v", r.failures)
-	}
-}
-
-func TestCompareShardedSpeedupFloorOnBigHost(t *testing.T) {
-	cand := goodSnapshot()
-	cand.HotSharded.Speedup = 1.4 // the parallel core stopped scaling
-	r := compareBench(goodSnapshot(), cand)
-	if len(r.failures) != 1 || !strings.Contains(r.failures[0], "below the 3.0x floor") {
-		t.Fatalf("speedup collapse on an 8-CPU host not gated: %v", r.failures)
-	}
-}
-
-func TestCompareShardedSpeedupNotEnforcedOnSmallHost(t *testing.T) {
-	base, cand := goodSnapshot(), goodSnapshot()
-	for _, bf := range []*benchFile{&base, &cand} {
-		bf.Host.NumCPU = 1
-		bf.HotSharded.Speedup = 0.97 // serial time-slicing: no speedup to show
-		for i := range bf.HotSharded.Points {
-			bf.HotSharded.Points[i].EventsPerSec = 9e6
-		}
-	}
-	r := compareBench(base, cand)
-	if len(r.failures) != 0 || len(r.warnings) != 0 {
-		t.Fatalf("1-CPU host hit the speedup floor: failures %v warnings %v", r.failures, r.warnings)
-	}
-	if !strings.Contains(strings.Join(r.lines, "\n"), "floor (3.0x) not enforced") {
-		t.Fatalf("unenforced floor not reported: %v", r.lines)
-	}
-}
-
-func TestCompareSchema2BaselineSkipsShardedGate(t *testing.T) {
-	base := goodSnapshot()
-	base.Schema = 2
-	base.HotSharded = nil // predates the probe
-	r := compareBench(base, goodSnapshot())
-	if len(r.failures) != 0 {
-		t.Fatalf("schema-2 baseline failed the sharded gate: %v", r.failures)
-	}
-	if !strings.Contains(strings.Join(r.warnings, "\n"), "no hot_path_sharded probe") {
-		t.Fatalf("skipped sharded gate not warned: %v", r.warnings)
 	}
 }
 

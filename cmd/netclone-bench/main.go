@@ -8,7 +8,6 @@
 //	netclone-bench -run fig7a
 //	netclone-bench -run all -quick
 //	netclone-bench -run 'scale-*' -quick
-//	netclone-bench -run scale-racks-xl -quick -shards 8
 //	netclone-bench -run 'chaos-*' -parallel 8 -timeline recovery.csv
 //	netclone-bench -run fig11a -format csv -o fig11a.csv
 //	netclone-bench -run fig7a -format json
@@ -34,28 +33,21 @@
 // Each experiment declares its grid of scenario points, which execute on
 // a bounded worker pool: -parallel bounds the pool size (default 0 = one
 // worker per CPU, 1 = sequential). On the default sim backend results
-// are byte-identical at every parallelism level. -shards additionally
-// parallelizes INSIDE each point: the simulated cluster is partitioned
-// by rack across that many parallel-in-time engines (DESIGN.md §10;
-// default 1 = the sequential engine, 0 = one shard per CPU, capped at
-// the scenario's rack count). Like -parallel the knob is
-// result-invariant — single-rack and otherwise non-shardable points
-// fall back to the sequential engine automatically. -backend emu
-// replays the same scenarios over real UDP sockets (rate-capped;
-// counters are comparable, latencies include kernel noise).
+// are byte-identical at every parallelism level. -shards is accepted
+// and ignored (the sharded core it selected is gone, DESIGN.md §10).
+// -backend emu replays the same scenarios over real UDP sockets
+// (rate-capped; counters are comparable, latencies include kernel
+// noise).
 //
 // -trace FILE arms the simulator's flight recorder on every point and
 // writes the busiest point's capture as Chrome trace-event JSON —
 // loadable at ui.perfetto.dev — or as flat CSV when FILE ends in .csv.
 // -trace-rate N records every Nth request per client (default 64 when
 // -trace is set; 1 records everything). Recording is observational:
-// reports are byte-identical with tracing on or off. With -shards > 1
-// the per-experiment stderr summary reports engine events, the
-// effective shard count and span speedup, and every point that fell
-// back to the sequential engine logs its specific reason.
+// reports are byte-identical with tracing on or off.
 //
 // -benchjson FILE meters every experiment (wall time, simulation
-// events/sec, allocations per point) plus a sequential engine hot-path
+// events/sec, allocations per point) plus an engine hot-path
 // probe and writes the tracked BENCH_<n>.json snapshot; scripts/bench.sh
 // wraps the whole pipeline. -cpuprofile/-memprofile write pprof
 // profiles of the run.
@@ -118,12 +110,12 @@ func main() {
 		loads    = flag.String("loads", "", "comma-separated load fractions, e.g. 0.1,0.5,0.9")
 		repeats  = flag.Int("repeats", 0, "runs per point for averaged experiments")
 		parallel = flag.Int("parallel", 0, "max concurrent simulation points (0 = one per CPU, 1 = sequential)")
-		shards   = flag.Int("shards", 1, "parallel-in-time shards inside each simulation point (1 = sequential engine, 0 = auto: one per CPU; capped at the scenario's rack count, results identical at every count)")
+		shards   = flag.Int("shards", 1, "deprecated and ignored: every point runs on the one sequential engine")
 		progress = flag.Bool("progress", false, "print per-point progress to stderr")
 
 		traceFile = flag.String("trace", "", "write the busiest point's flight-recorder capture to this path as Chrome trace-event JSON (ui.perfetto.dev), or CSV when the path ends in .csv")
 		traceRate = flag.Int("trace-rate", 0, "flight-recorder sampling: record every Nth request per client (0 = off, or 64 when -trace is set; sim backend only)")
-		traceCap  = flag.Int("trace-cap", 0, "flight-recorder ring capacity per shard (0 = default 65536; oldest records are overwritten)")
+		traceCap  = flag.Int("trace-cap", 0, "flight-recorder ring capacity (0 = default 65536; oldest records are overwritten)")
 
 		benchJSON  = flag.String("benchjson", "", "meter the run and write a BENCH_<n>.json benchmark snapshot to this path")
 		compare    = flag.String("compare", "", "diff this fresh snapshot against -baseline and exit (the regression ratchet)")
@@ -182,13 +174,8 @@ func main() {
 		opts.Repeats = *repeats
 	}
 	opts.Parallelism = *parallel
-	switch {
-	case *shards == 0:
-		opts.Shards = runtime.GOMAXPROCS(0)
-	case *shards > 0:
-		opts.Shards = *shards
-	default:
-		fatal(fmt.Errorf("-shards %d is negative (0 = auto, 1 = sequential)", *shards))
+	if *shards != 1 {
+		fmt.Fprintf(os.Stderr, "netclone-bench: -shards %d ignored: the sharded core was removed; every point runs on the sequential engine\n", *shards)
 	}
 	switch *backend {
 	case "sim", "":
@@ -218,22 +205,14 @@ func main() {
 	if *traceFile != "" && *traceRate == 0 {
 		*traceRate = 64
 	}
-	// The emu backend runs on wall-clock sockets: the flight recorder
-	// and the parallel-in-time shards instrument the simulator's
-	// engine, so those requests fall back with one logged reason per
-	// flag — the same discipline as the per-point shard-fallback log —
-	// instead of failing the run or being ignored silently.
-	if *backend == "emu" {
-		if opts.Shards > 1 {
-			fmt.Fprintf(os.Stderr, "netclone-bench: -shards %d ignored on the emu backend: parallel-in-time sharding partitions the simulator's virtual clock, and emu runs on wall-clock sockets\n", *shards)
-			opts.Shards = 1
-			*shards = 1
-		}
-		if *traceRate > 0 {
-			fmt.Fprintf(os.Stderr, "netclone-bench: -trace/-trace-rate ignored on the emu backend: the flight recorder instruments the simulator's engine, and emu has no recorder\n")
-			*traceRate = 0
-			*traceFile = ""
-		}
+	// The emu backend runs on wall-clock sockets and the flight recorder
+	// instruments the simulator's engine, so the request is dropped with
+	// one logged reason instead of failing the run or being ignored
+	// silently.
+	if *backend == "emu" && *traceRate > 0 {
+		fmt.Fprintf(os.Stderr, "netclone-bench: -trace/-trace-rate ignored on the emu backend: the flight recorder instruments the simulator's engine, and emu has no recorder\n")
+		*traceRate = 0
+		*traceFile = ""
 	}
 	opts.TraceRate = *traceRate
 	opts.TraceCap = *traceCap
@@ -298,11 +277,6 @@ func main() {
 			fatal(err)
 		}
 		bench.HotPath = hp
-		hps, err := meterHotPathSharded(2 * time.Second)
-		if err != nil {
-			fatal(err)
-		}
-		bench.HotSharded = hps
 	}
 	// The emu loopback probe is backend-independent (it builds its own
 	// cluster) and also runs before the experiments: the rate a host
@@ -371,11 +345,6 @@ func main() {
 		}
 		if err != nil {
 			fatal(err)
-		}
-		// -shards asked for parallel-in-time execution; any point that
-		// silently ran sequentially names its reason here.
-		if *shards > 1 {
-			obs.logFallbacks(os.Stderr)
 		}
 		if t := obs.bestTrace(); t != nil && (bestTrace == nil || t.richer(bestTrace)) {
 			bestTrace = t

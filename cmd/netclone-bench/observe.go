@@ -2,9 +2,7 @@ package main
 
 import (
 	"fmt"
-	"io"
 	"os"
-	"sort"
 	"strings"
 	"sync"
 
@@ -12,22 +10,16 @@ import (
 )
 
 // runObserver aggregates one experiment's per-point observability — the
-// Options.Observe side channel: total engine events, how the -shards
-// request resolved point by point, and the busiest flight-recorder
-// capture. Points complete concurrently under -parallel, so every entry
-// point locks.
+// Options.Observe side channel: total engine events and the busiest
+// flight-recorder capture. Points complete concurrently under
+// -parallel, so every entry point locks.
 type runObserver struct {
 	experiment string
 
-	mu       sync.Mutex
-	points   int
-	events   int64
-	sharded  int            // points that actually ran sharded
-	shardMax int            // largest effective shard count seen
-	spanSum  int64          // sum of per-shard event counts, sharded points
-	spanCrit int64          // sum of per-point critical (max) shard spans
-	fellBack map[string]int // sequential-fallback reason -> point count
-	trace    *capturedTrace
+	mu     sync.Mutex
+	points int
+	events int64
+	trace  *capturedTrace
 }
 
 // capturedTrace is one point's flight-recorder output plus where it
@@ -57,27 +49,6 @@ func (o *runObserver) observe(label string, res netclone.ScenarioResult) {
 	defer o.mu.Unlock()
 	o.points++
 	o.events += res.EngineEvents
-	if si := res.ShardInfo; si.Requested > 1 {
-		if si.Effective > 1 {
-			o.sharded++
-			if si.Effective > o.shardMax {
-				o.shardMax = si.Effective
-			}
-			var crit int64
-			for _, n := range si.ShardEvents {
-				o.spanSum += n
-				if n > crit {
-					crit = n
-				}
-			}
-			o.spanCrit += crit
-		} else {
-			if o.fellBack == nil {
-				o.fellBack = map[string]int{}
-			}
-			o.fellBack[si.Fallback]++
-		}
-	}
 	if res.Trace != nil && len(res.Trace.Events) > 0 {
 		t := &capturedTrace{experiment: o.experiment, label: label, data: res.Trace}
 		if o.trace == nil || t.richer(o.trace) {
@@ -87,51 +58,14 @@ func (o *runObserver) observe(label string, res netclone.ScenarioResult) {
 }
 
 // summary renders the parenthetical for the per-experiment "finished
-// in" stderr line: engine events always, shard resolution when -shards
-// asked for it.
+// in" stderr line.
 func (o *runObserver) summary() string {
 	o.mu.Lock()
 	defer o.mu.Unlock()
 	if o.points == 0 {
 		return ""
 	}
-	parts := []string{fmtEvents(o.events) + " engine events"}
-	if o.sharded > 0 {
-		s := fmt.Sprintf("%d shards", o.shardMax)
-		if o.spanCrit > 0 {
-			s += fmt.Sprintf(", %.2fx span speedup", float64(o.spanSum)/float64(o.spanCrit))
-		}
-		parts = append(parts, s)
-	}
-	if n := o.fallbackCount(); n > 0 {
-		parts = append(parts, fmt.Sprintf("%d/%d points sequential", n, o.points))
-	}
-	return strings.Join(parts, "; ")
-}
-
-// fallbackCount sums the fallen-back points; callers hold o.mu.
-func (o *runObserver) fallbackCount() int {
-	n := 0
-	for _, c := range o.fellBack {
-		n += c
-	}
-	return n
-}
-
-// logFallbacks prints one line per distinct sequential-fallback reason,
-// so a -shards request that was silently ignored says exactly why.
-func (o *runObserver) logFallbacks(w io.Writer) {
-	o.mu.Lock()
-	defer o.mu.Unlock()
-	reasons := make([]string, 0, len(o.fellBack))
-	for r := range o.fellBack {
-		reasons = append(reasons, r)
-	}
-	sort.Strings(reasons)
-	for _, r := range reasons {
-		fmt.Fprintf(w, "netclone-bench: %s: %d point(s) ran on the sequential engine: %s\n",
-			o.experiment, o.fellBack[r], r)
-	}
+	return fmtEvents(o.events) + " engine events"
 }
 
 // bestTrace returns the experiment's richest capture, nil when tracing

@@ -3,54 +3,24 @@ package main
 import (
 	"bytes"
 	"os"
-	"strings"
 	"testing"
 
 	"netclone"
 )
 
 // obsResult builds a minimal observed point.
-func obsResult(events int64, info netclone.ShardInfo, trace *netclone.TraceData) netclone.ScenarioResult {
+func obsResult(events int64, trace *netclone.TraceData) netclone.ScenarioResult {
 	var res netclone.ScenarioResult
 	res.EngineEvents = events
-	res.ShardInfo = info
 	res.Trace = trace
 	return res
 }
 
-func TestRunObserverSummarySharded(t *testing.T) {
-	o := &runObserver{experiment: "demo"}
-	o.observe("p1", obsResult(2_000_000, netclone.ShardInfo{
-		Requested: 4, Effective: 4, ShardEvents: []int64{500, 500, 500, 500},
-	}, nil))
-	o.observe("p2", obsResult(1_500_000, netclone.ShardInfo{
-		Requested: 4, Effective: 1, Fallback: "the topology has fewer than two racks",
-		ShardEvents: []int64{2000},
-	}, nil))
-	s := o.summary()
-	for _, want := range []string{"3.5M engine events", "4 shards", "4.00x span speedup", "1/2 points sequential"} {
-		if !strings.Contains(s, want) {
-			t.Errorf("summary %q missing %q", s, want)
-		}
-	}
-	var buf bytes.Buffer
-	o.logFallbacks(&buf)
-	want := "netclone-bench: demo: 1 point(s) ran on the sequential engine: the topology has fewer than two racks\n"
-	if buf.String() != want {
-		t.Errorf("fallback log = %q, want %q", buf.String(), want)
-	}
-}
-
 func TestRunObserverSummaryUnsharded(t *testing.T) {
 	o := &runObserver{experiment: "demo"}
-	o.observe("p1", obsResult(900, netclone.ShardInfo{Requested: 1, Effective: 1, ShardEvents: []int64{900}}, nil))
+	o.observe("p1", obsResult(900, nil))
 	if s := o.summary(); s != "900 engine events" {
-		t.Errorf("summary = %q; an unsharded run reports only events", s)
-	}
-	var buf bytes.Buffer
-	o.logFallbacks(&buf)
-	if buf.String() != "" {
-		t.Errorf("unsharded run logged fallbacks: %q", buf.String())
+		t.Errorf("summary = %q; a run reports only events", s)
 	}
 	if o.bestTrace() != nil {
 		t.Error("untraced run captured a trace")
@@ -62,15 +32,15 @@ func TestRunObserverKeepsRichestTrace(t *testing.T) {
 		return &netclone.TraceData{Events: make([]netclone.TraceEvent, n)}
 	}
 	o := &runObserver{experiment: "demo"}
-	o.observe("small", obsResult(1, netclone.ShardInfo{}, mk(3)))
-	o.observe("big", obsResult(1, netclone.ShardInfo{}, mk(9)))
-	o.observe("tie-later", obsResult(1, netclone.ShardInfo{}, mk(9)))
+	o.observe("small", obsResult(1, mk(3)))
+	o.observe("big", obsResult(1, mk(9)))
+	o.observe("tie-later", obsResult(1, mk(9)))
 	best := o.bestTrace()
 	if best == nil || best.label != "big" || len(best.data.Events) != 9 {
 		t.Fatalf("best trace = %+v, want the first 9-event capture", best)
 	}
 	// Ties break toward the lexicographically first label.
-	o.observe("aaa", obsResult(1, netclone.ShardInfo{}, mk(9)))
+	o.observe("aaa", obsResult(1, mk(9)))
 	if got := o.bestTrace().label; got != "aaa" {
 		t.Errorf("tie-break picked %q, want lexicographic order", got)
 	}

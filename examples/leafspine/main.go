@@ -8,19 +8,13 @@
 // cloning, filtering, and state tracking to the clients' ToR, which
 // the per-rack counter rollup (Result.Racks) makes directly visible.
 //
-// The -shards flag runs the same scenario on the parallel-in-time core
-// (DESIGN.md §10): the fabric is partitioned by rack across that many
-// window-synchronized engines. Results are byte-identical at every
-// shard count — the run below asserts it.
-//
-//	go run ./examples/leafspine [-quick] [-shards N]
+//	go run ./examples/leafspine [-quick]
 package main
 
 import (
 	"flag"
 	"fmt"
 	"log"
-	"runtime"
 	"time"
 
 	"netclone"
@@ -28,14 +22,10 @@ import (
 
 func main() {
 	quick := flag.Bool("quick", false, "reduced fidelity (CI smoke): 10x shorter windows")
-	shards := flag.Int("shards", 0, "parallel-in-time shards (1 = sequential engine, 0 = auto: one per CPU, capped at the 4-rack fabric)")
 	flag.Parse()
 	warmup, window := 50*time.Millisecond, 200*time.Millisecond
 	if *quick {
 		warmup, window = 5*time.Millisecond, 20*time.Millisecond
-	}
-	if *shards == 0 {
-		*shards = runtime.GOMAXPROCS(0)
 	}
 
 	base := netclone.NewScenario(
@@ -52,25 +42,12 @@ func main() {
 		netclone.WithSeed(4),
 	)
 
-	fmt.Printf("Leaf-spine NetClone: 4 racks, heterogeneous uplinks, clients on rack 0 (%d shard(s) requested)\n", *shards)
+	fmt.Printf("Leaf-spine NetClone: 4 racks, heterogeneous uplinks, clients on rack 0\n")
 	sim := netclone.Sim()
 	for _, scheme := range []netclone.Scheme{netclone.Baseline, netclone.NetClone} {
-		res, err := sim.Run(base.With(
-			netclone.WithScheme(scheme),
-			netclone.WithShards(*shards),
-		))
+		res, err := sim.Run(base.With(netclone.WithScheme(scheme)))
 		if err != nil {
 			log.Fatal(err)
-		}
-		// The parallel-in-time contract: the sharded run must be
-		// indistinguishable from the sequential engine, row for row.
-		seq, err := sim.Run(base.With(netclone.WithScheme(scheme)))
-		if err != nil {
-			log.Fatal(err)
-		}
-		if res.Latency != seq.Latency || res.Completed != seq.Completed {
-			log.Fatalf("sharded run diverged from the sequential engine: %+v vs %+v",
-				res.Latency, seq.Latency)
 		}
 		fmt.Printf("\n%-10s p50 %6.1fus  p99 %6.1fus  cloned %d  filtered %d\n",
 			scheme, float64(res.Latency.P50)/1e3, float64(res.Latency.P99)/1e3,

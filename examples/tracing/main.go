@@ -5,8 +5,8 @@
 // clone fan-out, port enqueues with ECN marks, service, the filter
 // race, completion — and writes the capture as Chrome trace-event JSON.
 // Open the file at https://ui.perfetto.dev (or chrome://tracing): one
-// process per shard, one track per rack, a nested flight/service span
-// pair per request copy, instants for marks and drops.
+// track per rack, a nested flight/service span pair per request copy,
+// instants for marks and drops.
 //
 // The recorder is strictly observational — the same run with tracing
 // off produces byte-identical results — and storage-bounded: records
@@ -98,11 +98,8 @@ func main() {
 		len(cloned), both)
 
 	tel := res.Telemetry
-	if len(tel.Shards) > 0 {
-		s := tel.Shards[0]
-		fmt.Printf("engine: %d events in %d bursts (max burst %d), %d occupancy samples\n",
-			s.Events, s.Bursts, s.MaxBurst, len(tel.Engine))
-	}
+	fmt.Printf("engine: %d events in %d bursts (max burst %d), %d occupancy samples\n",
+		tel.Events, tel.Bursts, tel.MaxBurst, len(tel.Engine))
 
 	f, err := os.Create(*out)
 	if err != nil {

@@ -41,12 +41,8 @@ import (
 // proving that routing every hop site through the (absent-by-default)
 // finite-queue executor changed no pre-existing row — an unconfigured
 // model keeps the infinite-buffer event sequence bit for bit.
-// The parallel-in-time PR appended scale-racks-xl's rows the same way:
-// the previous pin was again verified to be a byte-for-byte prefix,
-// proving that the sharded-core plumbing (cross-shard send sites,
-// ancestry stamps, the Options.Shards knob) changed no pre-existing
-// row — golden runs keep the default Shards=0 sequential engine, and
-// TestShardedDeterminism separately pins Shards=8 byte-identical.
+// scale-racks-xl's rows were appended the same way: the previous pin
+// was again verified to be a byte-for-byte prefix.
 // The batched-syscall emu PR appended chaos-2rack's rows the same way:
 // the previous pin was again verified to be a byte-for-byte prefix,
 // proving that lifting the emu backend's multi-rack and fault walls

@@ -84,29 +84,21 @@ type Options struct {
 	// execution. Reports are byte-identical at every parallelism level:
 	// the knob only changes wall time.
 	Parallelism int
-	// Shards requests parallel-in-time sharded simulation inside every
-	// point (scenario.WithShards): the cluster is partitioned by rack
-	// across up to Shards event engines synchronized by conservative
-	// time windows. Like Parallelism, the knob is result-invariant —
-	// reports are byte-identical at every shard count, and points whose
-	// configuration needs one global event order (loss, jitter,
-	// congestion, single-rack, ...) fall back to the sequential engine
-	// automatically. Zero or one runs everything sequentially.
-	Shards int
 	// TraceRate, when positive, arms the flight recorder on every
 	// simulation point (scenario.WithTrace): every TraceRate-th request
 	// per client is recorded through its lifecycle into the point's
-	// Result.Trace, with run telemetry in Result.Telemetry. Like Shards,
-	// the knob is result-invariant — recording is strictly observational,
-	// so reports stay byte-identical with tracing on or off. Consume the
-	// per-point trace data through Observe; reports never render it.
+	// Result.Trace, with run telemetry in Result.Telemetry. Like
+	// Parallelism, the knob is result-invariant — recording is strictly
+	// observational, so reports stay byte-identical with tracing on or
+	// off. Consume the per-point trace data through Observe; reports
+	// never render it.
 	// TraceCap bounds each recorder ring (0 means the trace.DefaultCap).
 	// Sim backend only: the Emu backend rejects traced scenarios.
 	TraceRate int
 	TraceCap  int
 	// Observe, when non-nil, is called with every completed point's
 	// label and full backend result — the harness's side channel for
-	// run observability (shard fallbacks, flight-recorder data) that
+	// run observability (engine telemetry, flight-recorder data) that
 	// deliberately lives outside the byte-identical Report. Calls may be
 	// concurrent when Parallelism allows; the callback synchronizes.
 	Observe func(label string, res scenario.Result)

@@ -111,15 +111,11 @@ func runSpecs(specs []RunSpec, opts Options) ([]scenario.Result, error) {
 		OnProgress:  opts.Progress,
 	}, func(s RunSpec) (scenario.Result, error) {
 		sc := s.Scenario
-		if opts.Shards > 1 {
-			// Result-invariant: sharding changes wall time, never rows.
-			// With applies to a copy, so the spec's scenario — possibly
-			// shared across repeats — is untouched.
-			sc = sc.With(scenario.WithShards(opts.Shards))
-		}
 		if opts.TraceRate > 0 {
-			// Result-invariant too: recording is observational, and the
-			// trace payload rides outside the reduced report.
+			// Result-invariant: recording is observational, and the
+			// trace payload rides outside the reduced report. With
+			// applies to a copy, so the spec's scenario — possibly
+			// shared across repeats — is untouched.
 			sc = sc.With(scenario.WithTrace(opts.TraceRate, opts.TraceCap))
 		}
 		res, err := be.Run(sc)

@@ -61,19 +61,12 @@ func TestParallelDeterminism(t *testing.T) {
 	}
 }
 
-// TestShardedDeterminism asserts the parallel-in-time counterpart of
+// TestTracedDeterminism asserts the flight recorder's counterpart of
 // TestParallelDeterminism: every experiment's Report is byte-identical
-// between the sequential engine (Shards: 0) and sharded execution
-// (Shards: 8) at the same seed. Multi-rack experiments actually shard;
-// the rest exercise the automatic sequential fallback, so the sweep
-// also pins that the fallback envelope never changes a row. The sharded
-// leg additionally arms the flight recorder, pinning the tentpole's
-// other invariance at the same time: tracing on + sharding on must
-// still reproduce the untraced sequential report byte for byte, while
-// the trace payload flows out through Observe instead of the report.
-// table1/table2 are static reports — no scenario runs, so nothing to
-// observe or trace.
-func TestShardedDeterminism(t *testing.T) {
+// with tracing on and off at the same seed, while the trace payload
+// flows out through Observe instead of the report. table1/table2 are
+// static reports — no scenario runs, so nothing to observe or trace.
+func TestTracedDeterminism(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full determinism sweep skipped in -short mode")
 	}
@@ -86,17 +79,16 @@ func TestShardedDeterminism(t *testing.T) {
 	}
 	for _, e := range All() {
 		t.Run(e.ID, func(t *testing.T) {
-			seq, err := e.Run(base)
+			plain, err := e.Run(base)
 			if err != nil {
-				t.Fatalf("sequential run failed: %v", err)
+				t.Fatalf("untraced run failed: %v", err)
 			}
 			var mu sync.Mutex
 			var observed, traced int
-			shOpts := base
-			shOpts.Shards = 8
-			shOpts.TraceRate = 16
-			shOpts.TraceCap = 1 << 12
-			shOpts.Observe = func(label string, res scenario.Result) {
+			trOpts := base
+			trOpts.TraceRate = 16
+			trOpts.TraceCap = 1 << 12
+			trOpts.Observe = func(label string, res scenario.Result) {
 				mu.Lock()
 				defer mu.Unlock()
 				observed++
@@ -104,12 +96,12 @@ func TestShardedDeterminism(t *testing.T) {
 					traced++
 				}
 			}
-			sh, err := e.Run(shOpts)
+			tr, err := e.Run(trOpts)
 			if err != nil {
-				t.Fatalf("sharded traced run failed: %v", err)
+				t.Fatalf("traced run failed: %v", err)
 			}
-			if !bytes.Equal(renderBytes(t, seq), renderBytes(t, sh)) {
-				t.Errorf("%s report differs between {Shards 0, untraced} and {Shards 8, traced}", e.ID)
+			if !bytes.Equal(renderBytes(t, plain), renderBytes(t, tr)) {
+				t.Errorf("%s report differs between untraced and traced", e.ID)
 			}
 			if e.ID == "table1" || e.ID == "table2" {
 				if observed != 0 {
@@ -130,8 +122,8 @@ func TestShardedDeterminism(t *testing.T) {
 // TestRunSpecsObserveAndTrace pins the harness observability plumbing
 // on two bare specs: Options.TraceRate arms WithTrace on every point,
 // Observe receives each point's label and full result — trace payload
-// and ShardInfo included — and the spec's own scenario object stays
-// untouched (With must copy).
+// included — and the spec's own scenario object stays untouched (With
+// must copy).
 func TestRunSpecsObserveAndTrace(t *testing.T) {
 	base := fabricScenario(
 		topology.Rack{Servers: []int{4, 4}},
@@ -150,7 +142,6 @@ func TestRunSpecsObserveAndTrace(t *testing.T) {
 	got := map[string]scenario.Result{}
 	opts := Options{
 		Parallelism: 2,
-		Shards:      2,
 		TraceRate:   4,
 		Observe: func(label string, res scenario.Result) {
 			mu.Lock()
@@ -172,14 +163,8 @@ func TestRunSpecsObserveAndTrace(t *testing.T) {
 		if res.Telemetry == nil {
 			t.Errorf("%s: no telemetry despite TraceRate", label)
 		}
-		if res.ShardInfo.Requested != 2 {
-			t.Errorf("%s: ShardInfo.Requested = %d, want the Options.Shards request", label, res.ShardInfo.Requested)
-		}
-		if res.ShardInfo.Effective == 1 && res.ShardInfo.Fallback == "" {
-			t.Errorf("%s: silent sequential fallback with no reason", label)
-		}
 	}
-	if cfg := base.Config(); cfg.TraceRate != 0 || cfg.Shards != 0 {
+	if cfg := base.Config(); cfg.TraceRate != 0 {
 		t.Error("runSpecs mutated the spec's scenario")
 	}
 }

@@ -114,32 +114,31 @@ func registerScaleRacks() {
 }
 
 // ---------------------------------------------------------------------
-// scale-racks-xl — datacenter-scale rack sweep (sharded-core workload)
+// scale-racks-xl — datacenter-scale rack sweep
 
 func registerScaleXL() {
 	register(&Experiment{
 		ID:    "scale-racks-xl",
 		Title: "Fabric sweep XL: p99 at 16-64 racks and up to 1e5 clients",
-		Paper: "extension (parallel-in-time core, DESIGN.md §10)",
+		Paper: "extension (topology layer, cf. scale-racks)",
 		Run: func(opts Options) (Report, error) {
 			opts = opts.withDefaults()
 			if err := requireSimScale("scale-racks-xl", opts); err != nil {
 				return Report{}, err
 			}
-			// The scale-racks shape pushed to the sizes the sharded core
-			// exists for: 64 racks is 192 servers / 1536 worker threads,
-			// and the client population grows with the fabric (1600
-			// machines per rack — 102,400 open-loop clients at 64 racks)
-			// so the per-client rate stays constant. Load sits at 30% of
+			// The scale-racks shape pushed to datacenter size: 64 racks is
+			// 192 servers / 1536 worker threads, and the client population
+			// grows with the fabric (1600 machines per rack — 102,400
+			// open-loop clients at 64 racks) so the per-client rate stays
+			// constant. Load sits at 30% of
 			// capacity to keep the event count CI-feasible; the sweep is
 			// about fabric and engine scale, not queueing.
 			rackCounts := []int{16, 32, 64}
 			schemes := []simcluster.Scheme{simcluster.Baseline, simcluster.NetClone}
 			plan := &Plan{}
 			// Reduce closures run serially after the batch completes;
-			// rollupErr captures the first per-rack rollup that fails to
-			// merge consistently (the sharded core merges each shard's
-			// counters back into one Result — see DESIGN.md §10).
+			// rollupErr captures the first per-rack rollup that does not
+			// sum to the cluster totals.
 			var rollupErr error
 			for _, scheme := range schemes {
 				sid := plan.series(scheme.String())
@@ -187,10 +186,8 @@ func registerScaleXL() {
 				Series: series,
 				Notes: []string{
 					"The datacenter-scale companion to scale-racks: 16-64 racks with a",
-					"client population growing to 1e5 machines. Under Options.Shards the",
-					"points run on the parallel-in-time core (per-rack shards, conservative",
-					"time windows); per-rack rollups are verified to merge consistently and",
-					"every row is byte-identical to the sequential engine.",
+					"client population growing to 1e5 machines; per-rack rollups are",
+					"verified to sum to the cluster totals.",
 				},
 			}, nil
 		},

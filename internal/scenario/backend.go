@@ -26,11 +26,9 @@ type Result struct {
 	// server response traverses the ToR exactly once).
 	ServerProcessed int64
 
-	// ShardInfo reports how a WithShards request was resolved: the
-	// effective shard count, the reason behind a silent sequential
-	// fallback, and the per-shard engine-event split. Zero-valued on
-	// the Emu backend (no shard concept there).
-	ShardInfo simcluster.ShardInfo
+	// ShardInfo reports how a WithShards request was resolved.
+	// Zero-valued on the Emu backend.
+	ShardInfo ShardInfo
 
 	// SendErrors counts failed socket transmissions across the emu
 	// cluster's components (switch, servers, rack relays, clients).
@@ -39,6 +37,19 @@ type Result struct {
 	// behavior.
 	SendErrors int64
 }
+
+// ShardInfo is the remains of the deleted sharded core's diagnostics,
+// kept so callers that read it still compile.
+type ShardInfo struct {
+	// Requested is the WithShards count as given.
+	Requested int
+	// Effective is always 1: the one sequential engine.
+	Effective int
+	// Fallback is shardFallback when Requested > 1, empty otherwise.
+	Fallback string
+}
+
+const shardFallback = "the sharded core was removed; every run uses the sequential engine"
 
 // Backend executes Scenarios. Implementations must be safe for
 // concurrent Run calls — the experiment runner executes many scenario
@@ -67,9 +78,13 @@ func (simBackend) Run(sc *Scenario) (Result, error) {
 	if err := sc.Validate(); err != nil {
 		return Result{}, err
 	}
-	res, info, err := simcluster.RunInfo(sc.Config())
+	res, err := simcluster.Run(sc.Config())
 	if err != nil {
 		return Result{}, err
+	}
+	info := ShardInfo{Requested: sc.shards, Effective: 1}
+	if sc.shards > 1 {
+		info.Fallback = shardFallback
 	}
 	return Result{
 		Result:          res,

@@ -26,7 +26,8 @@ import (
 // construction — With derives a modified copy — so one base scenario
 // can safely fan out into many concurrently running variants.
 type Scenario struct {
-	cfg simcluster.Config
+	cfg    simcluster.Config
+	shards int // the WithShards request, reported back in Result.ShardInfo and otherwise unused
 }
 
 // Option mutates a Scenario under construction.
@@ -53,11 +54,11 @@ func FromConfig(cfg simcluster.Config) *Scenario {
 // With returns a copy of the scenario with the extra options applied.
 // The receiver is not modified.
 func (s *Scenario) With(opts ...Option) *Scenario {
-	c := &Scenario{cfg: s.cfg}
+	c := *s
 	for _, o := range opts {
-		o(c)
+		o(&c)
 	}
-	return c
+	return &c
 }
 
 // Config exposes the scenario as the flat simulation config. Zero fields
@@ -313,23 +314,21 @@ func WithLinkRate(gbps float64) Option {
 	return func(s *Scenario) { s.cfg.Congestion = s.cfg.Congestion.WithLinkRate(gbps) }
 }
 
-// WithShards requests parallel-in-time execution: the simulated cluster
-// is partitioned by rack across n event engines advancing under
-// conservative time windows. 0 or 1 — the default — runs the sequential
-// engine. The count is clamped to the rack count, and configurations
-// that need one global event order (congestion, loss or jitter,
-// breakdown sampling, LÆDGE, fewer than two racks) silently fall back
-// to sequential; the result is the same either way. Sim only.
+// WithShards is accepted and ignored: the parallel-in-time sharded
+// core it selected is gone (DESIGN.md §10). The request is recorded and
+// reported back in Result.ShardInfo.
+//
+// Deprecated: parallelism is per point (internal/runner), not per run.
 func WithShards(n int) Option {
-	return func(s *Scenario) { s.cfg.Shards = n }
+	return func(s *Scenario) { s.shards = n }
 }
 
 // WithTrace enables the flight recorder: every rate-th request per
 // client (rate 1 traces everything) has its full lifecycle — issue,
 // dispatch, clone fan-out, port enqueue/mark/drop, service, filter
-// decision, completion — recorded into Result.Trace, and engine/shard
+// decision, completion — recorded into Result.Trace, and engine
 // telemetry is snapshotted into Result.Telemetry. ringCap bounds the
-// per-shard record ring (0 means the trace.DefaultCap, 64Ki records);
+// record ring (0 means the trace.DefaultCap, 64Ki records);
 // on overflow the oldest records are overwritten and counted. Sampling
 // is a pure function of the client sequence number, so the simulated
 // event order is bit-identical with tracing on or off. Export with
@@ -427,8 +426,8 @@ func (s *Scenario) Validate() error {
 	if cfg.SampleEvery < 0 {
 		return fmt.Errorf("scenario: breakdown sampling every %d requests, need >= 0 (WithBreakdownSampling)", cfg.SampleEvery)
 	}
-	if cfg.Shards < 0 {
-		return fmt.Errorf("scenario: %d shards, need >= 0 (WithShards; 0 means sequential)", cfg.Shards)
+	if s.shards < 0 {
+		return fmt.Errorf("scenario: %d shards, need >= 0 (WithShards)", s.shards)
 	}
 	if cfg.TraceRate < 0 {
 		return fmt.Errorf("scenario: trace rate %d, need >= 0 (WithTrace; 0 disables, 1 traces every request)", cfg.TraceRate)

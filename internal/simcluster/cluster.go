@@ -66,18 +66,11 @@ func (q *pktFIFO) pop() *packet {
 	return p
 }
 
-// cluster wires the simulated nodes together. In a sharded run
-// (shard.go) one cluster value exists per shard — each with its own
-// engine, packet pool, RNG-free aggregates, and the subset of entities
-// it owns — while the entity slices and ToRs are shared snapshots of
-// the same build.
+// cluster wires the simulated nodes together.
 type cluster struct {
 	cfg  Config
 	topo *topology.Compiled // the fabric routing table (1 rack when no fabric was declared)
 	eng  *simnet.Engine
-
-	shard int             // this cluster's shard index (0 in sequential runs)
-	sc    *shardedCluster // nil for sequential runs
 
 	sw      *switchNode    // clients' ToR: all NetClone processing happens here
 	tors    []*switchNode  // one ToR per rack, topology order (tors[topo.ClientRack] == sw)
@@ -142,12 +135,6 @@ type cluster struct {
 	rec *trace.Recorder
 	// tel is the engine telemetry probe; non-nil exactly when rec is.
 	tel *simnet.Telemetry
-	// Conservative-window driver counters (sharded runs only; see
-	// shard.go drive): rounds that advanced the clock, rounds that
-	// could not, and the cross-shard mailbox's drain high-water mark.
-	winRounds int64
-	winStalls int64
-	mboxPeak  int
 
 	breakdown *breakdownAgg
 }
@@ -223,51 +210,9 @@ func (c *cluster) jitterExtra() int64 {
 // and each one is a pure function of cfg (internal/runner relies on
 // both properties).
 func Run(cfg Config) (Result, error) {
-	return runWithInfo(cfg, nil)
-}
-
-// RunInfo executes one experiment point exactly like Run and
-// additionally reports how the Shards request was resolved: the
-// effective shard count, the specific condition behind a silent
-// sequential fallback, and the per-shard engine-event split. The
-// diagnostics live outside Result on purpose — Results must stay
-// deeply equal across execution modes.
-func RunInfo(cfg Config) (Result, ShardInfo, error) {
-	info := ShardInfo{}
-	res, err := runWithInfo(cfg, &info)
-	return res, info, err
-}
-
-// runWithInfo is the shared Run/RunInfo body. A nil info skips the
-// diagnostics entirely — Run must stay allocation-identical to the
-// pre-ShardInfo entry point (the hot-path probe meters its per-run
-// allocations).
-func runWithInfo(cfg Config, info *ShardInfo) (Result, error) {
 	cfg, err := cfg.withDefaults()
 	if err != nil {
 		return Result{}, err
-	}
-	if info != nil {
-		*info = ShardInfo{Requested: cfg.Shards, Effective: 1}
-	}
-	n, reason := shardPlan(cfg)
-	if n > 1 {
-		res, ok, err := runSharded(cfg, n, info)
-		if err != nil {
-			return Result{}, err
-		}
-		if ok {
-			if info != nil {
-				info.Effective = n
-			}
-			return res, nil
-		}
-		// A compiled zero-lookahead edge: sequential fallback below.
-		if info != nil {
-			info.Fallback = "a compiled inter-rack delay leaves no lookahead"
-		}
-	} else if info != nil {
-		info.Fallback = reason
 	}
 	c, err := build(cfg)
 	if err != nil {
@@ -290,9 +235,6 @@ func runWithInfo(cfg Config, info *ShardInfo) (Result, error) {
 	c.eng.RunUntil(c.endGen + cfg.DurationNS)
 
 	res := c.result()
-	if info != nil {
-		info.ShardEvents = []int64{int64(c.eng.Steps())}
-	}
 	// The cluster is dead once the result is extracted; hand the
 	// switches' large register backings and the packet slab back for
 	// the next build.
@@ -311,21 +253,9 @@ func build(cfg Config) (*cluster, error) {
 	if spec == nil {
 		spec = topology.SingleRack(cfg.Workers)
 	}
-	c := newClusterShell(cfg, spec.Compile())
-	if err := c.populate(); err != nil {
-		return nil, err
-	}
-	return c, nil
-}
-
-// newClusterShell allocates a cluster's engine, aggregates, and hoisted
-// delay constants over an already-compiled topology, without building
-// any entities. Sharded runs make one shell per shard; populate (called
-// on exactly one of them) fills in the shared entity graph.
-func newClusterShell(cfg Config, topo *topology.Compiled) *cluster {
 	c := &cluster{
 		cfg:        cfg,
-		topo:       topo,
+		topo:       spec.Compile(),
 		eng:        getEngine(),
 		hist:       stats.NewHistogram(),
 		endGen:     cfg.WarmupNS + cfg.DurationNS,
@@ -357,16 +287,8 @@ func newClusterShell(cfg Config, topo *topology.Compiled) *cluster {
 		c.tel = simnet.NewTelemetry(bin, 512)
 		c.eng.SetTelemetry(c.tel)
 	}
-	return c
-}
-
-// populate builds the entity graph onto this cluster (and, in a sharded
-// run, onto its sibling shards: each entity registers with its owner
-// shard's engine and the finished slices are shared by every shard).
-func (c *cluster) populate() error {
-	cfg := c.cfg
 	if err := c.buildSwitches(); err != nil {
-		return err
+		return nil, err
 	}
 	c.buildServers()
 	if cfg.Scheme == LAEDGE {
@@ -379,55 +301,28 @@ func (c *cluster) populate() error {
 		}
 	}
 	c.buildClients()
-	if c.sc != nil {
-		// Share the entity graph before the fault controllers are built:
-		// transition ownership checks index the shared server slice.
-		for _, cl := range c.sc.shards[1:] {
-			cl.sw, cl.tors, cl.servers, cl.clients = c.sw, c.tors, c.servers, c.clients
-			cl.dSwTrans = c.dSwTrans
-		}
-	}
 	if inj := canonicalFaults(cfg); len(inj) > 0 {
-		if c.sc != nil {
-			// One controller per shard: each schedules, applies, and
-			// counts only the transitions whose target entity it owns
-			// (loss/jitter plans never reach the sharded path).
-			for _, cl := range c.sc.shards {
-				cl.faults = newFaultCtl(cl, inj)
-				cl.degHist = stats.NewHistogram()
-				cl.faults.activateImmediate()
+		c.faults = newFaultCtl(c, inj)
+		c.degHist = stats.NewHistogram()
+		for _, in := range inj {
+			if in.Kind == faults.KindJitter {
+				c.jitterRNG = simnet.NewRNG(cfg.Seed, 401)
+				break
 			}
-		} else {
-			c.faults = newFaultCtl(c, inj)
-			c.degHist = stats.NewHistogram()
-			for _, in := range inj {
-				if in.Kind == faults.KindJitter {
-					c.jitterRNG = simnet.NewRNG(cfg.Seed, 401)
-					break
-				}
-			}
-			// Faults active from t <= 0 flip their state now — the legacy
-			// LossProb knob's build-time activation, generalized.
-			c.faults.activateImmediate()
 		}
+		// Faults active from t <= 0 flip their state now — the legacy
+		// LossProb knob's build-time activation, generalized.
+		c.faults.activateImmediate()
 	}
 	if cfg.Congestion != nil {
 		c.cong = newCongCtl(c)
 		if c.tel != nil {
-			// Congestion runs sequentially only, so wiring the shard-0
-			// probe covers every configuration that can reach here.
 			ctl := c.cong
 			c.tel.Aux = func() int32 { return int32(ctl.totDepth) }
 		}
 	}
-	if c.sc != nil {
-		for _, cl := range c.sc.shards {
-			cl.primePackets()
-		}
-	} else {
-		c.primePackets()
-	}
-	return nil
+	c.primePackets()
+	return c, nil
 }
 
 // primePackets seeds the freelist with one slab's worth of packets so
@@ -510,9 +405,8 @@ func (c *cluster) buildSwitches() error {
 		if err := dp.InstallServers(entries); err != nil {
 			return err
 		}
-		owner := c.ownerForRack(r)
-		c.tors[r] = &switchNode{cl: owner, dp: dp, rack: r}
-		c.tors[r].hid = owner.eng.Register(c.tors[r])
+		c.tors[r] = &switchNode{cl: c, dp: dp, rack: r}
+		c.tors[r].hid = c.eng.Register(c.tors[r])
 		c.dSwTrans[r] = c.cfg.Cal.SwitchDelayNS + c.topo.InterDelayNS[c.topo.ClientRack][r]
 	}
 	c.sw = c.tors[c.topo.ClientRack]
@@ -526,16 +420,15 @@ func (c *cluster) buildServers() {
 	slab := make([]server, len(c.cfg.Workers))
 	c.servers = make([]*server, len(slab))
 	for sid, w := range c.cfg.Workers {
-		owner := c.ownerForRack(c.topo.ServerRack[sid])
 		s := &slab[sid]
 		*s = server{
-			cl:      owner,
+			cl:      c,
 			sid:     uint16(sid),
 			workers: w,
 			tor:     c.tors[c.topo.ServerRack[sid]],
 		}
 		s.rng.Seed(c.cfg.Seed, 200+uint64(sid))
-		s.hid = owner.eng.Register(s)
+		s.hid = c.eng.Register(s)
 		c.servers[sid] = s
 	}
 }
@@ -553,10 +446,9 @@ func (c *cluster) buildClients() {
 	rings := make([]pendSlot, n*ring)
 	c.clients = make([]*client, n)
 	for i := range slab {
-		owner := c.ownerForClient(i)
 		cl := &slab[i]
 		*cl = client{
-			cl:           owner,
+			cl:           c,
 			id:           uint16(i),
 			arrival:      workload.Poisson{RatePerSec: perClient},
 			numGroups:    numGroups,
@@ -566,7 +458,7 @@ func (c *cluster) buildClients() {
 			pendRing:     rings[i*ring : (i+1)*ring : (i+1)*ring],
 		}
 		cl.rng.Seed(c.cfg.Seed, 100+uint64(i))
-		cl.hid = owner.eng.Register(cl)
+		cl.hid = c.eng.Register(cl)
 		c.clients[i] = cl
 	}
 }
@@ -652,7 +544,12 @@ func (c *cluster) result() Result {
 	if c.rec != nil {
 		res.Trace = c.rec.Snapshot()
 		res.Telemetry = &trace.Telemetry{
-			Shards: []trace.ShardStats{c.shardStats()},
+			EngineStats: trace.EngineStats{
+				Events:      int64(c.eng.Steps()),
+				Bursts:      c.tel.Bursts,
+				MaxBurst:    c.tel.MaxBurst,
+				SampleDrops: c.tel.SampleDrops,
+			},
 			Engine: c.engineSamples(),
 			BinNS:  c.tel.BinNS,
 		}
@@ -660,28 +557,12 @@ func (c *cluster) result() Result {
 	return res
 }
 
-// shardStats folds this shard's driver and engine counters into the
-// exported telemetry form. Only called with tracing enabled.
-func (c *cluster) shardStats() trace.ShardStats {
-	return trace.ShardStats{
-		Shard:        c.shard,
-		Events:       int64(c.eng.Steps()),
-		Bursts:       c.tel.Bursts,
-		MaxBurst:     c.tel.MaxBurst,
-		WindowRounds: c.winRounds,
-		Stalls:       c.winStalls,
-		MailboxPeak:  c.mboxPeak,
-		SampleDrops:  c.tel.SampleDrops,
-	}
-}
-
-// engineSamples exports this shard's time-binned occupancy gauges.
+// engineSamples exports the engine's time-binned occupancy gauges.
 func (c *cluster) engineSamples() []trace.EngineSample {
 	out := make([]trace.EngineSample, 0, len(c.tel.Samples))
 	for _, s := range c.tel.Samples {
 		out = append(out, trace.EngineSample{
-			At: s.At, Pending: s.Pending, Overflow: s.Overflow,
-			PortDepth: s.Aux, Shard: c.shard,
+			At: s.At, Pending: s.Pending, Overflow: s.Overflow, PortDepth: s.Aux,
 		})
 	}
 	return out
@@ -776,7 +657,7 @@ func (s *switchNode) fromClient(p *packet) {
 				c.congTransitReq(s.rack, tor.rack, int(sid1), p)
 				return
 			}
-			c.xScheduleAfter(tor.cl, c.dSwTrans[tor.rack], tor.hid, evSwTransitRequest, p, int64(sid1))
+			c.eng.ScheduleAfter(c.dSwTrans[tor.rack], tor.hid, evSwTransitRequest, p, int64(sid1))
 			return
 		}
 		if c.cong != nil {
@@ -840,7 +721,7 @@ func (s *switchNode) toServer(p *packet, dst int) {
 			c.congTransitReq(s.rack, tor.rack, dst, p)
 			return
 		}
-		c.xScheduleAfter(tor.cl, c.dSwTrans[tor.rack], tor.hid, evSwTransitRequest, p, int64(dst))
+		c.eng.ScheduleAfter(c.dSwTrans[tor.rack], tor.hid, evSwTransitRequest, p, int64(dst))
 		return
 	}
 	if c.cong != nil {
@@ -881,9 +762,7 @@ func (s *switchNode) transitRequest(p *packet, dst int) {
 		c.congToServer(dst, p, c.dSwLink)
 		return
 	}
-	// dst is normally homed on this ToR's rack, but the ownership-rule
-	// failure path above can redirect anywhere — route by owner.
-	c.xScheduleAfter(c.servers[dst].cl, c.dSwLink, c.servers[dst].hid, evSrvOnRequest, p, 0)
+	c.eng.ScheduleAfter(c.dSwLink, c.servers[dst].hid, evSrvOnRequest, p, 0)
 }
 
 // transitResponse is the server-side ToR's handling of a response headed
@@ -911,7 +790,7 @@ func (s *switchNode) transitResponse(p *packet) {
 		c.congTransitResp(s.rack, p)
 		return
 	}
-	c.xScheduleAfter(c.sw.cl, c.dSwTrans[s.rack], c.sw.hid, evSwFromServer, p, 0)
+	c.eng.ScheduleAfter(c.dSwTrans[s.rack], c.sw.hid, evSwFromServer, p, 0)
 }
 
 // toClient delivers a response over the switch->client link.
@@ -925,7 +804,7 @@ func (s *switchNode) toClient(p *packet, dst int) {
 		c.congToClient(dst, p, c.dSwLink+c.jitterExtra())
 		return
 	}
-	c.xScheduleAfter(c.clients[dst].cl, c.dSwLink+c.jitterExtra(), c.clients[dst].hid, evCliOnResponse, p, 0)
+	c.eng.ScheduleAfter(c.dSwLink+c.jitterExtra(), c.clients[dst].hid, evCliOnResponse, p, 0)
 }
 
 // recirculate re-injects a clone into the ingress pipeline.
@@ -1461,7 +1340,7 @@ func (c *client) sendPacket(p *packet, now int64) {
 	}
 	done := start + c.cl.dCliPkt
 	c.txBusyUntil = done
-	c.cl.xSchedule(c.cl.sw.cl, done+c.cl.dLink+c.cl.jitterExtra(), c.cl.sw.hid, evSwFromClient, p, 0)
+	c.cl.eng.Schedule(done+c.cl.dLink+c.cl.jitterExtra(), c.cl.sw.hid, evSwFromClient, p, 0)
 }
 
 // onResponse handles a response arriving at the client NIC: it joins the

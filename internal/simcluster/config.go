@@ -256,23 +256,10 @@ type Config struct {
 	// (Result.Breakdown). 0 disables sampling.
 	SampleEvery int
 
-	// Shards requests parallel-in-time execution: the cluster is
-	// partitioned by rack across this many event engines advancing under
-	// conservative time windows (shard.go). 0 or 1 runs the sequential
-	// engine. The count is clamped to the rack count, and configurations
-	// whose semantics need one global event order — congestion, loss or
-	// jitter (including LossProb), breakdown sampling, LÆDGE, fewer than
-	// two racks — silently fall back to sequential. For any fixed shard
-	// count the run is bit-reproducible, and every shard count produces
-	// the same result as the sequential engine up to independent
-	// same-nanosecond coincidences between unrelated events (see
-	// DESIGN.md §10 for the exact contract).
-	Shards int
-
 	// TraceRate enables the flight recorder (internal/trace): every
 	// TraceRate-th request per client (by client sequence number — a
 	// deterministic decision, no RNG draw) has its full lifecycle
-	// recorded into Result.Trace, and engine/shard telemetry is
+	// recorded into Result.Trace, and engine telemetry is
 	// snapshotted into Result.Telemetry. 1 traces everything; 0 — the
 	// default — disables tracing entirely: the recorder pointer stays
 	// nil, the hot path pays one predictable branch per site, and the
@@ -280,7 +267,7 @@ type Config struct {
 	// observational; see DESIGN.md §11).
 	TraceRate int
 
-	// TraceCap is the flight recorder's per-shard ring capacity in
+	// TraceCap is the flight recorder's ring capacity in
 	// records; when the ring fills, the oldest records are overwritten
 	// (head-drop) and Trace.Dropped counts the losses. 0 means
 	// trace.DefaultCap. Only meaningful with TraceRate > 0.
@@ -368,35 +355,14 @@ type Result struct {
 	// byte-identical to the pre-subsystem output.
 	Congestion *CongestionSummary
 
-	// Trace is the flight recorder's merged output: sampled request
-	// lifecycle events in virtual-time order across all shards. Nil
+	// Trace is the flight recorder's output: sampled request
+	// lifecycle events in virtual-time order. Nil
 	// unless Config.TraceRate > 0, so untraced Results are unchanged.
 	Trace *trace.Data
 
-	// Telemetry is the engine-and-shard counter snapshot (burst sizes,
-	// window rounds, occupancy gauges). Nil unless Config.TraceRate > 0.
+	// Telemetry is the engine counter snapshot (burst sizes,
+	// occupancy gauges). Nil unless Config.TraceRate > 0.
 	Telemetry *trace.Telemetry
-}
-
-// ShardInfo reports how a run's parallel-in-time request was resolved —
-// the diagnostic companion of Config.Shards, surfaced by RunInfo so
-// callers can see a silent fallback to the sequential engine and the
-// per-shard work split. It is intentionally not part of Result: it
-// describes the execution mode, not the experiment outcome, and Results
-// must stay deeply equal across shard counts.
-type ShardInfo struct {
-	// Requested is Config.Shards as given.
-	Requested int
-	// Effective is the shard count the run actually used (1 means the
-	// sequential engine).
-	Effective int
-	// Fallback names the condition that forced a sequential run when
-	// Requested >= 2 but Effective == 1; empty otherwise.
-	Fallback string
-	// ShardEvents is the number of engine events each shard executed,
-	// in shard order (one entry for sequential runs). The ratio of its
-	// sum to its max bounds the speedup the window drivers can reach.
-	ShardEvents []int64
 }
 
 // RackStats is one rack's rolled-up counter view in multi-rack runs.
@@ -606,9 +572,6 @@ func (cfg Config) withDefaults() (Config, error) {
 	}
 	if cfg.DurationNS <= 0 {
 		return cfg, ErrBadWindow
-	}
-	if cfg.Shards < 0 {
-		return cfg, fmt.Errorf("simcluster: Shards %d is negative; 0 means sequential", cfg.Shards)
 	}
 	if cfg.TraceRate < 0 {
 		return cfg, fmt.Errorf("simcluster: TraceRate %d is negative; 0 disables tracing, 1 traces every request", cfg.TraceRate)

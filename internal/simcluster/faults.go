@@ -89,46 +89,25 @@ func newFaultCtl(c *cluster, inj []faults.Injection) *faultCtl {
 	return f
 }
 
-// owns reports whether this controller's shard owns transition tr's
-// target entity — in a sharded run each transition is scheduled,
-// applied, and counted by exactly one shard (sequential runs own
-// everything). Loss, jitter, and coordinator faults force the
-// sequential fallback (effectiveShards), so the default arm only
-// matters there.
-func (f *faultCtl) owns(tr faultTrans) bool {
-	if f.cl.sc == nil {
-		return true
-	}
-	in := f.plan[tr.inj]
-	switch in.Kind {
-	case faults.KindServerCrash, faults.KindServerSlowdown:
-		return f.cl.servers[in.Target].cl == f.cl
-	case faults.KindSwitchOutage:
-		return f.cl.sw.cl == f.cl
-	default:
-		return f.cl.shard == 0
-	}
-}
-
-// activateImmediate applies every owned transition at t <= 0 directly —
+// activateImmediate applies every transition at t <= 0 directly —
 // faults active from the start of the run flip their state at build
 // time, exactly as the legacy LossProb knob did, instead of spending
 // an engine event at t = 0.
 func (f *faultCtl) activateImmediate() {
 	for _, tr := range f.trans {
-		if tr.at <= 0 && f.owns(tr) {
+		if tr.at <= 0 {
 			f.apply(tr)
 		}
 	}
 }
 
-// schedule enqueues the owned timed transitions as typed engine events.
+// schedule enqueues the timed transitions as typed engine events.
 // Called once per run, after build and before the clients start, so
 // transition sequence numbers — and therefore FIFO ties — land exactly
 // where the legacy switch-failure closures did.
 func (f *faultCtl) schedule() {
 	for i, tr := range f.trans {
-		if tr.at <= 0 || !f.owns(tr) {
+		if tr.at <= 0 {
 			continue
 		}
 		f.cl.eng.Schedule(tr.at, f.hid, evFaultTrans, nil, int64(i))
@@ -202,36 +181,6 @@ func (f *faultCtl) apply(tr faultTrans) {
 			co.recoverUp()
 		}
 	}
-}
-
-// replayCounters recomputes the global Transitions and ServersDownMax
-// counters by statically replaying the time-sorted transition list up
-// to the run deadline. The sharded merge uses this: each shard's
-// controller only counted the transitions it owned, but the replay is a
-// pure function of the plan — every shard fired exactly the transitions
-// with 0 < at <= deadline, and crash/recover pairs change serversDown
-// in global time order regardless of which shard applied them.
-func (f *faultCtl) replayCounters(deadline int64) {
-	n, down, downMax := 0, 0, 0
-	for _, tr := range f.trans {
-		if tr.at > deadline {
-			break
-		}
-		if tr.at > 0 {
-			n++
-		}
-		if f.plan[tr.inj].Kind == faults.KindServerCrash {
-			if tr.begin {
-				down++
-				if down > downMax {
-					downMax = down
-				}
-			} else {
-				down--
-			}
-		}
-	}
-	f.transitions, f.serversDownMax = n, downMax
 }
 
 // inDegraded reports whether completion time t falls inside any fault

@@ -66,94 +66,16 @@ func TestTraceRecorderOnOffEquivalence(t *testing.T) {
 				if len(traced.Trace.Events) == 0 {
 					t.Fatalf("rate %d: recorder captured no events", rate)
 				}
+				if tel := traced.Telemetry; tel.Events != traced.EngineEvents || tel.Bursts == 0 {
+					t.Errorf("rate %d: telemetry counts %d events in %d bursts, the engine ran %d",
+						rate, tel.Events, tel.Bursts, traced.EngineEvents)
+				}
 				stripTrace(&traced)
 				if !reflect.DeepEqual(base, traced) {
 					t.Errorf("rate %d: tracing perturbed the result\nbase:   %+v\ntraced: %+v", rate, base, traced)
 				}
 			}
 		})
-	}
-}
-
-// TestTraceShardedOnOffEquivalence is the on/off pin for the sharded
-// engine: per-shard recorders and window-driver counters must not
-// change the merged Result either.
-func TestTraceShardedOnOffEquivalence(t *testing.T) {
-	cfg := shardTestConfig(NetClone)
-	cfg.Shards = 4
-	base, info, err := RunInfo(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if info.Effective != 4 {
-		t.Fatalf("untraced run used %d shards (fallback %q), want 4", info.Effective, info.Fallback)
-	}
-	cfg.TraceRate = 1
-	traced, tinfo, err := RunInfo(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if tinfo.Effective != 4 {
-		t.Fatalf("tracing forced a fallback: %d shards (%q)", tinfo.Effective, tinfo.Fallback)
-	}
-	if !reflect.DeepEqual(info.ShardEvents, tinfo.ShardEvents) {
-		t.Errorf("tracing shifted the per-shard event split: %v vs %v", info.ShardEvents, tinfo.ShardEvents)
-	}
-	stripTrace(&traced)
-	if !reflect.DeepEqual(base, traced) {
-		t.Errorf("tracing perturbed the sharded result\nbase:   %+v\ntraced: %+v", base, traced)
-	}
-}
-
-// TestTraceShardedMerge checks the sharded recorder plumbing: one ring
-// per shard stamped with its shard index, merged in nondecreasing
-// virtual-time order, with telemetry entries for every shard and
-// window-driver counters that actually moved.
-func TestTraceShardedMerge(t *testing.T) {
-	cfg := shardTestConfig(NetClone)
-	cfg.Shards = 4
-	cfg.TraceRate = 1
-	res, info, err := RunInfo(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if info.Effective != 4 {
-		t.Fatalf("run used %d shards (%q), want 4", info.Effective, info.Fallback)
-	}
-	if len(info.ShardEvents) != 4 {
-		t.Fatalf("ShardEvents has %d entries, want 4", len(info.ShardEvents))
-	}
-	if res.Trace == nil || res.Telemetry == nil {
-		t.Fatal("sharded traced run missing Trace/Telemetry")
-	}
-	seen := map[uint8]bool{}
-	last := int64(-1 << 62)
-	for _, e := range res.Trace.Events {
-		if e.At < last {
-			t.Fatalf("merged trace out of time order: %d after %d", e.At, last)
-		}
-		last = e.At
-		seen[e.Shard] = true
-	}
-	if len(seen) < 2 {
-		t.Errorf("merged trace covers %d shard(s), want >= 2 (clients are round-robin across shards)", len(seen))
-	}
-	if got := len(res.Telemetry.Shards); got != 4 {
-		t.Fatalf("Telemetry.Shards has %d entries, want 4", got)
-	}
-	for i, s := range res.Telemetry.Shards {
-		if s.Shard != i {
-			t.Errorf("Telemetry.Shards[%d].Shard = %d, want shard order", i, s.Shard)
-		}
-		if s.Events != info.ShardEvents[i] {
-			t.Errorf("shard %d: telemetry counts %d events, ShardInfo says %d", i, s.Events, info.ShardEvents[i])
-		}
-		if s.WindowRounds == 0 {
-			t.Errorf("shard %d: no window rounds counted", i)
-		}
-		if s.Bursts == 0 {
-			t.Errorf("shard %d: no engine bursts counted", i)
-		}
 	}
 }
 
@@ -173,7 +95,7 @@ type chromeTraceFile struct {
 
 // TestTraceChromeExportIncast runs the congested multi-rack NetClone
 // point at rate 1 and checks the Chrome export end to end: the JSON
-// parses, per-shard/per-rack tracks are declared, service spans nest
+// parses, per-rack tracks are declared, service spans nest
 // inside their flight spans, and at least one cloned request's group
 // carries an ECN-marked hop (the congestion story the recorder exists
 // to tell).
@@ -261,7 +183,7 @@ func TestTraceChromeExportIncast(t *testing.T) {
 		}
 	}
 	if len(procs) == 0 {
-		t.Error("no process_name metadata (per-shard tracks)")
+		t.Error("no process_name metadata")
 	}
 	if len(tracks) < 2 {
 		t.Errorf("%d rack tracks declared, want >= 2 on the multi-rack fabric", len(tracks))
@@ -359,7 +281,7 @@ func TestTraceRingHeadDrop(t *testing.T) {
 
 // TestTraceRecycledRingIdentical pins the recorder pool (pool.go): a
 // traced run that picks up another run's used ring — different seed,
-// rate, capacity and shard count, so every slot holds foreign records —
+// rate and capacity, so every slot holds foreign records —
 // reports the trace and result a never-recycled recorder does.
 func TestTraceRecycledRingIdentical(t *testing.T) {
 	cfg := perfTestConfigs()["multirack"]
@@ -373,18 +295,15 @@ func TestTraceRecycledRingIdentical(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, shards := range []int{0, 2} {
-			dirty.Shards = shards
-			if _, err := Run(dirty); err != nil {
-				t.Fatal(err)
-			}
-			got, err := Run(cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !reflect.DeepEqual(got, want) {
-				t.Errorf("cap %d, after a %d-shard run: a recycled ring changed the traced result", tcap, shards)
-			}
+		if _, err := Run(dirty); err != nil {
+			t.Fatal(err)
+		}
+		got, err := Run(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("cap %d: a recycled ring changed the traced result", tcap)
 		}
 	}
 }
@@ -462,61 +381,4 @@ func TestTraceConfigValidation(t *testing.T) {
 	if _, err := Run(cfg); err == nil {
 		t.Error("TraceCap without TraceRate accepted")
 	}
-}
-
-// TestShardFallbackReasons checks that every silent sequential fallback
-// names its condition through RunInfo.
-func TestShardFallbackReasons(t *testing.T) {
-	base := shardTestConfig(NetClone)
-	base.Shards = 4
-
-	congested := base
-	congested.Congestion = congTestSpec()
-	sampled := base
-	sampled.SampleEvery = 10
-	lossy := base
-	lossy.LossProb = 0.01
-	single := perfTestConfigs()["netclone"]
-	single.Shards = 4
-
-	cases := []struct {
-		name string
-		cfg  Config
-		want string
-	}{
-		{"congestion", congested, "congestion model"},
-		{"sampling", sampled, "breakdown sampling"},
-		{"loss", lossy, "loss windows"},
-		{"single-rack", single, "multi-rack topology"},
-	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			_, info, err := RunInfo(tc.cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if info.Requested != 4 || info.Effective != 1 {
-				t.Fatalf("requested %d effective %d, want a 4->1 fallback", info.Requested, info.Effective)
-			}
-			if !contains(info.Fallback, tc.want) {
-				t.Errorf("fallback reason %q does not mention %q", info.Fallback, tc.want)
-			}
-			if len(info.ShardEvents) != 1 {
-				t.Errorf("sequential fallback reports %d shard-event entries, want 1", len(info.ShardEvents))
-			}
-		})
-	}
-
-	// And the happy path reports no reason.
-	_, info, err := RunInfo(base)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if info.Effective != 4 || info.Fallback != "" {
-		t.Errorf("sharded run reports effective %d fallback %q", info.Effective, info.Fallback)
-	}
-}
-
-func contains(s, sub string) bool {
-	return bytes.Contains([]byte(s), []byte(sub))
 }

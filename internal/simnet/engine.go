@@ -74,31 +74,6 @@ type eventRec struct {
 	kind uint8
 }
 
-// stampRec is the ancestry stamp of one event in stamped mode, stored
-// in a parallel slab (same index as the eventRec) that legacy engines
-// never allocate. s1 is the virtual time at which the event was
-// scheduled (its parent's dispatch time), s2 the parent's own s1, s3
-// the parent's s2 — three generations of scheduling times. Events
-// scheduled outside any dispatch (build-time roots) carry -1, sorting
-// before every runtime event of the same timestamp exactly as their
-// small legacy sequence numbers would.
-//
-// Why three levels: in stamped mode the engine orders equal-time events
-// by (s1, s2, s3, seq) instead of raw FIFO seq, which makes the
-// dispatch order a pure function of each event's causal history rather
-// than of the global interleaving — the property that lets shards of a
-// partitioned simulation reproduce the sequential engine's order (see
-// shard.go and DESIGN.md §10). One level is not enough because
-// homogeneous fabrics make equal-arrival ties common (two clients
-// sending in the same nanosecond reach the switch in the same
-// nanosecond); three levels cover the deepest deterministic-delay
-// pipeline in the cluster model (server finish → ToR transit → spine →
-// client ToR shares two ancestor times before the independently drawn
-// service/arrival times disambiguate).
-type stampRec struct {
-	s1, s2, s3 int64
-}
-
 // Calendar geometry, two tiers. The fine bucket width (128 ns) is
 // chosen below the simulated cluster's smallest calibrated delay
 // (150 ns dispatcher cost), so an event a handler schedules mid-burst
@@ -212,19 +187,6 @@ type Engine struct {
 	// event order — IDs are pure dispatch indices.
 	handlers []Handler
 
-	// Stamped mode (EnableStamp): equal-time events order by ancestry
-	// stamps before seq, and seq carries the engine's stamp ID in its
-	// low bits so sequence numbers minted by different engines of a
-	// sharded run never collide. stamps parallels slab index-for-index;
-	// cur1..cur3 are the stamp the currently dispatching event hands to
-	// anything it schedules (-1/-1/-1 outside dispatch, i.e. build-time
-	// roots). Legacy engines never touch any of this: stamps stays nil
-	// and before() short-circuits on the stamped flag.
-	stamped          bool
-	stampID          uint64
-	stamps           []stampRec
-	cur1, cur2, cur3 int64
-
 	// tel, when non-nil, is the observational telemetry probe
 	// (telemetry.go): burst counters and occupancy gauges, written only
 	// from the new-burst path behind this nil check. Never consulted on
@@ -232,41 +194,11 @@ type Engine struct {
 	tel *Telemetry
 }
 
-// stampIDBits is how many low bits of a stamped sequence number hold
-// the engine's stamp ID: up to 64 engines, leaving a 58-bit schedule
-// counter (renumber() compacts it long before overflow).
-const stampIDBits = 6
-
 // Register assigns h a dense handler ID for typed scheduling. IDs are
 // valid until Reset, which drops all registrations.
 func (e *Engine) Register(h Handler) int32 {
 	e.handlers = append(e.handlers, h)
 	return int32(len(e.handlers))
-}
-
-// EnableStamp switches the engine into stamped ordering mode with the
-// given stamp ID (0..63): equal-time events dispatch in (ancestry
-// stamps, seq) order instead of raw FIFO, making the order a pure
-// function of causal history — the contract the sharded cluster driver
-// relies on. Must be called on an empty engine, before anything is
-// scheduled; Reset returns the engine to legacy mode.
-func (e *Engine) EnableStamp(id uint64) {
-	if e.Pending() != 0 || e.seq != 0 {
-		panic("simnet: EnableStamp on a non-empty engine")
-	}
-	if id >= 1<<stampIDBits {
-		panic("simnet: stamp ID out of range")
-	}
-	e.stamped = true
-	e.stampID = id
-	e.cur1, e.cur2, e.cur3 = -1, -1, -1
-	if e.slab == nil {
-		e.initStorage()
-	}
-	e.stamps = e.stamps[:0]
-	for len(e.stamps) < len(e.slab) {
-		e.stamps = append(e.stamps, stampRec{})
-	}
 }
 
 // NewEngine returns an engine at virtual time 0.
@@ -316,9 +248,6 @@ func (e *Engine) alloc() int32 {
 		return i
 	}
 	e.slab = append(e.slab, eventRec{})
-	if e.stamped {
-		e.stamps = append(e.stamps, stampRec{})
-	}
 	return int32(len(e.slab) - 1)
 }
 
@@ -351,40 +280,17 @@ func (e *Engine) Reset() {
 	e.draining = false
 	clear(e.handlers) // drop handler references so recycled engines don't pin them
 	e.handlers = e.handlers[:0]
-	e.stamped, e.stampID = false, 0
-	e.cur1, e.cur2, e.cur3 = 0, 0, 0
-	e.stamps = e.stamps[:0] // capacity kept for the next stamped run
-	e.tel = nil             // pooled engines must not carry a probe forward
+	e.tel = nil // pooled engines must not carry a probe forward
 }
 
-// before orders slab indices by the records' (at, seq) — or, in
-// stamped mode, (at, s1, s2, s3, seq). The order is total — seq is
-// unique, and in stamped mode globally unique across the engines of a
-// sharded run via the stamp-ID low bits — so every correct engine pops
-// the exact same sequence and determinism does not depend on the
-// container layout or drain strategy.
-//
-// In a single sequential engine the stamped order coincides with the
-// legacy order: schedule calls happen in non-decreasing virtual time,
-// so s1 (and recursively s2, s3) is monotone in seq and the stamp
-// comparisons never overturn a FIFO tie. The stamps only bite when
-// events minted by different engines meet on one queue.
+// before orders slab indices by the records' (at, seq). The order is
+// total — seq is unique — so every correct engine pops the exact same
+// sequence and determinism does not depend on the container layout or
+// drain strategy.
 func (e *Engine) before(a, b int32) bool {
 	ra, rb := &e.slab[a], &e.slab[b]
 	if ra.at != rb.at {
 		return ra.at < rb.at
-	}
-	if e.stamped {
-		sa, sb := &e.stamps[a], &e.stamps[b]
-		if sa.s1 != sb.s1 {
-			return sa.s1 < sb.s1
-		}
-		if sa.s2 != sb.s2 {
-			return sa.s2 < sb.s2
-		}
-		if sa.s3 != sb.s3 {
-			return sa.s3 < sb.s3
-		}
 	}
 	return ra.seq < rb.seq
 }
@@ -401,73 +307,23 @@ func (e *Engine) schedule(t Time, hid int32, kind uint8, arg any, x int64) {
 	if t < e.now {
 		t = e.now
 	}
-	var seq uint64
-	if e.stamped {
-		seq = e.mintSeq()
-	} else {
-		if e.seq == math.MaxUint64 {
-			// Sequence-counter wraparound would mint a tie-breaker below
-			// already-queued events and violate FIFO. Renumber the pending
-			// events (order-preserving) and restart the counter; at 10^9
-			// events/sec this branch is ~584 years away, but correctness
-			// here is what the FIFO guarantee rests on.
-			e.renumber()
-		}
-		e.seq++
-		seq = e.seq
+	if e.seq == math.MaxUint64 {
+		// Sequence-counter wraparound would mint a tie-breaker below
+		// already-queued events and violate FIFO. Renumber the pending
+		// events (order-preserving) and restart the counter; at 10^9
+		// events/sec this branch is ~584 years away, but correctness
+		// here is what the FIFO guarantee rests on.
+		e.renumber()
 	}
+	e.seq++
 	i := e.alloc()
 	rec := &e.slab[i]
-	rec.at, rec.seq, rec.x, rec.arg, rec.hid, rec.kind = t, seq, x, arg, hid, kind
-	if e.stamped {
-		e.stamps[i] = stampRec{s1: e.cur1, s2: e.cur2, s3: e.cur3}
-	}
+	rec.at, rec.seq, rec.x, rec.arg, rec.hid, rec.kind = t, e.seq, x, arg, hid, kind
 	b := t >> bucketShift
 	if b < e.farBase<<farShift && !(e.draining && b <= e.burstB) {
 		e.chainPush(int(b)&bucketMask, i)
 		return
 	}
-	e.insert(i)
-}
-
-// mintSeq advances the stamped-mode schedule counter and returns it
-// tagged with the engine's stamp ID. The counter lives in the high 58
-// bits, so (counter, stamp ID) compares exactly as the packed integer.
-func (e *Engine) mintSeq() uint64 {
-	if e.seq >= math.MaxUint64>>stampIDBits {
-		e.renumber()
-	}
-	e.seq++
-	return e.seq<<stampIDBits | e.stampID
-}
-
-// MintStamp returns the ancestry stamp and a freshly minted sequence
-// number for an event the currently dispatching handler wants to hand
-// to another engine (a cross-shard mailbox send): the same values
-// schedule() would have stored had the event been local, so the
-// receiver's ScheduleStamped slots it into the exact position the
-// sequential engine would have.
-func (e *Engine) MintStamp() (s1, s2, s3 int64, seq uint64) {
-	if !e.stamped {
-		panic("simnet: MintStamp on an unstamped engine")
-	}
-	return e.cur1, e.cur2, e.cur3, e.mintSeq()
-}
-
-// ScheduleStamped enqueues a typed event carrying an explicit ancestry
-// stamp and sequence number, both minted by the sending engine of a
-// sharded run (MintStamp). Only valid in stamped mode.
-func (e *Engine) ScheduleStamped(t Time, s1, s2, s3 int64, seq uint64, hid int32, kind uint8, arg any, x int64) {
-	if !e.stamped {
-		panic("simnet: ScheduleStamped on an unstamped engine")
-	}
-	if t < e.now {
-		t = e.now
-	}
-	i := e.alloc()
-	rec := &e.slab[i]
-	rec.at, rec.seq, rec.x, rec.arg, rec.hid, rec.kind = t, seq, x, arg, hid, kind
-	e.stamps[i] = stampRec{s1: s1, s2: s2, s3: s3}
 	e.insert(i)
 }
 
@@ -549,13 +405,7 @@ func (e *Engine) renumber() {
 		return 1
 	})
 	for n, i := range all {
-		if e.stamped {
-			// Preserve the packed (counter, stamp ID) layout so future
-			// cross-engine comparisons keep their uniqueness guarantee.
-			e.slab[i].seq = (uint64(n)+1)<<stampIDBits | e.stampID
-		} else {
-			e.slab[i].seq = uint64(n) + 1
-		}
+		e.slab[i].seq = uint64(n) + 1
 	}
 	e.seq = uint64(len(all))
 
@@ -791,10 +641,7 @@ func (e *Engine) ensureBurst() bool {
 // start events in a scale run).
 func (e *Engine) sortSegment(segStart int) {
 	b, s := e.batch[segStart:], e.slab
-	if len(b) > 32 || e.stamped {
-		// Stamped mode takes the generic comparator: the five-key
-		// comparison doesn't inline profitably, and the stamped path is
-		// the sharded cluster's, not the tracked sequential hot path.
+	if len(b) > 32 {
 		slices.SortFunc(b, func(a, b int32) int {
 			if e.before(a, b) {
 				return -1
@@ -840,13 +687,6 @@ func (e *Engine) endBurstIfDone() {
 func (e *Engine) dispatch(i int32) {
 	rec := &e.slab[i]
 	at, x, arg, hid, kind := rec.at, rec.x, rec.arg, rec.hid, rec.kind
-	if e.stamped {
-		// Anything this event schedules inherits (dispatch time, s1, s2)
-		// as its ancestry stamp — the event's own dispatch time becomes
-		// the child's s1, pushing the older generations down one level.
-		st := &e.stamps[i]
-		e.cur1, e.cur2, e.cur3 = at, st.s1, st.s2
-	}
 	// Release the slot, dropping the payload reference so a dispatched
 	// event does not pin its argument until the slot is reused.
 	rec.arg = nil

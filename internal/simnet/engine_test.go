@@ -592,6 +592,10 @@ type nopHandler struct{}
 
 func (nopHandler) OnEvent(uint8, any, int64) {}
 
+type handlerFunc func(kind uint8, arg any, x int64)
+
+func (f handlerFunc) OnEvent(kind uint8, arg any, x int64) { f(kind, arg, x) }
+
 // BenchmarkEngineTypedScheduleAndRun is the typed-event counterpart of
 // BenchmarkEngineScheduleAndRun: the hot-path scheduling mode used by
 // the cluster simulation. Steady state is allocation-free (the heap

@@ -33,25 +33,6 @@ func (ts *TimeSeries) Add(t int64, n int64) {
 // BinWidth returns the configured bin width in nanoseconds.
 func (ts *TimeSeries) BinWidth() int64 { return ts.binWidth }
 
-// Merge adds other's bins into ts bin-for-bin. Both series must share a
-// bin width (they describe the same run when the sharded cluster merges
-// per-shard timelines); mismatched widths panic rather than silently
-// misattribute counts.
-func (ts *TimeSeries) Merge(other *TimeSeries) {
-	if other == nil {
-		return
-	}
-	if other.binWidth != ts.binWidth {
-		panic("stats: TimeSeries.Merge bin widths differ")
-	}
-	for len(ts.bins) < len(other.bins) {
-		ts.bins = append(ts.bins, 0)
-	}
-	for i, c := range other.bins {
-		ts.bins[i] += c
-	}
-}
-
 // Bins returns a copy of the per-bin counts.
 func (ts *TimeSeries) Bins() []int64 {
 	out := make([]int64, len(ts.bins))

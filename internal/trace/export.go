@@ -13,8 +13,8 @@ import (
 
 // chromeEvent is one entry of the Chrome trace-event JSON array.
 // Timestamps and durations are in microseconds (the format's unit);
-// pid/tid carry the shard and rack so Perfetto renders one process per
-// shard with one track per rack.
+// tid carries the rack so Perfetto renders one process with one track
+// per rack.
 type chromeEvent struct {
 	Name string         `json:"name"`
 	Ph   string         `json:"ph"`
@@ -40,7 +40,7 @@ func us(ns int64) float64 { return float64(ns) / 1e3 }
 func groupKey(e Event) uint64 { return uint64(e.Client)<<32 | uint64(e.Seq) }
 
 // WriteChrome renders d as Chrome trace-event JSON. Layout: one
-// process per shard, one thread track per rack. Each traced request
+// process, one thread track per rack. Each traced request
 // gets an outer request-lifetime span on the issuing client's track;
 // each copy (the original and any clone fan-out) gets an in-flight
 // span on its destination server's track with the service span nested
@@ -50,22 +50,20 @@ func groupKey(e Event) uint64 { return uint64(e.Client)<<32 | uint64(e.Seq) }
 func WriteChrome(w io.Writer, d *Data) error {
 	var out []chromeEvent
 
-	// Track metadata: name every (shard, rack) pair that appears.
-	seenShard := map[int]bool{}
-	seenTrack := map[[2]int]bool{}
+	// Track metadata: name every rack that appears.
+	if len(d.Events) > 0 {
+		out = append(out, chromeEvent{
+			Name: "process_name", Ph: "M",
+			Args: map[string]any{"name": "cluster"},
+		})
+	}
+	seenTrack := map[int]bool{}
 	for _, e := range d.Events {
-		pid, tid := int(e.Shard), int(e.Rack)
-		if !seenShard[pid] {
-			seenShard[pid] = true
+		tid := int(e.Rack)
+		if !seenTrack[tid] {
+			seenTrack[tid] = true
 			out = append(out, chromeEvent{
-				Name: "process_name", Ph: "M", Pid: pid,
-				Args: map[string]any{"name": fmt.Sprintf("shard %d", pid)},
-			})
-		}
-		if k := [2]int{pid, tid}; !seenTrack[k] {
-			seenTrack[k] = true
-			out = append(out, chromeEvent{
-				Name: "thread_name", Ph: "M", Pid: pid, Tid: tid,
+				Name: "thread_name", Ph: "M", Tid: tid,
 				Args: map[string]any{"name": fmt.Sprintf("rack %d", tid)},
 			})
 		}
@@ -147,7 +145,7 @@ func chromeRequest(evs []Event) []chromeEvent {
 		out = append(out, chromeEvent{
 			Name: name, Ph: "X", Cat: "request",
 			Ts: us(issue.At), Dur: us(complete.At - issue.At),
-			Pid: int(issue.Shard), Tid: int(issue.Rack), Args: args,
+			Tid: int(issue.Rack), Args: args,
 		})
 	}
 
@@ -198,18 +196,16 @@ func chromeRequest(evs []Event) []chromeEvent {
 			flight = "clone flight"
 		}
 		// Anchor both spans on the server's track so they nest.
-		pid, tid := int(fin.Shard), int(fin.Rack)
+		tid := int(fin.Rack)
 		out = append(out, chromeEvent{
 			Name: flight + " " + copyName, Ph: "X", Cat: "flight",
-			Ts: us(disp.At), Dur: us(fin.At - disp.At),
-			Pid: pid, Tid: tid,
+			Ts: us(disp.At), Dur: us(fin.At - disp.At), Tid: tid,
 			Args: map[string]any{"server": e.Value, "clone": e.Flags&FlagClone != 0},
 		})
 		if start != nil {
 			out = append(out, chromeEvent{
 				Name: "service " + copyName, Ph: "X", Cat: "service",
-				Ts: us(start.At), Dur: us(fin.At - start.At),
-				Pid: pid, Tid: tid,
+				Ts: us(start.At), Dur: us(fin.At - start.At), Tid: tid,
 				Args: map[string]any{"server": e.Value, "clone": e.Flags&FlagClone != 0},
 			})
 		}
@@ -238,16 +234,16 @@ func chromeRequest(evs []Event) []chromeEvent {
 		}
 		out = append(out, chromeEvent{
 			Name: e.Kind.String(), Ph: "i", Cat: "hop", S: "t",
-			Ts: us(e.At), Pid: int(e.Shard), Tid: int(e.Rack), Args: args,
+			Ts: us(e.At), Tid: int(e.Rack), Args: args,
 		})
 	}
 	return out
 }
 
 // WriteCSV dumps every record as one CSV row:
-// at_ns,kind,client,seq,rack,shard,flags,value,port.
+// at_ns,kind,client,seq,rack,flags,value,port.
 func WriteCSV(w io.Writer, d *Data) error {
-	if _, err := io.WriteString(w, "at_ns,kind,client,seq,rack,shard,flags,value,port\n"); err != nil {
+	if _, err := io.WriteString(w, "at_ns,kind,client,seq,rack,flags,value,port\n"); err != nil {
 		return err
 	}
 	for i := range d.Events {
@@ -262,8 +258,8 @@ func WriteCSV(w io.Writer, d *Data) error {
 			}
 			flags += "ecn"
 		}
-		if _, err := fmt.Fprintf(w, "%d,%s,%d,%d,%d,%d,%s,%d,%d\n",
-			e.At, e.Kind, e.Client, e.Seq, e.Rack, e.Shard, flags, e.Value, e.Port); err != nil {
+		if _, err := fmt.Fprintf(w, "%d,%s,%d,%d,%d,%s,%d,%d\n",
+			e.At, e.Kind, e.Client, e.Seq, e.Rack, flags, e.Value, e.Port); err != nil {
 			return err
 		}
 	}

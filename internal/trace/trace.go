@@ -3,7 +3,7 @@
 // the run-telemetry snapshot types surfaced through Result.Telemetry.
 //
 // The package is deliberately a leaf — no imports from the rest of the
-// module — so any layer (engine, cluster, shard driver) can record into
+// module — so any layer (engine, cluster) can record into
 // it without dependency cycles. The recording discipline mirrors the
 // packet freelist's zero-alloc contract: a Recorder never allocates
 // after construction (Record writes into the prebuilt ring, head-drop
@@ -112,15 +112,13 @@ type Event struct {
 	Kind Kind
 	// Flags holds FlagClone / FlagECN.
 	Flags uint8
-	// Shard is the event-recording shard (0 in sequential runs).
-	Shard uint8
 }
 
-// DefaultCap is the per-shard ring capacity used when WithTrace is
+// DefaultCap is the ring capacity used when WithTrace is
 // given a non-positive cap.
 const DefaultCap = 1 << 16
 
-// Recorder is one shard's flight-recorder ring. All storage is
+// Recorder is the flight-recorder ring. All storage is
 // allocated at construction; Record never allocates. When the ring is
 // full the oldest record is overwritten (head-drop: a flight recorder
 // keeps the most recent history) and Dropped counts the losses.
@@ -130,7 +128,6 @@ const DefaultCap = 1 << 16
 // disabled path costs one predictable branch.
 type Recorder struct {
 	rate    uint32
-	shard   uint8
 	buf     []Event
 	next    int
 	full    bool
@@ -145,7 +142,7 @@ func NewRecorder(rate, capacity int) *Recorder {
 	return r
 }
 
-// Reset re-arms r for a new run — empty, shard 0, no drops, the given
+// Reset re-arms r for a new run — empty, no drops, the given
 // rate and capacity — keeping the ring it already has when that is
 // large enough, so a recycled recorder costs no allocation. Stale
 // records need no clearing: only slots written since Reset are ever
@@ -164,9 +161,6 @@ func (r *Recorder) Reset(rate, capacity int) {
 	*r = Recorder{rate: uint32(rate), buf: buf[:capacity]}
 }
 
-// SetShard sets the shard index stamped onto every subsequent record.
-func (r *Recorder) SetShard(s uint8) { r.shard = s }
-
 // Rate returns the sampling rate the recorder was built with.
 func (r *Recorder) Rate() int { return int(r.rate) }
 
@@ -177,9 +171,8 @@ func (r *Recorder) Rate() int { return int(r.rate) }
 func (r *Recorder) Traced(seq uint32) bool { return seq%r.rate == 0 }
 
 // Record appends e to the ring, overwriting the oldest record when
-// full. The event's Shard field is stamped here.
+// full.
 func (r *Recorder) Record(e Event) {
-	e.Shard = r.shard
 	if r.full {
 		r.dropped++
 	}
@@ -213,48 +206,36 @@ func (r *Recorder) Snapshot() *Data {
 	return d
 }
 
-// Data is a run's merged flight-recorder output: events in
-// nondecreasing virtual-time order (ties keep shard order), plus the
-// sampling rate and the total ring-overwrite losses.
+// Data is a run's flight-recorder output: events in nondecreasing
+// virtual-time order, plus the sampling rate and the ring-overwrite
+// losses.
 type Data struct {
 	Events  []Event
 	Rate    int
 	Dropped int64
 }
 
-// Telemetry is the engine-and-shard-counter view of a run
-// (Result.Telemetry): per-shard driver statistics plus time-binned
-// engine gauges. Collected only when tracing is enabled, so disabled
-// runs pay nothing and stay byte-identical.
+// Telemetry is the engine-counter view of a run (Result.Telemetry):
+// the engine's statistics plus its time-binned gauges. Collected only
+// when tracing is enabled, so disabled runs pay nothing and stay
+// byte-identical.
 type Telemetry struct {
-	// Shards holds one entry per shard (one entry, shard 0, for
-	// sequential runs), in shard order.
-	Shards []ShardStats
-	// Engine holds the time-binned engine occupancy gauges of every
-	// shard, merged in nondecreasing At order.
+	EngineStats
+	// Engine holds the time-binned engine occupancy gauges, in
+	// nondecreasing At order.
 	Engine []EngineSample
 	// BinNS is the gauge sampling bin width.
 	BinNS int64
 }
 
-// ShardStats is one shard's driver and engine counters.
-type ShardStats struct {
-	// Shard is the shard index.
-	Shard int
-	// Events is the number of engine events the shard executed.
+// EngineStats is the event engine's counters for one run.
+type EngineStats struct {
+	// Events is the number of engine events executed.
 	Events int64
 	// Bursts and MaxBurst describe the calendar engine's batch drains:
 	// how many bursts ran and the largest single batch.
 	Bursts   int64
 	MaxBurst int
-	// WindowRounds counts conservative-window rounds that advanced the
-	// shard's clock; Stalls counts rounds that could not (lookahead
-	// exhausted, waiting on a peer). Both 0 in sequential runs.
-	WindowRounds int64
-	Stalls       int64
-	// MailboxPeak is the most cross-shard messages drained in a single
-	// window round (mailbox occupancy high-water). 0 in sequential runs.
-	MailboxPeak int
 	// SampleDrops counts engine gauge samples dropped because the
 	// preallocated sample buffer filled.
 	SampleDrops int64
@@ -275,6 +256,4 @@ type EngineSample struct {
 	// PortDepth is the congestion model's total queued-packet count
 	// across all egress ports (0 when no model is configured).
 	PortDepth int32
-	// Shard is the sampling shard.
-	Shard int
 }

@@ -63,15 +63,6 @@ func TestRecorderTraced(t *testing.T) {
 	}
 }
 
-func TestRecorderShardStamp(t *testing.T) {
-	r := NewRecorder(1, 8)
-	r.SetShard(3)
-	r.Record(Event{At: 1})
-	if got := r.Snapshot().Events[0].Shard; got != 3 {
-		t.Errorf("Shard = %d, want the SetShard stamp", got)
-	}
-}
-
 func TestRecorderDefaultCap(t *testing.T) {
 	r := NewRecorder(1, 0)
 	if got := len(r.buf); got != DefaultCap {
@@ -79,13 +70,12 @@ func TestRecorderDefaultCap(t *testing.T) {
 	}
 }
 
-// TestRecorderResetReusesRing: a recorder that wrapped, dropped and was
-// shard-stamped comes back from Reset indistinguishable from a new one
+// TestRecorderResetReusesRing: a recorder that wrapped and dropped
+// comes back from Reset indistinguishable from a new one
 // of the requested shape, on the same backing array when it is large
 // enough — stale records included, since none can be read back.
 func TestRecorderResetReusesRing(t *testing.T) {
 	r := NewRecorder(3, 8)
-	r.SetShard(5)
 	for i := 0; i < 20; i++ {
 		r.Record(Event{At: int64(i), Seq: 99})
 	}
@@ -125,9 +115,9 @@ func TestRecorderResetReusesRing(t *testing.T) {
 	}
 }
 
-// synthetic builds one cloned request's lifecycle on two racks of shard
-// 0: issue, dispatch+clone fan-out, an ECN mark on the clone's path,
-// both services, the filter race, and completion.
+// synthetic builds one cloned request's lifecycle on two racks: issue,
+// dispatch+clone fan-out, an ECN mark on the clone's path, both
+// services, the filter race, and completion.
 func synthetic() *Data {
 	ev := func(at int64, k Kind, value, port int32, rack uint16, flags uint8) Event {
 		return Event{At: at, Seq: 8, Value: value, Port: port, Client: 2, Rack: rack, Kind: k, Flags: flags}
@@ -238,13 +228,13 @@ func TestWriteCSV(t *testing.T) {
 	if len(lines) != 13 {
 		t.Fatalf("%d lines, want header + 12 rows", len(lines))
 	}
-	if lines[0] != "at_ns,kind,client,seq,rack,shard,flags,value,port" {
+	if lines[0] != "at_ns,kind,client,seq,rack,flags,value,port" {
 		t.Errorf("header %q", lines[0])
 	}
-	if want := "130,mark,2,8,1,0,clone|ecn,6,3"; lines[5] != want {
+	if want := "130,mark,2,8,1,clone|ecn,6,3"; lines[5] != want {
 		t.Errorf("mark row %q, want %q", lines[5], want)
 	}
-	if want := "100,issue,2,8,0,0,,-1,-1"; lines[1] != want {
+	if want := "100,issue,2,8,0,,-1,-1"; lines[1] != want {
 		t.Errorf("issue row %q, want %q", lines[1], want)
 	}
 }

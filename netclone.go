@@ -365,15 +365,16 @@ func WithTimeline(bin time.Duration) ScenarioOption { return scenario.WithTimeli
 // service, and path phases (Result.Breakdown). Sim only.
 func WithBreakdownSampling(every int) ScenarioOption { return scenario.WithBreakdownSampling(every) }
 
-// WithShards requests parallel-in-time execution across n per-rack
-// event engines with conservative time-window sync; 0 or 1 runs the
-// sequential engine, and the result is the same either way. Sim only.
+// WithShards is accepted and ignored; Result.ShardInfo reports the
+// request back.
+//
+// Deprecated: the sharded core it selected is gone (DESIGN.md §10).
 func WithShards(n int) ScenarioOption { return scenario.WithShards(n) }
 
 // WithTrace enables the flight recorder: every rate-th request per
 // client (rate 1 traces everything) has its full lifecycle recorded
-// into Result.Trace, and engine/shard telemetry is snapshotted into
-// Result.Telemetry. ringCap bounds the per-shard record ring (0 means
+// into Result.Trace, and engine telemetry is snapshotted into
+// Result.Telemetry. ringCap bounds the record ring (0 means
 // the default, 64Ki records); on overflow the oldest records are
 // overwritten. Tracing never perturbs the simulation — the event order
 // is bit-identical with it on or off — and rate 0 (the default)
@@ -388,24 +389,22 @@ type TraceData = trace.Data
 // TraceEvent is one fixed-size flight-recorder record.
 type TraceEvent = trace.Event
 
-// Telemetry is a run's engine-and-shard counter snapshot
-// (Result.Telemetry): per-shard driver statistics plus time-binned
-// engine occupancy gauges.
+// Telemetry is a run's engine counter snapshot (Result.Telemetry):
+// engine statistics plus time-binned occupancy gauges.
 type Telemetry = trace.Telemetry
 
-// ShardInfo reports how a WithShards request was resolved — effective
-// shard count, fallback reason, per-shard event split
-// (Result.ShardInfo on the Sim backend).
-type ShardInfo = simcluster.ShardInfo
+// ShardInfo reports a WithShards request back (Result.ShardInfo on the
+// Sim backend): Effective is always 1.
+type ShardInfo = scenario.ShardInfo
 
 // WriteChromeTrace renders flight-recorder data as Chrome trace-event
-// JSON, loadable at ui.perfetto.dev or chrome://tracing: one process
-// per shard, one track per rack, request/flight/service spans nested,
+// JSON, loadable at ui.perfetto.dev or chrome://tracing: one process,
+// one track per rack, request/flight/service spans nested,
 // with marks, drops, and clone decisions as instants.
 func WriteChromeTrace(w io.Writer, d *TraceData) error { return trace.WriteChrome(w, d) }
 
 // WriteTraceCSV dumps flight-recorder data as a flat CSV
-// (at_ns,kind,client,seq,rack,shard,flags,value,port).
+// (at_ns,kind,client,seq,rack,flags,value,port).
 func WriteTraceCSV(w io.Writer, d *TraceData) error { return trace.WriteCSV(w, d) }
 
 // WithoutCloneDropGuard removes the server-side stale-state guard

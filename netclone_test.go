@@ -2,6 +2,11 @@ package netclone_test
 
 import (
 	"bytes"
+	"io/fs"
+	"os"
+	"path/filepath"
+	"regexp"
+	"slices"
 	"strings"
 	"testing"
 
@@ -153,5 +158,56 @@ func TestFacadeModels(t *testing.T) {
 	}
 	if netclone.Bimodal9010(25, 250).Mean() <= netclone.Exp(25).Mean() {
 		t.Error("distribution helpers broken")
+	}
+}
+
+// TestDocsNameRealTests keeps the prose honest: every backticked
+// Test*/Benchmark*/Fuzz* name in the top-level documents (a trailing *
+// is a prefix match) is a func in some _test.go of the tree, the
+// benchmark module included.
+func TestDocsNameRealTests(t *testing.T) {
+	funcRE := regexp.MustCompile(`(?m)^func ((?:Test|Benchmark|Fuzz)\w*)\(`)
+	var funcs []string
+	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() && path != "." && strings.HasPrefix(d.Name(), ".") {
+			return filepath.SkipDir // .git, build caches
+		}
+		if d.IsDir() || !strings.HasSuffix(path, "_test.go") {
+			return nil
+		}
+		src, err := os.ReadFile(path)
+		if err != nil {
+			return err
+		}
+		for _, m := range funcRE.FindAllSubmatch(src, -1) {
+			funcs = append(funcs, string(m[1]))
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	nameRE := regexp.MustCompile("`((?:Test|Benchmark|Fuzz)\\w*)(\\*?)`")
+	checked := 0
+	for _, doc := range []string{"README.md", "DESIGN.md", "EXPERIMENTS.md"} {
+		text, err := os.ReadFile(doc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, m := range nameRE.FindAllSubmatch(text, -1) {
+			name, prefix := string(m[1]), len(m[2]) > 0
+			checked++
+			if !slices.ContainsFunc(funcs, func(f string) bool {
+				return f == name || prefix && strings.HasPrefix(f, name)
+			}) {
+				t.Errorf("%s names `%s%s`, which no _test.go defines", doc, name, m[2])
+			}
+		}
+	}
+	if checked == 0 {
+		t.Error("no test names found in the documents: the pattern has rotted")
 	}
 }

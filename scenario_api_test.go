@@ -123,6 +123,47 @@ func TestScenarioValidateSurfaced(t *testing.T) {
 	}
 }
 
+// TestWithShardsShim pins what is left of the deleted sharded core: the
+// option is accepted, changes nothing about the run, and is reported
+// back through ShardInfo.
+func TestWithShardsShim(t *testing.T) {
+	racks := make([]netclone.Rack, 8)
+	for i := range racks {
+		racks[i] = netclone.HomRack(3, 8, 0)
+	}
+	fabric := netclone.NewScenario(
+		netclone.WithScheme(netclone.NetClone),
+		netclone.WithRacks(racks...),
+		netclone.WithWorkload(netclone.WithJitter(netclone.Exp(25), 0.01)),
+		netclone.WithClients(8),
+		netclone.WithOfferedLoad(3e6),
+		netclone.WithWindow(0, time.Millisecond),
+		netclone.WithSeed(2),
+	)
+	plain, err := netclone.Sim().Run(fabric)
+	if err != nil {
+		t.Fatal(err)
+	}
+	shim, err := netclone.Sim().Run(fabric.With(netclone.WithShards(8)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(plain.Result, shim.Result) {
+		t.Error("WithShards(8) changed the run")
+	}
+	if want := (netclone.ShardInfo{Effective: 1}); plain.ShardInfo != want {
+		t.Errorf("no option: ShardInfo %+v, want %+v", plain.ShardInfo, want)
+	}
+	want := netclone.ShardInfo{Requested: 8, Effective: 1,
+		Fallback: "the sharded core was removed; every run uses the sequential engine"}
+	if shim.ShardInfo != want {
+		t.Errorf("WithShards(8): ShardInfo %+v, want %+v", shim.ShardInfo, want)
+	}
+	if err := fabric.With(netclone.WithShards(-1)).Validate(); err == nil {
+		t.Error("negative shard count accepted")
+	}
+}
+
 // TestEmuBackendExperiment is the end-to-end acceptance path: a real
 // paper experiment (fig7a) at quick fidelity on the Emu backend through
 // the public RunExperiment API — every point spins up an in-process UDP

@@ -7,11 +7,9 @@
 # BENCH_<n>.json in the repository root. Committing that file is how the
 # perf trajectory is recorded — and `compare` is how it is enforced: a
 # fresh throwaway snapshot is diffed against the latest committed
-# BENCH_<n>.json, failing on >5% hot-path events/sec loss (sequential
-# probe and 8-shard parallel-in-time probe alike), any hot-path
-# allocs/op growth, or — on hosts with >= 8 CPUs — a sharded speedup
-# below 3x (warnings only when the snapshots come from different
-# hosts).
+# BENCH_<n>.json, failing on >5% hot-path events/sec loss or any
+# hot-path allocs/op growth (warnings only when the snapshots come from
+# different hosts).
 #
 # Every snapshot also carries the emu loopback rate probe: the
 # sustained request rate a real 2-server loopback NetClone cluster
@@ -48,10 +46,7 @@ mode="${1:-all}"
 # ClusterSteadyStateMultiRack (the N-rack fabric path, 0 allocs/op
 # across three racks of heterogeneous uplinks),
 # ClusterSteadyStateCongested (the finite-queue path, 0 allocs/op with
-# a congested three-rack fabric), ClusterSteadyStateSharded (the
-# parallel-in-time window driver over a 4-shard fabric, 0 allocs/op in
-# steady state, driven serially so the figure is core-count-portable),
-# and ClusterSteadyStateTraced (the flight recorder sampling every 64th
+# a congested three-rack fabric), and ClusterSteadyStateTraced (the flight recorder sampling every 64th
 # request on the fabric path — Record writes into a preallocated ring,
 # so it must hold the same 0 allocs/op). Engine also matches
 # EngineFarFuture (1e5 pending events rescheduling Exp(5.5 ms) ahead:
