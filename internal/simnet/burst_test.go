@@ -2,20 +2,20 @@ package simnet
 
 import (
 	"fmt"
+	"slices"
 	"testing"
 )
 
-// Burst-boundary equivalence (ISSUE 6 satellite): draining in bursts is
-// a pure scheduling optimization, so the batched paths — Run, DrainBatch,
-// and RunUntil with arbitrary pause points — must pop the exact (at, seq)
-// sequence the one-event-at-a-time Step() loop pops, for any script.
-// Scripts here are built to stress the burst machinery where it can
-// break: heavy equal-timestamp ties (whole bursts at one instant),
+// Burst-boundary equivalence: draining in bursts is a pure scheduling
+// optimization, so the batched paths — Run, DrainBatch, and RunUntil
+// with arbitrary pause points — must pop the exact (at, scheduling
+// order) sequence the one-event-at-a-time Step() loop pops, for any
+// script. Scripts here are built to stress the burst machinery where it
+// can break: heavy equal-timestamp ties (whole bursts at one instant),
 // follow-up events landing inside the live burst window (the splice
 // path), delays straddling the bucket and burst-window boundaries, the
-// far edge between the calendar's two tiers and the far horizon beyond
-// which the heap takes over, and the seq-overflow renumber rebuilding
-// burst state mid-dispatch.
+// far edge between the calendar's two tiers, and the far horizon beyond
+// which the overflow list takes over.
 
 // farSpan and farHorizon are the two-tier geometry in nanoseconds: one
 // far bucket (half a ring) and the whole far tier.
@@ -49,12 +49,13 @@ var burstDelays = [...]int64{
 	3 * farSpan, 7*farSpan + 5, 40*farSpan - 1,
 	// The far horizon, measured from the clock (always inside the far
 	// tier: the edge leads the clock) and from the edge itself: the last
-	// far chain, the first heap bucket from anywhere but a far bucket's
-	// first nanosecond, and a heap sibling two buckets behind it.
+	// far chain, the first overflow bucket from anywhere but a far
+	// bucket's first nanosecond, and an overflow sibling two buckets
+	// behind it.
 	farHorizon - 1, farHorizon, farHorizon + 2<<bucketShift,
 	farHorizon + (farLead-1)*farSpan, farHorizon + farLead*farSpan - 1,
 	farHorizon + farLead*farSpan + 2<<bucketShift,
-	// Heap, then far tier, then ring: migrates as the edge advances.
+	// Overflow, then far tier, then ring: migrates as the edge advances.
 	3 * farHorizon,
 }
 
@@ -106,17 +107,13 @@ func (h *burstRecorder) OnEvent(_ uint8, _ any, x int64) {
 	}
 }
 
-// runBurstScript schedules the script on a fresh engine, primes the
-// sequence counter seqHeadroom schedules away from overflow (0 = no
-// priming), and drains with drive. It returns the firing sequence and
-// the number of events scheduled in all.
-func runBurstScript(script burstScript, seqHeadroom uint64, drive func(*Engine)) ([]refFire, int) {
+// runBurstScript schedules the script on a fresh engine and drains it
+// with drive. It returns the firing sequence and the number of events
+// scheduled in all.
+func runBurstScript(script burstScript, drive func(*Engine)) ([]refFire, int) {
 	e := NewEngine()
 	h := &burstRecorder{e: e, script: script, next: len(script)}
 	h.hid = e.Register(h)
-	if seqHeadroom > 0 {
-		e.seq = ^uint64(0) - seqHeadroom
-	}
 	for i := range script {
 		e.Schedule(script.initialDelay(i), h.hid, 0, nil, int64(i))
 	}
@@ -167,50 +164,48 @@ var drainDrivers = map[string]func(*Engine){
 	"runUntilCoarse": func(e *Engine) { runUntilSteps(e, 99_991, 8*farSpan) },
 }
 
-func checkBurstScript(t *testing.T, script burstScript, seqHeadroom uint64) {
+func checkBurstScript(t *testing.T, script burstScript) {
 	t.Helper()
-	want, scheduled := runBurstScript(script, seqHeadroom, func(e *Engine) {
+	want, scheduled := runBurstScript(script, func(e *Engine) {
 		for e.Step() {
 		}
 	})
 	// The step loop is the reference for the batched drivers, and the
-	// (at, seq) order is the reference for the step loop: ids are handed
-	// out in scheduling order and no delay is negative, so a correct
-	// engine fires every id once, in strictly increasing (at, id).
+	// (at, scheduling order) order is the reference for the step loop:
+	// ids are handed out in scheduling order and no delay is negative, so
+	// a correct engine fires every id once, in strictly increasing
+	// (at, id).
 	if len(want) != scheduled {
-		t.Fatalf("step loop (headroom %d): fired %d of %d scheduled events", seqHeadroom, len(want), scheduled)
+		t.Fatalf("step loop: fired %d of %d scheduled events", len(want), scheduled)
 	}
 	seen := make([]bool, scheduled)
 	for i, f := range want {
 		if seen[f.id] {
-			t.Fatalf("step loop (headroom %d): firing %d = %+v repeats an event", seqHeadroom, i, f)
+			t.Fatalf("step loop: firing %d = %+v repeats an event", i, f)
 		}
 		seen[f.id] = true
 		if i == 0 {
 			continue
 		}
 		if p := want[i-1]; f.at < p.at || f.at == p.at && f.id < p.id {
-			t.Fatalf("step loop (headroom %d): firing %d = %+v after %+v breaks (at, seq) order", seqHeadroom, i, f, p)
+			t.Fatalf("step loop: firing %d = %+v after %+v breaks (at, scheduling order)", i, f, p)
 		}
 	}
 	for name, drive := range drainDrivers {
-		got, _ := runBurstScript(script, seqHeadroom, drive)
+		got, _ := runBurstScript(script, drive)
 		if len(got) != len(want) {
-			t.Fatalf("%s (headroom %d): fired %d events, step loop fired %d",
-				name, seqHeadroom, len(got), len(want))
+			t.Fatalf("%s: fired %d events, step loop fired %d", name, len(got), len(want))
 		}
 		for i := range want {
 			if got[i] != want[i] {
-				t.Fatalf("%s (headroom %d): firing %d = %+v, step loop fired %+v",
-					name, seqHeadroom, i, got[i], want[i])
+				t.Fatalf("%s: firing %d = %+v, step loop fired %+v", name, i, got[i], want[i])
 			}
 		}
 	}
 }
 
 // TestBurstDrainMatchesStepOrder fuzzes randomized scripts through every
-// batched driver, with and without the sequence counter primed to
-// overflow mid-run.
+// batched driver.
 func TestBurstDrainMatchesStepOrder(t *testing.T) {
 	rng := NewRNG(1234, 99)
 	for trial := 0; trial < 200; trial++ {
@@ -218,7 +213,7 @@ func TestBurstDrainMatchesStepOrder(t *testing.T) {
 		for i := range script {
 			script[i] = byte(rng.IntN(256))
 		}
-		checkBurstScript(t, script, 0)
+		checkBurstScript(t, script)
 	}
 }
 
@@ -234,8 +229,11 @@ func checkCalendar(e *Engine) string {
 	}
 	ring, far := 0, 0
 	for slot, i := range e.head {
-		if occ := e.occ[slot>>6]>>(slot&63)&1 != 0; occ != (i != nilIdx) {
-			return fmt.Sprintf("ring slot %d: occupancy bit %v, chain empty %v", slot, occ, i == nilIdx)
+		if e.occ[slot>>6]>>(slot&63)&1 == 0 {
+			continue // an empty slot's head is stale
+		}
+		if i == nilIdx {
+			return fmt.Sprintf("ring slot %d: occupied, chain empty", slot)
 		}
 		for ; i != nilIdx; i = e.slab[i].nxt {
 			ring++
@@ -245,8 +243,11 @@ func checkCalendar(e *Engine) string {
 		}
 	}
 	for slot, i := range e.farHead {
-		if occ := e.farOcc[slot>>6]>>(slot&63)&1 != 0; occ != (i != nilIdx) {
-			return fmt.Sprintf("far slot %d: occupancy bit %v, chain empty %v", slot, occ, i == nilIdx)
+		if e.farOcc[slot>>6]>>(slot&63)&1 == 0 {
+			continue
+		}
+		if i == nilIdx {
+			return fmt.Sprintf("far slot %d: occupied, chain empty", slot)
 		}
 		for ; i != nilIdx; i = e.slab[i].nxt {
 			far++
@@ -260,7 +261,7 @@ func checkCalendar(e *Engine) string {
 	}
 	for _, i := range e.overflow {
 		if f := e.slab[i].at >> farTimeShift; f < e.farBase+numFar {
-			return fmt.Sprintf("heap holds far bucket %d, inside the far horizon %d", f, e.farBase+numFar)
+			return fmt.Sprintf("overflow list holds far bucket %d, inside the far horizon %d", f, e.farBase+numFar)
 		}
 	}
 	return ""
@@ -282,11 +283,7 @@ func TestCalendarInvariants(t *testing.T) {
 				script[i] &^= 0x18 // every event spawns: long far-tier chains
 			}
 		}
-		var seqHeadroom uint64
-		if trial%3 == 0 {
-			seqHeadroom = uint64(1 + rng.IntN(script.maxEvents()))
-		}
-		runBurstScript(script, seqHeadroom, func(e *Engine) {
+		runBurstScript(script, func(e *Engine) {
 			for step := 0; ; step++ {
 				fresh := !e.draining
 				if !e.ensureBurst() {
@@ -308,61 +305,31 @@ func TestCalendarInvariants(t *testing.T) {
 	}
 }
 
-// TestBurstDrainRenumberMidBurst primes the sequence counter so the
-// overflow renumber fires on a follow-up schedule — that is, from inside
-// a handler while a burst is being dispatched. The renumber rebuilds the
-// slab, ring, and batch wholesale; order must be unaffected at every
-// possible landing point.
-func TestBurstDrainRenumberMidBurst(t *testing.T) {
-	rng := NewRNG(5678, 100)
-	for trial := 0; trial < 50; trial++ {
-		script := make(burstScript, 8+rng.IntN(40))
-		for i := range script {
-			// Force dense ties and frequent spawns so bursts are wide
-			// and follow-up schedules (the renumber trigger sites) are
-			// plentiful.
-			script[i] = byte(rng.IntN(256)) &^ 0x18
-		}
-		// Sweep the overflow point across the whole run: headroom n
-		// overflows on the n-th schedule after priming, covering
-		// initial scheduling, early-burst, and late-burst landings.
-		total := uint64(script.maxEvents())
-		for headroom := uint64(1); headroom <= total; headroom += 3 {
-			checkBurstScript(t, script, headroom)
-		}
-	}
-}
-
 // TestOverflowPullBehindCursorRegression pins the geometry of a bug the
 // single-tier engine had: its ring horizon moved with the cursor, so an
-// event scheduled from t=384 could file in the ring at a bucket *past*
-// one that, scheduled from t=0, had overflowed to the heap — and the
-// cursor advance jumped over the heap event, which was then pulled in
-// behind the cursor and fired late (virtual time going backwards). The
-// far edge does not move with the cursor inside a half-ring and filing
-// is by time alone, so both events now wait behind the edge and spill
-// together; the clamp that bounded the advance is gone, and this test
-// holds the same schedule, scaled to the edge, against its return.
+// event scheduled three buckets in could file in the ring at a bucket
+// *past* one that, scheduled from t=0, had overflowed to the slow path —
+// and the cursor advance jumped over the overflowed event, which was
+// then pulled in behind the cursor and fired late (virtual time going
+// backwards). The far edge does not move with the cursor inside a
+// half-ring and filing is by time alone, so both events now wait behind
+// the edge and spill together; this test holds the same schedule,
+// scaled to the edge and the bucket width, against its return.
 func TestOverflowPullBehindCursorRegression(t *testing.T) {
+	const (
+		bucket = Time(1) << bucketShift
+		edge   = Time(numBuckets) << bucketShift // the far edge at t=0
+	)
 	e := NewEngine()
-	var got []Time
-	rec := func() { got = append(got, e.Now()) }
-	const edge = Time(numBuckets) << bucketShift // the far edge at t=0
-	e.At(0, rec)
-	e.At(384, func() {
-		rec()
-		e.At(edge+2<<bucketShift, rec) // two buckets past the edge
-	})
-	e.At(edge+1<<bucketShift+64, rec) // one bucket past: scheduled first, fires first
+	r := newRecorder(e)
+	r.at(0, 0)
+	r.then[1] = func() { r.at(edge+2*bucket, 3) } // two buckets past the edge
+	r.at(3*bucket, 1)
+	r.at(edge+bucket+bucket/2, 2) // one and a half: scheduled first, fires first
 	e.Run()
-	want := []Time{0, 384, edge + 1<<bucketShift + 64, edge + 2<<bucketShift}
-	if len(got) != len(want) {
-		t.Fatalf("fired %v, want %v", got, want)
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("fired %v, want %v", got, want)
-		}
+	want := []refFire{{0, 0}, {3 * bucket, 1}, {edge + bucket + bucket/2, 2}, {edge + 2*bucket, 3}}
+	if !slices.Equal(r.fires, want) {
+		t.Fatalf("fired %v, want %v", r.fires, want)
 	}
 }
 
@@ -376,15 +343,19 @@ func FuzzBurstDrainOrder(f *testing.F) {
 	f.Add([]byte("burst-boundary"))
 	// Far-straddling: every byte spawns, and the pairs of delays drawn
 	// sit either side of the far edge (one far bucket ± 1 ns), the far
-	// horizon (last far chain / first heap event) and 3x beyond it, with
+	// horizon (last far chain / first overflow event) and 3x beyond it, with
 	// short-delay siblings keeping bursts live while the tiers spill.
 	f.Add([]byte{0x41, 0x42, 0x43, 0x60, 0x61, 0x62, 0x63, 0x64, 0x65, 0x45, 0x21, 0x25, 0xa5, 0x07, 0x00})
+	// TestEqualTimesKeepPushOrderAcrossTiers as a script: ids 37, 58,
+	// 78, 83 and 87 all fire at 134,479,880 ns, filed through the
+	// overflow list, a far chain, a ring chain, a splice and a zero-delay
+	// (clamp-path) splice respectively.
+	f.Add([]byte{0x4f, 0xe2, 0x03, 0xa1, 0x5f, 0x0c, 0x8a, 0x82, 0x42, 0x28, 0x65, 0xe2, 0x63, 0xa3, 0x89, 0xe5, 0x06, 0xe8, 0x74, 0x69, 0xfa, 0x08})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) == 0 || len(data) > 256 {
 			t.Skip()
 		}
 		script := burstScript(data)
-		checkBurstScript(t, script, 0)
-		checkBurstScript(t, script, uint64(len(script)))
+		checkBurstScript(t, script)
 	})
 }

@@ -8,21 +8,51 @@ import (
 	"testing/quick"
 )
 
+// recorder is the typed test handler: it logs every firing as (now, x)
+// and then runs the hook registered for x, if any, so a test can
+// schedule from inside a handler the way the cluster's nodes do.
+type recorder struct {
+	e     *Engine
+	hid   int32
+	fires []refFire
+	then  map[int]func()
+}
+
+func newRecorder(e *Engine) *recorder {
+	r := &recorder{e: e, then: map[int]func(){}}
+	r.hid = e.Register(r)
+	return r
+}
+
+func (r *recorder) OnEvent(_ uint8, _ any, x int64) {
+	r.fires = append(r.fires, refFire{r.e.Now(), int(x)})
+	if f := r.then[int(x)]; f != nil {
+		f()
+	}
+}
+
+// at schedules event id at absolute time t; after, d from now.
+func (r *recorder) at(t Time, id int)     { r.e.Schedule(t, r.hid, 0, nil, int64(id)) }
+func (r *recorder) after(d int64, id int) { r.e.ScheduleAfter(d, r.hid, 0, nil, int64(id)) }
+
+// ids returns the recorded firing identities in firing order.
+func (r *recorder) ids() []int {
+	out := make([]int, len(r.fires))
+	for k, f := range r.fires {
+		out[k] = f.id
+	}
+	return out
+}
+
 func TestEventsFireInTimeOrder(t *testing.T) {
 	e := NewEngine()
-	var got []Time
-	for _, at := range []Time{50, 10, 30, 20, 40} {
-		at := at
-		e.At(at, func() { got = append(got, at) })
+	r := newRecorder(e)
+	for i, at := range []Time{50, 10, 30, 20, 40} {
+		r.at(at, i)
 	}
 	e.Run()
-	for i := 1; i < len(got); i++ {
-		if got[i] < got[i-1] {
-			t.Fatalf("events out of order: %v", got)
-		}
-	}
-	if len(got) != 5 {
-		t.Fatalf("ran %d events, want 5", len(got))
+	if !slices.Equal(r.ids(), []int{1, 3, 2, 4, 0}) {
+		t.Fatalf("events out of order: %v", r.fires)
 	}
 	if e.Now() != 50 {
 		t.Fatalf("Now = %d, want 50", e.Now())
@@ -31,61 +61,56 @@ func TestEventsFireInTimeOrder(t *testing.T) {
 
 func TestEqualTimesFIFO(t *testing.T) {
 	e := NewEngine()
-	var got []int
+	r := newRecorder(e)
 	for i := 0; i < 10; i++ {
-		i := i
-		e.At(100, func() { got = append(got, i) })
+		r.at(100, i)
 	}
 	e.Run()
-	for i, v := range got {
-		if v != i {
-			t.Fatalf("same-time events not FIFO: %v", got)
-		}
+	if !slices.Equal(r.ids(), []int{0, 1, 2, 3, 4, 5, 6, 7, 8, 9}) {
+		t.Fatalf("same-time events not FIFO: %v", r.ids())
 	}
 }
 
 func TestAfterSchedulesRelative(t *testing.T) {
 	e := NewEngine()
-	var fired Time = -1
-	e.At(100, func() {
-		e.After(50, func() { fired = e.Now() })
-	})
+	r := newRecorder(e)
+	r.at(100, 0)
+	r.then[0] = func() { r.after(50, 1) }
 	e.Run()
-	if fired != 150 {
-		t.Fatalf("After fired at %d, want 150", fired)
+	if len(r.fires) != 2 || r.fires[1].at != 150 {
+		t.Fatalf("fired %v, want the follow-up at 150", r.fires)
 	}
 }
 
 func TestPastSchedulingClamped(t *testing.T) {
 	e := NewEngine()
-	var fired Time = -1
-	e.At(100, func() {
-		e.At(10, func() { fired = e.Now() }) // in the past
-	})
+	r := newRecorder(e)
+	r.at(100, 0)
+	r.then[0] = func() { r.at(10, 1) } // in the past
 	e.Run()
-	if fired != 100 {
-		t.Fatalf("past event fired at %d, want clamped to 100", fired)
+	if len(r.fires) != 2 || r.fires[1].at != 100 {
+		t.Fatalf("fired %v, want the past event clamped to 100", r.fires)
 	}
 	e2 := NewEngine()
-	e2.At(5, func() {})
+	r2 := newRecorder(e2)
+	r2.at(5, 0)
 	e2.Run()
-	e2.After(-10, func() {})
+	r2.after(-10, 1)
 	e2.Run()
 	if e2.Now() != 5 {
-		t.Fatalf("negative After moved clock to %d", e2.Now())
+		t.Fatalf("negative delay moved clock to %d", e2.Now())
 	}
 }
 
 func TestRunUntilLeavesLaterEvents(t *testing.T) {
 	e := NewEngine()
-	ran := map[Time]bool{}
+	r := newRecorder(e)
 	for _, at := range []Time{10, 20, 30} {
-		at := at
-		e.At(at, func() { ran[at] = true })
+		r.at(at, int(at))
 	}
 	e.RunUntil(20)
-	if !ran[10] || !ran[20] || ran[30] {
-		t.Fatalf("RunUntil(20) ran wrong set: %v", ran)
+	if !slices.Equal(r.ids(), []int{10, 20}) {
+		t.Fatalf("RunUntil(20) ran %v, want [10 20]", r.ids())
 	}
 	if e.Pending() != 1 {
 		t.Fatalf("Pending = %d, want 1", e.Pending())
@@ -110,18 +135,16 @@ func TestStepOnEmpty(t *testing.T) {
 func TestCascadingEvents(t *testing.T) {
 	// An event chain where each event schedules the next must run fully.
 	e := NewEngine()
-	count := 0
-	var tick func()
-	tick = func() {
-		count++
-		if count < 1000 {
-			e.After(1, tick)
+	r := newRecorder(e)
+	r.then[0] = func() {
+		if len(r.fires) < 1000 {
+			r.after(1, 0)
 		}
 	}
-	e.At(0, tick)
+	r.at(0, 0)
 	e.Run()
-	if count != 1000 {
-		t.Fatalf("chain ran %d times, want 1000", count)
+	if len(r.fires) != 1000 {
+		t.Fatalf("chain ran %d times, want 1000", len(r.fires))
 	}
 	if e.Now() != 999 {
 		t.Fatalf("Now = %d, want 999", e.Now())
@@ -132,21 +155,17 @@ func TestOrderProperty(t *testing.T) {
 	// Property: for any set of times, execution order is a stable sort.
 	f := func(times []uint16) bool {
 		e := NewEngine()
-		type rec struct {
-			at  Time
-			idx int
-		}
-		var got []rec
+		r := newRecorder(e)
 		for i, at := range times {
-			i, at := i, Time(at)
-			e.At(at, func() { got = append(got, rec{at, i}) })
+			r.at(Time(at), i)
 		}
 		e.Run()
+		got := r.fires
 		for i := 1; i < len(got); i++ {
 			if got[i].at < got[i-1].at {
 				return false
 			}
-			if got[i].at == got[i-1].at && got[i].idx < got[i-1].idx {
+			if got[i].at == got[i-1].at && got[i].id < got[i-1].id {
 				return false // stability violated
 			}
 		}
@@ -180,79 +199,85 @@ func TestNewRNGStreamsIndependent(t *testing.T) {
 }
 
 // TestPastSchedulingFIFOAfterQueued pins the clamping contract from the
-// At doc: an event scheduled in the past (or at t == now) runs at the
-// current time, AFTER every event already queued for that time — the
-// global seq counter, not the requested time, breaks the tie.
+// Schedule doc: an event scheduled in the past (or at t == now) runs at
+// the current time, AFTER every event already queued for that time —
+// scheduling order, not the requested time, breaks the tie.
 func TestPastSchedulingFIFOAfterQueued(t *testing.T) {
 	e := NewEngine()
-	var got []int
-	e.At(100, func() {
+	r := newRecorder(e)
+	r.then[0] = func() {
 		// Queue three more events at the current time...
 		for i := 1; i <= 3; i++ {
-			i := i
-			e.At(100, func() { got = append(got, i) })
+			r.at(100, i)
 		}
 		// ...then schedule into the past: it must clamp to now and run
 		// after the same-time events queued above.
-		e.At(10, func() { got = append(got, 99) })
-	})
-	e.Run()
-	want := []int{1, 2, 3, 99}
-	if len(got) != len(want) {
-		t.Fatalf("ran %d events, want %d: %v", len(got), len(want), got)
+		r.at(10, 99)
 	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("past-clamped event broke FIFO: got %v, want %v", got, want)
-		}
+	r.at(100, 0)
+	e.Run()
+	if want := []int{0, 1, 2, 3, 99}; !slices.Equal(r.ids(), want) {
+		t.Fatalf("past-clamped event broke FIFO: got %v, want %v", r.ids(), want)
 	}
 }
 
-// TestSeqOverflowPreservesFIFO drives the sequence counter to its
-// wraparound point and checks that the renumbering path keeps pending
-// events in FIFO order instead of minting tie-breakers below them.
-func TestSeqOverflowPreservesFIFO(t *testing.T) {
+// TestEqualTimesKeepPushOrderAcrossTiers reaches one timestamp five
+// ways — overflow → far → ring, a direct far push, a direct ring push,
+// a splice into the live burst, and a clamped past-time schedule — and
+// requires the events to fire in the order they were scheduled. Each
+// move between structures must keep scheduling order, since no event
+// carries a tie-breaker of its own.
+func TestEqualTimesKeepPushOrderAcrossTiers(t *testing.T) {
 	e := NewEngine()
-	var got []int
-	for i := 0; i < 4; i++ {
-		i := i
-		e.At(50, func() { got = append(got, i) })
+	r := newRecorder(e)
+	// T lies beyond the far horizon at t=0, within it when event 100
+	// fires at farHorizon/2, and below the far edge when event 101 fires
+	// half a far bucket before it. Event 102 opens T's burst at T-1 (same
+	// bucket), where the splice and the clamps happen.
+	const T = farHorizon + 10*farSpan + 5
+	r.at(T, 0) // overflow, then far tier, then ring
+	r.at(T, 1)
+	r.then[100] = func() { r.at(T, 2) }
+	r.at(farHorizon/2, 100) // far push
+	r.then[101] = func() { r.at(T, 3) }
+	r.at(T-farSpan/2, 101) // ring push
+	r.then[102] = func() {
+		r.at(T, 4)     // splice
+		r.at(T-100, 5) // clamped to T-1: spliced before T
+		r.at(T-100, 6)
 	}
-	// Force the next schedule to hit the overflow guard.
-	e.seq = ^uint64(0)
-	e.At(50, func() { got = append(got, 4) })
-	if e.seq == 0 || e.seq == ^uint64(0) {
-		t.Fatalf("seq counter not renumbered: %d", e.seq)
+	r.at(T-1, 102)
+	r.then[4] = func() { r.at(0, 7) } // clamped to T, after 0..4
+	if len(e.overflow) != 4 || (T-1)>>bucketShift != T>>bucketShift {
+		t.Fatalf("setup: %d events in the overflow list, want 4, and T-1 in T's bucket", len(e.overflow))
 	}
-	e.At(50, func() { got = append(got, 5) })
 	e.Run()
-	for i, v := range got {
-		if v != i {
-			t.Fatalf("FIFO violated across seq renumbering: %v", got)
-		}
+	want := []refFire{
+		{farHorizon / 2, 100}, {T - farSpan/2, 101}, {T - 1, 102}, {T - 1, 5}, {T - 1, 6},
+		{T, 0}, {T, 1}, {T, 2}, {T, 3}, {T, 4}, {T, 7},
 	}
-	if len(got) != 6 {
-		t.Fatalf("ran %d events, want 6", len(got))
+	if !slices.Equal(r.fires, want) {
+		t.Fatalf("fired %v, want %v", r.fires, want)
 	}
 }
 
-// TestEngineReset leaves events in every tier — ring, far chains, heap —
-// and requires Reset to drop them all: engines are pooled
+// TestEngineReset leaves events in every tier — ring, far chains,
+// overflow — and requires Reset to drop them all: engines are pooled
 // (simcluster/pool.go), so a chain surviving Reset would replay a
 // previous run's events into the next.
 func TestEngineReset(t *testing.T) {
 	e := NewEngine()
-	e.At(10, func() {})
-	e.At(20, func() {})
+	r := newRecorder(e)
+	r.at(10, 0)
+	r.at(20, 0)
 	e.Run()
-	stale := func() { t.Errorf("event of the previous run fired at %d after Reset", e.Now()) }
-	e.At(30, stale)               // ring
-	e.At(5*farSpan, stale)        // far tier
-	e.At(farHorizon/2, stale)     // far tier, high slot
-	e.At(3*farHorizon, stale)     // heap
-	e.At(math.MaxInt64>>1, stale) // heap
+	r.at(30, 1)               // ring
+	r.at(5*farSpan, 1)        // far tier
+	r.at(farHorizon/2, 1)     // far tier, high slot
+	r.at(3*farHorizon, 1)     // overflow
+	r.at(math.MaxInt64>>1, 1) // overflow
 	if e.ringCount != 1 || e.farCount != 2 || len(e.overflow) != 2 || e.Pending() != 5 {
-		t.Fatalf("setup: ring=%d far=%d heap=%d pending=%d, want 1/2/2 and 5",
+		t.Fatalf("setup: ring=%d far=%d overflow=%d pending=%d, want 1/2/2 and 5",
 			e.ringCount, e.farCount, len(e.overflow), e.Pending())
 	}
 	e.Reset()
@@ -263,31 +288,27 @@ func TestEngineReset(t *testing.T) {
 		t.Fatalf("Reset left the calendar inconsistent: %s", msg)
 	}
 	e.Run()
-	if e.Steps() != 0 || e.Now() != 0 {
+	if e.Steps() != 0 || e.Now() != 0 || len(r.fires) != 2 {
 		t.Fatalf("Run after Reset dispatched %d events, clock at %d", e.Steps(), e.Now())
 	}
 	// The far edge is back at the origin: a short delay files into the
 	// ring and a long one behind it, as on a fresh engine.
-	var fired []Time
-	rec := func() { fired = append(fired, e.Now()) }
-	e.At(5, rec)
-	if e.seq != 1 {
-		t.Fatalf("first schedule after Reset got seq %d, want 1", e.seq)
-	}
-	e.At(5*farSpan+1, rec)
+	r2 := newRecorder(e)
+	r2.at(5, 0)
+	r2.at(5*farSpan+1, 1)
 	if e.ringCount != 1 || e.farCount != 1 {
 		t.Fatalf("reused engine filed ring=%d far=%d, want 1/1", e.ringCount, e.farCount)
 	}
 	e.Run()
-	if !slices.Equal(fired, []Time{5, 5*farSpan + 1}) {
-		t.Fatalf("reused engine fired %v, want [5 %d]", fired, 5*farSpan+1)
+	if want := []refFire{{5, 0}, {5*farSpan + 1, 1}}; !slices.Equal(r2.fires, want) {
+		t.Fatalf("reused engine fired %v, want %v", r2.fires, want)
 	}
 }
 
 // TestFarTierHoldsArrivalsInOrder is the 1e5-client arrival pattern in
 // miniature: 1e5 typed events at Exp(5.5 ms) gaps, all within 100 ms —
-// inside the far horizon, so none may touch the heap — fired in exactly
-// the order of a sorted (at, seq) reference.
+// inside the far horizon, so none may touch the overflow list — fired
+// in exactly the order of a sorted (at, scheduling order) reference.
 func TestFarTierHoldsArrivalsInOrder(t *testing.T) {
 	const (
 		total  = 100_000
@@ -296,7 +317,7 @@ func TestFarTierHoldsArrivalsInOrder(t *testing.T) {
 	)
 	e := NewEngine()
 	rng := NewRNG(7, 18)
-	var want, got []refFire // ids count schedules, so (at, id) is (at, seq)
+	var want, got []refFire // ids count schedules, so (at, id) is (at, scheduling order)
 	var hid int32
 	arrive := func(from Time) {
 		at := from + Time(rng.ExpFloat64()*meanNS)
@@ -308,7 +329,7 @@ func TestFarTierHoldsArrivalsInOrder(t *testing.T) {
 	}
 	hid = e.Register(handlerFunc(func(_ uint8, _ any, x int64) {
 		if len(e.overflow) != 0 {
-			t.Fatalf("t=%d: %d events in the heap, want the far tier to hold them all", e.Now(), len(e.overflow))
+			t.Fatalf("t=%d: %d events in the overflow list, want the far tier to hold them all", e.Now(), len(e.overflow))
 		}
 		got = append(got, refFire{e.Now(), int(x)})
 		arrive(e.Now())
@@ -329,44 +350,36 @@ func TestFarTierHoldsArrivalsInOrder(t *testing.T) {
 	})
 	for i := range want {
 		if got[i] != want[i] {
-			t.Fatalf("firing %d = %+v, sorted (at, seq) reference has %+v", i, got[i], want[i])
+			t.Fatalf("firing %d = %+v, sorted (at, scheduling order) reference has %+v", i, got[i], want[i])
 		}
 	}
 }
 
 // TestTelemetryOverflowCountsBeyondRing pins the gauge's meaning:
-// Overflow is everything pending beyond the ring — far tier plus heap —
-// and Pending includes it.
+// Overflow is everything pending beyond the ring — far tier plus
+// overflow list — and Pending includes it.
 func TestTelemetryOverflowCountsBeyondRing(t *testing.T) {
 	e := NewEngine()
+	r := newRecorder(e)
 	tel := NewTelemetry(1, 4)
 	e.SetTelemetry(tel)
-	for _, at := range []Time{10, 20, 4 * farSpan, 9 * farSpan, 2 * farHorizon} {
-		e.At(at, func() {})
+	for i, at := range []Time{10, 20, 4 * farSpan, 9 * farSpan, 2 * farHorizon} {
+		r.at(at, i)
 	}
 	e.RunUntil(10)
 	if len(tel.Samples) != 1 {
 		t.Fatalf("took %d samples, want 1", len(tel.Samples))
 	}
 	if s := tel.Samples[0]; s.Pending != 5 || s.Overflow != 3 {
-		t.Fatalf("sample %+v, want Pending 5 (all tiers) and Overflow 3 (2 far + 1 heap)", s)
+		t.Fatalf("sample %+v, want Pending 5 (all tiers) and Overflow 3 (2 far + 1 overflow list)", s)
 	}
 }
 
-// refEngine is the pre-typed-event reference semantics: a stable sort
-// over (clamped time, scheduling order), executed one event at a time —
-// exactly what the container/heap + closure engine guaranteed.
+// refEngine is the reference semantics: a stable sort over (clamped
+// time, scheduling order), executed one event at a time.
 type refEngine struct {
-	now  Time
-	seq  uint64
-	evs  []refEvent
-	trac *[]refFire
-}
-
-type refEvent struct {
-	at  Time
-	seq uint64
-	id  int
+	now Time
+	evs []refFire // pending, in scheduling order
 }
 
 type refFire struct {
@@ -375,26 +388,21 @@ type refFire struct {
 }
 
 func (r *refEngine) at(t Time, id int) {
-	if t < r.now {
-		t = r.now
-	}
-	r.seq++
-	r.evs = append(r.evs, refEvent{at: t, seq: r.seq, id: id})
+	r.evs = append(r.evs, refFire{at: max(t, r.now), id: id})
 }
 
-func (r *refEngine) step() (refEvent, bool) {
+func (r *refEngine) step() (refFire, bool) {
 	if len(r.evs) == 0 {
-		return refEvent{}, false
+		return refFire{}, false
 	}
 	best := 0
 	for i := 1; i < len(r.evs); i++ {
-		e, b := r.evs[i], r.evs[best]
-		if e.at < b.at || (e.at == b.at && e.seq < b.seq) {
+		if r.evs[i].at < r.evs[best].at {
 			best = i
 		}
 	}
 	ev := r.evs[best]
-	r.evs = append(r.evs[:best], r.evs[best+1:]...)
+	r.evs = slices.Delete(r.evs, best, best+1)
 	r.now = ev.at
 	return ev, true
 }
@@ -404,7 +412,7 @@ type scriptHandler struct {
 	e     *Engine
 	hid   int32
 	fires *[]refFire
-	// pending holds ids of follow-up events each fired event schedules.
+	// follow holds the follow-up events each fired event schedules.
 	follow map[int][]scriptOp
 }
 
@@ -421,8 +429,8 @@ func (h *scriptHandler) OnEvent(kind uint8, arg any, x int64) {
 }
 
 // TestEngineTypedVsClosureEquivalence runs the same randomized schedule
-// script three ways — reference model, closure API, typed API — and
-// requires the identical firing sequence (time and identity) from each.
+// script on the reference model and on the engine's typed API, and
+// requires the identical firing sequence (time and identity) from both.
 // Scripts include past/present scheduling, heavy ties, and events that
 // schedule follow-up events (cascades).
 func TestEngineTypedVsClosureEquivalence(t *testing.T) {
@@ -460,32 +468,11 @@ func TestEngineTypedVsClosureEquivalence(t *testing.T) {
 			if !ok {
 				break
 			}
-			refFires = append(refFires, refFire{at: ref.now, id: ev.id})
+			refFires = append(refFires, ev)
 			for _, op := range follow[ev.id] {
-				d := op.delay
-				if d < 0 {
-					d = 0
-				}
-				ref.at(ref.now+d, op.id)
+				ref.at(ref.now+max(op.delay, 0), op.id)
 			}
 		}
-
-		// Closure API.
-		ce := NewEngine()
-		var closureFires []refFire
-		var fire func(id int)
-		fire = func(id int) {
-			closureFires = append(closureFires, refFire{at: ce.Now(), id: id})
-			for _, op := range follow[id] {
-				op := op
-				ce.After(op.delay, func() { fire(op.id) })
-			}
-		}
-		for _, op := range initial {
-			op := op
-			ce.At(op.delay, func() { fire(op.id) })
-		}
-		ce.Run()
 
 		// Typed API.
 		te := NewEngine()
@@ -497,46 +484,26 @@ func TestEngineTypedVsClosureEquivalence(t *testing.T) {
 		}
 		te.Run()
 
-		for name, got := range map[string][]refFire{"closure": closureFires, "typed": typedFires} {
-			if len(got) != len(refFires) {
-				t.Fatalf("trial %d: %s engine ran %d events, reference ran %d", trial, name, len(got), len(refFires))
-			}
-			for i := range refFires {
-				if got[i] != refFires[i] {
-					t.Fatalf("trial %d: %s engine diverged at event %d: got %+v, want %+v",
-						trial, name, i, got[i], refFires[i])
-				}
-			}
+		if !slices.Equal(typedFires, refFires) {
+			t.Fatalf("trial %d: engine fired %v, reference fired %v", trial, typedFires, refFires)
 		}
 	}
-}
-
-func BenchmarkEngineScheduleAndRun(b *testing.B) {
-	e := NewEngine()
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		e.At(Time(i), func() {})
-	}
-	e.Run()
 }
 
 // TestZeroValueEngine pins the documented contract that the zero value
 // is ready to use at time 0: alloc lazily initializes storage before
 // touching the free list, so scheduling on a `var e Engine` (whose
-// freeHead and head[] zero values are 0, not nilIdx) must not index a
-// nil slab or misread an empty chain.
+// freeHead and chain heads are 0, not nilIdx) must not index a nil slab
+// or read a stale head as a chain.
 func TestZeroValueEngine(t *testing.T) {
 	var e Engine
-	var got []Time
-	rec := func() { got = append(got, e.Now()) }
-	// A far-tier delay first: the far chains' heads need the same lazy
-	// nilIdx initialization as the ring's, and the far edge its anchor.
-	e.At(3*farSpan+7, rec)
-	e.At(30, rec)
-	e.At(10, func() {
-		rec()
-		e.After(5, rec)
-	})
+	r := newRecorder(&e)
+	// A far-tier delay first: the far edge needs its anchor, and the far
+	// chain must end at nilIdx, not at the zero head.
+	r.at(3*farSpan+7, 0)
+	r.at(30, 1)
+	r.at(10, 2)
+	r.then[2] = func() { r.after(5, 3) }
 	if e.ringCount != 2 || e.farCount != 1 {
 		t.Fatalf("zero-value engine filed ring=%d far=%d, want 2/1", e.ringCount, e.farCount)
 	}
@@ -544,14 +511,8 @@ func TestZeroValueEngine(t *testing.T) {
 		t.Fatalf("zero-value engine: far chain 3 is not the one event scheduled into it")
 	}
 	e.Run()
-	want := []Time{10, 15, 30, 3*farSpan + 7}
-	if len(got) != len(want) {
-		t.Fatalf("fired %v, want %v", got, want)
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("fired %v, want %v", got, want)
-		}
+	if want := []refFire{{10, 2}, {15, 3}, {30, 1}, {3*farSpan + 7, 0}}; !slices.Equal(r.fires, want) {
+		t.Fatalf("fired %v, want %v", r.fires, want)
 	}
 }
 
@@ -587,19 +548,112 @@ func BenchmarkEngineFarFuture(b *testing.B) {
 	}
 }
 
-// nopHandler is a typed-event sink for benchmarks.
-type nopHandler struct{}
+// denseModel is the engine load of the 64-rack fabric point: ~2k
+// pending events at ~300 events per simulated µs. Each event
+// reschedules itself by the next gap of a fixed table — one in eight a
+// same-time follow-up, five in eight a sub-µs hop, one in four an
+// Exp(25 µs) service time, whose tail files past the ring. Beside it
+// runs a long chain: every millisecond one long event fires (filed in
+// the far tier, spilled into the ring) and reschedules itself beyond
+// the far horizon, and one from the overflow list moves into the far
+// tier, so a drain of a few milliseconds crosses every tier.
+type denseModel struct {
+	e         *Engine
+	hid, long int32
+	n, longs  int
+	gaps      [1 << 12]int64
+}
 
-func (nopHandler) OnEvent(uint8, any, int64) {}
+const (
+	densePending = 2048
+	denseLongs   = 64
+	denseLongGap = farHorizon + farLead*farSpan // beyond the far horizon from anywhere
+)
+
+func newDenseModel() *denseModel {
+	m := &denseModel{e: NewEngine()}
+	rng := NewRNG(3, 64)
+	hops := [...]int64{150, 300, 500, 1000}
+	for i := range m.gaps {
+		switch k := rng.IntN(8); {
+		case k == 0:
+		case k < 6:
+			m.gaps[i] = hops[rng.IntN(len(hops))]
+		default:
+			m.gaps[i] = int64(rng.ExpFloat64() * 25_000)
+		}
+	}
+	m.hid = m.e.Register(handlerFunc(func(_ uint8, _ any, x int64) {
+		m.n++
+		m.e.ScheduleAfter(m.gaps[m.n&(len(m.gaps)-1)], m.hid, 0, nil, x)
+	}))
+	m.long = m.e.Register(handlerFunc(func(_ uint8, _ any, x int64) {
+		m.longs++
+		m.e.ScheduleAfter(denseLongGap, m.long, 0, nil, x)
+	}))
+	for i := range densePending {
+		m.e.ScheduleAfter(m.gaps[i], m.hid, 0, nil, int64(i))
+	}
+	for i := range int64(denseLongs) {
+		m.e.ScheduleAfter(i*1_000_000+500_000, m.long, 0, nil, 0)
+		m.e.ScheduleAfter(denseLongGap+i*1_000_000, m.long, 0, nil, 0)
+	}
+	return m
+}
+
+// BenchmarkEngineDense is the engine cost at the 64-rack point's
+// density: short segments of a few events per 16 ns bucket, frequent
+// splices, and a far tier and overflow list that stay in use. One op is
+// one event.
+func BenchmarkEngineDense(b *testing.B) {
+	m := newDenseModel()
+	m.e.RunUntil(1_000_000)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for m.n = 0; m.n < b.N; {
+		m.e.DrainBatch(math.MaxInt64)
+	}
+}
+
+// TestEngineDenseSteadyStateZeroAllocs holds the dense model to zero
+// allocations once warm, across tier crossings: every measured
+// millisecond spills far buckets into the ring, fires a long event into
+// the overflow list and moves another from it into the far tier, so the
+// spill scratch, the counting-sort scratch, the batch and the overflow
+// list must all reuse their capacity.
+func TestEngineDenseSteadyStateZeroAllocs(t *testing.T) {
+	m := newDenseModel()
+	e := m.e
+	deadline := Time(2_000_000)
+	e.RunUntil(deadline)
+	queued, longs := len(e.overflow), m.longs
+	allocs := testing.AllocsPerRun(5, func() {
+		deadline += 1_000_000
+		e.RunUntil(deadline)
+	})
+	if allocs != 0 {
+		t.Fatalf("dense steady state allocates %v times per millisecond, want 0", allocs)
+	}
+	fired := m.longs - longs
+	if moved := queued + fired - len(e.overflow); fired < 5 || moved < 5 {
+		t.Fatalf("measured drains fired %d long events and moved %d out of the overflow list, want 5 or more each", fired, moved)
+	}
+	if msg := checkCalendar(e); msg != "" {
+		t.Fatal(msg)
+	}
+}
 
 type handlerFunc func(kind uint8, arg any, x int64)
 
 func (f handlerFunc) OnEvent(kind uint8, arg any, x int64) { f(kind, arg, x) }
 
-// BenchmarkEngineTypedScheduleAndRun is the typed-event counterpart of
-// BenchmarkEngineScheduleAndRun: the hot-path scheduling mode used by
-// the cluster simulation. Steady state is allocation-free (the heap
-// grows once, then is reused).
+// nopHandler is a typed-event sink for benchmarks.
+type nopHandler struct{}
+
+func (nopHandler) OnEvent(uint8, any, int64) {}
+
+// BenchmarkEngineTypedScheduleAndRun schedules b.N events in time order
+// and drains them: the sorted-batch path, growing the slab once.
 func BenchmarkEngineTypedScheduleAndRun(b *testing.B) {
 	e := NewEngine()
 	hid := e.Register(nopHandler{})
@@ -612,7 +666,7 @@ func BenchmarkEngineTypedScheduleAndRun(b *testing.B) {
 
 // BenchmarkEngineTypedSteadyState measures the recycled-engine cycle:
 // schedule a batch, drain it, Reset — the per-event cost with a warm
-// heap and zero allocations.
+// slab and zero allocations.
 func BenchmarkEngineTypedSteadyState(b *testing.B) {
 	e := NewEngine()
 	const batch = 1024

@@ -35,10 +35,10 @@ type TelemetrySample struct {
 	// At is the burst's first event time.
 	At int64
 	// Pending counts all scheduled events at the snapshot (calendar
-	// ring + far tier + overflow heap + the collected batch).
+	// ring + far tier + overflow list + the collected batch).
 	Pending int32
 	// Overflow is the portion of Pending beyond the ring: the far tier
-	// plus the beyond-far-horizon heap.
+	// plus the beyond-far-horizon overflow list.
 	Overflow int32
 	// Aux is the Aux hook's reading (0 when no hook is set).
 	Aux int32

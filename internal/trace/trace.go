@@ -242,16 +242,16 @@ type EngineStats struct {
 }
 
 // EngineSample is one time-binned engine occupancy gauge: how full the
-// calendar (ring, far tier, overflow heap) was when a burst began, plus the
+// calendar (ring, far tier, overflow list) was when a burst began, plus the
 // congestion model's total port occupancy when one is configured.
 type EngineSample struct {
 	// At is the virtual time of the burst that took the sample.
 	At int64
 	// Pending is the number of scheduled events (calendar ring + far
-	// tier + overflow heap + current burst) at the sample point.
+	// tier + overflow list + current burst) at the sample point.
 	Pending int32
 	// Overflow is the portion of Pending beyond the ring's horizon: the
-	// far tier plus the overflow heap.
+	// far tier plus the overflow list.
 	Overflow int32
 	// PortDepth is the congestion model's total queued-packet count
 	// across all egress ports (0 when no model is configured).

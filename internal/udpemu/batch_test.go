@@ -10,8 +10,8 @@ import (
 
 // runModeCluster drives one open-loop run on a fresh 4-server NetClone
 // cluster pinned to the given I/O mode and returns the per-run
-// aggregates.
-func runModeCluster(t *testing.T, io IOMode, requests int) (OpenLoopResult, ClusterCounters) {
+// aggregates, with the run's clone law rendered for failure messages.
+func runModeCluster(t *testing.T, io IOMode, requests int) (OpenLoopResult, ClusterCounters, string) {
 	t.Helper()
 	c, err := StartCluster(ClusterConfig{
 		Dataplane: dataplane.Config{
@@ -26,6 +26,7 @@ func runModeCluster(t *testing.T, io IOMode, requests int) (OpenLoopResult, Clus
 		t.Fatal(err)
 	}
 	defer c.Close()
+	drops0 := kernelRcvbufErrors()
 	runs, err := c.RunOpenLoop(OpenLoopConfig{
 		RatePerSec: 4000,
 		Requests:   requests,
@@ -40,7 +41,8 @@ func runModeCluster(t *testing.T, io IOMode, requests int) (OpenLoopResult, Clus
 		agg.Completed += r.Completed
 		agg.CompletedInWindow += r.CompletedInWindow
 	}
-	return agg, c.Counters()
+	counters := c.Counters()
+	return agg, counters, cloneLaw(c.Switch, c.Servers, counters.Redundant, kernelRcvbufErrors()-drops0)
 }
 
 // TestBatchedMatchesPortableCounters is the equivalence check the
@@ -56,7 +58,7 @@ func TestBatchedMatchesPortableCounters(t *testing.T) {
 		t.Log("batch path not compiled in on this platform; portable-only run")
 	}
 	for _, mode := range modes {
-		agg, counters := runModeCluster(t, mode, requests)
+		agg, counters, law := runModeCluster(t, mode, requests)
 		if agg.Sent != requests {
 			t.Fatalf("%v: sent %d, want %d", mode, agg.Sent, requests)
 		}
@@ -68,7 +70,7 @@ func TestBatchedMatchesPortableCounters(t *testing.T) {
 			t.Errorf("%v: processed %d < completed %d", mode, counters.Processed, agg.Completed)
 		}
 		if counters.Redundant != 0 {
-			t.Errorf("%v: %d redundant responses with filtering on", mode, counters.Redundant)
+			t.Errorf("%v: %d redundant responses with filtering on; %s", mode, counters.Redundant, law)
 		}
 		if counters.SendErrors != 0 {
 			t.Errorf("%v: %d send errors on healthy loopback", mode, counters.SendErrors)

@@ -107,6 +107,7 @@ func TestScan(t *testing.T) {
 
 func TestManyRequestsNoDuplicatesWithFiltering(t *testing.T) {
 	tc := startCluster(t, 3, defaultDcfg())
+	drops0 := kernelRcvbufErrors()
 	const n = 500
 	for i := 0; i < n; i++ {
 		if _, err := tc.client.Do(tc.sw.NumGroups(), workload.OpGet, uint64(i%100), 0, nil); err != nil {
@@ -123,7 +124,8 @@ func TestManyRequestsNoDuplicatesWithFiltering(t *testing.T) {
 	// duplicates leaked to the client.
 	time.Sleep(50 * time.Millisecond)
 	if r := tc.client.Redundant(); r > n/100 {
-		t.Errorf("client saw %d redundant responses with filtering on", r)
+		t.Errorf("client saw %d redundant responses with filtering on; %s",
+			r, cloneLaw(tc.sw, tc.servers, r, kernelRcvbufErrors()-drops0))
 	}
 	if st.FilterDrops == 0 {
 		t.Error("switch filtered nothing despite cloning")

@@ -1,8 +1,9 @@
 #!/usr/bin/env bash
 # scripts/bench.sh — the tracked benchmark pipeline (README § Benchmarking).
 #
-# Runs the alloc-reporting micro-benchmarks (engine, switch pipeline,
-# samplers, per-figure experiment benchmarks), then meters the full
+# Runs the alloc-reporting micro-benchmarks (engine, BenchmarkEngineDense
+# among them; switch pipeline, samplers, per-figure experiment
+# benchmarks), then meters the full
 # experiment suite through netclone-bench -benchjson and writes the next
 # BENCH_<n>.json in the repository root. Committing that file is how the
 # perf trajectory is recorded — and `compare` is how it is enforced: a
@@ -50,7 +51,10 @@ mode="${1:-all}"
 # request on the fabric path — Record writes into a preallocated ring,
 # so it must hold the same 0 allocs/op). Engine also matches
 # EngineFarFuture (1e5 pending events rescheduling Exp(5.5 ms) ahead:
-# the calendar's far tier, 0 allocs/op). BuildFabricXL is construction
+# the calendar's far tier, 0 allocs/op) and EngineDense (~2k pending
+# events at ~300 per simulated us, the 64-rack point's density: short
+# bucket segments, splices, and every tier in use, 0 allocs/op).
+# BuildFabricXL is construction
 # alone: a 64-rack, 102,400-client fabric built and torn down through a
 # 1 us window (~2k allocs/op; three per client before slab allocation).
 bench_re="${BENCH:-Engine|SwitchPipeline|ClusterSteadyState|SwitchProcess|SimulatedMillisecond|BuildFabricXL|ZipfRank|KVMixNext|PoissonGap|SummarizeFrozen}"
