@@ -405,8 +405,9 @@ func (c *cluster) buildSwitches() error {
 		if err := dp.InstallServers(entries); err != nil {
 			return err
 		}
-		c.tors[r] = &switchNode{cl: c, dp: dp, rack: r}
-		c.tors[r].hid = c.eng.Register(c.tors[r])
+		t := &switchNode{cl: c, dp: dp, rack: r}
+		t.hid = t.h.register(c.eng, t)
+		c.tors[r] = t
 		c.dSwTrans[r] = c.cfg.Cal.SwitchDelayNS + c.topo.InterDelayNS[c.topo.ClientRack][r]
 	}
 	c.sw = c.tors[c.topo.ClientRack]
@@ -428,7 +429,7 @@ func (c *cluster) buildServers() {
 			tor:     c.tors[c.topo.ServerRack[sid]],
 		}
 		s.rng.Seed(c.cfg.Seed, 200+uint64(sid))
-		s.hid = c.eng.Register(s)
+		s.hid = s.h.register(c.eng, s)
 		c.servers[sid] = s
 	}
 }
@@ -458,7 +459,7 @@ func (c *cluster) buildClients() {
 			pendRing:     rings[i*ring : (i+1)*ring : (i+1)*ring],
 		}
 		cl.rng.Seed(c.cfg.Seed, 100+uint64(i))
-		cl.hid = c.eng.Register(cl)
+		cl.hid = cl.h.register(c.eng, cl)
 		c.clients[i] = cl
 	}
 }
@@ -584,30 +585,10 @@ func maxInt(a, b int) int {
 type switchNode struct {
 	cl   *cluster
 	dp   *dataplane.Switch
-	hid  int32 // registered engine handler ID (typed scheduling)
+	h    node  // the registered handler (events.go)
+	hid  int32 // its engine handler ID (typed scheduling)
 	rack int
 	down bool
-}
-
-// OnEvent dispatches the switch's typed events.
-func (s *switchNode) OnEvent(kind uint8, arg any, x int64) {
-	p := arg.(*packet)
-	switch kind {
-	case evSwFromClient:
-		s.fromClient(p)
-	case evSwFromServer:
-		s.fromServer(p)
-	case evSwTransitRequest:
-		s.transitRequest(p, int(x))
-	case evSwTransitResponse:
-		s.transitResponse(p)
-	case evSwRecirculate:
-		s.recirculate(p)
-	case evSwCoordToServer:
-		s.coordToServer(p, int(x))
-	case evSwCoordToClient:
-		s.coordToClient(p, int(x))
-	}
 }
 
 func (s *switchNode) fail() {
@@ -905,8 +886,9 @@ func (s *switchNode) coordToClient(p *packet, dst int) {
 // queue drained by worker threads (§4.2).
 type server struct {
 	cl      *cluster
+	h       node // the registered handler (events.go)
 	sid     uint16
-	hid     int32 // registered engine handler ID
+	hid     int32 // its engine handler ID
 	workers int
 	tor     *switchNode // the server's home-rack ToR
 	rng     simnet.RNG
@@ -944,19 +926,6 @@ func (s *server) crash() {
 
 // recoverUp brings a crashed server back with fresh, empty state.
 func (s *server) recoverUp() { s.down = false }
-
-// OnEvent dispatches the server's typed events.
-func (s *server) OnEvent(kind uint8, arg any, _ int64) {
-	p := arg.(*packet)
-	switch kind {
-	case evSrvOnRequest:
-		s.onRequest(p)
-	case evSrvDispatch:
-		s.dispatch(p)
-	case evSrvFinish:
-		s.finish(p)
-	}
-}
 
 // onRequest handles a request arriving at the server NIC.
 func (s *server) onRequest(p *packet) {
@@ -1180,8 +1149,9 @@ func (c *client) takePending(seq uint32) (pendingReq, bool) {
 // thread (§4.2), each modelled as a FIFO resource with a per-packet cost.
 type client struct {
 	cl      *cluster
+	h       node // the registered handler (events.go)
 	id      uint16
-	hid     int32 // registered engine handler ID
+	hid     int32 // its engine handler ID
 	rng     simnet.RNG
 	arrival workload.Poisson
 
@@ -1198,20 +1168,6 @@ type client struct {
 	rxQueue     pktFIFO
 	rxBusy      bool
 	redundant   int64
-}
-
-// OnEvent dispatches the client's typed events.
-func (c *client) OnEvent(kind uint8, arg any, x int64) {
-	switch kind {
-	case evCliGenerate:
-		c.generate()
-	case evCliOnResponse:
-		c.onResponse(arg.(*packet))
-	case evCliRxHit:
-		c.rxFinishHit(arg.(*packet), x)
-	case evCliRxMiss:
-		c.rxFinishMiss(arg.(*packet))
-	}
 }
 
 // start schedules the first generation event.

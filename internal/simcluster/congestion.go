@@ -116,7 +116,8 @@ func (q *portQueue) headSvc() int64 { return q.ring[q.head].svc }
 type congCtl struct {
 	eng  *simnet.Engine
 	free func(*packet)
-	hid  int32
+	h    node  // the registered handler (events.go)
+	hid  int32 // its engine handler ID
 	// rec mirrors the owning cluster's flight recorder; nil when
 	// tracing is off (the usual case — one branch per port event).
 	rec *trace.Recorder
@@ -201,7 +202,7 @@ func newCongCtl(c *cluster) *congCtl {
 		ctl.depthArea = make([]int64, nbins)
 		ctl.dropBins = make([]int64, nbins)
 	}
-	ctl.hid = c.eng.Register(ctl)
+	ctl.hid = ctl.h.register(c.eng, ctl)
 	return ctl
 }
 
@@ -285,11 +286,11 @@ func (ctl *congCtl) enqueue(qi int, e portEntry) {
 	}
 }
 
-// OnEvent handles evPortDepart: the head packet of port x finished
+// depart handles evPortDepart: the head packet of port x finished
 // serializing. It departs (into the chained spine port, or onto its
 // final typed event after the legacy hop delay), and the next queued
 // packet takes the link.
-func (ctl *congCtl) OnEvent(_ uint8, _ any, x int64) {
+func (ctl *congCtl) depart(x int64) {
 	qi := int(x)
 	q := &ctl.ports[qi]
 	now := ctl.eng.Now()

@@ -71,7 +71,7 @@ func TestCongestionMatchesMM1K(t *testing.T) {
 		ports:  make([]portQueue, 1),
 	}
 	ctl.ports[0].ring = make([]portEntry, k)
-	ctl.hid = eng.Register(ctl)
+	ctl.hid = ctl.h.register(eng, ctl)
 	g := &mm1kGen{
 		eng: eng, ctl: ctl,
 		rng:     simnet.NewRNG(42, 1),

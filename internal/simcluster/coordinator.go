@@ -24,8 +24,9 @@ import (
 // one-request-at-a-time idleness to multi-threaded workers.
 type coordinator struct {
 	cl  *cluster
+	h   node // the registered handler (events.go)
 	id  int
-	hid int32 // registered engine handler ID
+	hid int32 // its engine handler ID
 	rng *rand.Rand
 
 	cpuBusyUntil int64
@@ -58,7 +59,7 @@ func newCoordinator(c *cluster, id, k int) *coordinator {
 		capacity:    append([]int(nil), c.cfg.Workers...),
 		pendingPair: make(map[uint64]bool),
 	}
-	co.hid = c.eng.Register(co)
+	co.hid = co.h.register(c.eng, co)
 	for s := range c.cfg.Workers {
 		if s%k == id {
 			co.owned = append(co.owned, s)
@@ -84,27 +85,39 @@ func (co *coordinator) crash() {
 // recoverUp restarts the coordinator with the empty state crash left.
 func (co *coordinator) recoverUp() { co.down = false }
 
-// OnEvent dispatches the coordinator's typed events.
-func (co *coordinator) OnEvent(kind uint8, arg any, x int64) {
-	p := arg.(*packet)
-	if co.down {
-		co.cl.faultDrops++
-		co.cl.freePacket(p)
-		return
+// dropIfDown frees p and reports true when the coordinator is down:
+// every packet event reaching a crashed coordinator is dropped. Each
+// event method checks it first.
+func (co *coordinator) dropIfDown(p *packet) bool {
+	if !co.down {
+		return false
 	}
-	switch kind {
-	case evCoArriveRequest:
+	co.cl.faultDrops++
+	co.cl.freePacket(p)
+	return true
+}
+
+// arriveRequest queues a request reaching the coordinator NIC for a CPU
+// slot, after which dispatch routes it.
+func (co *coordinator) arriveRequest(p *packet) {
+	if !co.dropIfDown(p) {
 		co.cpuSchedule(evCoDispatch, p, 0)
-	case evCoDispatch:
-		co.dispatch(p)
-	case evCoArriveResponse:
+	}
+}
+
+// arriveResponse queues a worker response for a CPU slot, after which
+// onResponse processes it.
+func (co *coordinator) arriveResponse(p *packet) {
+	if !co.dropIfDown(p) {
 		co.cpuSchedule(evCoResponse, p, 0)
-	case evCoResponse:
-		co.onResponse(p)
-	case evCoTxServer:
-		co.cl.eng.ScheduleAfter(co.cl.dLink, co.cl.sw.hid, evSwCoordToServer, p, x)
-	case evCoTxClient:
-		co.cl.eng.ScheduleAfter(co.cl.dLink, co.cl.sw.hid, evSwCoordToClient, p, x)
+	}
+}
+
+// transmit puts p on the link to the switch once its TX slot is done;
+// kind is the switch event it arrives as, x its destination index.
+func (co *coordinator) transmit(p *packet, kind uint8, x int64) {
+	if !co.dropIfDown(p) {
+		co.cl.eng.ScheduleAfter(co.cl.dLink, co.cl.sw.hid, kind, p, x)
 	}
 }
 
@@ -125,6 +138,9 @@ func (co *coordinator) cpuSchedule(kind uint8, p *packet, x int64) {
 // requests finding no idle worker are queued and re-dispatched from
 // onResponse.
 func (co *coordinator) dispatch(p *packet) {
+	if co.dropIfDown(p) {
+		return
+	}
 	idle := co.idleServers()
 	switch {
 	case len(idle) >= 2:
@@ -171,6 +187,9 @@ func (co *coordinator) sendToServer(p *packet, sid int) {
 
 // onResponse runs when the CPU slot for a worker response completes.
 func (co *coordinator) onResponse(p *packet) {
+	if co.dropIfDown(p) {
+		return
+	}
 	sid := int(p.hdr.SID)
 	if sid < len(co.outstanding) && co.outstanding[sid] > 0 {
 		co.outstanding[sid]--

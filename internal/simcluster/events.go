@@ -1,10 +1,24 @@
 package simcluster
 
-// Typed event kinds for the simnet engine's allocation-free scheduling
-// path (DESIGN.md § Performance model). Every hot scheduling site in the
-// cluster maps 1:1 onto one kind; the receiving node's OnEvent method
-// dispatches on it. Each kind is bound to exactly one receiver type, so
-// a single enum covers the whole cluster.
+import "netclone/internal/simnet"
+
+// Event dispatch (DESIGN.md §6, "One handler type"). Every hot
+// scheduling site in the cluster maps 1:1 onto one typed event kind
+// below, and each kind is bound to exactly one receiver type, so a
+// single enum covers the whole cluster — and a single switch,
+// node.OnEvent, dispatches it.
+//
+// Every receiver — ToR switch, server, client, LÆDGE coordinator, fault
+// controller, congestion controller — registers the same concrete
+// simnet.Handler, *node. The engine makes one interface call per event;
+// with one dynamic type behind every handler ID that call always has
+// the same target, which the CPU predicts, and the kind switch is the
+// one indirect branch left to mispredict per event. Per-type handlers
+// changed the call target from event to event and then switched on the
+// kind again: two hard-to-predict indirect branches on most events.
+// TestOneHandlerType checks that every registration is a *node, and
+// TestEventKindsReachTheirMethods that every kind reaches its intended
+// method.
 const (
 	// switchNode events. arg = *packet; x = destination index where noted.
 	evSwFromClient      uint8 = iota // request arrives from a client NIC
@@ -44,3 +58,71 @@ const (
 	// serializing onto the link and departs (congestion.go).
 	evPortDepart // serve completion at egress port x
 )
+
+// node is the cluster's one simnet.Handler type. Each receiver embeds
+// one as its h field and registers it through register; self points
+// back at the receiver, and the event kind says which concrete type
+// that is. h is a named field, not an embedding, so no receiver's
+// method set picks up OnEvent and none can be registered directly.
+type node struct{ self any }
+
+// register binds n to its receiver and returns the engine handler ID.
+func (n *node) register(eng *simnet.Engine, self any) int32 {
+	n.self = self
+	return eng.Register(n)
+}
+
+// OnEvent calls the method the kind names on the receiver n belongs to.
+func (n *node) OnEvent(kind uint8, arg any, x int64) {
+	switch kind {
+	case evSwFromClient:
+		n.self.(*switchNode).fromClient(arg.(*packet))
+	case evSwFromServer:
+		n.self.(*switchNode).fromServer(arg.(*packet))
+	case evSwTransitRequest:
+		n.self.(*switchNode).transitRequest(arg.(*packet), int(x))
+	case evSwTransitResponse:
+		n.self.(*switchNode).transitResponse(arg.(*packet))
+	case evSwRecirculate:
+		n.self.(*switchNode).recirculate(arg.(*packet))
+	case evSwCoordToServer:
+		n.self.(*switchNode).coordToServer(arg.(*packet), int(x))
+	case evSwCoordToClient:
+		n.self.(*switchNode).coordToClient(arg.(*packet), int(x))
+
+	case evSrvOnRequest:
+		n.self.(*server).onRequest(arg.(*packet))
+	case evSrvDispatch:
+		n.self.(*server).dispatch(arg.(*packet))
+	case evSrvFinish:
+		n.self.(*server).finish(arg.(*packet))
+
+	case evCliGenerate:
+		n.self.(*client).generate()
+	case evCliOnResponse:
+		n.self.(*client).onResponse(arg.(*packet))
+	case evCliRxHit:
+		n.self.(*client).rxFinishHit(arg.(*packet), x)
+	case evCliRxMiss:
+		n.self.(*client).rxFinishMiss(arg.(*packet))
+
+	case evCoArriveRequest:
+		n.self.(*coordinator).arriveRequest(arg.(*packet))
+	case evCoDispatch:
+		n.self.(*coordinator).dispatch(arg.(*packet))
+	case evCoArriveResponse:
+		n.self.(*coordinator).arriveResponse(arg.(*packet))
+	case evCoResponse:
+		n.self.(*coordinator).onResponse(arg.(*packet))
+	case evCoTxServer:
+		n.self.(*coordinator).transmit(arg.(*packet), evSwCoordToServer, x)
+	case evCoTxClient:
+		n.self.(*coordinator).transmit(arg.(*packet), evSwCoordToClient, x)
+
+	case evFaultTrans:
+		n.self.(*faultCtl).fire(x)
+
+	case evPortDepart:
+		n.self.(*congCtl).depart(x)
+	}
+}

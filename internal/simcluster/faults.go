@@ -49,7 +49,8 @@ type faultTrans struct {
 // faultCtl owns a run's compiled fault plan and its execution state.
 type faultCtl struct {
 	cl    *cluster
-	hid   int32 // registered engine handler ID
+	h     node  // the registered handler (events.go)
+	hid   int32 // its engine handler ID
 	plan  []faults.Injection
 	trans []faultTrans
 
@@ -67,7 +68,7 @@ type faultCtl struct {
 // newFaultCtl compiles the canonical injections for cluster c.
 func newFaultCtl(c *cluster, inj []faults.Injection) *faultCtl {
 	f := &faultCtl{cl: c, plan: inj}
-	f.hid = c.eng.Register(f)
+	f.hid = f.h.register(c.eng, f)
 	for i, in := range inj {
 		f.trans = append(f.trans, faultTrans{at: in.FromNS, inj: i, begin: true})
 		if in.UntilNS != math.MaxInt64 {
@@ -114,8 +115,8 @@ func (f *faultCtl) schedule() {
 	}
 }
 
-// OnEvent applies transition x.
-func (f *faultCtl) OnEvent(_ uint8, _ any, x int64) {
+// fire applies timed transition x (an evFaultTrans event).
+func (f *faultCtl) fire(x int64) {
 	f.transitions++
 	f.apply(f.trans[x])
 }

@@ -32,8 +32,8 @@ import (
 // Time is virtual time in nanoseconds since the start of the run.
 type Time = int64
 
-// Handler receives typed events. Implementations are the simulation's
-// node objects (switch, server, client, ...); kind selects the action
+// Handler receives typed events. The simulation registers one per node
+// (simcluster gives all of them one concrete type); kind selects the action
 // and arg/x carry the payload — a pointer payload in arg stores into
 // the event record without allocating. Handlers are registered once
 // (Register) and addressed by their dense ID on every schedule, so the

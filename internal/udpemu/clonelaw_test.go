@@ -5,6 +5,7 @@ import (
 	"os"
 	"strconv"
 	"strings"
+	"time"
 )
 
 // cloneLaw renders both sides of the emu clone law for a failing
@@ -27,6 +28,42 @@ func cloneLaw(sw *Switch, servers []*Server, redundant, kernelDrops int64) strin
 	fmt.Fprintf(&b, "; client Redundant=%d; kernel drops=%d; Cloned - (FilterDrops + Redundant + CloneDrops + kernel drops) = %d",
 		redundant, kernelDrops, st.Cloned-(st.FilterDrops+redundant+cloneDrops+kernelDrops))
 	return b.String()
+}
+
+// settleCloneLaw is the redundancy check of the filtering tests. Slower
+// twins may still be in flight when the load stops, so it polls for at
+// most 1 s until Cloned − (FilterDrops + Redundant + CloneDrops) falls
+// within the kernel drops counted since drops0. Then it requires
+// Redundant ≤ FilterOverwrites: filter slots may be overwritten by
+// design (§3.5), and a slower twin reaches a client only after a
+// counted overwrite removed its fingerprint. The error, if any, carries
+// the rendered law.
+//
+// Redundant is read before the switch counters and the clone drops
+// after it, so each counted redundant response already has its
+// overwrite in the snapshot.
+func settleCloneLaw(sw *Switch, servers []*Server, redundant func() int64, drops0 int64) error {
+	deadline := time.Now().Add(time.Second)
+	for {
+		r := redundant()
+		st := sw.Stats()
+		var cloneDrops int64
+		for _, s := range servers {
+			cloneDrops += s.CloneDrops()
+		}
+		kernelDrops := kernelRcvbufErrors() - drops0
+		if st.Cloned-(st.FilterDrops+r+cloneDrops) <= kernelDrops {
+			if r > st.FilterOverwrites {
+				return fmt.Errorf("%d redundant responses but only %d filter overwrites; %s",
+					r, st.FilterOverwrites, cloneLaw(sw, servers, r, kernelDrops))
+			}
+			return nil
+		}
+		if time.Now().After(deadline) {
+			return fmt.Errorf("clone law still unbalanced after 1 s; %s", cloneLaw(sw, servers, r, kernelDrops))
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
 }
 
 // kernelRcvbufErrors reads the host's count of UDP datagrams dropped at

@@ -115,17 +115,14 @@ func TestManyRequestsNoDuplicatesWithFiltering(t *testing.T) {
 		}
 	}
 	// Closed-loop client with idle servers: every request should have
-	// been cloned, and filtering must block every slower twin.
+	// been cloned, and every slower twin is filtered unless a counted
+	// filter overwrite let it through.
 	st := tc.sw.Stats()
 	if st.Cloned < n/2 {
 		t.Errorf("cloned %d of %d requests, expected most (idle cluster)", st.Cloned, n)
 	}
-	// Give in-flight slower responses a moment to drain, then check no
-	// duplicates leaked to the client.
-	time.Sleep(50 * time.Millisecond)
-	if r := tc.client.Redundant(); r > n/100 {
-		t.Errorf("client saw %d redundant responses with filtering on; %s",
-			r, cloneLaw(tc.sw, tc.servers, r, kernelRcvbufErrors()-drops0))
+	if err := settleCloneLaw(tc.sw, tc.servers, tc.client.Redundant, drops0); err != nil {
+		t.Errorf("filtering on: %v", err)
 	}
 	if st.FilterDrops == 0 {
 		t.Error("switch filtered nothing despite cloning")
