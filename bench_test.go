@@ -24,7 +24,9 @@ import (
 
 	"netclone"
 	"netclone/internal/dataplane"
+	"netclone/internal/simcluster"
 	"netclone/internal/wire"
+	"netclone/internal/workload"
 )
 
 // benchOpts returns per-iteration experiment options small enough for
@@ -202,13 +204,15 @@ func BenchmarkSwitchCloneAndRecirculate(b *testing.B) {
 	}
 }
 
-// BenchmarkSimulatedSecond measures simulator throughput: how much wall
-// time one simulated NetClone run costs per simulated millisecond.
+// BenchmarkSimulatedMillisecond measures simulator throughput: how much
+// wall time one simulated NetClone run costs per simulated millisecond.
+// It drives simcluster.Run directly, so the allocation count is the
+// simulator's own.
 func BenchmarkSimulatedMillisecond(b *testing.B) {
-	cfg := netclone.Config{
-		Scheme:     netclone.NetClone,
+	cfg := simcluster.Config{
+		Scheme:     simcluster.NetClone,
 		Workers:    []int{16, 16, 16, 16, 16, 16},
-		Service:    netclone.WithJitter(netclone.Exp(25), 0.01),
+		Service:    workload.WithJitter(workload.Exp(25), 0.01),
 		OfferedRPS: 1e6,
 		WarmupNS:   0,
 		DurationNS: 1e6, // one simulated millisecond
@@ -216,7 +220,7 @@ func BenchmarkSimulatedMillisecond(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		cfg.Seed = uint64(i + 1)
-		if _, err := netclone.Run(cfg); err != nil {
+		if _, err := simcluster.Run(cfg); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -10,7 +10,9 @@ import (
 	"time"
 
 	"netclone"
+	"netclone/internal/simcluster"
 	"netclone/internal/udpemu"
+	"netclone/internal/workload"
 )
 
 // The tracked benchmark pipeline: -benchjson FILE meters every
@@ -191,10 +193,10 @@ func meterExperiment(id string, opts netclone.Options, mb *meteredBackend) (netc
 // as BenchmarkSimulatedMillisecond, run sequentially for at least
 // minWall, reporting events/sec, ns per run, and allocations per run.
 func meterHotPath(minWall time.Duration) (*benchHotPath, error) {
-	cfg := netclone.Config{
-		Scheme:     netclone.NetClone,
+	cfg := simcluster.Config{
+		Scheme:     simcluster.NetClone,
 		Workers:    []int{16, 16, 16, 16, 16, 16},
-		Service:    netclone.WithJitter(netclone.Exp(25), 0.01),
+		Service:    workload.WithJitter(workload.Exp(25), 0.01),
 		OfferedRPS: 1e6,
 		WarmupNS:   0,
 		DurationNS: 1e6, // one simulated millisecond
@@ -204,7 +206,7 @@ func meterHotPath(minWall time.Duration) (*benchHotPath, error) {
 	start := time.Now()
 	for time.Since(start) < minWall || runs < 3 {
 		cfg.Seed = uint64(runs + 1)
-		res, err := netclone.Run(cfg)
+		res, err := simcluster.Run(cfg)
 		if err != nil {
 			return nil, err
 		}

@@ -23,7 +23,6 @@ import (
 	"strings"
 	"syscall"
 
-	"netclone/internal/dataplane"
 	"netclone/internal/scenario"
 	"netclone/internal/simcluster"
 	"netclone/internal/udpemu"
@@ -50,14 +49,11 @@ func (f serverFlags) Set(v string) error {
 func main() {
 	var (
 		listen       = flag.String("listen", "127.0.0.1:9000", "switch UDP listen address")
-		schemeName   = flag.String("scheme", "", "switch program by scheme: baseline, cclone, netclone, netclone-nofilter, netclone-racksched (overrides the -no-*/-racksched flags)")
+		schemeName   = flag.String("scheme", "netclone", "switch program by scheme: baseline, cclone, netclone, netclone-nofilter, netclone-racksched")
 		filterTables = flag.Int("filter-tables", 2, "number of response filter tables")
 		filterSlots  = flag.Int("filter-slots", 1<<17, "hash slots per filter table (power of two)")
 		maxServers   = flag.Int("max-servers", 64, "server ID space (table capacity)")
 		switchID     = flag.Uint("switch-id", 0, "multi-rack switch ID (0 = single rack)")
-		noCloning    = flag.Bool("no-cloning", false, "disable request cloning (plain forwarding)")
-		noFiltering  = flag.Bool("no-filtering", false, "disable response filtering (Fig 15 ablation)")
-		racksched    = flag.Bool("racksched", false, "enable the RackSched JSQ fallback (§3.7)")
 		ioFlag       = flag.String("io", "auto", "syscall discipline: auto (recvmmsg/sendmmsg bursts where supported), portable (one syscall per packet), batch (require the burst path)")
 	)
 	servers := serverFlags{}
@@ -65,26 +61,14 @@ func main() {
 	flag.Parse()
 
 	// -scheme routes through the same mapping the in-process Emu backend
-	// uses; the legacy -no-cloning/-no-filtering/-racksched flags remain
-	// independent toggles for scripts that predate it.
-	var cfg dataplane.Config
-	if *schemeName != "" {
-		scheme, err := parseScheme(*schemeName)
-		if err != nil {
-			fatal(err)
-		}
-		if cfg, err = scenario.SwitchConfig(scheme, *filterTables, *filterSlots, *maxServers); err != nil {
-			fatal(err)
-		}
-	} else {
-		cfg = dataplane.Config{
-			MaxServers:      *maxServers,
-			FilterTables:    *filterTables,
-			FilterSlots:     *filterSlots,
-			EnableCloning:   !*noCloning,
-			EnableFiltering: !*noFiltering,
-			RackSched:       *racksched,
-		}
+	// uses.
+	scheme, err := parseScheme(*schemeName)
+	if err != nil {
+		fatal(err)
+	}
+	cfg, err := scenario.SwitchConfig(scheme, *filterTables, *filterSlots, *maxServers)
+	if err != nil {
+		fatal(err)
 	}
 	cfg.SwitchID = uint16(*switchID)
 	ioMode, err := udpemu.ParseIOMode(*ioFlag)

@@ -2,8 +2,8 @@
 //
 // Declares a four-rack fabric with the topology layer: the clients
 // share rack 0 with two servers, and three more racks of servers sit
-// behind heterogeneous spine uplinks — a shape the old two-ToR
-// WithMultiRack special case could not express. Every ToR runs the
+// behind heterogeneous spine uplinks — servers on both sides of the
+// fabric, unlike the paper's two-ToR deployment. Every ToR runs the
 // full NetClone program; the switch-ID ownership rule confines
 // cloning, filtering, and state tracking to the clients' ToR, which
 // the per-rack counter rollup (Result.Racks) makes directly visible.

@@ -2,7 +2,8 @@
 //
 // Places the six worker servers behind their own ToR switch, reached
 // from the clients' rack through an aggregation layer — a one-option
-// change to the base Scenario (WithMultiRack). Both ToRs run the full
+// change to the base Scenario: WithRacks with an empty client rack in
+// front of one rack holding every server. Both ToRs run the full
 // NetClone program; the switch-ID ownership rule makes the client-side
 // ToR do all cloning, filtering, and state tracking while the
 // server-side ToR passes stamped packets through. The example also
@@ -49,17 +50,23 @@ func main() {
 		sc    *netclone.Scenario
 	}{
 		{"single rack", base},
-		{"multi-rack (2us agg)", base.With(netclone.WithMultiRack(2 * time.Microsecond))},
+		// Default uplinks: 1us each way per rack, 2us across the fabric.
+		{"multi-rack (2us agg)", base.With(netclone.WithRacks(netclone.Rack{}, netclone.HomRack(6, 16, 0)))},
 	} {
 		res, err := sim.Run(v.sc)
 		if err != nil {
 			log.Fatal(err)
 		}
+		// Racks is nil for a single rack; Racks[1] is the servers' ToR.
+		var remote netclone.RackStats
+		if len(res.Racks) > 1 {
+			remote = res.Racks[1]
+		}
 		fmt.Printf("%-22s %10.1f %10.1f %10d %14d\n",
 			v.label,
 			float64(res.Latency.P50)/1e3, float64(res.Latency.P99)/1e3,
-			res.Switch.Cloned, res.RemoteSwitch.PassL3)
-		if res.RemoteSwitch.Cloned != 0 {
+			res.Switch.Cloned, remote.Switch.PassL3)
+		if remote.Switch.Cloned != 0 {
 			log.Fatal("ownership rule violated: server-side ToR cloned packets")
 		}
 		if res.Breakdown != nil {

@@ -8,11 +8,10 @@ import (
 	"netclone"
 )
 
-// These tests pin the fault subsystem's compatibility contract
-// (ISSUE 4): an empty fault plan, and the legacy WithLoss /
-// WithSwitchFailure knobs expressed as one-entry plans, produce
-// byte-identical Result values to the pre-subsystem path — across
-// every scheme and both warmup modes.
+// These tests pin the fault subsystem through the facade: an empty
+// fault plan produces byte-identical Result values to no plan at all
+// across every scheme and both warmup modes, and a plan built from the
+// exported constructors runs and reports what it did.
 
 // allSchemes is the full scheme inventory.
 var allSchemes = []netclone.Scheme{
@@ -68,60 +67,6 @@ func TestEmptyFaultPlanByteIdentical(t *testing.T) {
 		}
 		if withEmpty.Faults != nil {
 			t.Error("empty plan produced a FaultSummary")
-		}
-	})
-}
-
-// TestLegacyLossAsPlanByteIdentical: the legacy flat-config LossProb
-// knob (the pre-subsystem path, still executed verbatim by Run/
-// ScenarioFromConfig) and WithLoss — now a one-entry fault plan —
-// produce byte-identical Results.
-func TestLegacyLossAsPlanByteIdentical(t *testing.T) {
-	sim := netclone.Sim()
-	forEachSchemeAndWarmup(t, func(t *testing.T, sc *netclone.Scenario) {
-		legacyCfg := sc.Config()
-		legacyCfg.LossProb = 0.02
-		legacy, err := netclone.Run(legacyCfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		viaPlan, err := sim.Run(sc.With(netclone.WithLoss(0.02)))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(legacy, viaPlan.Result) {
-			t.Errorf("WithLoss-as-plan diverges from the legacy LossProb path:\nlegacy: %+v\nplan:   %+v",
-				legacy, viaPlan.Result)
-		}
-		if viaPlan.LostPackets == 0 {
-			t.Error("2% loss dropped nothing; the plan was not executed")
-		}
-	})
-}
-
-// TestLegacySwitchFailureAsPlanByteIdentical: same contract for the
-// switch stop/reactivate knob (the Fig 16 shape).
-func TestLegacySwitchFailureAsPlanByteIdentical(t *testing.T) {
-	sim := netclone.Sim()
-	forEachSchemeAndWarmup(t, func(t *testing.T, sc *netclone.Scenario) {
-		legacyCfg := sc.Config()
-		legacyCfg.SwitchFailAtNS = 3e6
-		legacyCfg.SwitchRecoverAtNS = 5e6
-		legacy, err := netclone.Run(legacyCfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		viaPlan, err := sim.Run(sc.With(
-			netclone.WithSwitchFailure(3*time.Millisecond, 5*time.Millisecond)))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(legacy, viaPlan.Result) {
-			t.Errorf("WithSwitchFailure-as-plan diverges from the legacy knob path:\nlegacy: %+v\nplan:   %+v",
-				legacy, viaPlan.Result)
-		}
-		if viaPlan.Faults == nil || viaPlan.Faults.Transitions != 2 {
-			t.Errorf("switch outage did not execute its two transitions: %+v", viaPlan.Faults)
 		}
 	})
 }

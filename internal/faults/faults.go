@@ -10,8 +10,8 @@
 // and contradiction rules, but nothing about the cluster that executes
 // a plan. internal/simcluster compiles a validated Plan into fault
 // transitions on its event engine; internal/scenario exposes it as
-// scenario.WithFaults, with the legacy WithLoss / WithSwitchFailure
-// options reduced to thin wrappers over one-entry plans.
+// scenario.WithFaults, with WithLoss as shorthand for a one-entry
+// whole-run loss window.
 package faults
 
 import (
@@ -164,9 +164,8 @@ func CoordinatorCrash(coord int, at, recoverAt time.Duration) Injection {
 	return Injection{Kind: KindCoordinatorCrash, Target: coord, FromNS: int64(at), UntilNS: int64(recoverAt)}
 }
 
-// SwitchOutage stops the client-side ToR during [at, recoverAt) —
-// WithSwitchFailure(failAt, recoverAt) is SwitchOutage(failAt,
-// recoverAt).
+// SwitchOutage stops the client-side ToR during [at, recoverAt) — the
+// Fig 16 stop/reactivate experiment.
 func SwitchOutage(at, recoverAt time.Duration) Injection {
 	return Injection{Kind: KindSwitchOutage, Target: -1, FromNS: int64(at), UntilNS: int64(recoverAt)}
 }

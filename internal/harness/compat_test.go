@@ -14,11 +14,9 @@ import (
 //
 //	netclone-bench -run all -duration 3ms -warmup 1ms -loads 0.4 -repeats 2 -format csv
 //
-// and the current harness must reproduce it byte for byte. This is the
-// non-tautological half of the compatibility proof: it fails if any
-// experiment's Config-to-Scenario conversion, seed derivation, window,
-// knob, or simulation semantics drifted, no matter how consistently
-// both current paths agree with each other.
+// and the current harness must reproduce it byte for byte. It fails if
+// any experiment's scenario construction, seed derivation, window,
+// option, or simulation semantics drifted.
 //
 // Pin history: the file was generated by the pre-Scenario harness
 // (commit bca0f86) and re-pinned ONCE by the allocation-free hot-path
@@ -34,7 +32,7 @@ import (
 // canonicalization onto fault plans changed no pre-existing row. The
 // fabric-topology PR appended the scale-* family's rows the same way:
 // the previous pin was again verified to be a byte-for-byte prefix,
-// proving that generalizing the single-rack and MultiRack paths onto
+// proving that generalizing the single-rack and two-ToR paths onto
 // the compiled N-rack topology executor changed no pre-existing row.
 // The congestion PR appended the cong-* family's rows the same way:
 // the previous pin was again verified to be a byte-for-byte prefix,
@@ -49,6 +47,10 @@ import (
 // changed no pre-existing row — golden runs stay on the simulator, and
 // the new experiment's sim rows pin the shared chaos definition the
 // emu smoke re-runs on sockets.
+// Deleting the flat-config surface (the multi-rack, loss and
+// switch-failure knobs) moved ext-multirack onto WithRacks and fig16
+// onto a faults.SwitchOutage injection with no re-pin: the file stayed
+// byte-identical.
 //
 // To regenerate after an intentional, documented change:
 //
@@ -89,13 +91,11 @@ func TestGoldenReportsMatchPreRedesign(t *testing.T) {
 	}
 }
 
-// TestScenarioPathBackwardCompatible asserts the redesign's contract
-// across every registered experiment: the legacy entry path (Options
-// with no backend, as RunExperiment callers have always used) and the
-// explicit new Scenario/Backend path (Options.Backend = scenario.Sim())
-// produce byte-identical rendered reports. Together with
-// TestParallelDeterminism this pins the Sim backend's reports to the
-// pre-redesign output.
+// TestScenarioPathBackwardCompatible asserts, across every registered
+// experiment, that the default entry path (Options with no backend, as
+// RunExperiment callers have always used) and the explicit backend path
+// (Options.Backend = scenario.Sim()) produce byte-identical rendered
+// reports, at a second seed, window and load grid beside the golden's.
 func TestScenarioPathBackwardCompatible(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full compatibility sweep skipped in -short mode")
@@ -110,18 +110,18 @@ func TestScenarioPathBackwardCompatible(t *testing.T) {
 	for _, e := range All() {
 		e := e
 		t.Run(e.ID, func(t *testing.T) {
-			legacy, err := e.Run(base)
+			implicit, err := e.Run(base)
 			if err != nil {
-				t.Fatalf("legacy path failed: %v", err)
+				t.Fatalf("default path failed: %v", err)
 			}
 			explicit := base
 			explicit.Backend = scenario.Sim()
 			viaBackend, err := e.Run(explicit)
 			if err != nil {
-				t.Fatalf("scenario path failed: %v", err)
+				t.Fatalf("explicit backend path failed: %v", err)
 			}
-			if !bytes.Equal(renderBytes(t, legacy), renderBytes(t, viaBackend)) {
-				t.Errorf("%s report differs between the legacy path and the Scenario/Backend path", e.ID)
+			if !bytes.Equal(renderBytes(t, implicit), renderBytes(t, viaBackend)) {
+				t.Errorf("%s report differs between the default path and the explicit Sim() backend path", e.ID)
 			}
 		})
 	}

@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"netclone/internal/dataplane"
+	"netclone/internal/faults"
 	"netclone/internal/kvstore"
 	"netclone/internal/scenario"
 	"netclone/internal/simcluster"
@@ -473,7 +474,7 @@ func registerFig16() {
 				scenario.WithOfferedLoad(0.27*cap), // ~0.9 MRPS at full scale, as in the paper
 				scenario.WithWindow(0, time.Duration(60*unit)),
 				scenario.WithSeed(opts.Seed),
-				scenario.WithSwitchFailure(time.Duration(25*unit), time.Duration(35*unit)),
+				scenario.WithFaultInjections(faults.SwitchOutage(time.Duration(25*unit), time.Duration(35*unit))),
 				scenario.WithTimeline(time.Duration(5*unit)),
 			)
 			results, err := runSpecs([]RunSpec{{Label: "fig16", Scenario: sc}}, opts)

@@ -2,10 +2,10 @@ package harness
 
 import (
 	"fmt"
-	"time"
 
 	"netclone/internal/scenario"
 	"netclone/internal/simcluster"
+	"netclone/internal/topology"
 	"netclone/internal/workload"
 )
 
@@ -32,10 +32,12 @@ func init() {
 	registerChaosTwoRack()
 }
 
-// ext-multirack: the §3.7 multi-rack deployment. The client-side ToR
-// performs all NetClone processing; the server-side ToR passes stamped
-// packets through. Latency shifts by the aggregation RTT; the cloning
-// win and throughput envelope are preserved.
+// ext-multirack: the §3.7 multi-rack deployment — an empty client rack
+// in front of one rack holding every server, default uplinks (2 us one
+// way). The client-side ToR performs all NetClone processing; the
+// server-side ToR passes stamped packets through. Latency shifts by the
+// aggregation RTT; the cloning win and throughput envelope are
+// preserved.
 func registerExtMultiRack() {
 	register(&Experiment{
 		ID:    "ext-multirack",
@@ -44,8 +46,9 @@ func registerExtMultiRack() {
 		Run: func(opts Options) (Report, error) {
 			opts = opts.withDefaults()
 			dist := workload.WithJitter(workload.Exp(25), highVariability)
-			base := synthetic(dist, homWorkers(defaultServers, synthThreads))
-			agg := scenario.WithMultiRack(2 * time.Microsecond)
+			workers := homWorkers(defaultServers, synthThreads)
+			base := synthetic(dist, workers)
+			agg := scenario.WithRacks(topology.Rack{}, topology.Rack{Servers: workers})
 			series, err := pairedSweepPlan(base, []seriesSpec{
 				{Label: "Baseline multi-rack", Opts: []scenario.Option{
 					scenario.WithScheme(simcluster.Baseline), agg,

@@ -10,9 +10,7 @@
 // parallelism level.
 //
 // The pool is generic: Execute runs any items through any executor
-// (the harness uses it to run Scenario points on a pluggable Backend),
-// and Run keeps the original convenience shape for raw simulation
-// configs.
+// (the harness uses it to run Scenario points on a pluggable Backend).
 package runner
 
 import (
@@ -21,8 +19,6 @@ import (
 	"runtime"
 	"sync"
 	"sync/atomic"
-
-	"netclone/internal/simcluster"
 )
 
 // Options tune one batch execution.
@@ -53,15 +49,6 @@ type PointError struct {
 func (e *PointError) Error() string { return fmt.Sprintf("point %d: %v", e.Index, e.Err) }
 
 func (e *PointError) Unwrap() error { return e.Err }
-
-// Run executes every config with simcluster.Run, at most
-// Options.Parallelism at a time, and returns the results in input
-// order. All points run even when some fail; the returned error joins
-// one PointError per failure (nil when every point succeeded), and the
-// result slots of failed points are zero Results.
-func Run(cfgs []simcluster.Config, opts Options) ([]simcluster.Result, error) {
-	return Execute(cfgs, opts, simcluster.Run)
-}
 
 // Execute runs every item through exec on the bounded worker pool and
 // returns the results in input order. All items run even when some

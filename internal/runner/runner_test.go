@@ -30,11 +30,11 @@ func TestRunMatchesSequential(t *testing.T) {
 	for i := range cfgs {
 		cfgs[i] = smallCfg(uint64(i + 1))
 	}
-	seq, err := Run(cfgs, Options{Parallelism: 1})
+	seq, err := Execute(cfgs, Options{Parallelism: 1}, simcluster.Run)
 	if err != nil {
 		t.Fatal(err)
 	}
-	par, err := Run(cfgs, Options{Parallelism: 4})
+	par, err := Execute(cfgs, Options{Parallelism: 4}, simcluster.Run)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -49,7 +49,7 @@ func TestRunMatchesSequential(t *testing.T) {
 }
 
 func TestRunEmptyBatch(t *testing.T) {
-	res, err := Run(nil, Options{})
+	res, err := Execute([]simcluster.Config(nil), Options{}, simcluster.Run)
 	if err != nil || res != nil {
 		t.Fatalf("empty batch: res=%v err=%v", res, err)
 	}
@@ -131,7 +131,7 @@ func TestRunAggregatesErrors(t *testing.T) {
 
 func TestRunInvalidConfigError(t *testing.T) {
 	cfgs := []simcluster.Config{smallCfg(1), {}} // second config is invalid
-	_, err := Run(cfgs, Options{Parallelism: 2})
+	_, err := Execute(cfgs, Options{Parallelism: 2}, simcluster.Run)
 	var pe *PointError
 	if !errors.As(err, &pe) || pe.Index != 1 {
 		t.Fatalf("err = %v, want PointError for index 1", err)
@@ -145,7 +145,7 @@ func TestRunProgress(t *testing.T) {
 	}
 	var mu sync.Mutex
 	var dones []int
-	_, err := Run(cfgs, Options{
+	_, err := Execute(cfgs, Options{
 		Parallelism: 3,
 		OnProgress: func(done, total int) {
 			mu.Lock()
@@ -155,7 +155,7 @@ func TestRunProgress(t *testing.T) {
 			}
 			dones = append(dones, done)
 		},
-	})
+	}, simcluster.Run)
 	if err != nil {
 		t.Fatal(err)
 	}

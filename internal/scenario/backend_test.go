@@ -9,6 +9,7 @@ import (
 
 	"netclone/internal/faults"
 	"netclone/internal/simcluster"
+	"netclone/internal/topology"
 	"netclone/internal/workload"
 )
 
@@ -86,9 +87,9 @@ func TestSwitchConfigMapping(t *testing.T) {
 // TestEmuCapabilityMatrix is the sim-vs-emu capability table as a
 // test: every still-rejected feature fails fast (before any socket is
 // opened) with an error that wraps ErrSimOnly, names the setter that
-// enabled it, and suggests Sim(); every newly emu-supported feature —
-// multi-rack fabrics, loss windows, link jitter, server crash/recover —
-// runs end to end.
+// enabled it, and suggests Sim(); every emu-supported feature —
+// the paper's two-ToR deployment, loss windows, link jitter, server
+// crash/recover — runs end to end.
 func TestEmuCapabilityMatrix(t *testing.T) {
 	base := New(
 		WithScheme(simcluster.NetClone),
@@ -105,8 +106,12 @@ func TestEmuCapabilityMatrix(t *testing.T) {
 		want, setter string
 	}{
 		{"LAEDGE", base.With(WithScheme(simcluster.LAEDGE)), "coordinator", "Sim()"},
-		{"switch failure", base.With(WithSwitchFailure(time.Millisecond, 2*time.Millisecond)),
+		{"switch failure", base.With(WithFaultInjections(
+			faults.SwitchOutage(time.Millisecond, 2*time.Millisecond))),
 			"switch-outage", "faults.SwitchOutage"},
+		// The emu numbers clients uint16(i+1): client 65,537 would alias
+		// client 1.
+		{"65537 clients", base.With(WithClients(65537)), "16-bit ClientID", "WithClients"},
 		{"server slowdown", base.With(WithFaultInjections(
 			faults.ServerSlowdown(0, time.Millisecond, 2*time.Millisecond, 4, 0))),
 			"server-slowdown", "faults.ServerSlowdown"},
@@ -145,7 +150,7 @@ func TestEmuCapabilityMatrix(t *testing.T) {
 			faults.Jitter(0, faults.Forever, 100*time.Microsecond)))},
 		{"server crash", base.With(WithFaults(faults.New(
 			faults.ServerCrash(0, time.Millisecond, 2*time.Millisecond))))},
-		{"legacy multirack", base.With(WithMultiRack(time.Microsecond))},
+		{"two-ToR fabric", base.With(WithRacks(topology.Rack{}, topology.Rack{Servers: []int{2, 2}}))},
 	}
 	for _, tc := range accepted {
 		t.Run("accept/"+tc.name, func(t *testing.T) {

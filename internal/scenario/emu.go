@@ -78,15 +78,16 @@ type emuBackend struct {
 // Supported schemes: Baseline, CClone (client-side duplicate sends),
 // NetClone, NetCloneNoFilter, and NetCloneRackSched. LAEDGE needs a
 // coordinator process the emulation does not provide. Multi-rack
-// fabrics (WithRacks/WithMultiRack) run here: each remote rack's
-// servers sit behind a relay socket injecting the compiled one-way
-// inter-ToR delay. The socket-expressible fault kinds — loss windows
+// fabrics (WithRacks) run here: each remote rack's servers sit behind a
+// relay socket injecting the compiled one-way inter-ToR delay. The
+// socket-expressible fault kinds — loss windows
 // (WithLoss/faults.Loss), link jitter (faults.Jitter), and server
 // crash/recover (faults.ServerCrash) — run here too, as wall-clock
 // windows on the emu processes. Everything else that only the
 // simulator models (congestion, switch outages, timelines, breakdown
 // sampling, explicit client placement, ablation knobs) is rejected
-// with an actionable error rather than silently ignored.
+// with an actionable error rather than silently ignored, and so is a
+// client count the wire header's 16-bit ClientID cannot address.
 func Emu(opts ...EmuOption) Backend {
 	b := &emuBackend{
 		maxRate:      4000,
@@ -197,16 +198,15 @@ func (b *emuBackend) Run(sc *Scenario) (Result, error) {
 	return res, nil
 }
 
-// emuRacks lays the scenario's canonical fabric out as emu rack specs:
+// emuRacks lays the scenario's fabric out as emu rack specs:
 // every non-client rack's servers run behind a relay injecting the
 // compiled one-way inter-ToR delay. Single-rack fabrics return nil and
 // attach every server straight to the switch socket.
 func emuRacks(cfg simcluster.Config) []udpemu.RackSpec {
-	spec := cfg.CanonicalTopology()
-	if spec.NumRacks() <= 1 {
+	if cfg.Topology.NumRacks() <= 1 {
 		return nil
 	}
-	comp := spec.Compile()
+	comp := cfg.Topology.Compile()
 	racks := make([]udpemu.RackSpec, comp.Racks)
 	for r := range racks {
 		racks[r] = udpemu.RackSpec{
@@ -217,22 +217,17 @@ func emuRacks(cfg simcluster.Config) []udpemu.RackSpec {
 	return racks
 }
 
-// emuFaults translates the scenario's fault plan — plus the legacy
-// WithLoss knob, folded in exactly as the simulator does — into the
-// emu cluster's wall-clock schedule. Window offsets map 1:1 from
+// emuFaults translates the scenario's fault plan into the emu
+// cluster's wall-clock schedule. Window offsets map 1:1 from
 // virtual time: the open loop sends rate x duration requests, so its
 // send window spans the scenario duration. checkSupported has already
 // rejected every kind the schedule cannot express.
 func emuFaults(cfg simcluster.Config) *udpemu.FaultSchedule {
-	inj := cfg.Faults.Injections()
-	if cfg.LossProb > 0 {
-		inj = append(inj, faults.Loss(0, faults.Forever, cfg.LossProb))
-	}
-	if len(inj) == 0 {
+	if cfg.Faults.Empty() {
 		return nil
 	}
 	fs := &udpemu.FaultSchedule{}
-	for _, in := range inj {
+	for _, in := range cfg.Faults.Injections() {
 		from, until := time.Duration(in.FromNS), time.Duration(in.UntilNS)
 		switch in.Kind {
 		case faults.KindLoss:
@@ -283,6 +278,11 @@ func SwitchConfig(scheme simcluster.Scheme, filterTables, filterSlots, maxServer
 	return dcfg, nil
 }
 
+// maxEmuClients is how many clients the emu cluster can tell apart: it
+// numbers them uint16(i+1) in the wire header's 16-bit ClientID, so
+// client 65,537 would share client 1's ID and receive its responses.
+const maxEmuClients = 1 << 16
+
 // checkSupported rejects scenario features only the simulator models.
 // Multi-rack fabrics and the socket-expressible fault kinds (loss
 // windows, link jitter, server crash/recover) run on the emu cluster;
@@ -297,6 +297,8 @@ func (b *emuBackend) checkSupported(cfg simcluster.Config) error {
 		return fmt.Errorf("emu backend: the LAEDGE scheme needs a coordinator process the emulation does not provide (%w); use Sim(), or Baseline/CClone/NetClone* schemes here", ErrSimOnly)
 	case cfg.Scheme == simcluster.NetCloneSuppress || cfg.Scheme == simcluster.NetCloneAdaptive:
 		return fmt.Errorf("emu backend: scheme %s reacts to the simulated congestion signal (%w); use Sim(), or plain NetClone here", cfg.Scheme, ErrSimOnly)
+	case cfg.NumClients > maxEmuClients:
+		return fmt.Errorf("emu backend: %d clients (WithClients) exceed the %d the wire header's 16-bit ClientID can address, so responses would reach the wrong client (%w); use at most %d here, or Sim()", cfg.NumClients, maxEmuClients, ErrSimOnly, maxEmuClients)
 	case cfg.Congestion != nil:
 		return reject("the congestion model (WithCongestion/WithLinkRate)")
 	case cfg.Topology.PlacementExplicit():
@@ -304,8 +306,6 @@ func (b *emuBackend) checkSupported(cfg simcluster.Config) error {
 		// an explicitly placed scenario would otherwise run with the
 		// wrong delays silently.
 		return reject("explicit client placement (WithPlacement)")
-	case cfg.SwitchFailAtNS > 0:
-		return reject("the switch failure window (WithSwitchFailure)")
 	case cfg.TimelineBinNS > 0:
 		return reject("timeline recording (WithTimeline)")
 	case cfg.SampleEvery > 0:

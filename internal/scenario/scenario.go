@@ -10,7 +10,6 @@ package scenario
 
 import (
 	"fmt"
-	"slices"
 	"time"
 
 	"netclone/internal/congestion"
@@ -40,15 +39,6 @@ func New(opts ...Option) *Scenario {
 		o(s)
 	}
 	return s
-}
-
-// FromConfig wraps a legacy flat Config as a Scenario — the migration
-// bridge for code built against the original Run(Config) API. The
-// Workers slice is copied, so later mutation of the caller's config
-// cannot reach into an immutable (possibly already-running) scenario.
-func FromConfig(cfg simcluster.Config) *Scenario {
-	cfg.Workers = append([]int(nil), cfg.Workers...)
-	return &Scenario{cfg: cfg}
 }
 
 // With returns a copy of the scenario with the extra options applied.
@@ -160,22 +150,6 @@ func WithCoordinators(n int) Option {
 	return func(s *Scenario) { s.cfg.NumCoordinators = n }
 }
 
-// WithMultiRack places the workers behind a second ToR switch reached
-// through an aggregation layer with the given extra one-way delay
-// (§3.7). A thin wrapper over the canonical two-rack fabric — an empty
-// client rack in front of one rack holding every server — executed by
-// the same N-rack topology code as WithRacks, bit-identically to the
-// original two-ToR special case for read workloads (direct write
-// requests now pay the spine crossing the old code under-charged; see
-// the simcluster.Config.MultiRack doc). Not modelled for LAEDGE; new
-// fabrics should prefer WithRacks. Sim only.
-func WithMultiRack(aggDelay time.Duration) Option {
-	return func(s *Scenario) {
-		s.cfg.MultiRack = true
-		s.cfg.AggDelayNS = aggDelay.Nanoseconds()
-	}
-}
-
 // ---------------------------------------------------------------------
 // Workload
 
@@ -254,9 +228,10 @@ func WithFilter(tables, slots int) Option {
 // service-time stragglers, time-varying loss windows, link jitter,
 // coordinator failures, and switch outages — executed by the simulator
 // through its typed event engine. It replaces any previously composed
-// plan, including entries added by the WithLoss / WithSwitchFailure
-// wrappers; an empty (or nil) plan is byte-identical to no plan at
-// all. Sim only.
+// plan, including entries added by WithLoss; an empty (or nil) plan is
+// byte-identical to no plan at all. A Fig 16 switch stop/reactivate
+// cycle is WithFaultInjections(faults.SwitchOutage(failAt, recoverAt)).
+// Sim only.
 func WithFaults(plan *faults.Plan) Option {
 	return func(s *Scenario) { s.cfg.Faults = plan }
 }
@@ -268,28 +243,11 @@ func WithFaultInjections(inj ...faults.Injection) Option {
 }
 
 // WithLoss drops each link traversal independently with probability p —
-// the §3.6 dropped-messages failure model. A thin wrapper over a
-// one-entry fault plan (a constant whole-run loss window), bit-identical
-// to the pre-plan hard-coded knob. Sim only.
+// the §3.6 dropped-messages failure model. Shorthand for appending the
+// constant whole-run loss window faults.Loss(0, faults.Forever, p) to
+// the fault plan. Sim only.
 func WithLoss(p float64) Option {
 	return WithFaultInjections(faults.Loss(0, faults.Forever, p))
-}
-
-// WithSwitchFailure stops the switch (dropping all packets and its soft
-// state) during [failAt, recoverAt) — the Fig 16 experiment. A thin
-// wrapper over a one-entry fault plan (faults.SwitchOutage) that keeps
-// the legacy zero semantics: both times zero means unset (no-op), and a
-// half-set window is the same validation error as before, not an
-// outage from t = 0 — use faults.SwitchOutage directly for that. Sim
-// only.
-func WithSwitchFailure(failAt, recoverAt time.Duration) Option {
-	if failAt <= 0 || recoverAt <= 0 {
-		return func(s *Scenario) {
-			s.cfg.SwitchFailAtNS = failAt.Nanoseconds()
-			s.cfg.SwitchRecoverAtNS = recoverAt.Nanoseconds()
-		}
-	}
-	return WithFaultInjections(faults.SwitchOutage(failAt, recoverAt))
 }
 
 // ---------------------------------------------------------------------
@@ -361,113 +319,14 @@ func WithSingleOrderingGroups() Option {
 // Validate checks the scenario for contradictions and missing pieces and
 // returns the first problem found as an actionable error. Backends run
 // it before executing; call it directly to fail fast at build time.
+// Every check except WithShards' lives in simcluster.Config's one
+// validator, which simcluster.Run applies too.
 func (s *Scenario) Validate() error {
-	cfg := s.cfg
-	// A Config carrying only a Topology (the FromConfig bridge) is
-	// valid: resolve the server list the way the executor will, so the
-	// scenario surface validates the exact fabric that runs.
-	workers := cfg.Workers
-	if len(workers) == 0 && cfg.Topology.NumRacks() > 0 {
-		workers = cfg.Topology.FlatWorkers()
-	}
-	if len(workers) == 0 {
-		return fmt.Errorf("scenario: no servers declared; add WithTopology(threads...), WithServers(n, threads), or WithRacks(racks...)")
-	}
-	if len(workers) < 2 {
-		return fmt.Errorf("scenario: cloning needs at least two servers, got %d; grow WithTopology/WithServers/WithRacks", len(workers))
-	}
-	for i, w := range workers {
-		if w < 1 {
-			return fmt.Errorf("scenario: server %d has %d worker threads, need >= 1 (WithTopology)", i, w)
-		}
-	}
-	if cfg.Service == nil && cfg.Mix == nil {
-		return fmt.Errorf("scenario: no workload declared; add WithWorkload(dist) or WithKVWorkload(mix, cost)")
-	}
-	if cfg.Service != nil && cfg.Mix != nil {
-		return fmt.Errorf("scenario: both a synthetic distribution and a KV mix are set; use exactly one of WithWorkload / WithKVWorkload")
-	}
-	if cfg.OfferedRPS <= 0 {
-		return fmt.Errorf("scenario: offered load is %g req/s, need > 0 (WithOfferedLoad)", cfg.OfferedRPS)
-	}
-	if cfg.DurationNS <= 0 {
-		return fmt.Errorf("scenario: measurement duration is %d ns, need > 0 (WithWindow)", cfg.DurationNS)
-	}
-	if cfg.WarmupNS < 0 {
-		return fmt.Errorf("scenario: warmup is %d ns, need >= 0 (WithWindow)", cfg.WarmupNS)
-	}
-	if cfg.NumClients < 0 {
-		return fmt.Errorf("scenario: %d clients, need >= 0 (WithClients; 0 means the default 2)", cfg.NumClients)
-	}
-	if cfg.Scheme < simcluster.Baseline || cfg.Scheme > simcluster.NetCloneAdaptive {
-		return fmt.Errorf("scenario: unknown scheme %d (WithScheme; see the Scheme constants)", int(cfg.Scheme))
-	}
-	if err := cfg.Congestion.Validate(); err != nil {
-		return fmt.Errorf("scenario: invalid congestion model (WithCongestion/WithLinkRate): %w", err)
-	}
-	if cfg.FilterTables < 0 || cfg.FilterTables > 256 {
-		return fmt.Errorf("scenario: %d filter tables, need 1..256 — the IDX header field is 8 bits (WithFilter)", cfg.FilterTables)
-	}
-	if cfg.FilterSlots < 0 || (cfg.FilterSlots > 0 && cfg.FilterSlots&(cfg.FilterSlots-1) != 0) {
-		return fmt.Errorf("scenario: %d filter slots per table, need a power of two (WithFilter)", cfg.FilterSlots)
-	}
-	if cfg.LossProb < 0 || cfg.LossProb >= 1 {
-		return fmt.Errorf("scenario: loss probability %g, need [0, 1) (WithLoss)", cfg.LossProb)
-	}
-	if (cfg.SwitchFailAtNS > 0) != (cfg.SwitchRecoverAtNS > 0) {
-		return fmt.Errorf("scenario: switch failure needs both fail and recovery times > 0 (WithSwitchFailure)")
-	}
-	if cfg.SwitchFailAtNS > 0 && cfg.SwitchRecoverAtNS <= cfg.SwitchFailAtNS {
-		return fmt.Errorf("scenario: switch recovery at %d ns is not after failure at %d ns (WithSwitchFailure)", cfg.SwitchRecoverAtNS, cfg.SwitchFailAtNS)
-	}
-	if cfg.TimelineBinNS < 0 {
-		return fmt.Errorf("scenario: timeline bin is %d ns, need >= 0 (WithTimeline)", cfg.TimelineBinNS)
-	}
-	if cfg.SampleEvery < 0 {
-		return fmt.Errorf("scenario: breakdown sampling every %d requests, need >= 0 (WithBreakdownSampling)", cfg.SampleEvery)
+	if _, err := s.cfg.Normalized(); err != nil {
+		return err
 	}
 	if s.shards < 0 {
 		return fmt.Errorf("scenario: %d shards, need >= 0 (WithShards)", s.shards)
-	}
-	if cfg.TraceRate < 0 {
-		return fmt.Errorf("scenario: trace rate %d, need >= 0 (WithTrace; 0 disables, 1 traces every request)", cfg.TraceRate)
-	}
-	if cfg.TraceCap < 0 {
-		return fmt.Errorf("scenario: trace ring capacity %d, need >= 0 (WithTrace; 0 means the default)", cfg.TraceCap)
-	}
-	if cfg.TraceCap > 0 && cfg.TraceRate == 0 {
-		return fmt.Errorf("scenario: trace ring capacity set without a sampling rate; pass WithTrace(rate, cap) with rate >= 1")
-	}
-	if cfg.MultiRack && cfg.Topology != nil {
-		if cfg.Topology.NumRacks() == 0 {
-			return fmt.Errorf("scenario: WithPlacement needs a WithRacks fabric and cannot combine with WithMultiRack; declare the fabric with WithRacks instead")
-		}
-		return fmt.Errorf("scenario: both WithMultiRack and WithRacks declared; declare the fabric exactly once")
-	}
-	if cfg.Topology.NumRacks() > 0 && len(cfg.Workers) > 0 && !slices.Equal(cfg.Workers, cfg.Topology.FlatWorkers()) {
-		return fmt.Errorf("scenario: WithTopology/WithServers %v disagrees with the WithRacks server list %v; declare the servers in one place", cfg.Workers, cfg.Topology.FlatWorkers())
-	}
-	if spec := cfg.CanonicalTopology(); spec != nil {
-		// One validation surface for the fabric: the simulator's config
-		// normalization runs the identical check, so both entry points
-		// emit one uniform message (the LAEDGE contradiction included).
-		if err := spec.Validate(topology.Cluster{Coordinators: cfg.CoordinatorTier()}); err != nil {
-			return fmt.Errorf("scenario: invalid topology: %w", err)
-		}
-	}
-	if cfg.NumCoordinators < 0 {
-		return fmt.Errorf("scenario: %d coordinators, need >= 0 (WithCoordinators)", cfg.NumCoordinators)
-	}
-	if cfg.NumCoordinators > 0 && cfg.Scheme != simcluster.LAEDGE {
-		return fmt.Errorf("scenario: %d coordinators declared but scheme %s has no coordinator tier; WithCoordinators applies to LAEDGE only", cfg.NumCoordinators, cfg.Scheme)
-	}
-	if !cfg.Faults.Empty() {
-		if err := cfg.Faults.Validate(faults.Cluster{
-			Servers:      len(workers),
-			Coordinators: cfg.CoordinatorTier(),
-		}); err != nil {
-			return fmt.Errorf("scenario: invalid fault plan: %w", err)
-		}
 	}
 	return nil
 }

@@ -10,6 +10,7 @@ import (
 	"netclone/internal/faults"
 	"netclone/internal/kvstore"
 	"netclone/internal/simcluster"
+	"netclone/internal/topology"
 	"netclone/internal/workload"
 )
 
@@ -117,28 +118,18 @@ func TestValidateRejections(t *testing.T) {
 			want: "loss probability",
 		},
 		{
-			name: "legacy config loss probability above one",
-			sc:   FromConfig(simcluster.Config{LossProb: 1.5}).With(validBase()...),
-			want: "loss probability",
-		},
-		{
 			name: "switch failure without recovery",
-			sc:   New(validBase()...).With(WithSwitchFailure(time.Second, 0)),
+			sc:   New(validBase()...).With(WithFaultInjections(faults.SwitchOutage(time.Second, 0))),
 			want: "recovery",
 		},
 		{
-			name: "switch recovery without failure",
-			sc:   New(validBase()...).With(WithSwitchFailure(0, time.Second)),
-			want: "both",
-		},
-		{
 			name: "switch recovery before failure",
-			sc:   New(validBase()...).With(WithSwitchFailure(2*time.Second, time.Second)),
+			sc:   New(validBase()...).With(WithFaultInjections(faults.SwitchOutage(2*time.Second, time.Second))),
 			want: "not after failure",
 		},
 		{
 			name: "switch recovery equals failure",
-			sc:   New(validBase()...).With(WithSwitchFailure(time.Second, time.Second)),
+			sc:   New(validBase()...).With(WithFaultInjections(faults.SwitchOutage(time.Second, time.Second))),
 			want: "not after failure",
 		},
 		{
@@ -170,7 +161,7 @@ func TestValidateRejections(t *testing.T) {
 			name: "multirack LAEDGE",
 			sc: New(validBase()...).With(
 				WithScheme(simcluster.LAEDGE),
-				WithMultiRack(2*time.Microsecond)),
+				WithRacks(topology.Rack{}, topology.HomRack(6, 16, 0))),
 			want: "multi-rack",
 		},
 		{
@@ -284,20 +275,6 @@ func TestOptionMapping(t *testing.T) {
 		t.Fatalf("WithLoss plan mapping wrong: %+v", inj)
 	}
 
-	mr := New(WithMultiRack(3 * time.Microsecond)).Config()
-	if !mr.MultiRack || mr.AggDelayNS != 3000 {
-		t.Fatalf("multi-rack mapping wrong: %+v", mr)
-	}
-	fail := New(WithSwitchFailure(time.Second, 2*time.Second)).Config()
-	fi := fail.Faults.Injections()
-	if len(fi) != 1 || fi[0].Kind != faults.KindSwitchOutage ||
-		fi[0].FromNS != 1e9 || fi[0].UntilNS != 2e9 {
-		t.Fatalf("switch-failure plan mapping wrong: %+v", fi)
-	}
-	// The legacy two-zero call keeps its "unset" meaning.
-	if !New(WithSwitchFailure(0, 0)).Config().Faults.Empty() {
-		t.Fatal("WithSwitchFailure(0, 0) produced a plan entry")
-	}
 	// WithCongestion sets the spec; WithLinkRate derives from whatever
 	// spec is current (defaults when none), in either option order.
 	spec := congestion.New().WithQueueCap(32)
@@ -335,24 +312,6 @@ func TestWithDerivesCopies(t *testing.T) {
 	}
 	if variant.Config().Scheme != simcluster.Baseline || len(variant.Config().Workers) != 2 {
 		t.Errorf("variant did not apply options: %+v", variant.Config())
-	}
-}
-
-// TestFromConfigRoundTrip checks the legacy bridge preserves the config
-// verbatim.
-func TestFromConfigRoundTrip(t *testing.T) {
-	cfg := simcluster.Config{
-		Scheme:     simcluster.CClone,
-		Workers:    []int{8, 8},
-		Service:    workload.Exp(50),
-		OfferedRPS: 5e5,
-		WarmupNS:   1e6,
-		DurationNS: 2e6,
-		Seed:       5,
-	}
-	got := FromConfig(cfg).Config()
-	if got.Scheme != cfg.Scheme || got.OfferedRPS != cfg.OfferedRPS || got.Seed != cfg.Seed {
-		t.Fatalf("FromConfig altered the config: %+v", got)
 	}
 }
 

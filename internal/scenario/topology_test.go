@@ -2,7 +2,6 @@ package scenario
 
 import (
 	"errors"
-	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -111,16 +110,6 @@ func TestTopologyRejections(t *testing.T) {
 			want: "racks 0..1",
 		},
 		{
-			name: "both fabric declarations",
-			sc:   New(append(fabricBase(), twoRacks(), WithMultiRack(2*time.Microsecond))...),
-			want: "exactly once",
-		},
-		{
-			name: "placement with the multirack wrapper",
-			sc:   New(append(fabricBase(), WithServers(4, 8), WithMultiRack(2*time.Microsecond), WithPlacement(0))...),
-			want: "cannot combine with WithMultiRack",
-		},
-		{
 			name: "laedge multi-rack fabric",
 			sc:   New(append(fabricBase(), twoRacks(), WithScheme(simcluster.LAEDGE))...),
 			want: "not modelled for LAEDGE",
@@ -144,59 +133,28 @@ func TestTopologyRejections(t *testing.T) {
 	}
 }
 
-// TestFromConfigTopologyOnly: a flat Config whose servers are declared
-// only through its Topology (empty Workers, documented as valid —
-// withDefaults fills the list from the fabric) passes the scenario
-// surface too, and both surfaces run the identical cluster.
-func TestFromConfigTopologyOnly(t *testing.T) {
-	cfg := simcluster.Config{
-		Scheme: simcluster.NetClone,
-		Topology: topology.New(
-			topology.Rack{Servers: []int{8, 8}},
-			topology.Rack{Servers: []int{4}, Uplink: time.Microsecond},
-		),
-		Service:    workload.Exp(25),
-		OfferedRPS: 1e5,
-		DurationNS: 5e6,
-		Seed:       3,
-	}
-	direct, err := simcluster.Run(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	viaScenario, err := Sim().Run(FromConfig(cfg))
-	if err != nil {
-		t.Fatalf("scenario surface rejected a config the executor accepts: %v", err)
-	}
-	if !reflect.DeepEqual(viaScenario.Result, direct) {
-		t.Error("FromConfig topology-only run diverges from simcluster.Run")
-	}
-}
-
-// TestLaedgeFabricMessageUniform: the WithMultiRack wrapper and an
-// explicit WithRacks fabric reject LAEDGE with the same topology
-// message from both validation surfaces (scenario and simulator).
+// TestLaedgeFabricMessageUniform: the two-ToR deployment and a fabric
+// with servers on both racks reject LAEDGE with the same topology
+// message, and the simulator run of the same config returns it word
+// for word: there is one validator.
 func TestLaedgeFabricMessageUniform(t *testing.T) {
-	viaKnob := New(append(fabricBase(), WithServers(4, 8),
-		WithMultiRack(2*time.Microsecond), WithScheme(simcluster.LAEDGE))...)
+	twoToR := New(append(fabricBase(), WithScheme(simcluster.LAEDGE),
+		WithRacks(topology.Rack{}, topology.HomRack(4, 8, 0)))...)
 	viaRacks := New(append(fabricBase(), twoRacks(), WithScheme(simcluster.LAEDGE))...)
 
-	errKnob := viaKnob.Validate()
+	errTwoToR := twoToR.Validate()
 	errRacks := viaRacks.Validate()
-	if errKnob == nil || errRacks == nil {
-		t.Fatalf("LAEDGE fabric accepted: knob=%v racks=%v", errKnob, errRacks)
+	if errTwoToR == nil || errRacks == nil {
+		t.Fatalf("LAEDGE fabric accepted: two-ToR=%v racks=%v", errTwoToR, errRacks)
 	}
-	if errKnob.Error() != errRacks.Error() {
-		t.Errorf("scenario surface not uniform:\nknob:  %v\nracks: %v", errKnob, errRacks)
+	if errTwoToR.Error() != errRacks.Error() {
+		t.Errorf("scenario surface not uniform:\ntwo-ToR: %v\nracks:   %v", errTwoToR, errRacks)
 	}
-	// The simulator surface wraps the identical topology message.
-	_, errSim := simcluster.Run(viaRacks.Config())
-	if errSim == nil || !strings.Contains(errSim.Error(), "not modelled for LAEDGE") {
-		t.Errorf("simulator surface diverged: %v", errSim)
+	if !strings.Contains(errRacks.Error(), "not modelled for LAEDGE") {
+		t.Errorf("LAEDGE fabric rejected for the wrong reason: %v", errRacks)
 	}
-	wantCore := strings.TrimPrefix(errRacks.Error(), "scenario: ")
-	if got := strings.TrimPrefix(errSim.Error(), "simcluster: "); got != wantCore {
-		t.Errorf("surfaces disagree beyond their prefix:\nscenario:  %s\nsimcluster: %s", wantCore, got)
+	if _, errSim := simcluster.Run(viaRacks.Config()); errSim == nil || errSim.Error() != errRacks.Error() {
+		t.Errorf("simulator and scenario disagree:\nscenario:  %v\nsimcluster: %v", errRacks, errSim)
 	}
 }
 

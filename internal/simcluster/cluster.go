@@ -210,7 +210,7 @@ func (c *cluster) jitterExtra() int64 {
 // and each one is a pure function of cfg (internal/runner relies on
 // both properties).
 func Run(cfg Config) (Result, error) {
-	cfg, err := cfg.withDefaults()
+	cfg, err := cfg.Normalized()
 	if err != nil {
 		return Result{}, err
 	}
@@ -249,7 +249,7 @@ func Run(cfg Config) (Result, error) {
 // starting the load. Split from Run so micro-benchmarks can drive a
 // warm cluster directly.
 func build(cfg Config) (*cluster, error) {
-	spec := cfg.CanonicalTopology()
+	spec := cfg.Topology
 	if spec == nil {
 		spec = topology.SingleRack(cfg.Workers)
 	}
@@ -301,7 +301,7 @@ func build(cfg Config) (*cluster, error) {
 		}
 	}
 	c.buildClients()
-	if inj := canonicalFaults(cfg); len(inj) > 0 {
+	if inj := cfg.Faults.Injections(); len(inj) > 0 {
 		c.faults = newFaultCtl(c, inj)
 		c.degHist = stats.NewHistogram()
 		for _, in := range inj {
@@ -310,8 +310,7 @@ func build(cfg Config) (*cluster, error) {
 				break
 			}
 		}
-		// Faults active from t <= 0 flip their state now — the legacy
-		// LossProb knob's build-time activation, generalized.
+		// Faults active from t <= 0 flip their state now.
 		c.faults.activateImmediate()
 	}
 	if cfg.Congestion != nil {
@@ -520,11 +519,6 @@ func (c *cluster) result() Result {
 		res.Congestion = c.cong.summary(c.eng.Now())
 	}
 	if c.topo.Racks > 1 {
-		// Two-rack compatibility view: RemoteSwitch is the single
-		// non-client ToR, as the original MultiRack code reported.
-		if c.topo.Racks == 2 {
-			res.RemoteSwitch = c.tors[1-c.topo.ClientRack].dp.Stats()
-		}
 		res.Racks = make([]RackStats, c.topo.Racks)
 		for r := range res.Racks {
 			rs := RackStats{

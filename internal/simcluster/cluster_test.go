@@ -2,7 +2,9 @@ package simcluster
 
 import (
 	"testing"
+	"time"
 
+	"netclone/internal/faults"
 	"netclone/internal/kvstore"
 	"netclone/internal/workload"
 )
@@ -289,8 +291,7 @@ func TestSwitchFailureTimeline(t *testing.T) {
 	cfg := fastConfig(NetClone)
 	cfg.WarmupNS = 0
 	cfg.DurationNS = 500e6
-	cfg.SwitchFailAtNS = 200e6
-	cfg.SwitchRecoverAtNS = 300e6
+	cfg.Faults = faults.New(faults.SwitchOutage(200*time.Millisecond, 300*time.Millisecond))
 	cfg.TimelineBinNS = 100e6
 	res := mustRun(t, cfg)
 	rate := res.Timeline.Rate()
@@ -359,7 +360,7 @@ func TestDefaultsApplied(t *testing.T) {
 	cfg.NumClients = 0
 	cfg.FilterTables = 0
 	cfg.FilterSlots = 0
-	got, err := cfg.withDefaults()
+	got, err := cfg.Normalized()
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -169,12 +169,6 @@ type Config struct {
 	FilterTables int
 	FilterSlots  int
 
-	// SwitchFailAtNS/SwitchRecoverAtNS, when both positive, stop the
-	// switch (dropping all packets and its soft state) during
-	// [SwitchFailAtNS, SwitchRecoverAtNS) — the Fig 16 experiment.
-	SwitchFailAtNS    int64
-	SwitchRecoverAtNS int64
-
 	// TimelineBinNS, when positive, records completed requests into
 	// per-bin counts over the whole run (Fig 16's throughput-vs-time).
 	TimelineBinNS int64
@@ -198,19 +192,11 @@ type Config struct {
 	// meaningful for Scheme == LAEDGE.
 	NumCoordinators int
 
-	// LossProb drops each link traversal independently with this
-	// probability — the §3.6 "Dropped messages" failure model. Lost
-	// slower responses leave fingerprints in the filter tables; the
-	// overwrite-on-insert rule keeps those slots usable.
-	LossProb float64
-
 	// Faults, when non-nil and non-empty, is the declarative fault plan
 	// executed during the run (internal/faults): typed, time-scheduled
 	// injections — server crashes, stragglers, time-varying loss,
-	// link jitter, coordinator and switch failures. The legacy LossProb
-	// and SwitchFailAtNS/SwitchRecoverAtNS knobs are canonicalized into
-	// equivalent one-entry plans at build time, so both surfaces run
-	// through one executor with bit-identical results.
+	// link jitter, coordinator and switch failures (the §3.6 dropped
+	// messages and the Fig 16 switch outage among them).
 	Faults *faults.Plan
 
 	// Topology, when non-nil, is the declarative leaf–spine fabric the
@@ -220,26 +206,9 @@ type Config struct {
 	// empty Workers is filled from it). The clients' ToR performs all
 	// NetClone processing and stamps packets; every other ToR runs the
 	// same program but passes stamped packets through untouched — the
-	// switch-ID ownership rule (§3.7). Nil (with MultiRack false) means
-	// the canonical single-rack fabric over Workers.
+	// switch-ID ownership rule (§3.7). Nil means the single-rack fabric
+	// over Workers.
 	Topology *topology.Spec
-
-	// MultiRack places every worker behind a second ToR switch reached
-	// through an aggregation layer (§3.7 "Multi-rack deployment") — the
-	// original two-ToR knob, kept as a thin wrapper: it is canonicalized
-	// into the equivalent two-rack Topology at build time
-	// (topology.LegacyMultiRack) and executed by the same N-rack fabric
-	// code, bit-identically for read workloads (the golden-pinned
-	// surface). One deliberate fix rode along: direct write requests
-	// (§5.5) now transit the aggregation layer like their responses
-	// always did, where the old special case under-charged them by one
-	// spine crossing. Mutually exclusive with Topology; not supported
-	// for Scheme == LAEDGE.
-	MultiRack bool
-
-	// AggDelayNS is the extra one-way delay through the aggregation
-	// layer between MultiRack's two ToRs (default 2000 ns).
-	AggDelayNS int64
 
 	// Congestion, when non-nil, is the declarative congestion model
 	// (internal/congestion): finite FIFO queues with configurable
@@ -317,16 +286,11 @@ type Result struct {
 	// LostPackets counts link traversals dropped by the loss model.
 	LostPackets int64
 
-	// RemoteSwitch is the server-side ToR's counter snapshot in
-	// two-rack runs: its PassL3 count proves the switch-ID rule
-	// prevented double NetClone processing. Fabrics with more than one
-	// remote rack report per-rack snapshots in Racks instead.
-	RemoteSwitch dataplane.Stats
-
 	// Racks is the per-rack counter rollup of a multi-rack fabric, in
 	// topology order: each rack's ToR snapshot plus the clone drops of
-	// the servers homed there. Nil for single-rack runs, so legacy
-	// Results are unchanged.
+	// the servers homed there. A remote rack's PassL3 count shows the
+	// switch-ID rule kept it from NetClone processing. Nil for
+	// single-rack runs.
 	Racks []RackStats
 
 	// Breakdown decomposes sampled request latencies; nil unless
@@ -343,9 +307,9 @@ type Result struct {
 
 	// Faults summarizes fault-plan execution — the per-window
 	// availability timeline, fault-induced drops, and the
-	// degraded-window latency view. Nil unless a fault plan (or a
-	// legacy fault knob) was active, so fault-free Results stay
-	// byte-identical to the pre-subsystem output.
+	// degraded-window latency view. Nil unless a non-empty fault plan
+	// was active, so fault-free Results stay byte-identical to the
+	// pre-subsystem output.
 	Faults *FaultSummary
 
 	// Congestion summarizes the congestion model's execution: per-port
@@ -492,162 +456,134 @@ type FaultSummary struct {
 	Degraded          stats.Summary
 }
 
-// Configuration errors.
-var (
-	ErrNoServers  = errors.New("simcluster: at least two servers required")
-	ErrNoWorkload = errors.New("simcluster: Service distribution or Mix required")
-	ErrBadRate    = errors.New("simcluster: OfferedRPS must be positive")
-	ErrBadWindow  = errors.New("simcluster: DurationNS must be positive")
-)
-
 // Normalized validates cfg and returns a copy with every zero field
 // filled with its documented default — the exact config the simulator
 // executes. The UDP-emulation backend uses it too, so both executable
 // models resolve defaults identically.
-func (cfg Config) Normalized() (Config, error) { return cfg.withDefaults() }
-
-// CanonicalTopology resolves the fabric a config runs on: the
-// declarative Topology when set, the legacy MultiRack knob reduced to
-// its canonical two-rack spec (with the documented 2000 ns aggregation
-// default applied), and nil for the plain single-rack shape (which the
-// executor builds as topology.SingleRack over Workers). One resolver
-// feeds validation and construction on every surface — exported, like
-// CoordinatorTier, so the scenario layer validates against the exact
-// same resolution rule the executor uses.
-func (cfg Config) CanonicalTopology() *topology.Spec {
-	if cfg.Topology != nil {
-		return cfg.Topology
+func (cfg Config) Normalized() (Config, error) {
+	if err := cfg.validate(); err != nil {
+		return cfg, err
 	}
-	if cfg.MultiRack {
-		agg := cfg.AggDelayNS
-		if agg <= 0 {
-			agg = defaultAggDelayNS
-		}
-		return topology.LegacyMultiRack(cfg.Workers, agg)
-	}
-	return nil
-}
-
-// defaultAggDelayNS is the documented MultiRack aggregation-layer
-// default, shared by config normalization and CanonicalTopology so the
-// validation and execution surfaces always resolve the same fabric.
-const defaultAggDelayNS = 2000
-
-// withDefaults validates cfg and fills zero values.
-func (cfg Config) withDefaults() (Config, error) {
-	// The fabric defines the global worker list: fill an empty Workers
-	// from the topology, and refuse a disagreeing pair — two server
-	// declarations with different shapes have no defined meaning.
-	if cfg.Topology != nil {
-		if cfg.MultiRack {
-			if cfg.Topology.NumRacks() == 0 {
-				return cfg, errors.New("simcluster: a placement-only Topology cannot combine with MultiRack; declare the racks in the Topology instead")
-			}
-			return cfg, errors.New("simcluster: both MultiRack and Topology are set; declare the fabric exactly once")
-		}
-		// A placement-only spec (no racks) falls through to topology
-		// validation below for its actionable error.
-		if cfg.Topology.NumRacks() > 0 {
-			flat := cfg.Topology.FlatWorkers()
-			if len(cfg.Workers) == 0 {
-				cfg.Workers = flat
-			} else if !slices.Equal(cfg.Workers, flat) {
-				return cfg, fmt.Errorf("simcluster: Workers %v disagrees with the topology's server list %v; declare the servers in one place", cfg.Workers, flat)
-			}
-		}
-	}
-	if len(cfg.Workers) < 2 {
-		return cfg, ErrNoServers
-	}
-	for _, w := range cfg.Workers {
-		if w < 1 {
-			return cfg, fmt.Errorf("simcluster: worker counts must be >= 1, got %v", cfg.Workers)
-		}
-	}
-	if cfg.Service == nil && cfg.Mix == nil {
-		return cfg, ErrNoWorkload
-	}
-	if cfg.OfferedRPS <= 0 {
-		return cfg, ErrBadRate
-	}
-	if cfg.DurationNS <= 0 {
-		return cfg, ErrBadWindow
-	}
-	if cfg.TraceRate < 0 {
-		return cfg, fmt.Errorf("simcluster: TraceRate %d is negative; 0 disables tracing, 1 traces every request", cfg.TraceRate)
-	}
-	if cfg.TraceCap < 0 {
-		return cfg, fmt.Errorf("simcluster: TraceCap %d is negative; 0 means the default ring capacity", cfg.TraceCap)
-	}
-	if cfg.TraceCap > 0 && cfg.TraceRate == 0 {
-		return cfg, errors.New("simcluster: TraceCap set without TraceRate; set TraceRate >= 1 to enable the flight recorder")
+	// The fabric defines the global worker list when Workers is empty.
+	if len(cfg.Workers) == 0 {
+		cfg.Workers = cfg.Topology.FlatWorkers()
 	}
 	if cfg.TraceRate > 0 && cfg.TraceCap == 0 {
 		cfg.TraceCap = trace.DefaultCap
 	}
-	// Fault-knob contradictions used to pass silently: an out-of-range
-	// LossProb behaved as an always/never coin flip and an inverted
-	// switch-failure window was ignored. Reject both with actionable
-	// errors instead.
-	if cfg.LossProb < 0 || cfg.LossProb >= 1 {
-		return cfg, fmt.Errorf("simcluster: loss probability %g outside [0, 1)", cfg.LossProb)
-	}
-	if cfg.SwitchFailAtNS < 0 || cfg.SwitchRecoverAtNS < 0 {
-		return cfg, fmt.Errorf("simcluster: switch failure window [%d, %d) ns has a negative bound",
-			cfg.SwitchFailAtNS, cfg.SwitchRecoverAtNS)
-	}
-	if (cfg.SwitchFailAtNS > 0) != (cfg.SwitchRecoverAtNS > 0) {
-		return cfg, errors.New("simcluster: switch failure needs both SwitchFailAtNS and SwitchRecoverAtNS > 0")
-	}
-	if cfg.SwitchFailAtNS > 0 && cfg.SwitchRecoverAtNS <= cfg.SwitchFailAtNS {
-		return cfg, fmt.Errorf("simcluster: switch recovery at %d ns is not after failure at %d ns",
-			cfg.SwitchRecoverAtNS, cfg.SwitchFailAtNS)
-	}
-	// Validate the *canonical* plan — the declarative plan plus the
-	// legacy knobs' derived injections — so a knob and a same-kind plan
-	// window cannot combine into the overlap contradiction the plan
-	// layer refuses (their transitions would otherwise race
-	// last-writer-wins).
-	if err := faults.New(canonicalFaults(cfg)...).Validate(faults.Cluster{
-		Servers:      len(cfg.Workers),
-		Coordinators: cfg.CoordinatorTier(),
-	}); err != nil {
-		return cfg, fmt.Errorf("simcluster: invalid fault plan: %w", err)
-	}
-	if err := cfg.Congestion.Validate(); err != nil {
-		return cfg, fmt.Errorf("simcluster: invalid congestion model: %w", err)
-	}
-	if cfg.NumClients <= 0 {
+	if cfg.NumClients == 0 {
 		cfg.NumClients = 2
 	}
 	if cfg.Cal == (Calibration{}) {
 		cfg.Cal = DefaultCalibration()
 	}
-	if cfg.FilterTables <= 0 {
+	if cfg.FilterTables == 0 {
 		cfg.FilterTables = 2
 	}
-	if cfg.FilterSlots <= 0 {
+	if cfg.FilterSlots == 0 {
 		cfg.FilterSlots = 1 << 17
-	}
-	if cfg.MultiRack && cfg.AggDelayNS <= 0 {
-		cfg.AggDelayNS = defaultAggDelayNS
-	}
-	// Validate the *canonical* fabric — the declarative spec or the
-	// legacy MultiRack knob's derived two-rack spec — so both surfaces
-	// emit one uniform message (the LAEDGE contradiction included).
-	if spec := cfg.CanonicalTopology(); spec != nil {
-		if err := spec.Validate(topology.Cluster{Coordinators: cfg.CoordinatorTier()}); err != nil {
-			return cfg, fmt.Errorf("simcluster: invalid topology: %w", err)
-		}
 	}
 	return cfg, nil
 }
 
-// CoordinatorTier returns the number of coordinators a fault plan may
+// validate returns the first contradiction or missing piece in cfg as
+// an actionable error. It is the only validator: Normalized (and so
+// Run) calls it, and Scenario.Validate is that call plus its WithShards
+// check. A Scenario is the one public way to build a Config, so every
+// message is worded for it and names the option that sets the field.
+func (cfg Config) validate() error {
+	// A Config whose servers are declared only by its Topology is valid:
+	// Normalized fills Workers from the fabric.
+	workers := cfg.Workers
+	if len(workers) == 0 {
+		workers = cfg.Topology.FlatWorkers()
+	}
+	if len(workers) == 0 {
+		return errors.New("scenario: no servers declared; add WithTopology(threads...), WithServers(n, threads), or WithRacks(racks...)")
+	}
+	if len(workers) < 2 {
+		return fmt.Errorf("scenario: cloning needs at least two servers, got %d; grow WithTopology/WithServers/WithRacks", len(workers))
+	}
+	for i, w := range workers {
+		if w < 1 {
+			return fmt.Errorf("scenario: server %d has %d worker threads, need >= 1 (WithTopology)", i, w)
+		}
+	}
+	if cfg.Service == nil && cfg.Mix == nil {
+		return errors.New("scenario: no workload declared; add WithWorkload(dist) or WithKVWorkload(mix, cost)")
+	}
+	if cfg.Service != nil && cfg.Mix != nil {
+		return errors.New("scenario: both a synthetic distribution and a KV mix are set; use exactly one of WithWorkload / WithKVWorkload")
+	}
+	if cfg.OfferedRPS <= 0 {
+		return fmt.Errorf("scenario: offered load is %g req/s, need > 0 (WithOfferedLoad)", cfg.OfferedRPS)
+	}
+	if cfg.DurationNS <= 0 {
+		return fmt.Errorf("scenario: measurement duration is %d ns, need > 0 (WithWindow)", cfg.DurationNS)
+	}
+	if cfg.WarmupNS < 0 {
+		return fmt.Errorf("scenario: warmup is %d ns, need >= 0 (WithWindow)", cfg.WarmupNS)
+	}
+	if cfg.NumClients < 0 {
+		return fmt.Errorf("scenario: %d clients, need >= 0 (WithClients; 0 means the default 2)", cfg.NumClients)
+	}
+	if cfg.Scheme < Baseline || cfg.Scheme > NetCloneAdaptive {
+		return fmt.Errorf("scenario: unknown scheme %d (WithScheme; see the Scheme constants)", int(cfg.Scheme))
+	}
+	if err := cfg.Congestion.Validate(); err != nil {
+		return fmt.Errorf("scenario: invalid congestion model (WithCongestion/WithLinkRate): %w", err)
+	}
+	if cfg.FilterTables < 0 || cfg.FilterTables > 256 {
+		return fmt.Errorf("scenario: %d filter tables, need 1..256 — the IDX header field is 8 bits (WithFilter)", cfg.FilterTables)
+	}
+	if cfg.FilterSlots < 0 || (cfg.FilterSlots > 0 && cfg.FilterSlots&(cfg.FilterSlots-1) != 0) {
+		return fmt.Errorf("scenario: %d filter slots per table, need a power of two (WithFilter)", cfg.FilterSlots)
+	}
+	if cfg.TimelineBinNS < 0 {
+		return fmt.Errorf("scenario: timeline bin is %d ns, need >= 0 (WithTimeline)", cfg.TimelineBinNS)
+	}
+	if cfg.SampleEvery < 0 {
+		return fmt.Errorf("scenario: breakdown sampling every %d requests, need >= 0 (WithBreakdownSampling)", cfg.SampleEvery)
+	}
+	if cfg.TraceRate < 0 {
+		return fmt.Errorf("scenario: trace rate %d, need >= 0 (WithTrace; 0 disables, 1 traces every request)", cfg.TraceRate)
+	}
+	if cfg.TraceCap < 0 {
+		return fmt.Errorf("scenario: trace ring capacity %d, need >= 0 (WithTrace; 0 means the default)", cfg.TraceCap)
+	}
+	if cfg.TraceCap > 0 && cfg.TraceRate == 0 {
+		return errors.New("scenario: trace ring capacity set without a sampling rate; pass WithTrace(rate, cap) with rate >= 1")
+	}
+	if cfg.Topology != nil {
+		// A placement-only spec (no racks) fails spec.Validate below with
+		// its own actionable message.
+		if cfg.Topology.NumRacks() > 0 && len(cfg.Workers) > 0 {
+			if flat := cfg.Topology.FlatWorkers(); !slices.Equal(cfg.Workers, flat) {
+				return fmt.Errorf("scenario: WithTopology/WithServers %v disagrees with the WithRacks server list %v; declare the servers in one place", cfg.Workers, flat)
+			}
+		}
+		if err := cfg.Topology.Validate(topology.Cluster{Coordinators: cfg.coordinatorTier()}); err != nil {
+			return fmt.Errorf("scenario: invalid topology: %w", err)
+		}
+	}
+	if cfg.NumCoordinators < 0 {
+		return fmt.Errorf("scenario: %d coordinators, need >= 0 (WithCoordinators)", cfg.NumCoordinators)
+	}
+	if cfg.NumCoordinators > 0 && cfg.Scheme != LAEDGE {
+		return fmt.Errorf("scenario: %d coordinators declared but scheme %s has no coordinator tier; WithCoordinators applies to LAEDGE only", cfg.NumCoordinators, cfg.Scheme)
+	}
+	if err := cfg.Faults.Validate(faults.Cluster{
+		Servers:      len(workers),
+		Coordinators: cfg.coordinatorTier(),
+	}); err != nil {
+		return fmt.Errorf("scenario: invalid fault plan: %w", err)
+	}
+	return nil
+}
+
+// coordinatorTier returns the number of coordinators a fault plan may
 // target: the (defaulted) LÆDGE tier size, 0 for every other scheme.
-// Exported so the scenario layer validates against the exact same rule
-// the executor resolves.
-func (cfg Config) CoordinatorTier() int {
+func (cfg Config) coordinatorTier() int {
 	if cfg.Scheme != LAEDGE {
 		return 0
 	}

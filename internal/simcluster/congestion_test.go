@@ -255,7 +255,7 @@ func benchBuildCongested(tb testing.TB) *cluster {
 	tb.Helper()
 	cfg := benchFabricConfig()
 	cfg.Congestion = congestion.New().WithLinkRate(2).WithSpineRate(8)
-	cfg, err := cfg.withDefaults()
+	cfg, err := cfg.Normalized()
 	if err != nil {
 		tb.Fatal(err)
 	}

@@ -32,14 +32,14 @@ func TestOneHandlerType(t *testing.T) {
 		Seed:            1,
 		Faults:          faults.New(faults.ServerCrash(0, time.Millisecond/2, time.Millisecond)),
 		Congestion:      congTestSpec(),
-	}.withDefaults()
+	}.Normalized()
 	if err != nil {
 		t.Fatal(err)
 	}
 	// Validation refuses LÆDGE on a fabric (its coordinator tier is
 	// single-rack), so the second rack joins after it. build assembles
 	// the shape regardless, and this test runs nothing.
-	cfg.MultiRack = true
+	cfg = twoRack(cfg)
 	c, err := build(cfg)
 	if err != nil {
 		t.Fatal(err)

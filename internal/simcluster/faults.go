@@ -3,7 +3,6 @@ package simcluster
 import (
 	"math"
 	"sort"
-	"time"
 
 	"netclone/internal/faults"
 	"netclone/internal/stats"
@@ -18,25 +17,6 @@ import (
 // jitter window); the per-packet steady path only reads those scalars,
 // so fault scheduling adds zero allocations and — with no plan — zero
 // behavioral difference to a fault-free run.
-
-// canonicalFaults merges the declarative plan with the legacy fault
-// knobs: LossProb becomes a constant whole-run loss window and the
-// SwitchFailAtNS/SwitchRecoverAtNS pair becomes one switch outage.
-// Both reductions are bit-identical to the pre-subsystem hard-coded
-// paths: a [0, Forever) constant window draws the same lossRNG stream
-// at the same traversals, and the outage schedules the same two engine
-// events at the same times.
-func canonicalFaults(cfg Config) []faults.Injection {
-	inj := cfg.Faults.Injections()
-	if cfg.LossProb > 0 {
-		inj = append(inj, faults.Loss(0, faults.Forever, cfg.LossProb))
-	}
-	if cfg.SwitchFailAtNS > 0 && cfg.SwitchRecoverAtNS > cfg.SwitchFailAtNS {
-		inj = append(inj, faults.SwitchOutage(
-			time.Duration(cfg.SwitchFailAtNS), time.Duration(cfg.SwitchRecoverAtNS)))
-	}
-	return inj
-}
 
 // faultTrans is one compiled transition: injection inj begins (or
 // ends) at time at.
@@ -65,7 +45,7 @@ type faultCtl struct {
 	serversDownMax int
 }
 
-// newFaultCtl compiles the canonical injections for cluster c.
+// newFaultCtl compiles the plan's injections for cluster c.
 func newFaultCtl(c *cluster, inj []faults.Injection) *faultCtl {
 	f := &faultCtl{cl: c, plan: inj}
 	f.hid = f.h.register(c.eng, f)
@@ -92,8 +72,7 @@ func newFaultCtl(c *cluster, inj []faults.Injection) *faultCtl {
 
 // activateImmediate applies every transition at t <= 0 directly —
 // faults active from the start of the run flip their state at build
-// time, exactly as the legacy LossProb knob did, instead of spending
-// an engine event at t = 0.
+// time instead of spending an engine event at t = 0.
 func (f *faultCtl) activateImmediate() {
 	for _, tr := range f.trans {
 		if tr.at <= 0 {

@@ -180,33 +180,30 @@ func TestAdjacentWindowsDeclaredOutOfOrder(t *testing.T) {
 }
 
 // TestFaultConfigRejections is the table-driven config-level pass over
-// the legacy-knob validation bugfix: values that used to pass silently
-// (out-of-range LossProb, inverted or one-sided switch windows) and
-// invalid plans now fail Run with actionable errors.
+// fault-plan validation: out-of-range loss probabilities, inverted or
+// negative switch windows and other invalid plans fail Run with
+// actionable errors.
 func TestFaultConfigRejections(t *testing.T) {
 	cases := []struct {
 		name   string
 		mutate func(*Config)
 		want   string
 	}{
-		{"loss above one", func(c *Config) { c.LossProb = 1.5 }, "loss probability"},
-		{"loss exactly one", func(c *Config) { c.LossProb = 1 }, "loss probability"},
-		{"loss negative", func(c *Config) { c.LossProb = -0.01 }, "loss probability"},
+		{"loss above one", func(c *Config) { *c = withLoss(*c, 1.5) }, "loss probability"},
+		{"loss exactly one", func(c *Config) { *c = withLoss(*c, 1) }, "loss probability"},
+		{"loss negative", func(c *Config) { *c = withLoss(*c, -0.01) }, "loss probability"},
 		{"switch recovery before failure", func(c *Config) {
-			c.SwitchFailAtNS, c.SwitchRecoverAtNS = 5e6, 3e6
+			c.Faults = faults.New(faults.SwitchOutage(5*time.Millisecond, 3*time.Millisecond))
 		}, "not after failure"},
 		{"switch recovery equals failure", func(c *Config) {
-			c.SwitchFailAtNS, c.SwitchRecoverAtNS = 5e6, 5e6
+			c.Faults = faults.New(faults.SwitchOutage(5*time.Millisecond, 5*time.Millisecond))
 		}, "not after failure"},
 		{"switch failure without recovery", func(c *Config) {
-			c.SwitchFailAtNS = 5e6
-		}, "both"},
-		{"switch recovery without failure", func(c *Config) {
-			c.SwitchRecoverAtNS = 5e6
-		}, "both"},
+			c.Faults = faults.New(faults.SwitchOutage(5*time.Millisecond, 0))
+		}, "not after failure"},
 		{"negative switch window", func(c *Config) {
-			c.SwitchFailAtNS, c.SwitchRecoverAtNS = -1, 5e6
-		}, "negative"},
+			c.Faults = faults.New(faults.SwitchOutage(-1, 5*time.Millisecond))
+		}, "need >= 0"},
 		{"plan target out of range", func(c *Config) {
 			c.Faults = faults.New(faults.ServerCrash(9, 0, time.Millisecond))
 		}, "servers 0..3"},
@@ -219,16 +216,6 @@ func TestFaultConfigRejections(t *testing.T) {
 		{"plan coordinator fault without tier", func(c *Config) {
 			c.Faults = faults.New(faults.CoordinatorCrash(0, 0, time.Millisecond))
 		}, "LAEDGE"},
-		{"legacy loss knob overlapping a plan loss window", func(c *Config) {
-			// The knob canonicalizes to a [0, Forever) loss window, so a
-			// plan loss window is always the overlap contradiction.
-			c.LossProb = 0.1
-			c.Faults = faults.New(faults.Loss(time.Millisecond, 2*time.Millisecond, 0.5))
-		}, "overlap"},
-		{"legacy switch knob overlapping a plan outage", func(c *Config) {
-			c.SwitchFailAtNS, c.SwitchRecoverAtNS = 2e6, 8e6
-			c.Faults = faults.New(faults.SwitchOutage(4*time.Millisecond, 10*time.Millisecond))
-		}, "overlap"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -313,7 +300,7 @@ func buildFaulted(tb testing.TB) *cluster {
 			faults.Jitter(0, faults.Forever, 2*time.Microsecond),
 		),
 	}
-	cfg, err := cfg.withDefaults()
+	cfg, err := cfg.Normalized()
 	if err != nil {
 		tb.Fatal(err)
 	}

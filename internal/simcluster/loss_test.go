@@ -1,10 +1,20 @@
 package simcluster
 
-import "testing"
+import (
+	"testing"
+
+	"netclone/internal/faults"
+)
+
+// withLoss drops each link traversal of the whole run with probability
+// p — the §3.6 dropped-messages model as a one-entry fault plan.
+func withLoss(cfg Config, p float64) Config {
+	cfg.Faults = faults.New(faults.Loss(0, faults.Forever, p))
+	return cfg
+}
 
 func TestLossModelDropsPackets(t *testing.T) {
-	cfg := fastConfig(NetClone)
-	cfg.LossProb = 0.01
+	cfg := withLoss(fastConfig(NetClone), 0.01)
 	cfg.DurationNS = 60e6
 	res := mustRun(t, cfg)
 	if res.LostPackets == 0 {
@@ -26,8 +36,7 @@ func TestLossModelDropsPackets(t *testing.T) {
 // overwrite-on-insert rule keeps slots usable — responses of later
 // requests must not be spuriously dropped at a growing rate.
 func TestFilterSlotsNotStuckUnderLoss(t *testing.T) {
-	cfg := fastConfig(NetClone)
-	cfg.LossProb = 0.02
+	cfg := withLoss(fastConfig(NetClone), 0.02)
 	cfg.DurationNS = 80e6
 	cfg.FilterSlots = 256 // tiny: every lingering fingerprint matters
 	cfg.FilterTables = 2
@@ -47,16 +56,14 @@ func TestFilterSlotsNotStuckUnderLoss(t *testing.T) {
 }
 
 func TestZeroLossIsLossless(t *testing.T) {
-	cfg := fastConfig(NetClone)
-	res := mustRun(t, cfg)
+	res := mustRun(t, withLoss(fastConfig(NetClone), 0))
 	if res.LostPackets != 0 {
-		t.Fatalf("LossProb=0 lost %d packets", res.LostPackets)
+		t.Fatalf("a zero-probability loss window lost %d packets", res.LostPackets)
 	}
 }
 
 func TestLossDeterminism(t *testing.T) {
-	cfg := fastConfig(Baseline)
-	cfg.LossProb = 0.05
+	cfg := withLoss(fastConfig(Baseline), 0.05)
 	a := mustRun(t, cfg)
 	b := mustRun(t, cfg)
 	if a.LostPackets != b.LostPackets || a.Completed != b.Completed {

@@ -32,7 +32,7 @@ func perfTestConfigs() map[string]Config {
 		return c
 	}
 	congested := func(c *Config) {
-		c.MultiRack = true
+		*c = twoRack(*c)
 		c.Congestion = congTestSpec()
 	}
 	return map[string]Config{
@@ -40,8 +40,8 @@ func perfTestConfigs() map[string]Config {
 		"cclone":    withScheme(CClone, nil),
 		"laedge":    withScheme(LAEDGE, func(c *Config) { c.NumCoordinators = 2 }),
 		"nofilter":  withScheme(NetCloneNoFilter, nil),
-		"lossy":     withScheme(NetClone, func(c *Config) { c.LossProb = 0.01 }),
-		"multirack": withScheme(NetClone, func(c *Config) { c.MultiRack = true }),
+		"lossy":     withScheme(NetClone, func(c *Config) { *c = withLoss(*c, 0.01) }),
+		"multirack": withScheme(NetClone, func(c *Config) { *c = twoRack(*c) }),
 		"sampled":   withScheme(NetClone, func(c *Config) { c.SampleEvery = 10 }),
 		"congested": withScheme(NetClone, congested),
 		"suppress":  withScheme(NetCloneSuppress, congested),
@@ -155,7 +155,7 @@ func benchBuild(b *testing.B, scheme Scheme) *cluster {
 		DurationNS: 1e9, // window far beyond the benchmark's virtual time
 		Seed:       1,
 	}
-	cfg, err := cfg.withDefaults()
+	cfg, err := cfg.Normalized()
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -246,7 +246,7 @@ func benchFabricConfig() Config {
 // fabric for the N-rack steady-path benchmarks.
 func benchBuildFabric(tb testing.TB) *cluster {
 	tb.Helper()
-	cfg, err := benchFabricConfig().withDefaults()
+	cfg, err := benchFabricConfig().Normalized()
 	if err != nil {
 		tb.Fatal(err)
 	}
@@ -306,7 +306,7 @@ func BenchmarkClusterSteadyStateMultiRack(b *testing.B) {
 func BenchmarkClusterSteadyStateTraced(b *testing.B) {
 	cfg := benchFabricConfig()
 	cfg.TraceRate = 64
-	ncfg, err := cfg.withDefaults()
+	ncfg, err := cfg.Normalized()
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -11,12 +11,10 @@ import (
 	"netclone/internal/workload"
 )
 
-// These tests pin the fabric layer's compatibility contract (ISSUE 5):
-// the declarative topology executor is a strict generalization of the
-// two code paths it replaced. A one-rack spec must be byte-identical
-// to the legacy single-rack cluster, and a two-rack spec with the
-// legacy aggregation delay must be byte-identical to the MultiRack
-// boolean — across every scheme and both warmup modes.
+// These tests pin the fabric layer: a one-rack spec is byte-identical
+// to the topology-less single-rack cluster across every scheme and both
+// warmup modes, per-rack counters roll up, and fabric contradictions
+// are rejected with one message.
 
 // eqTopoConfig builds a small config for one scheme and warmup mode.
 func eqTopoConfig(scheme Scheme, warmupNS int64) Config {
@@ -68,58 +66,6 @@ func TestSingleRackTopologyByteIdentical(t *testing.T) {
 			t.Error("single-rack run reported a per-rack rollup")
 		}
 	})
-}
-
-// TestTwoRackTopologyMatchesMultiRack: the canonical two-rack spec —
-// an empty client rack in front of one rack holding every server,
-// uplinks summing to the legacy aggregation delay — reproduces the
-// MultiRack boolean byte for byte. Odd delays are exercised through
-// the canonicalized wrapper in TestLegacyMultiRackKnobAsTopology.
-func TestTwoRackTopologyMatchesMultiRack(t *testing.T) {
-	schemes := []Scheme{Baseline, CClone, NetClone, NetCloneRackSched, NetCloneNoFilter}
-	forEachSchemeAndWarmupMode(t, schemes, func(t *testing.T, cfg Config) {
-		legacy := cfg
-		legacy.MultiRack = true
-		legacy.AggDelayNS = 2000
-		want := mustRun(t, legacy)
-
-		viaSpec := cfg
-		viaSpec.Topology = topology.New(
-			topology.Rack{Uplink: time.Microsecond},
-			topology.Rack{Servers: cfg.Workers, Uplink: time.Microsecond},
-		)
-		got := mustRun(t, viaSpec)
-		if !reflect.DeepEqual(want, got) {
-			t.Errorf("two-rack topology diverged from WithMultiRack:\nmultirack: %+v\ntopology:  %+v",
-				want.Latency, got.Latency)
-		}
-		if got.RemoteSwitch.PassL3 == 0 {
-			t.Error("two-rack run never exercised the pass-through path")
-		}
-		if len(got.Racks) != 2 {
-			t.Fatalf("per-rack rollup has %d racks, want 2", len(got.Racks))
-		}
-	})
-}
-
-// TestLegacyMultiRackKnobAsTopology: the MultiRack knob and its
-// canonical spec (topology.LegacyMultiRack) are the same run even for
-// aggregation delays an even uplink split cannot express.
-func TestLegacyMultiRackKnobAsTopology(t *testing.T) {
-	for _, agg := range []int64{1999, 2001} {
-		cfg := eqTopoConfig(NetClone, 2e6)
-		legacy := cfg
-		legacy.MultiRack = true
-		legacy.AggDelayNS = agg
-		want := mustRun(t, legacy)
-
-		viaSpec := cfg
-		viaSpec.Topology = topology.LegacyMultiRack(cfg.Workers, agg)
-		got := mustRun(t, viaSpec)
-		if !reflect.DeepEqual(want, got) {
-			t.Errorf("agg %d: canonical spec diverged from the MultiRack knob", agg)
-		}
-	}
 }
 
 // TestTopologyRollupConsistency: per-rack counters must roll up to the
@@ -208,42 +154,34 @@ func TestTopologyWorkersMismatchRejected(t *testing.T) {
 	if _, err := Run(cfg); err == nil || !strings.Contains(err.Error(), "disagrees") {
 		t.Fatalf("mismatched Workers/Topology not rejected usefully: %v", err)
 	}
-	both := eqTopoConfig(NetClone, 0)
-	both.MultiRack = true
-	both.Topology = topology.SingleRack(both.Workers)
-	if _, err := Run(both); err == nil || !strings.Contains(err.Error(), "exactly once") {
-		t.Fatalf("MultiRack+Topology not rejected usefully: %v", err)
-	}
 	placed := eqTopoConfig(NetClone, 0)
-	placed.MultiRack = true
 	placed.Topology = (*topology.Spec)(nil).WithClientRack(0) // placement-only spec
-	if _, err := Run(placed); err == nil || !strings.Contains(err.Error(), "placement-only") {
-		t.Fatalf("MultiRack+placement-only Topology not rejected usefully: %v", err)
+	if _, err := Run(placed); err == nil || !strings.Contains(err.Error(), "no racks") {
+		t.Fatalf("placement-only Topology not rejected usefully: %v", err)
 	}
 }
 
 // TestTopologyLaedgeRejectedUniformly: the LAEDGE contradiction lives
-// in topology.Validate now; both the legacy knob and an explicit
-// multi-rack spec must surface the same message.
+// in topology.Validate; every multi-rack shape — the two-ToR deployment
+// with an empty client rack, or servers on both racks — surfaces the
+// same message.
 func TestTopologyLaedgeRejectedUniformly(t *testing.T) {
-	legacy := eqTopoConfig(LAEDGE, 0)
-	legacy.MultiRack = true
-	_, errLegacy := Run(legacy)
+	_, errTwoToR := Run(twoRack(eqTopoConfig(LAEDGE, 0)))
 
-	viaSpec := eqTopoConfig(LAEDGE, 0)
-	viaSpec.Topology = topology.New(
-		topology.Rack{},
-		topology.Rack{Servers: viaSpec.Workers},
+	split := eqTopoConfig(LAEDGE, 0)
+	split.Topology = topology.New(
+		topology.Rack{Servers: split.Workers[:2]},
+		topology.Rack{Servers: split.Workers[2:]},
 	)
-	_, errSpec := Run(viaSpec)
+	_, errSplit := Run(split)
 
-	for name, err := range map[string]error{"legacy knob": errLegacy, "explicit spec": errSpec} {
+	for name, err := range map[string]error{"two-ToR": errTwoToR, "split": errSplit} {
 		if err == nil || !strings.Contains(err.Error(), "not modelled for LAEDGE") {
 			t.Errorf("%s: LAEDGE multi-rack not rejected with the uniform message: %v", name, err)
 		}
 	}
-	if errLegacy != nil && errSpec != nil && errLegacy.Error() != errSpec.Error() {
-		t.Errorf("the two surfaces emit different messages:\nknob: %v\nspec: %v", errLegacy, errSpec)
+	if errTwoToR != nil && errSplit != nil && errTwoToR.Error() != errSplit.Error() {
+		t.Errorf("the two shapes emit different messages:\ntwo-ToR: %v\nsplit:   %v", errTwoToR, errSplit)
 	}
 }
 

@@ -6,7 +6,9 @@ import (
 	"reflect"
 	"sync"
 	"testing"
+	"time"
 
+	"netclone/internal/faults"
 	"netclone/internal/trace"
 )
 
@@ -33,8 +35,7 @@ func traceEquivalenceConfigs() map[string]Config {
 		cfgs[name] = c
 	}
 	failed := cfgs["netclone"]
-	failed.SwitchFailAtNS = 1.5e6
-	failed.SwitchRecoverAtNS = 2e6
+	failed.Faults = faults.New(faults.SwitchOutage(1500*time.Microsecond, 2*time.Millisecond))
 	cfgs["switchfail"] = failed
 	return cfgs
 }
@@ -340,7 +341,7 @@ func TestTraceEnabledSteadyPathZeroAllocs(t *testing.T) {
 	cfg := benchFabricConfig()
 	cfg.TraceRate = 1
 	cfg.TraceCap = 1 << 12
-	ncfg, err := cfg.withDefaults()
+	ncfg, err := cfg.Normalized()
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -96,26 +96,6 @@ func (h *Histogram) Record(v int64) {
 	h.cumOK = false
 }
 
-// RecordN adds count observations of value v.
-func (h *Histogram) RecordN(v int64, count int64) {
-	if count <= 0 {
-		return
-	}
-	if v < 0 {
-		v = 0
-	}
-	if h.n == 0 || v < h.min {
-		h.min = v
-	}
-	if v > h.max {
-		h.max = v
-	}
-	h.counts[bucketIndex(v)] += count
-	h.n += count
-	h.sum += v * count
-	h.cumOK = false
-}
-
 // Merge adds all observations recorded in other into h.
 func (h *Histogram) Merge(other *Histogram) {
 	if other == nil || other.n == 0 {
@@ -135,14 +115,8 @@ func (h *Histogram) Merge(other *Histogram) {
 	h.cumOK = false
 }
 
-// Reset clears the histogram.
-func (h *Histogram) Reset() { *h = Histogram{} }
-
 // Count returns the number of recorded observations.
 func (h *Histogram) Count() int64 { return h.n }
-
-// Sum returns the sum of all recorded values.
-func (h *Histogram) Sum() int64 { return h.sum }
 
 // Min returns the smallest recorded value, or 0 if empty.
 func (h *Histogram) Min() int64 { return h.min }
@@ -160,7 +134,7 @@ func (h *Histogram) Mean() float64 {
 
 // freeze builds the cumulative-count cache. Repeated quantile queries
 // on a frozen histogram pay the O(buckets) scan once, then O(log
-// buckets) per query; any Record/RecordN/Merge/Reset invalidates it.
+// buckets) per query; any Record or Merge invalidates it.
 func (h *Histogram) freeze() {
 	if h.cumOK {
 		return
@@ -221,31 +195,8 @@ func (h *Histogram) Percentiles(qs []float64) []int64 {
 // P50 returns the median estimate.
 func (h *Histogram) P50() int64 { return h.Quantile(0.50) }
 
-// P90 returns the 90th percentile estimate.
-func (h *Histogram) P90() int64 { return h.Quantile(0.90) }
-
 // P99 returns the 99th percentile estimate, the paper's headline metric.
 func (h *Histogram) P99() int64 { return h.Quantile(0.99) }
-
-// P999 returns the 99.9th percentile estimate.
-func (h *Histogram) P999() int64 { return h.Quantile(0.999) }
-
-// Stddev returns the standard deviation of the bucket-quantized values.
-func (h *Histogram) Stddev() float64 {
-	if h.n < 2 {
-		return 0
-	}
-	mean := h.Mean()
-	var ss float64
-	for i, c := range h.counts {
-		if c == 0 {
-			continue
-		}
-		d := float64(bucketLow(i)) - mean
-		ss += d * d * float64(c)
-	}
-	return math.Sqrt(ss / float64(h.n))
-}
 
 // Summary is a compact set of distribution statistics.
 type Summary struct {
@@ -282,10 +233,9 @@ func (s Summary) String() string {
 		s.Count, float64(s.Min)/1e3, s.Mean/1e3, float64(s.P50)/1e3, float64(s.P99)/1e3, float64(s.Max)/1e3)
 }
 
-// ExactQuantile computes the q-quantile of a raw sample slice. It is used
-// in tests to validate Histogram and in small experiments (e.g., Fig 13b's
-// ten-run mean/std) where exactness matters more than memory. The input
-// slice is not modified.
+// ExactQuantile computes the q-quantile of a raw sample slice: the
+// oracle the tests validate Histogram against. The input slice is not
+// modified.
 func ExactQuantile(samples []int64, q float64) int64 {
 	if len(samples) == 0 {
 		return 0

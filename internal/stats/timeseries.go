@@ -33,13 +33,6 @@ func (ts *TimeSeries) Add(t int64, n int64) {
 // BinWidth returns the configured bin width in nanoseconds.
 func (ts *TimeSeries) BinWidth() int64 { return ts.binWidth }
 
-// Bins returns a copy of the per-bin counts.
-func (ts *TimeSeries) Bins() []int64 {
-	out := make([]int64, len(ts.bins))
-	copy(out, ts.bins)
-	return out
-}
-
 // Rate returns the per-second rate for each bin, i.e. count scaled by
 // (1s / binWidth).
 func (ts *TimeSeries) Rate() []float64 {
@@ -47,33 +40,6 @@ func (ts *TimeSeries) Rate() []float64 {
 	out := make([]float64, len(ts.bins))
 	for i, c := range ts.bins {
 		out[i] = float64(c) * scale
-	}
-	return out
-}
-
-// Counter is a simple named event counter set used for run diagnostics
-// (cloned requests, dropped clones, filtered responses, ...).
-type Counter struct {
-	m map[string]int64
-}
-
-// NewCounter returns an empty counter set.
-func NewCounter() *Counter { return &Counter{m: make(map[string]int64)} }
-
-// Inc adds one to the named counter.
-func (c *Counter) Inc(name string) { c.m[name]++ }
-
-// Add adds n to the named counter.
-func (c *Counter) Add(name string, n int64) { c.m[name] += n }
-
-// Get returns the named counter's value (0 if never incremented).
-func (c *Counter) Get(name string) int64 { return c.m[name] }
-
-// Snapshot returns a copy of all counters.
-func (c *Counter) Snapshot() map[string]int64 {
-	out := make(map[string]int64, len(c.m))
-	for k, v := range c.m {
-		out[k] = v
 	}
 	return out
 }

@@ -3,21 +3,17 @@ package stats
 import "testing"
 
 func TestTimeSeriesBasic(t *testing.T) {
-	ts := NewTimeSeries(1e9) // 1-second bins
+	ts := NewTimeSeries(1e9) // 1-second bins: rate == count
 	ts.Add(0, 1)
 	ts.Add(5e8, 2)
 	ts.Add(15e8, 3)
 	ts.Add(-1, 99) // ignored
-	bins := ts.Bins()
-	if len(bins) != 2 {
-		t.Fatalf("bins = %d, want 2", len(bins))
-	}
-	if bins[0] != 3 || bins[1] != 3 {
-		t.Fatalf("bin contents = %v, want [3 3]", bins)
-	}
 	rate := ts.Rate()
-	if rate[0] != 3 {
-		t.Fatalf("rate[0] = %v, want 3/s", rate[0])
+	if len(rate) != 2 {
+		t.Fatalf("bins = %d, want 2", len(rate))
+	}
+	if rate[0] != 3 || rate[1] != 3 {
+		t.Fatalf("rates = %v, want [3 3] per second", rate)
 	}
 	if ts.BinWidth() != 1e9 {
 		t.Fatalf("BinWidth = %d", ts.BinWidth())
@@ -27,27 +23,27 @@ func TestTimeSeriesBasic(t *testing.T) {
 func TestTimeSeriesSparse(t *testing.T) {
 	ts := NewTimeSeries(100)
 	ts.Add(950, 1) // bin 9; bins 0..8 must exist and be zero
-	bins := ts.Bins()
-	if len(bins) != 10 {
-		t.Fatalf("bins = %d, want 10", len(bins))
+	rate := ts.Rate()
+	if len(rate) != 10 {
+		t.Fatalf("bins = %d, want 10", len(rate))
 	}
 	for i := 0; i < 9; i++ {
-		if bins[i] != 0 {
-			t.Fatalf("bin %d = %d, want 0", i, bins[i])
+		if rate[i] != 0 {
+			t.Fatalf("bin %d = %v, want 0", i, rate[i])
 		}
 	}
-	if bins[9] != 1 {
-		t.Fatalf("bin 9 = %d, want 1", bins[9])
+	if rate[9] != 1e7 { // one count per 100 ns
+		t.Fatalf("bin 9 = %v/s, want 1e7", rate[9])
 	}
 }
 
 func TestTimeSeriesBinsCopy(t *testing.T) {
-	ts := NewTimeSeries(10)
+	ts := NewTimeSeries(1e9)
 	ts.Add(5, 1)
-	b := ts.Bins()
-	b[0] = 42
-	if ts.Bins()[0] != 1 {
-		t.Fatal("Bins must return a copy")
+	r := ts.Rate()
+	r[0] = 42
+	if ts.Rate()[0] != 1 {
+		t.Fatal("Rate must return a fresh slice, not the bins")
 	}
 }
 
@@ -58,25 +54,4 @@ func TestTimeSeriesPanicsOnBadWidth(t *testing.T) {
 		}
 	}()
 	NewTimeSeries(0)
-}
-
-func TestCounter(t *testing.T) {
-	c := NewCounter()
-	c.Inc("cloned")
-	c.Inc("cloned")
-	c.Add("filtered", 5)
-	if c.Get("cloned") != 2 {
-		t.Errorf("cloned = %d, want 2", c.Get("cloned"))
-	}
-	if c.Get("filtered") != 5 {
-		t.Errorf("filtered = %d, want 5", c.Get("filtered"))
-	}
-	if c.Get("missing") != 0 {
-		t.Errorf("missing = %d, want 0", c.Get("missing"))
-	}
-	snap := c.Snapshot()
-	snap["cloned"] = 99
-	if c.Get("cloned") != 2 {
-		t.Error("Snapshot must return a copy")
-	}
 }

@@ -11,9 +11,7 @@
 // contradiction rules, but nothing about the cluster that executes a
 // topology. internal/simcluster compiles a validated Spec and builds
 // one dataplane.Switch per rack from the result; internal/scenario
-// exposes the Spec as scenario.WithRacks / scenario.WithPlacement,
-// with the legacy WithMultiRack option reduced to a thin wrapper over
-// the canonical two-rack Spec (LegacyMultiRack).
+// exposes the Spec as scenario.WithRacks / scenario.WithPlacement.
 //
 // The switch-ID ownership rule (dataplane/switch.go, §3.7) is what
 // makes an N-rack fabric safe: only the clients' ToR performs NetClone
@@ -29,13 +27,14 @@ import (
 )
 
 // DefaultUplink is the ToR<->spine one-way latency used for racks that
-// do not declare their own (half of the legacy 2000 ns default
-// aggregation delay, which charged one spine traversal per direction).
+// do not declare their own: crossing between two default racks costs
+// 2000 ns one way.
 const DefaultUplink = 1000 * time.Nanosecond
 
 // Rack is one leaf of the fabric: a ToR switch and the worker servers
 // behind it. A rack may be empty (servers only elsewhere) when it is
-// the client rack — the shape the legacy two-ToR deployment used.
+// the client rack — the paper's two-ToR deployment (§3.7) is an empty
+// client rack in front of one rack holding every server.
 type Rack struct {
 	// Servers holds the worker-thread count of each server homed on
 	// this rack; its length is the rack's server count.
@@ -68,13 +67,6 @@ type Spec struct {
 	racks       []Rack
 	clientRack  int
 	explicitPin bool // WithClientRack was called (explicit placement)
-
-	// interOverrideNS, when positive, fixes every cross-rack hop to
-	// exactly this one-way delay instead of the uplink sum — how
-	// LegacyMultiRack reproduces an arbitrary (possibly odd) legacy
-	// AggDelayNS bit-exactly without bending the uplink defaulting
-	// rule. Not reachable from the public constructors.
-	interOverrideNS int64
 }
 
 // New builds a spec from racks, with clients placed on rack 0. The
@@ -99,16 +91,6 @@ func SingleRack(workers []int) *Spec {
 	return New(Rack{Servers: workers})
 }
 
-// LegacyMultiRack returns the canonical two-rack spec of the original
-// MultiRack boolean: an empty client rack in front of one rack holding
-// every server, with every fabric crossing pinned to exactly
-// aggDelayNS one way — the delay the legacy code path charged.
-func LegacyMultiRack(workers []int, aggDelayNS int64) *Spec {
-	s := New(Rack{}, Rack{Servers: workers})
-	s.interOverrideNS = aggDelayNS
-	return s
-}
-
 // WithClientRack returns a copy of the spec with the clients (and, for
 // schemes that have one, the coordinator tier) placed on the given
 // rack. The receiver — which may be nil: placement can be declared
@@ -117,7 +99,6 @@ func (s *Spec) WithClientRack(rack int) *Spec {
 	c := &Spec{clientRack: rack, explicitPin: true}
 	if s != nil {
 		c.racks = s.racks
-		c.interOverrideNS = s.interOverrideNS
 	}
 	return c
 }
@@ -177,10 +158,8 @@ type Cluster struct {
 }
 
 // Validate checks the spec for contradictions and missing pieces and
-// returns the first problem as an actionable error. Both validation
-// surfaces — Scenario.Validate and the simulator's config
-// normalization — call this, so a bad fabric produces one uniform
-// message no matter which entry point catches it.
+// returns the first problem as an actionable error. The simulator's
+// config validation (and so Scenario.Validate) calls it.
 func (s *Spec) Validate(c Cluster) error {
 	if s.NumRacks() == 0 {
 		return fmt.Errorf("topology: no racks declared; add WithRacks(racks...)")
@@ -207,7 +186,7 @@ func (s *Spec) Validate(c Cluster) error {
 		return fmt.Errorf("topology: client placement on rack %d, fabric has racks 0..%d (WithPlacement)", s.clientRack, len(s.racks)-1)
 	}
 	if len(s.racks) > 1 && c.Coordinators > 0 {
-		return fmt.Errorf("topology: multi-rack deployment is not modelled for LAEDGE — the coordinator tier is rack-local; drop WithMultiRack/WithRacks or pick another scheme")
+		return fmt.Errorf("topology: multi-rack deployment is not modelled for LAEDGE — the coordinator tier is rack-local; drop WithRacks or pick another scheme")
 	}
 	return nil
 }
@@ -286,11 +265,7 @@ func (s *Spec) Compile() *Compiled {
 			if a == b {
 				continue
 			}
-			if s.interOverrideNS > 0 {
-				c.InterDelayNS[a][b] = s.interOverrideNS
-			} else {
-				c.InterDelayNS[a][b] = up[a] + up[b]
-			}
+			c.InterDelayNS[a][b] = up[a] + up[b]
 		}
 	}
 	return c

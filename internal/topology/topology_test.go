@@ -92,20 +92,19 @@ func TestCompileLeafSpine(t *testing.T) {
 	}
 }
 
-func TestLegacyMultiRackExactDelay(t *testing.T) {
-	// The legacy AggDelayNS is charged exactly, odd values included —
-	// the wrapper must not round through the uplink split.
-	for _, agg := range []int64{1, 2, 1999, 2000, 2001} {
-		c := LegacyMultiRack([]int{16, 16}, agg).Compile()
-		if got := c.InterDelayNS[0][1]; got != agg {
-			t.Errorf("agg %d: compiled inter-rack delay %d", agg, got)
-		}
-		if c.SwitchIDs[0] != 1 || c.SwitchIDs[1] != 2 {
-			t.Errorf("agg %d: switch IDs %v, want [1 2] (legacy stamp values)", agg, c.SwitchIDs)
-		}
-		if c.ClientRack != 0 || len(c.Workers) != 2 {
-			t.Errorf("agg %d: shape %+v", agg, c)
-		}
+// TestCompileTwoToR pins the paper's two-ToR deployment (§3.7): an
+// empty client rack in front of one rack holding every server, default
+// uplinks summing to 2000 ns one way, and both ToRs stamped.
+func TestCompileTwoToR(t *testing.T) {
+	c := New(Rack{}, Rack{Servers: []int{16, 16}}).Compile()
+	if got := c.InterDelayNS[0][1]; got != 2000 {
+		t.Errorf("compiled inter-rack delay %d, want 2000", got)
+	}
+	if c.SwitchIDs[0] != 1 || c.SwitchIDs[1] != 2 {
+		t.Errorf("switch IDs %v, want [1 2]", c.SwitchIDs)
+	}
+	if c.ClientRack != 0 || len(c.Workers) != 2 || !reflect.DeepEqual(c.ServerRack, []int{1, 1}) {
+		t.Errorf("shape %+v", c)
 	}
 }
 

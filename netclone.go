@@ -55,13 +55,9 @@
 //	opts.Parallelism = 8 // or leave 0 for GOMAXPROCS
 //	report, err := netclone.RunExperiment("fig7a", opts)
 //
-// The pre-Scenario entry points — Run(Config), RunParallel, and the
-// flat Config type — remain as thin compatibility wrappers with
-// byte-identical results.
-//
-// See README.md for a tour and the old-to-new migration table,
-// DESIGN.md for the system inventory, and EXPERIMENTS.md for the
-// paper-vs-measured comparison of every table and figure.
+// See README.md for a tour, DESIGN.md for the system inventory, and
+// EXPERIMENTS.md for the paper-vs-measured comparison of every table
+// and figure.
 package netclone
 
 import (
@@ -73,7 +69,6 @@ import (
 	"netclone/internal/faults"
 	"netclone/internal/harness"
 	"netclone/internal/kvstore"
-	"netclone/internal/runner"
 	"netclone/internal/scenario"
 	"netclone/internal/simcluster"
 	"netclone/internal/topology"
@@ -126,10 +121,6 @@ type ScenarioOption = scenario.Option
 // NewScenario builds a scenario from functional options.
 func NewScenario(opts ...ScenarioOption) *Scenario { return scenario.New(opts...) }
 
-// ScenarioFromConfig wraps a legacy flat Config as a Scenario — the
-// migration bridge for code built against Run(Config).
-func ScenarioFromConfig(cfg Config) *Scenario { return scenario.FromConfig(cfg) }
-
 // WithScheme selects the request-dispatching scheme under test.
 func WithScheme(s Scheme) ScenarioOption { return scenario.WithScheme(s) }
 
@@ -149,13 +140,6 @@ func WithClients(n int) ScenarioOption { return scenario.WithClients(n) }
 
 // WithCoordinators scales out the LAEDGE coordinator tier (§2.2).
 func WithCoordinators(n int) ScenarioOption { return scenario.WithCoordinators(n) }
-
-// WithMultiRack places the workers behind a second ToR switch reached
-// through an aggregation layer with the given extra one-way delay
-// (§3.7). Kept as a thin wrapper over the canonical two-rack fabric;
-// new fabrics should prefer WithRacks. Sim only; not modelled for
-// LAEDGE.
-func WithMultiRack(aggDelay time.Duration) ScenarioOption { return scenario.WithMultiRack(aggDelay) }
 
 // ---------------------------------------------------------------------
 // Fabric topology (multi-rack leaf–spine deployments)
@@ -231,12 +215,6 @@ func WithFilter(tables, slots int) ScenarioOption { return scenario.WithFilter(t
 // (§3.6) — a thin wrapper over a one-entry fault plan. Sim only.
 func WithLoss(p float64) ScenarioOption { return scenario.WithLoss(p) }
 
-// WithSwitchFailure stops the switch during [failAt, recoverAt) — the
-// Fig 16 experiment, as a one-entry fault plan. Sim only.
-func WithSwitchFailure(failAt, recoverAt time.Duration) ScenarioOption {
-	return scenario.WithSwitchFailure(failAt, recoverAt)
-}
-
 // ---------------------------------------------------------------------
 // Congestion model
 
@@ -298,7 +276,7 @@ const FaultForever = faults.Forever
 func NewFaultPlan(inj ...FaultInjection) *FaultPlan { return faults.New(inj...) }
 
 // WithFaults sets the scenario's fault plan, replacing any previously
-// composed plan (including WithLoss / WithSwitchFailure entries).
+// composed plan (including WithLoss entries).
 func WithFaults(plan *FaultPlan) ScenarioOption { return scenario.WithFaults(plan) }
 
 // WithFaultInjections appends injections to the scenario's fault plan.
@@ -344,7 +322,8 @@ func FaultCoordinatorCrash(coord int, at, recoverAt time.Duration) FaultInjectio
 }
 
 // FaultSwitchOutage stops the client-side ToR during [at, recoverAt),
-// dropping all packets and its soft state (§3.6).
+// dropping all packets and its soft state (§3.6) — the Fig 16
+// experiment.
 func FaultSwitchOutage(at, recoverAt time.Duration) FaultInjection {
 	return faults.SwitchOutage(at, recoverAt)
 }
@@ -463,32 +442,10 @@ func EmuTimeout(d time.Duration) EmuOption { return scenario.EmuTimeout(d) }
 func EmuStoreObjects(n int) EmuOption { return scenario.EmuStoreObjects(n) }
 
 // ---------------------------------------------------------------------
-// Legacy flat-config entry points (compatibility wrappers)
-
-// Config describes one simulated experiment point; see the field docs in
-// the simcluster package. New code should prefer NewScenario.
-type Config = simcluster.Config
+// Calibration
 
 // Calibration holds the simulated testbed's latency constants.
 type Calibration = simcluster.Calibration
-
-// Result is the outcome of one simulated run.
-type Result = simcluster.Result
-
-// Run executes one simulated experiment point. It is the legacy
-// equivalent of Sim().Run(ScenarioFromConfig(cfg)) minus the scenario
-// validation pass, kept byte-identical to the pre-Scenario API.
-func Run(cfg Config) (Result, error) { return simcluster.Run(cfg) }
-
-// RunParallel executes many independent simulation points concurrently,
-// at most parallelism at a time (0 = one worker per CPU), and returns
-// the results in input order. Every run is seed-deterministic and
-// isolated, so the output is identical to calling Run in a loop; only
-// the wall time changes. All points run even when some fail, and the
-// returned error aggregates one entry per failed point.
-func RunParallel(cfgs []Config, parallelism int) ([]Result, error) {
-	return runner.Run(cfgs, runner.Options{Parallelism: parallelism})
-}
 
 // DefaultCalibration returns the calibration constants documented in
 // DESIGN.md §5.

@@ -13,60 +13,6 @@ import (
 	"netclone"
 )
 
-func TestFacadeRun(t *testing.T) {
-	res, err := netclone.Run(netclone.Config{
-		Scheme:     netclone.NetClone,
-		Workers:    []int{8, 8},
-		Service:    netclone.WithJitter(netclone.Exp(25), 0.01),
-		OfferedRPS: 100_000,
-		WarmupNS:   5e6,
-		DurationNS: 25e6,
-		Seed:       1,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Completed == 0 {
-		t.Fatal("facade run completed nothing")
-	}
-	if res.Latency.P99 <= 0 {
-		t.Fatal("no latency recorded")
-	}
-}
-
-func TestFacadeRunParallel(t *testing.T) {
-	base := netclone.Config{
-		Scheme:     netclone.NetClone,
-		Workers:    []int{8, 8},
-		Service:    netclone.WithJitter(netclone.Exp(25), 0.01),
-		OfferedRPS: 100_000,
-		WarmupNS:   1e6,
-		DurationNS: 5e6,
-	}
-	cfgs := make([]netclone.Config, 6)
-	for i := range cfgs {
-		cfgs[i] = base
-		cfgs[i].Seed = uint64(i + 1)
-	}
-	parallel, err := netclone.RunParallel(cfgs, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(parallel) != len(cfgs) {
-		t.Fatalf("got %d results, want %d", len(parallel), len(cfgs))
-	}
-	// Identical to running each point alone, in input order.
-	for i, cfg := range cfgs {
-		solo, err := netclone.Run(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if parallel[i].Completed != solo.Completed || parallel[i].Latency.P99 != solo.Latency.P99 {
-			t.Errorf("point %d: parallel result diverges from solo run", i)
-		}
-	}
-}
-
 func TestFacadeExperimentParallelism(t *testing.T) {
 	opts := netclone.QuickOptions()
 	opts.DurationNS = 4e6
@@ -161,13 +107,15 @@ func TestFacadeModels(t *testing.T) {
 	}
 }
 
-// TestDocsNameRealTests keeps the prose honest: every backticked
-// Test*/Benchmark*/Fuzz* name in the top-level documents (a trailing *
-// is a prefix match) is a func in some _test.go of the tree, the
-// benchmark module included.
-func TestDocsNameRealTests(t *testing.T) {
-	funcRE := regexp.MustCompile(`(?m)^func ((?:Test|Benchmark|Fuzz)\w*)\(`)
-	var funcs []string
+// docs are the top-level documents whose prose the tests below keep
+// honest.
+var docs = []string{"README.md", "DESIGN.md", "EXPERIMENTS.md"}
+
+// goFuncNames returns the name captured by re in every Go file of the
+// tree, the benchmark module included, whose test-ness matches tests.
+func goFuncNames(t *testing.T, re *regexp.Regexp, tests bool) []string {
+	t.Helper()
+	var names []string
 	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
 		if err != nil {
 			return err
@@ -175,24 +123,33 @@ func TestDocsNameRealTests(t *testing.T) {
 		if d.IsDir() && path != "." && strings.HasPrefix(d.Name(), ".") {
 			return filepath.SkipDir // .git, build caches
 		}
-		if d.IsDir() || !strings.HasSuffix(path, "_test.go") {
+		if d.IsDir() || !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") != tests {
 			return nil
 		}
 		src, err := os.ReadFile(path)
 		if err != nil {
 			return err
 		}
-		for _, m := range funcRE.FindAllSubmatch(src, -1) {
-			funcs = append(funcs, string(m[1]))
+		for _, m := range re.FindAllSubmatch(src, -1) {
+			names = append(names, string(m[1]))
 		}
 		return nil
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
+	return names
+}
+
+// TestDocsNameRealTests keeps the prose honest: every backticked
+// Test*/Benchmark*/Fuzz* name in the top-level documents (a trailing *
+// is a prefix match) is a func in some _test.go of the tree, the
+// benchmark module included.
+func TestDocsNameRealTests(t *testing.T) {
+	funcs := goFuncNames(t, regexp.MustCompile(`(?m)^func ((?:Test|Benchmark|Fuzz)\w*)\(`), true)
 	nameRE := regexp.MustCompile("`((?:Test|Benchmark|Fuzz)\\w*)(\\*?)`")
 	checked := 0
-	for _, doc := range []string{"README.md", "DESIGN.md", "EXPERIMENTS.md"} {
+	for _, doc := range docs {
 		text, err := os.ReadFile(doc)
 		if err != nil {
 			t.Fatal(err)
@@ -209,5 +166,30 @@ func TestDocsNameRealTests(t *testing.T) {
 	}
 	if checked == 0 {
 		t.Error("no test names found in the documents: the pattern has rotted")
+	}
+}
+
+// TestDocsNameRealOptions: every backticked With* option the top-level
+// documents name — bare, package-qualified, or as the head of a call —
+// is an exported func or method declared in non-test Go, so the docs
+// cannot teach an option that was deleted.
+func TestDocsNameRealOptions(t *testing.T) {
+	decls := goFuncNames(t, regexp.MustCompile(`(?m)^func (?:\([^)]*\) )?(With[A-Z]\w*)\(`), false)
+	nameRE := regexp.MustCompile("`(?:\\w+\\.)?(With[A-Z]\\w*)")
+	checked := 0
+	for _, doc := range docs {
+		text, err := os.ReadFile(doc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, m := range nameRE.FindAllSubmatch(text, -1) {
+			checked++
+			if name := string(m[1]); !slices.Contains(decls, name) {
+				t.Errorf("%s names `%s`, which no non-test Go declares", doc, name)
+			}
+		}
+	}
+	if checked == 0 {
+		t.Error("no option names found in the documents: the pattern has rotted")
 	}
 }

@@ -33,90 +33,18 @@ func TestScenarioSimBackend(t *testing.T) {
 	}
 }
 
-// TestScenarioMatchesLegacyRun asserts the compatibility wrapper
-// contract: the legacy Run(Config) path and the Scenario path produce
-// bit-identical simulation results for equivalent inputs.
-func TestScenarioMatchesLegacyRun(t *testing.T) {
-	cases := []struct {
-		name   string
-		sc     *netclone.Scenario
-		legacy netclone.Config
-	}{
-		{
-			name: "synthetic",
-			sc:   facadeScenario(),
-			legacy: netclone.Config{
-				Scheme:     netclone.NetClone,
-				Workers:    []int{8, 8},
-				Service:    netclone.WithJitter(netclone.Exp(25), 0.01),
-				OfferedRPS: 1e5,
-				WarmupNS:   1e6,
-				DurationNS: 10e6,
-				Seed:       2,
-			},
-		},
-		{
-			name: "multirack heterogeneous",
-			sc: netclone.NewScenario(
-				netclone.WithScheme(netclone.NetCloneRackSched),
-				netclone.WithTopology(15, 8),
-				netclone.WithWorkload(netclone.Exp(25)),
-				netclone.WithOfferedLoad(5e4),
-				netclone.WithWindow(0, 5*time.Millisecond),
-				netclone.WithSeed(7),
-				netclone.WithMultiRack(2*time.Microsecond),
-			),
-			legacy: netclone.Config{
-				Scheme:     netclone.NetCloneRackSched,
-				Workers:    []int{15, 8},
-				Service:    netclone.Exp(25),
-				OfferedRPS: 5e4,
-				DurationNS: 5e6,
-				Seed:       7,
-				MultiRack:  true,
-				AggDelayNS: 2000,
-			},
-		},
-	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			viaScenario, err := netclone.Sim().Run(tc.sc)
-			if err != nil {
-				t.Fatal(err)
-			}
-			viaLegacy, err := netclone.Run(tc.legacy)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !reflect.DeepEqual(viaScenario.Result, viaLegacy) {
-				t.Error("Scenario path result diverges from legacy Run(Config)")
-			}
-			// The bridge direction too: a wrapped legacy config behaves
-			// identically.
-			viaBridge, err := netclone.Sim().Run(netclone.ScenarioFromConfig(tc.legacy))
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !reflect.DeepEqual(viaBridge.Result, viaLegacy) {
-				t.Error("ScenarioFromConfig path diverges from legacy Run(Config)")
-			}
-		})
-	}
-}
-
 // TestScenarioValidateSurfaced checks validation errors reach facade
 // callers with the uniform actionable wording.
 func TestScenarioValidateSurfaced(t *testing.T) {
 	bad := netclone.NewScenario(
 		netclone.WithScheme(netclone.LAEDGE),
-		netclone.WithServers(4, 8),
+		netclone.WithRacks(netclone.Rack{}, netclone.HomRack(4, 8, 0)),
 		netclone.WithWorkload(netclone.Exp(25)),
 		netclone.WithOfferedLoad(1e5),
 		netclone.WithWindow(0, time.Millisecond),
-		netclone.WithMultiRack(2*time.Microsecond),
 	)
 	if err := bad.Validate(); err == nil || !strings.Contains(err.Error(), "multi-rack") {
-		t.Fatalf("MultiRack+LAEDGE not rejected usefully: %v", err)
+		t.Fatalf("two-rack LAEDGE not rejected usefully: %v", err)
 	}
 	if _, err := netclone.Sim().Run(bad); err == nil {
 		t.Fatal("backend ran an invalid scenario")
@@ -223,8 +151,8 @@ func TestRenderJSON(t *testing.T) {
 }
 
 // TestFacadeLeafSpine exercises the fabric topology API end to end
-// through the facade: a WithRacks fabric runs, rolls its counters up
-// per rack, and the two-rack shape reproduces WithMultiRack exactly.
+// through the facade: a WithRacks fabric runs and rolls its counters up
+// per rack, and only the clients' ToR clones.
 func TestFacadeLeafSpine(t *testing.T) {
 	sim := netclone.Sim()
 	fabric := netclone.NewScenario(
@@ -247,29 +175,12 @@ func TestFacadeLeafSpine(t *testing.T) {
 	if len(res.Racks) != 3 {
 		t.Fatalf("per-rack rollup has %d racks, want 3", len(res.Racks))
 	}
+	if res.Racks[0].Switch.Cloned == 0 {
+		t.Error("clients' ToR never cloned at low load")
+	}
 	for _, rs := range res.Racks[1:] {
 		if rs.Switch.Cloned != 0 {
 			t.Errorf("rack %d ToR cloned %d requests (ownership rule)", rs.Rack, rs.Switch.Cloned)
 		}
-	}
-
-	// Migration contract: WithMultiRack is now a thin wrapper over the
-	// canonical two-rack fabric — the explicit WithRacks spelling of the
-	// same shape is byte-identical.
-	base := facadeScenario()
-	legacy, err := sim.Run(base.With(netclone.WithMultiRack(2 * time.Microsecond)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	viaRacks, err := sim.Run(base.With(
-		netclone.WithRacks(
-			netclone.Rack{Uplink: time.Microsecond},
-			netclone.Rack{Servers: []int{8, 8}, Uplink: time.Microsecond},
-		)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(legacy, viaRacks) {
-		t.Error("two-rack WithRacks fabric diverges from WithMultiRack")
 	}
 }
