@@ -11,7 +11,7 @@
 //	go run ./cmd/netclone-bench -run all
 //
 // Allocation-reporting micro-benchmarks of the hot-path layers live
-// next to their packages and are driven together by scripts/bench.sh:
+// next to their packages; README § Benchmarking runs them together:
 //
 //	internal/simnet     BenchmarkEngineTyped*           (typed event engine)
 //	internal/simcluster BenchmarkSwitchPipeline*        (per-request pipeline, freelist)

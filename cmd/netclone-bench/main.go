@@ -13,8 +13,6 @@
 //	netclone-bench -run fig7a -format json
 //	netclone-bench -run all -parallel 8
 //	netclone-bench -run fig7a -backend emu -quick -loads 0.1
-//	netclone-bench -run all -quick -benchjson BENCH_2.json
-//	netclone-bench -compare /tmp/fresh.json -baseline BENCH_2.json
 //	netclone-bench -run fig7a -quick -cpuprofile cpu.out -memprofile mem.out
 //	netclone-bench -run cong-incast -quick -trace incast.json -trace-rate 1
 //
@@ -33,11 +31,9 @@
 // Each experiment declares its grid of scenario points, which execute on
 // a bounded worker pool: -parallel bounds the pool size (default 0 = one
 // worker per CPU, 1 = sequential). On the default sim backend results
-// are byte-identical at every parallelism level. -shards is accepted
-// and ignored (the sharded core it selected is gone, DESIGN.md §10).
-// -backend emu replays the same scenarios over real UDP sockets
-// (rate-capped; counters are comparable, latencies include kernel
-// noise).
+// are byte-identical at every parallelism level. -backend emu replays
+// the same scenarios over real UDP sockets (rate-capped; counters are
+// comparable, latencies include kernel noise).
 //
 // -trace FILE arms the simulator's flight recorder on every point and
 // writes the busiest point's capture as Chrome trace-event JSON —
@@ -46,11 +42,9 @@
 // -trace is set; 1 records everything). Recording is observational:
 // reports are byte-identical with tracing on or off.
 //
-// -benchjson FILE meters every experiment (wall time, simulation
-// events/sec, allocations per point) plus an engine hot-path
-// probe and writes the tracked BENCH_<n>.json snapshot; scripts/bench.sh
-// wraps the whole pipeline. -cpuprofile/-memprofile write pprof
-// profiles of the run.
+// -cpuprofile/-memprofile write pprof profiles of the run. Performance
+// is measured by the benchmark of record (benchmark/README.md), not
+// here.
 package main
 
 import (
@@ -110,17 +104,12 @@ func main() {
 		loads    = flag.String("loads", "", "comma-separated load fractions, e.g. 0.1,0.5,0.9")
 		repeats  = flag.Int("repeats", 0, "runs per point for averaged experiments")
 		parallel = flag.Int("parallel", 0, "max concurrent simulation points (0 = one per CPU, 1 = sequential)")
-		shards   = flag.Int("shards", 1, "deprecated and ignored: every point runs on the one sequential engine")
 		progress = flag.Bool("progress", false, "print per-point progress to stderr")
 
 		traceFile = flag.String("trace", "", "write the busiest point's flight-recorder capture to this path as Chrome trace-event JSON (ui.perfetto.dev), or CSV when the path ends in .csv")
 		traceRate = flag.Int("trace-rate", 0, "flight-recorder sampling: record every Nth request per client (0 = off, or 64 when -trace is set; sim backend only)")
 		traceCap  = flag.Int("trace-cap", 0, "flight-recorder ring capacity (0 = default 65536; oldest records are overwritten)")
 
-		benchJSON  = flag.String("benchjson", "", "meter the run and write a BENCH_<n>.json benchmark snapshot to this path")
-		compare    = flag.String("compare", "", "diff this fresh snapshot against -baseline and exit (the regression ratchet)")
-		baseline   = flag.String("baseline", "", "baseline snapshot for -compare (the latest committed BENCH_<n>.json)")
-		reportOnly = flag.Bool("report-only", false, "with -compare: print regressions but always exit 0")
 		cpuProfile = flag.String("cpuprofile", "", "write a pprof CPU profile of the run to this path")
 		memProfile = flag.String("memprofile", "", "write a pprof heap profile at exit to this path")
 	)
@@ -130,19 +119,6 @@ func main() {
 		fmt.Println("Available experiments (netclone-bench -run <id>):")
 		for _, e := range netclone.Experiments() {
 			fmt.Printf("  %-16s %-45s [%s]\n", e.ID, e.Title, e.Paper)
-		}
-		return
-	}
-	if *compare != "" {
-		if *baseline == "" {
-			fatal(errors.New("-compare requires -baseline"))
-		}
-		failed, err := runCompare(os.Stdout, *baseline, *compare, *reportOnly)
-		if err != nil {
-			fatal(err)
-		}
-		if failed {
-			os.Exit(1)
 		}
 		return
 	}
@@ -174,9 +150,6 @@ func main() {
 		opts.Repeats = *repeats
 	}
 	opts.Parallelism = *parallel
-	if *shards != 1 {
-		fmt.Fprintf(os.Stderr, "netclone-bench: -shards %d ignored: the sharded core was removed; every point runs on the sequential engine\n", *shards)
-	}
 	switch *backend {
 	case "sim", "":
 		// Options.Backend nil selects the simulator.
@@ -244,52 +217,6 @@ func main() {
 		defer pprof.StopCPUProfile()
 	}
 
-	// Benchmark metering: wrap the backend so every scenario point's
-	// completion and engine-event count is counted.
-	var meter *meteredBackend
-	var bench benchFile
-	if *benchJSON != "" {
-		inner := opts.Backend
-		if inner == nil {
-			inner = netclone.Sim()
-		}
-		meter = newMeteredBackend(inner)
-		opts.Backend = meter
-		bench = benchFile{
-			Schema:     4,
-			CreatedUTC: time.Now().UTC().Format(time.RFC3339),
-			GoVersion:  runtime.Version(),
-			GOMAXPROCS: runtime.GOMAXPROCS(0),
-			Parallel:   *parallel,
-			Backend:    inner.Name(),
-			Host:       currentHost(),
-		}
-	}
-
-	// The hot-path probe runs before the experiments, while process
-	// state (heap size, GC pacing, pool warmth) is still pristine — the
-	// probe must read the same regardless of which experiment set
-	// follows, or compare's cheap fresh snapshot would not be
-	// comparable to a committed full-suite snapshot.
-	if meter != nil && bench.Backend == "sim" {
-		hp, err := meterHotPath(2 * time.Second)
-		if err != nil {
-			fatal(err)
-		}
-		bench.HotPath = hp
-	}
-	// The emu loopback probe is backend-independent (it builds its own
-	// cluster) and also runs before the experiments: the rate a host
-	// sustains must not depend on the heap the experiment sweep leaves
-	// behind.
-	if meter != nil {
-		el, err := meterEmuLoopback()
-		if err != nil {
-			fatal(err)
-		}
-		bench.EmuLoopback = el
-	}
-
 	var curves []netclone.Report // timeline-shaped reports for -timeline
 	var bestTrace *capturedTrace // busiest flight-recorder capture for -trace
 	for _, id := range ids {
@@ -304,17 +231,7 @@ func main() {
 		obs := &runObserver{experiment: id}
 		opts.Observe = obs.observe
 		start := time.Now()
-		var report netclone.Report
-		var err error
-		if meter != nil {
-			var entry benchExperiment
-			report, entry, err = meterExperiment(id, opts, meter)
-			if err == nil {
-				bench.Runs = append(bench.Runs, entry)
-			}
-		} else {
-			report, err = netclone.RunExperiment(id, opts)
-		}
+		report, err := netclone.RunExperiment(id, opts)
 		if err != nil {
 			// A whole-suite sweep on a reduced backend skips the
 			// experiments that need simulator-only capabilities instead
@@ -370,13 +287,6 @@ func main() {
 			fmt.Fprintf(os.Stderr, "netclone-bench: wrote %d trace events (%s, %s) to %s\n",
 				len(bestTrace.data.Events), bestTrace.experiment, bestTrace.label, *traceFile)
 		}
-	}
-
-	if *benchJSON != "" {
-		if err := writeBenchJSON(*benchJSON, bench); err != nil {
-			fatal(err)
-		}
-		fmt.Fprintf(os.Stderr, "netclone-bench: wrote benchmark snapshot to %s\n", *benchJSON)
 	}
 
 	if *memProfile != "" {

@@ -1,6 +1,7 @@
 package simcluster
 
 import (
+	"fmt"
 	"math/rand/v2"
 	"reflect"
 	"testing"
@@ -55,13 +56,39 @@ func (g *mm1kGen) OnEvent(kind uint8, _ any, _ int64) {
 	}
 }
 
+// TestCongestionMatchesMM1K holds the port to the closed forms over a
+// grid of system sizes K and loads rho, rho = 1 exactly included (where
+// queueing takes its limit branch): blocking probability and mean
+// occupancy within 5%. Points with P_K under 1e-3 are left out: they
+// would need over 2e6·K arrivals (see checkMM1K).
 func TestCongestionMatchesMM1K(t *testing.T) {
-	const (
-		k       = 10
-		meanSvc = 1000.0 // ns => mu = 1e-3/ns
-		rho     = 0.8
-		endT    = int64(2e9) // ~1.6M arrivals
-	)
+	const meanSvc = 1000.0 // ns => mu = 1e-3/ns
+	for _, k := range []int{2, 5, 10, 20} {
+		for _, rho := range []float64{0.5, 0.9, 1.0, 1.5} {
+			lambda, mu := rho/meanSvc, 1/meanSvc
+			wantPK, err := queueing.MM1KBlockingProb(k, lambda, mu)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if wantPK < 1e-3 {
+				continue
+			}
+			wantL, err := queueing.MM1KMeanQueue(k, lambda, mu)
+			if err != nil {
+				t.Fatal(err)
+			}
+			t.Run(fmt.Sprintf("K%d_rho%g", k, rho), func(t *testing.T) {
+				checkMM1K(t, k, meanSvc, rho, wantPK, wantL)
+			})
+		}
+	}
+}
+
+// checkMM1K runs one M/M/1/K point until it expects 2e3·K drops, and
+// for at least 4e5 arrivals: drops come in runs that lengthen with K,
+// and the 5% band needs a few thousand runs.
+func checkMM1K(t *testing.T, k int, meanSvc, rho, wantPK, wantL float64) {
+	endT := int64(max(4e5, 2e3*float64(k)/wantPK) * meanSvc / rho)
 	eng := simnet.NewEngine()
 	ctl := &congCtl{
 		eng:    eng,
@@ -87,20 +114,11 @@ func TestCongestionMatchesMM1K(t *testing.T) {
 		t.Fatalf("want 1 active port, got %d", len(sum.Ports))
 	}
 	p := sum.Ports[0]
-	if p.Drops+g.sunk != p.Arrivals {
-		t.Errorf("conservation: %d drops + %d served != %d arrivals",
-			p.Drops, g.sunk, p.Arrivals)
+	if resident := int64(ctl.ports[0].depth); p.Drops+g.sunk+resident != p.Arrivals {
+		t.Errorf("conservation: %d drops + %d served + %d resident != %d arrivals",
+			p.Drops, g.sunk, resident, p.Arrivals)
 	}
 
-	lambda, mu := 1/g.meanArr, 1/meanSvc
-	wantPK, err := queueing.MM1KBlockingProb(k, lambda, mu)
-	if err != nil {
-		t.Fatal(err)
-	}
-	wantL, err := queueing.MM1KMeanQueue(k, lambda, mu)
-	if err != nil {
-		t.Fatal(err)
-	}
 	gotPK := float64(p.Drops) / float64(p.Arrivals)
 	gotL := p.MeanDepth
 	if rel := (gotPK - wantPK) / wantPK; rel < -0.05 || rel > 0.05 {
@@ -291,7 +309,7 @@ func TestCongestionSteadyPathZeroAllocs(t *testing.T) {
 }
 
 // BenchmarkClusterSteadyStateCongested is the tracked congested-fabric
-// micro-benchmark (scripts/bench.sh, CI bench-smoke): whole-cluster
+// micro-benchmark (README § Benchmarking, CI bench-smoke): whole-cluster
 // throughput with finite queues, marking, and tail-drop on every hop.
 func BenchmarkClusterSteadyStateCongested(b *testing.B) {
 	c := benchBuildCongested(b)

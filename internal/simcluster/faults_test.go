@@ -338,7 +338,7 @@ func TestFaultSteadyPathZeroAllocs(t *testing.T) {
 
 // BenchmarkClusterSteadyStateFaulted is BenchmarkClusterSteadyState
 // with the full steady-path fault set active — the tracked fault-path
-// micro-benchmark (scripts/bench.sh, CI bench-smoke).
+// micro-benchmark (README § Benchmarking, CI bench-smoke).
 func BenchmarkClusterSteadyStateFaulted(b *testing.B) {
 	c := buildFaulted(b)
 	for _, cl := range c.clients {

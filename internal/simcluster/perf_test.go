@@ -284,7 +284,7 @@ func TestTopologySteadyPathZeroAllocs(t *testing.T) {
 
 // BenchmarkClusterSteadyStateMultiRack is BenchmarkClusterSteadyState
 // on the three-rack fabric — the tracked N-rack micro-benchmark
-// (scripts/bench.sh, CI bench-smoke) guarding that the topology
+// (README § Benchmarking, CI bench-smoke) guarding that the topology
 // generalization does not regress the 0 allocs/op steady path.
 func BenchmarkClusterSteadyStateMultiRack(b *testing.B) {
 	c := benchBuildFabric(b)
@@ -300,9 +300,9 @@ func BenchmarkClusterSteadyStateMultiRack(b *testing.B) {
 
 // BenchmarkClusterSteadyStateTraced is the multi-rack steady-state
 // benchmark with the flight recorder sampling every 64th request — the
-// tracked cost of *enabled* tracing (scripts/bench.sh, CI bench-smoke).
-// Record writes into the preallocated ring, so allocs/op must stay at
-// the untraced baseline's ~0.
+// tracked cost of *enabled* tracing (README § Benchmarking, CI
+// bench-smoke). Record writes into the preallocated ring, so allocs/op
+// must stay at the untraced baseline's ~0.
 func BenchmarkClusterSteadyStateTraced(b *testing.B) {
 	cfg := benchFabricConfig()
 	cfg.TraceRate = 64
@@ -422,7 +422,7 @@ func TestConstructionAllocsIndependentOfClientCount(t *testing.T) {
 // BenchmarkBuildFabricXL times construction at scale-racks-xl's
 // largest point — 64 racks, 192 servers, 102,400 clients — through a
 // 1 us window, the way the benchmark of record's
-// simcluster.setup_us_per_run does (scripts/bench.sh micro, CI
+// simcluster.setup_us_per_run does (README § Benchmarking, CI
 // bench-smoke).
 func BenchmarkBuildFabricXL(b *testing.B) {
 	cfg := xlFabricConfig(64, 102400)

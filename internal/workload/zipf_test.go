@@ -195,7 +195,7 @@ func TestOpKindString(t *testing.T) {
 	}
 }
 
-// --- Sampler micro-benchmarks (tracked by scripts/bench.sh) ---
+// --- Sampler micro-benchmarks (README § Benchmarking) ---
 
 // BenchmarkZipfRank measures the O(1) alias-method draw over the
 // paper's 1M-key space. Steady state allocates nothing; the table build

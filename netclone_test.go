@@ -193,3 +193,65 @@ func TestDocsNameRealOptions(t *testing.T) {
 		t.Error("no option names found in the documents: the pattern has rotted")
 	}
 }
+
+// goToolFlags are the go command's own flags that the documents name in
+// `go test` lines; no main.go of this tree declares them.
+var goToolFlags = []string{"-race", "-count", "-bench", "-benchmem", "-benchtime"}
+
+// TestDocsNameRealFlagsAndScripts: every -flag inside a code span or
+// fenced block of the top-level documents is declared by a flag.* call
+// in a cmd/*/main.go or benchmark/main.go, or is a go toolchain flag;
+// every scripts/ path there exists. The docs cannot teach a deleted flag
+// or script.
+func TestDocsNameRealFlagsAndScripts(t *testing.T) {
+	mains, err := filepath.Glob("cmd/*/main.go")
+	if err != nil {
+		t.Fatal(err)
+	}
+	declRE := regexp.MustCompile(`flag\.[A-Z]\w*\((?:&?[\w.]+,\s*)?"([\w-]+)"`)
+	declared := slices.Clone(goToolFlags)
+	for _, path := range append(mains, filepath.Join("benchmark", "main.go")) {
+		src, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, m := range declRE.FindAllSubmatch(src, -1) {
+			declared = append(declared, "-"+string(m[1]))
+		}
+	}
+	fenceRE := regexp.MustCompile("(?s)```[^\n]*\n(.*?)```")
+	inlineRE := regexp.MustCompile("`([^`\n]+)`")
+	flagRE := regexp.MustCompile(`(?m)(?:^|[\s(])(-[a-z][\w-]*)`)
+	scriptRE := regexp.MustCompile(`\bscripts/[\w.-]+`)
+	flags, scripts := 0, 0
+	for _, doc := range docs {
+		text, err := os.ReadFile(doc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var spans [][]byte
+		for _, m := range fenceRE.FindAllSubmatch(text, -1) {
+			spans = append(spans, m[1])
+		}
+		for _, m := range inlineRE.FindAllSubmatch(fenceRE.ReplaceAll(text, nil), -1) {
+			spans = append(spans, m[1])
+		}
+		for _, span := range spans {
+			for _, m := range flagRE.FindAllSubmatch(span, -1) {
+				flags++
+				if name := string(m[1]); !slices.Contains(declared, name) {
+					t.Errorf("%s names `%s`, which no cmd/*/main.go or benchmark/main.go declares", doc, name)
+				}
+			}
+			for _, path := range scriptRE.FindAll(span, -1) {
+				scripts++
+				if _, err := os.Stat(string(path)); err != nil {
+					t.Errorf("%s names `%s`: %v", doc, path, err)
+				}
+			}
+		}
+	}
+	if flags == 0 || scripts == 0 {
+		t.Errorf("found %d flags and %d script paths in the documents: a pattern has rotted", flags, scripts)
+	}
+}
