@@ -147,7 +147,14 @@ type Stats struct {
 type Switch struct {
 	cfg Config
 
-	// Pipeline stateful objects, each pinned to its stage.
+	// Pipeline stateful objects, each pinned to its stage. The group
+	// table and the filter registers — n(n-1) entries and FilterTables x
+	// FilterSlots words, the switch's only large objects — are built on
+	// first use (materialize): until then groupT and filterT are nil and
+	// the control plane keeps only the alive set and the address table.
+	// A transit ToR of a multi-rack fabric sees nothing but packets
+	// another switch stamped, which Process passes by L3 before any
+	// table, so it never builds them.
 	seqReg  *regArray              // stage 0, single slot
 	groupT  *matchTable[[2]uint16] // stage 1
 	stateT  *regArray              // stage 2
@@ -189,22 +196,29 @@ func New(cfg Config) (*Switch, error) {
 	if cfg.MaxServers < 2 || cfg.MaxServers > 65535 {
 		return nil, ErrBadMaxServers
 	}
-	s := &Switch{
+	return &Switch{
 		cfg:        cfg,
 		seqReg:     newRegArray("sequencer", stageSeq, 1),
-		groupT:     newMatchTable[[2]uint16]("group-table", stageGroup, cfg.MaxServers*(cfg.MaxServers-1)),
 		stateT:     newRegArray("state-table", stageState, cfg.MaxServers),
 		shadowT:    newRegArray("shadow-table", stageShadow, cfg.MaxServers),
 		addrT:      newMatchTable[uint32]("addr-table", stageAddr, cfg.MaxServers),
 		filterMask: uint32(cfg.FilterSlots - 1),
-	}
-	s.filterT = make([]*regArray, cfg.FilterTables)
-	s.filterDirty = make([][]int32, cfg.FilterTables)
+	}, nil
+}
+
+// materialize builds the group table over the installed servers and the
+// filter registers: on the first owned pass, or the first read of the
+// group table. Until then a switch differs from one built eagerly only
+// in memory — every table it has not built is one no packet has read.
+func (s *Switch) materialize() {
+	s.groupT = newMatchTable[[2]uint16]("group-table", stageGroup, s.cfg.MaxServers*(s.cfg.MaxServers-1))
+	s.filterT = make([]*regArray, s.cfg.FilterTables)
+	s.filterDirty = make([][]int32, s.cfg.FilterTables)
 	for i := range s.filterT {
-		s.filterT[i] = newRegArray(fmt.Sprintf("filter-table-%d", i), stageFilter+i, cfg.FilterSlots)
+		s.filterT[i] = newRegArray(fmt.Sprintf("filter-table-%d", i), stageFilter+i, s.cfg.FilterSlots)
 		s.filterDirty[i] = make([]int32, 0, 256)
 	}
-	return s, nil
+	s.rebuildGroups()
 }
 
 // filterDirtyCap bounds the per-table dirty list. Past this many writes
@@ -284,10 +298,19 @@ func (s *Switch) Servers() []uint16 {
 // NumGroups returns the number of installed groups: n*(n-1) ordered pairs
 // over n alive servers (§3.3: "The number of groups is 2*C(n,2) ...
 // multiplying by two is to sustain the randomness of server selection").
-func (s *Switch) NumGroups() int { return s.numGroups }
+// Like every read of the group table, it builds the tables on first use.
+func (s *Switch) NumGroups() int {
+	if s.groupT == nil {
+		s.materialize()
+	}
+	return s.numGroups
+}
 
 // Group returns the candidate pair for group g.
 func (s *Switch) Group(g int) (sid1, sid2 uint16, ok bool) {
+	if s.groupT == nil {
+		s.materialize()
+	}
 	if g < 0 || g >= s.numGroups {
 		return 0, 0, false
 	}
@@ -309,8 +332,13 @@ func (s *Switch) GroupsWithFirst(i int) (lo, hi int) {
 // rebuildGroups installs all ordered pairs of alive servers: group
 // g = i*(n-1) + k maps to (alive[i], alive[k >= i ? k+1 : k]). Entries
 // below the new group count are overwritten in place; only the tail a
-// shrinking alive set leaves behind is removed.
+// shrinking alive set leaves behind is removed. A switch that has not
+// built its group table has nothing to rebuild: materialize builds it
+// from the alive set as it then stands.
 func (s *Switch) rebuildGroups() {
+	if s.groupT == nil {
+		return
+	}
 	n := len(s.alive)
 	g := 0
 	for i := 0; i < n; i++ {
@@ -389,6 +417,9 @@ func (s *Switch) Process(h *wire.Header) Result {
 	if h.SwitchID != 0 && h.SwitchID != s.cfg.SwitchID {
 		s.stats.PassL3++
 		return Result{Act: ActPassL3}
+	}
+	if s.groupT == nil {
+		s.materialize()
 	}
 
 	switch {

@@ -75,10 +75,23 @@ type cluster struct {
 	sw      *switchNode    // clients' ToR: all NetClone processing happens here
 	tors    []*switchNode  // one ToR per rack, topology order (tors[topo.ClientRack] == sw)
 	coords  []*coordinator // LÆDGE only
-	clients []*client
+	clients []client       // the client slab; a client event's x is its index
 	servers []*server
 
+	// The whole client population is one registered handler (events.go):
+	// cliH's self is the cluster, and every client event names its
+	// client by index in x, so a client costs no handler-table entry.
+	cliH   node
+	cliHid int32
+
 	endGen int64 // stop generating requests at this time
+
+	// Per-send invariants of every client, hoisted out of the generation
+	// loop: group count and arrival process are fixed once the clients'
+	// ToR is built (no control-plane add/remove happens mid-run; switch
+	// failure only clears soft state).
+	numGroups int
+	arrival   workload.Poisson
 
 	// Per-hop delay sums and window bounds, hoisted out of the per-event
 	// inner loops at build time (they are constants for the whole run).
@@ -226,9 +239,7 @@ func Run(cfg Config) (Result, error) {
 		c.faults.schedule()
 	}
 
-	for _, cl := range c.clients {
-		cl.start()
-	}
+	c.startClients()
 	// Drain slack: let in-flight requests complete so tail completions
 	// inside the window are observed even when they finish processing
 	// slightly after endGen. Latency recording is still window-gated.
@@ -368,7 +379,10 @@ func (c *cluster) recyclePackets() {
 // Every ToR runs the scheme's full program over the global server
 // tables with its own switch ID; the switch-ID ownership rule is what
 // keeps non-client ToRs from re-processing stamped packets (§3.7), so
-// only the clients' ToR clones, filters, or tracks state.
+// only the clients' ToR clones, filters, or tracks state. A transit ToR
+// therefore never builds its group table or filter registers
+// (dataplane builds them on a switch's first owned pass): each one
+// costs its address table and a handful of small registers.
 func (c *cluster) buildSwitches() error {
 	dcfg := dataplane.Config{
 		MaxServers:   maxInt(len(c.cfg.Workers), 2),
@@ -386,8 +400,8 @@ func (c *cluster) buildSwitches() error {
 		dcfg.EnableCloning = true
 	default: // Baseline, CClone, LAEDGE: plain forwarding only
 	}
-	// Every ToR carries the global server tables; each installs them in
-	// one control-plane step, so a rack costs one n(n-1) group build.
+	// Every ToR is given the global server list in one control-plane
+	// step; the clients' ToR alone goes on to build the n(n-1) groups.
 	entries := make([]dataplane.ServerEntry, len(c.cfg.Workers))
 	for sid := range entries {
 		entries[sid] = dataplane.ServerEntry{SID: uint16(sid), Addr: uint32(sid)}
@@ -414,8 +428,9 @@ func (c *cluster) buildSwitches() error {
 }
 
 // buildServers and buildClients allocate each entity kind as one slab
-// (generators inline, pending rings carved from one more), so building
-// costs a fixed handful of allocations whatever the population.
+// (generators and the smallest pending ring inline, larger rings carved
+// from one more), so building costs a fixed handful of allocations
+// whatever the population.
 func (c *cluster) buildServers() {
 	slab := make([]server, len(c.cfg.Workers))
 	c.servers = make([]*server, len(slab))
@@ -436,30 +451,40 @@ func (c *cluster) buildServers() {
 func (c *cluster) buildClients() {
 	n := c.cfg.NumClients
 	perClient := c.cfg.OfferedRPS / float64(n)
-	// Per-send invariants, hoisted out of the generation loop: group and
-	// server counts are fixed after buildSwitch (no control-plane
-	// add/remove happens mid-run; switch failure only clears soft state).
-	numGroups := maxInt(c.sw.dp.NumGroups(), 1)
-	nServers := len(c.servers)
+	c.numGroups = maxInt(c.sw.dp.NumGroups(), 1)
+	c.arrival = workload.Poisson{RatePerSec: perClient}
+	c.cliHid = c.cliH.register(c.eng, c)
 	ring := pendRingSizeFor(perClient)
-	slab := make([]client, n)
-	rings := make([]pendSlot, n*ring)
-	c.clients = make([]*client, n)
-	for i := range slab {
-		cl := &slab[i]
-		*cl = client{
-			cl:           c,
-			id:           uint16(i),
-			arrival:      workload.Poisson{RatePerSec: perClient},
-			numGroups:    numGroups,
-			nServers:     nServers,
-			filterTables: c.cfg.FilterTables,
-			numCoords:    len(c.coords),
-			pendRing:     rings[i*ring : (i+1)*ring : (i+1)*ring],
+	var rings []pendSlot
+	if ring > pendRingMin {
+		rings = make([]pendSlot, n*ring)
+	}
+	c.clients = make([]client, n)
+	for i := range c.clients {
+		cl := &c.clients[i]
+		cl.cl, cl.idx = c, int32(i)
+		if rings != nil {
+			cl.pendRing = rings[i*ring : (i+1)*ring : (i+1)*ring]
+		} else {
+			cl.pendRing = cl.ring[:]
 		}
 		cl.rng.Seed(c.cfg.Seed, 100+uint64(i))
-		cl.hid = cl.h.register(c.eng, cl)
-		c.clients[i] = cl
+	}
+}
+
+// startClients schedules every client's first arrival, in index order.
+func (c *cluster) startClients() {
+	for i := range c.clients {
+		c.clients[i].start()
+	}
+}
+
+// arrive runs client x's open-loop arrival. Arrivals at or past endGen
+// generate nothing, so they are dropped here, before the client's cache
+// line is touched.
+func (c *cluster) arrive(x int64) {
+	if c.eng.Now() < c.endGen {
+		c.clients[x].generate()
 	}
 }
 
@@ -503,8 +528,8 @@ func (c *cluster) result() Result {
 	if total > 0 {
 		res.EmptyQueueFrac = float64(emptyQ) / float64(total)
 	}
-	for _, cl := range c.clients {
-		res.RedundantAtClient += cl.redundant
+	for i := range c.clients {
+		res.RedundantAtClient += c.clients[i].redundant
 	}
 	for _, co := range c.coords {
 		if co.queueMax > res.CoordQueueMax {
@@ -779,7 +804,7 @@ func (s *switchNode) toClient(p *packet, dst int) {
 		c.congToClient(dst, p, c.dSwLink+c.jitterExtra())
 		return
 	}
-	c.eng.ScheduleAfter(c.dSwLink+c.jitterExtra(), c.clients[dst].hid, evCliOnResponse, p, 0)
+	c.eng.ScheduleAfter(c.dSwLink+c.jitterExtra(), c.cliHid, evCliOnResponse, p, int64(dst))
 }
 
 // recirculate re-injects a clone into the ingress pipeline.
@@ -870,7 +895,7 @@ func (s *switchNode) coordToClient(p *packet, dst int) {
 		s.cl.congToClient(dst, p, s.cl.dSwLink)
 		return
 	}
-	s.cl.eng.ScheduleAfter(s.cl.dSwLink, s.cl.clients[dst].hid, evCliOnResponse, p, 0)
+	s.cl.eng.ScheduleAfter(s.cl.dSwLink, s.cl.cliHid, evCliOnResponse, p, int64(dst))
 }
 
 // ---------------------------------------------------------------------
@@ -1081,11 +1106,16 @@ func pendRingSizeFor(perClientRPS float64) int {
 	return size
 }
 
+// pendSlot is one ring entry: pendingReq's fields flattened beside the
+// seq, so a slot is 16 bytes.
 type pendSlot struct {
-	seq   uint32
-	valid bool
-	req   pendingReq
+	sentAt int64
+	seq    uint32
+	op     workload.OpKind
+	valid  bool
 }
+
+func (s *pendSlot) req() pendingReq { return pendingReq{sentAt: s.sentAt, op: s.op} }
 
 // putPending records an outstanding request under seq.
 func (c *client) putPending(seq uint32, req pendingReq) {
@@ -1093,7 +1123,7 @@ func (c *client) putPending(seq uint32, req pendingReq) {
 	if s.valid {
 		s = c.lapPending(seq)
 	}
-	*s = pendSlot{seq: seq, valid: true, req: req}
+	*s = pendSlot{sentAt: req.sentAt, seq: seq, op: req.op, valid: true}
 }
 
 // lapPending makes room for seq when its slot still holds a live
@@ -1119,7 +1149,7 @@ func (c *client) lapPending(seq uint32) *pendSlot {
 	if c.pendSpill == nil {
 		c.pendSpill = make(map[uint32]pendingReq)
 	}
-	c.pendSpill[s.seq] = s.req
+	c.pendSpill[s.seq] = s.req()
 	return s
 }
 
@@ -1128,7 +1158,7 @@ func (c *client) takePending(seq uint32) (pendingReq, bool) {
 	s := &c.pendRing[seq&uint32(len(c.pendRing)-1)]
 	if s.valid && s.seq == seq {
 		s.valid = false
-		return s.req, true
+		return s.req(), true
 	}
 	if c.pendSpill != nil {
 		if r, ok := c.pendSpill[seq]; ok {
@@ -1141,41 +1171,37 @@ func (c *client) takePending(seq uint32) (pendingReq, bool) {
 
 // client is an open-loop load generator with a sender and a receiver
 // thread (§4.2), each modelled as a FIFO resource with a per-packet cost.
+// Clients live in one slab (cluster.clients) and are not registered
+// with the engine one by one: their events go to the cluster's client
+// handler with the client's index in x.
 type client struct {
 	cl      *cluster
-	h       node // the registered handler (events.go)
-	id      uint16
-	hid     int32 // its engine handler ID
+	idx     int32 // index in cluster.clients; the low 16 bits are its ClientID
+	nextSeq uint32
 	rng     simnet.RNG
-	arrival workload.Poisson
 
-	// Hoisted per-send invariants (see buildClients).
-	numGroups    int
-	nServers     int
-	filterTables int
-	numCoords    int
-
-	nextSeq     uint32
 	pendRing    []pendSlot // power-of-two length; see the pending-request table
 	pendSpill   map[uint32]pendingReq
 	txBusyUntil int64
 	rxQueue     pktFIFO
 	rxBusy      bool
 	redundant   int64
+
+	// ring is the pendRingMin-slot ring, inline: pendRing starts on it
+	// when the client's rate calls for no more.
+	ring [pendRingMin]pendSlot
 }
 
 // start schedules the first generation event.
 func (c *client) start() {
-	c.cl.eng.ScheduleAfter(c.arrival.NextGap(&c.rng.Rand), c.hid, evCliGenerate, nil, 0)
+	c.cl.eng.ScheduleAfter(c.cl.arrival.NextGap(&c.rng.Rand), c.cl.cliHid, evCliGenerate, nil, int64(c.idx))
 }
 
 // generate creates one request (two packets under C-Clone) and schedules
-// the next arrival.
+// the next arrival. The dispatcher (cluster.arrive) calls it only before
+// endGen.
 func (c *client) generate() {
 	now := c.cl.eng.Now()
-	if now >= c.cl.endGen {
-		return
-	}
 	c.cl.generated++
 
 	op := workload.OpGet
@@ -1198,7 +1224,7 @@ func (c *client) generate() {
 	switch c.cl.cfg.Scheme {
 	case CClone:
 		// Duplicate to two distinct random servers; both plain requests.
-		n := c.nServers
+		n := len(c.cl.servers)
 		s1 := c.rng.IntN(n)
 		s2 := c.rng.IntN(n - 1)
 		if s2 >= s1 {
@@ -1228,13 +1254,13 @@ func (c *client) generate() {
 			p.traced = true
 			c.cl.record(trace.KindIssue, p, c.cl.topo.ClientRack, -1, -1)
 		}
-		if c.numCoords > 0 {
-			p.coordID = c.rng.IntN(c.numCoords)
+		if k := len(c.cl.coords); k > 0 {
+			p.coordID = c.rng.IntN(k)
 		}
 		c.sendPacket(p, now)
 	}
 
-	c.cl.eng.ScheduleAfter(c.arrival.NextGap(&c.rng.Rand), c.hid, evCliGenerate, nil, 0)
+	c.cl.eng.ScheduleAfter(c.cl.arrival.NextGap(&c.rng.Rand), c.cl.cliHid, evCliGenerate, nil, int64(c.idx))
 }
 
 // pickGroup selects the client's random group ID. In normal operation it
@@ -1242,7 +1268,7 @@ func (c *client) generate() {
 // ablation only pairs with sid1 < sid2 are used.
 func (c *client) pickGroup() uint16 {
 	for {
-		g := uint16(c.rng.IntN(c.numGroups))
+		g := uint16(c.rng.IntN(c.cl.numGroups))
 		if !c.cl.cfg.SingleOrderingGroups {
 			return g
 		}
@@ -1259,7 +1285,7 @@ func (c *client) pickGroup() uint16 {
 // layout dataplane.GroupsWithFirst documents — hoisted to arithmetic
 // here to keep the per-send path free of switch lookups.
 func (c *client) groupWithFirst(i int) uint16 {
-	span := c.nServers - 1
+	span := len(c.cl.servers) - 1
 	if span <= 0 {
 		return 0
 	}
@@ -1271,8 +1297,8 @@ func (c *client) makeRequest(seq uint32, op workload.OpKind, grp uint16, direct 
 	p.hdr = wire.Header{
 		Type:      wire.TypeReq,
 		Group:     grp,
-		Idx:       uint8(c.rng.IntN(c.filterTables)),
-		ClientID:  c.id,
+		Idx:       uint8(c.rng.IntN(c.cl.cfg.FilterTables)),
+		ClientID:  uint16(c.idx),
 		ClientSeq: seq,
 		PktTotal:  1,
 	}
@@ -1298,52 +1324,56 @@ func (c *client) sendPacket(p *packet, now int64) {
 // time; a response whose request already completed takes the slower
 // dedup-miss path (ClientPktCostNS + DedupMissCostNS) and is discarded —
 // the client-side overhead that response filtering exists to remove
-// (§3.5, Fig 15).
+// (§3.5, Fig 15). An idle receiver serves the packet at once: the queue
+// is only for responses that find it busy.
 func (c *client) onResponse(p *packet) {
 	if c.cl.cong != nil && p.hdr.ECN != 0 {
 		c.cl.cong.markedAtClients++
 	}
-	c.rxQueue.push(p)
-	if !c.rxBusy {
-		c.rxBusy = true
-		c.rxServeNext()
+	if c.rxBusy {
+		c.rxQueue.push(p)
+		return
+	}
+	c.rxBusy = true
+	c.rxServe(p)
+}
+
+// rxServe starts the receiver on p: it claims (or misses) the pending
+// entry immediately, so a twin already queued behind p takes the miss
+// path, then schedules the per-packet RX cost; completion lands in
+// rxFinishHit/rxFinishMiss. A claimed request's send time travels in
+// the packet from here on.
+func (c *client) rxServe(p *packet) {
+	req, ok := c.takePending(p.hdr.ClientSeq)
+	cost := c.cl.dCliPkt
+	if ok {
+		p.sentAt = req.sentAt
+		c.cl.eng.ScheduleAfter(cost, c.cl.cliHid, evCliRxHit, p, int64(c.idx))
+	} else {
+		c.cl.eng.ScheduleAfter(cost+c.cl.dDedupMiss, c.cl.cliHid, evCliRxMiss, p, int64(c.idx))
 	}
 }
 
-// rxServeNext processes the receiver queue head: it claims (or misses)
-// the pending entry immediately, then schedules the per-packet RX cost;
-// completion lands in rxFinishHit/rxFinishMiss.
+// rxServeNext serves the receiver queue's head, or idles the receiver
+// when the queue is empty.
 func (c *client) rxServeNext() {
 	if c.rxQueue.len() == 0 {
 		c.rxBusy = false
 		return
 	}
-	p := c.rxQueue.pop()
-
-	// Claim the request now so a twin already queued behind us takes
-	// the miss path.
-	req, ok := c.takePending(p.hdr.ClientSeq)
-	cost := c.cl.dCliPkt
-	if ok {
-		c.cl.eng.ScheduleAfter(cost, c.hid, evCliRxHit, p, req.sentAt)
-	} else {
-		c.cl.eng.ScheduleAfter(cost+c.cl.dDedupMiss, c.hid, evCliRxMiss, p, 0)
-	}
+	c.rxServe(c.rxQueue.pop())
 }
 
 // rxFinishHit completes the winning response for a pending request.
-func (c *client) rxFinishHit(p *packet, sentAt int64) {
+func (c *client) rxFinishHit(p *packet) {
 	now := c.cl.eng.Now()
-	c.cl.recordCompletion(now, now-sentAt)
+	lat := now - p.sentAt
+	c.cl.recordCompletion(now, lat)
 	if c.cl.breakdown != nil && p.trace != nil {
-		c.cl.breakdown.record(p.trace, now-sentAt)
+		c.cl.breakdown.record(p.trace, lat)
 	}
 	if p.traced {
-		lat := now - sentAt
-		if lat > math.MaxInt32 {
-			lat = math.MaxInt32
-		}
-		c.cl.record(trace.KindComplete, p, c.cl.topo.ClientRack, int32(lat), -1)
+		c.cl.record(trace.KindComplete, p, c.cl.topo.ClientRack, int32(min(lat, math.MaxInt32)), -1)
 	}
 	c.cl.freePacket(p)
 	c.rxServeNext()

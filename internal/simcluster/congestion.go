@@ -411,7 +411,7 @@ func (c *cluster) congToServer(dst int, p *packet, post int64) {
 // congToClient routes a ToR->client hop through the client's down-port.
 func (c *cluster) congToClient(dst int, p *packet, post int64) {
 	c.cong.enqueue(c.cong.cliBase+dst, portEntry{
-		p: p, hid: c.clients[dst].hid, kind: evCliOnResponse,
+		p: p, hid: c.cliHid, kind: evCliOnResponse, x: int64(dst),
 		post: post, svc: c.cong.svcEdge, chain: -1,
 	})
 }

@@ -290,9 +290,7 @@ func benchBuildCongested(tb testing.TB) *cluster {
 // congested steady path allocates nothing (ISSUE 7 acceptance).
 func TestCongestionSteadyPathZeroAllocs(t *testing.T) {
 	c := benchBuildCongested(t)
-	for _, cl := range c.clients {
-		cl.start()
-	}
+	c.startClients()
 	// Warm up: freelist, histograms, and queue rings reach steady state.
 	deadline := int64(20e6)
 	c.eng.RunUntil(deadline)
@@ -313,9 +311,7 @@ func TestCongestionSteadyPathZeroAllocs(t *testing.T) {
 // throughput with finite queues, marking, and tail-drop on every hop.
 func BenchmarkClusterSteadyStateCongested(b *testing.B) {
 	c := benchBuildCongested(b)
-	for _, cl := range c.clients {
-		cl.start()
-	}
+	c.startClients()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

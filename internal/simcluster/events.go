@@ -8,9 +8,12 @@ import "netclone/internal/simnet"
 // single enum covers the whole cluster — and a single switch,
 // node.OnEvent, dispatches it.
 //
-// Every receiver — ToR switch, server, client, LÆDGE coordinator, fault
+// Every receiver — ToR switch, server, LÆDGE coordinator, fault
 // controller, congestion controller — registers the same concrete
-// simnet.Handler, *node. The engine makes one interface call per event;
+// simnet.Handler, *node, and the client population registers one more
+// between them (cluster.cliH), each client event naming its client by
+// index in x: the registrations stay a fixed handful at any number of
+// clients. The engine makes one interface call per event;
 // with one dynamic type behind every handler ID that call always has
 // the same target, which the CPU predicts, and the kind switch is the
 // one indirect branch left to mispredict per event. Per-type handlers
@@ -18,7 +21,7 @@ import "netclone/internal/simnet"
 // kind again: two hard-to-predict indirect branches on most events.
 // TestOneHandlerType checks that every registration is a *node, and
 // TestEventKindsReachTheirMethods that every kind reaches its intended
-// method.
+// method — a client kind, the client its x names.
 const (
 	// switchNode events. arg = *packet; x = destination index where noted.
 	evSwFromClient      uint8 = iota // request arrives from a client NIC
@@ -34,10 +37,11 @@ const (
 	evSrvDispatch  // dispatcher cost paid; enqueue or start service
 	evSrvFinish    // worker finished executing the request
 
-	// client events. arg = *packet except evCliGenerate (nil).
+	// client events. arg = *packet except evCliGenerate (nil); x = the
+	// client's index in cluster.clients, for every kind.
 	evCliGenerate   // open-loop arrival: create the next request
 	evCliOnResponse // response arrives at the client NIC
-	evCliRxHit      // RX thread finished a response with a pending match; x = request sentAt
+	evCliRxHit      // RX thread finished a response with a pending match
 	evCliRxMiss     // RX thread finished a response whose request already completed
 
 	// coordinator events (LÆDGE). arg = *packet.
@@ -61,8 +65,8 @@ const (
 
 // node is the cluster's one simnet.Handler type. Each receiver embeds
 // one as its h field and registers it through register; self points
-// back at the receiver, and the event kind says which concrete type
-// that is. h is a named field, not an embedding, so no receiver's
+// back at the receiver — the cluster, for the client population — and
+// the event kind says which concrete type that is. h is a named field, not an embedding, so no receiver's
 // method set picks up OnEvent and none can be registered directly.
 type node struct{ self any }
 
@@ -98,13 +102,13 @@ func (n *node) OnEvent(kind uint8, arg any, x int64) {
 		n.self.(*server).finish(arg.(*packet))
 
 	case evCliGenerate:
-		n.self.(*client).generate()
+		n.self.(*cluster).arrive(x)
 	case evCliOnResponse:
-		n.self.(*client).onResponse(arg.(*packet))
+		n.self.(*cluster).clients[x].onResponse(arg.(*packet))
 	case evCliRxHit:
-		n.self.(*client).rxFinishHit(arg.(*packet), x)
+		n.self.(*cluster).clients[x].rxFinishHit(arg.(*packet))
 	case evCliRxMiss:
-		n.self.(*client).rxFinishMiss(arg.(*packet))
+		n.self.(*cluster).clients[x].rxFinishMiss(arg.(*packet))
 
 	case evCoArriveRequest:
 		n.self.(*coordinator).arriveRequest(arg.(*packet))

@@ -10,46 +10,73 @@ import (
 	"testing"
 	"time"
 
+	"netclone/internal/congestion"
 	"netclone/internal/faults"
+	"netclone/internal/wire"
 	"netclone/internal/workload"
 )
 
-// TestOneHandlerType builds one cluster holding every kind of node —
-// two ToRs, servers, clients, two LÆDGE coordinators, a fault
-// controller and a congestion controller — and checks what the engine
-// was handed: every registered handler is a *node, and handler ID i is
-// exactly the h field of the node whose hid is i. A node that registers
-// itself, or anything else, would bring back a varied call target on
-// the engine's per-event interface call (events.go).
-func TestOneHandlerType(t *testing.T) {
+// buildEveryNodeKind builds one cluster holding every kind of node —
+// two ToRs, servers, the client population, two LÆDGE coordinators, a
+// fault controller and a congestion controller — with the given number
+// of clients. Nothing is run.
+func buildEveryNodeKind(t *testing.T, clients int) *cluster {
+	t.Helper()
 	cfg, err := Config{
 		Scheme:          LAEDGE,
 		NumCoordinators: 2,
+		NumClients:      clients,
 		Workers:         []int{2, 2, 2, 2},
 		Service:         workload.Exp(25),
 		OfferedRPS:      1e5,
 		DurationNS:      1e6,
 		Seed:            1,
 		Faults:          faults.New(faults.ServerCrash(0, time.Millisecond/2, time.Millisecond)),
-		Congestion:      congTestSpec(),
+		// One slot per port: the congestion model keeps a port per client.
+		Congestion: congestion.New().WithLinkRate(1).WithQueueCap(1).WithMarkThreshold(0),
 	}.Normalized()
 	if err != nil {
 		t.Fatal(err)
 	}
 	// Validation refuses LÆDGE on a fabric (its coordinator tier is
 	// single-rack), so the second rack joins after it. build assembles
-	// the shape regardless, and this test runs nothing.
+	// the shape regardless.
 	cfg = twoRack(cfg)
 	c, err := build(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer c.release()
-	if c.topo.Racks != 2 || len(c.coords) != 2 || c.faults == nil || c.cong == nil {
-		t.Fatalf("cluster lacks a node kind: %d racks, %d coordinators, faults %v, congestion %v",
-			c.topo.Racks, len(c.coords), c.faults != nil, c.cong != nil)
+	if c.topo.Racks != 2 || len(c.coords) != 2 || c.faults == nil || c.cong == nil || len(c.clients) != clients {
+		t.Fatalf("cluster lacks a node kind: %d racks, %d coordinators, faults %v, congestion %v, %d clients",
+			c.topo.Racks, len(c.coords), c.faults != nil, c.cong != nil, len(c.clients))
 	}
+	return c
+}
 
+// TestOneHandlerType checks what the engine was handed by a cluster
+// holding every kind of node: every registered handler is a *node,
+// handler ID i is exactly the h field of the receiver whose hid is i,
+// and the client population is one registration — the count is the
+// same at 1,600 clients and at 102,400. A node that registers itself,
+// or anything else, would bring back a varied call target on the
+// engine's per-event interface call (events.go); a registration per
+// client would bring back a handler-table entry per client.
+func TestOneHandlerType(t *testing.T) {
+	var counts []int
+	for _, clients := range []int{1600, 102400} {
+		c := buildEveryNodeKind(t, clients)
+		counts = append(counts, checkRegistrations(t, c))
+		c.release()
+	}
+	if counts[0] != counts[1] {
+		t.Errorf("the engine holds %d handlers with 1,600 clients and %d with 102,400, want the same", counts[0], counts[1])
+	}
+}
+
+// checkRegistrations holds c's engine registrations to the one-type
+// rule and returns how many there are.
+func checkRegistrations(t *testing.T, c *cluster) int {
+	t.Helper()
 	type reg struct {
 		name string
 		h    *node
@@ -63,9 +90,7 @@ func TestOneHandlerType(t *testing.T) {
 	for _, s := range c.servers {
 		regs = append(regs, reg{"server", &s.h, s.hid, s})
 	}
-	for _, cl := range c.clients {
-		regs = append(regs, reg{"client", &cl.h, cl.hid, cl})
-	}
+	regs = append(regs, reg{"client population", &c.cliH, c.cliHid, c})
 	for _, co := range c.coords {
 		regs = append(regs, reg{"coordinator", &co.h, co.hid, co})
 	}
@@ -80,7 +105,7 @@ func TestOneHandlerType(t *testing.T) {
 		t.Fatal("simnet.Engine has no handlers field; point this test at its registrations")
 	}
 	if hs.Len() != len(regs) {
-		t.Errorf("engine holds %d handlers, the cluster has %d nodes", hs.Len(), len(regs))
+		t.Errorf("engine holds %d handlers, the cluster has %d receivers", hs.Len(), len(regs))
 	}
 	nodeType := reflect.TypeFor[*node]()
 	for i := 0; i < hs.Len(); i++ {
@@ -100,6 +125,7 @@ func TestOneHandlerType(t *testing.T) {
 			t.Errorf("the %s's h.self (a %T) is not the %s itself", r.name, r.h.self, r.name)
 		}
 	}
+	return hs.Len()
 }
 
 // eventMethods is the receiver method every event kind is meant to
@@ -116,7 +142,7 @@ var eventMethods = map[string]string{
 	"evSrvOnRequest":      "server.onRequest",
 	"evSrvDispatch":       "server.dispatch",
 	"evSrvFinish":         "server.finish",
-	"evCliGenerate":       "client.generate",
+	"evCliGenerate":       "cluster.arrive",
 	"evCliOnResponse":     "client.onResponse",
 	"evCliRxHit":          "client.rxFinishHit",
 	"evCliRxMiss":         "client.rxFinishMiss",
@@ -133,7 +159,9 @@ var eventMethods = map[string]string{
 // TestEventKindsReachTheirMethods reads the package source: node.OnEvent
 // must be the only OnEvent method outside the tests, and each constant
 // of the event-kind enum must have a case in it that calls its intended
-// method on the receiver type that method belongs to.
+// method on the receiver type that method belongs to — a client method
+// on the client x indexes. Then it runs the client kinds, to see each
+// one reach the client its x names.
 func TestEventKindsReachTheirMethods(t *testing.T) {
 	files, err := filepath.Glob("*.go")
 	if err != nil {
@@ -206,10 +234,74 @@ func TestEventKindsReachTheirMethods(t *testing.T) {
 			t.Errorf("%s reaches %s, want %s", k, got[k], want)
 		}
 	}
+	checkClientEventsReachTheirClient(t)
+}
+
+// checkClientEventsReachTheirClient delivers each client event kind
+// through the engine with x = k and requires client k, and no other,
+// to act on it: the client handler stands for the whole population,
+// so the index in x is all that routes a client event.
+func checkClientEventsReachTheirClient(t *testing.T) {
+	t.Helper()
+	cfg := fastConfig(NetClone)
+	cfg.NumClients = 8
+	cfg, err := cfg.Normalized()
+	if err != nil {
+		t.Fatal(err)
+	}
+	c, err := build(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.release()
+	const k = 5
+	// deliver runs one event at the current time; everything it
+	// schedules lies later and stays queued.
+	deliver := func(kind uint8, p *packet) {
+		c.eng.Schedule(c.eng.Now(), c.cliHid, kind, p, k)
+		c.eng.RunUntil(c.eng.Now())
+	}
+	only := func(event, what string, got func(cl *client) bool) {
+		t.Helper()
+		for i := range c.clients {
+			if got(&c.clients[i]) != (i == k) {
+				t.Errorf("%s with x = %d: client %d %s = %v, want %v", event, k, i, what, got(&c.clients[i]), i == k)
+			}
+		}
+	}
+
+	deliver(evCliGenerate, nil)
+	only("evCliGenerate", "issued a request", func(cl *client) bool { return cl.nextSeq == 1 })
+
+	resp := c.newPacket()
+	resp.hdr = wire.Header{Type: wire.TypeResp, ClientID: k}
+	deliver(evCliOnResponse, resp)
+	only("evCliOnResponse", "receiver busy", func(cl *client) bool { return cl.rxBusy })
+
+	// With every receiver busy and no queue behind it, the client that
+	// finishes a response goes idle.
+	for _, ev := range []struct {
+		name string
+		kind uint8
+	}{{"evCliRxHit", evCliRxHit}, {"evCliRxMiss", evCliRxMiss}} {
+		for i := range c.clients {
+			c.clients[i].rxBusy = true
+		}
+		p := c.newPacket()
+		p.sentAt = c.eng.Now()
+		deliver(ev.kind, p)
+		only(ev.name, "receiver idle", func(cl *client) bool { return !cl.rxBusy })
+	}
+	only("evCliRxMiss", "counted a redundant response", func(cl *client) bool { return cl.redundant == 1 })
+	if c.completed != 1 {
+		t.Errorf("evCliRxHit completed %d requests, want 1", c.completed)
+	}
 }
 
 // calledMethod returns "T.m" when a case body is the single statement
-// n.self.(*T).m(...), and "" otherwise.
+// n.self.(*T).m(...), "client.m" when it is
+// n.self.(*cluster).clients[x].m(...) — a client event names its client
+// by index in x — and "" otherwise.
 func calledMethod(body []ast.Stmt) string {
 	if len(body) != 1 {
 		return ""
@@ -226,14 +318,30 @@ func calledMethod(body []ast.Stmt) string {
 	if !ok {
 		return ""
 	}
-	ta, ok := sel.X.(*ast.TypeAssertExpr)
+	recv, indexed := sel.X, false
+	if ix, ok := recv.(*ast.IndexExpr); ok {
+		id, ok := ix.Index.(*ast.Ident)
+		field, ok2 := ix.X.(*ast.SelectorExpr)
+		if !ok || id.Name != "x" || !ok2 || field.Sel.Name != "clients" {
+			return ""
+		}
+		recv, indexed = field.X, true
+	}
+	ta, ok := recv.(*ast.TypeAssertExpr)
 	if !ok {
 		return ""
 	}
 	if x, ok := ta.X.(*ast.SelectorExpr); !ok || x.Sel.Name != "self" {
 		return ""
 	}
-	return strings.TrimPrefix(typeName(ta.Type), "*") + "." + sel.Sel.Name
+	typ := strings.TrimPrefix(typeName(ta.Type), "*")
+	if indexed {
+		if typ != "cluster" {
+			return ""
+		}
+		typ = "client"
+	}
+	return typ + "." + sel.Sel.Name
 }
 
 // typeName renders a receiver or asserted type expression: T or *T.

@@ -318,9 +318,7 @@ func buildFaulted(tb testing.TB) *cluster {
 // reuses the stats layer's allocation-free Record path.
 func TestFaultSteadyPathZeroAllocs(t *testing.T) {
 	c := buildFaulted(t)
-	for _, cl := range c.clients {
-		cl.start()
-	}
+	c.startClients()
 	// Warm up: freelist and histograms reach their high-water marks.
 	deadline := int64(20e6)
 	c.eng.RunUntil(deadline)
@@ -341,9 +339,7 @@ func TestFaultSteadyPathZeroAllocs(t *testing.T) {
 // micro-benchmark (README § Benchmarking, CI bench-smoke).
 func BenchmarkClusterSteadyStateFaulted(b *testing.B) {
 	c := buildFaulted(b)
-	for _, cl := range c.clients {
-		cl.start()
-	}
+	c.startClients()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

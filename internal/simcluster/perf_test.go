@@ -2,6 +2,7 @@ package simcluster
 
 import (
 	"reflect"
+	"runtime"
 	"testing"
 	"time"
 
@@ -174,7 +175,7 @@ func benchBuild(b *testing.B, scheme Scheme) *cluster {
 // comes from the freelist and every hop is a typed event.
 func BenchmarkSwitchPipelineRoundTrip(b *testing.B) {
 	c := benchBuild(b, NetClone)
-	cl := c.clients[0]
+	cl := &c.clients[0]
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -191,7 +192,7 @@ func BenchmarkSwitchPipelineRoundTrip(b *testing.B) {
 // response through the dedup-miss path.
 func BenchmarkSwitchPipelineCClone(b *testing.B) {
 	c := benchBuild(b, CClone)
-	cl := c.clients[0]
+	cl := &c.clients[0]
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -211,9 +212,7 @@ func BenchmarkSwitchPipelineCClone(b *testing.B) {
 // open-loop schedule, b.N virtual microseconds of offered load.
 func BenchmarkClusterSteadyState(b *testing.B) {
 	c := benchBuild(b, NetClone)
-	for _, cl := range c.clients {
-		cl.start()
-	}
+	c.startClients()
 	b.ReportAllocs()
 	b.ResetTimer()
 	// Advance virtual time 1us per iteration; at 1 MRPS that is one
@@ -264,9 +263,7 @@ func benchBuildFabric(tb testing.TB) *cluster {
 // path does.
 func TestTopologySteadyPathZeroAllocs(t *testing.T) {
 	c := benchBuildFabric(t)
-	for _, cl := range c.clients {
-		cl.start()
-	}
+	c.startClients()
 	// Warm up: freelist and histograms reach their high-water marks.
 	deadline := int64(20e6)
 	c.eng.RunUntil(deadline)
@@ -288,9 +285,7 @@ func TestTopologySteadyPathZeroAllocs(t *testing.T) {
 // generalization does not regress the 0 allocs/op steady path.
 func BenchmarkClusterSteadyStateMultiRack(b *testing.B) {
 	c := benchBuildFabric(b)
-	for _, cl := range c.clients {
-		cl.start()
-	}
+	c.startClients()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -314,9 +309,7 @@ func BenchmarkClusterSteadyStateTraced(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	for _, cl := range c.clients {
-		cl.start()
-	}
+	c.startClients()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -407,15 +400,77 @@ func TestConstructionAllocsIndependentOfClientCount(t *testing.T) {
 	}
 	small, large := allocsFor(6400), allocsFor(25600)
 	t.Logf("16 racks: %.0f allocs with 6,400 clients, %.0f with 25,600", small, large)
-	// About 510 measured: 16 switches' tables and register arrays, the
-	// entity slabs, engine and handler-table growth, the result. The
-	// pre-slab build spent three per client (77,461).
+	// About 320 measured: 16 switches' small registers and address
+	// tables, the clients' ToR's group table and filter registers, the
+	// entity slabs, engine growth, the result. The pre-slab build spent
+	// three per client (77,461).
 	const bound = 1000
 	if large > bound {
 		t.Errorf("building 16 racks with 25,600 clients allocates %.0f times, want <= %d", large, bound)
 	}
 	if large > 2*small {
 		t.Errorf("allocations scale with clients: %.0f at 25,600 vs %.0f at 6,400", large, small)
+	}
+}
+
+// xlRunConfig is xlFabricConfig through the scale-racks-xl window at
+// the golden fidelity: 1 ms of warm-up plus 3 ms measured.
+func xlRunConfig(racks, clients int) Config {
+	cfg := xlFabricConfig(racks, clients)
+	cfg.WarmupNS, cfg.DurationNS = 1e6, 3e6
+	return cfg
+}
+
+// TestRunAllocsIndependentOfClientCount extends the construction
+// guard to a whole run: the offered load is the same at 6,400 and at
+// 25,600 clients, so is the work, and so must be the allocations — a
+// node that allocates on its first event (a client's first queued
+// response, say) costs allocations in proportion to the clients that
+// respond, which quadruple here.
+func TestRunAllocsIndependentOfClientCount(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs 25,600-client fabrics")
+	}
+	allocsFor := func(clients int) float64 {
+		cfg := xlRunConfig(16, clients)
+		return testing.AllocsPerRun(2, func() {
+			if _, err := Run(cfg); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	small, large := allocsFor(6400), allocsFor(25600)
+	t.Logf("16 racks, 4 ms: %.0f allocs with 6,400 clients, %.0f with 25,600", small, large)
+	if large > 1.25*small {
+		t.Errorf("run allocations scale with clients: %.0f at 25,600 vs %.0f at 6,400, want at most 1.25x", large, small)
+	}
+}
+
+// TestRunLeavesNoHeapBehind runs the largest scale-racks-xl point and
+// requires the heap to return to within 4 MiB of where it started once
+// two collections have run: pools may hold a run's backings until the
+// next collection, and nothing population-sized may outlive that. The
+// benchmark of record sweeps the whole suite before it measures the
+// emulator in the same process, so what a sim run leaves behind costs
+// the emulator's measurement.
+func TestRunLeavesNoHeapBehind(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds a 102,400-client fabric")
+	}
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	if _, err := Run(xlFabricConfig(64, 102400)); err != nil {
+		t.Fatal(err)
+	}
+	runtime.GC()
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	grew := int64(after.HeapAlloc) - int64(before.HeapAlloc)
+	t.Logf("heap %d B before the run, %d B after it and two collections", before.HeapAlloc, after.HeapAlloc)
+	if grew > 4<<20 {
+		t.Errorf("a 64-rack, 102,400-client run leaves %d KiB on the heap after two collections, want at most 4096", grew>>10)
 	}
 }
 
@@ -432,4 +487,23 @@ func BenchmarkBuildFabricXL(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+}
+
+// BenchmarkRunFabricXL runs scale-racks-xl's largest point — 64 racks,
+// 192 servers, 102,400 clients — through its 1 ms warm-up and 3 ms
+// window (README § Benchmarking, CI bench-smoke), and reports the cost
+// per engine event beside the events of one run.
+func BenchmarkRunFabricXL(b *testing.B) {
+	cfg := xlRunConfig(64, 102400)
+	b.ReportAllocs()
+	var events int64
+	for i := 0; i < b.N; i++ {
+		res, err := Run(cfg)
+		if err != nil {
+			b.Fatal(err)
+		}
+		events += res.EngineEvents
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(events), "ns/event")
+	b.ReportMetric(float64(events)/float64(b.N), "events/op")
 }

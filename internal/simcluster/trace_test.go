@@ -319,9 +319,7 @@ func TestTraceDisabledZeroAllocs(t *testing.T) {
 	if c.rec != nil || c.tel != nil {
 		t.Fatal("recorder present with TraceRate 0")
 	}
-	for _, cl := range c.clients {
-		cl.start()
-	}
+	c.startClients()
 	deadline := int64(20e6)
 	c.eng.RunUntil(deadline)
 	allocs := testing.AllocsPerRun(50, func() {
@@ -349,9 +347,7 @@ func TestTraceEnabledSteadyPathZeroAllocs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, cl := range c.clients {
-		cl.start()
-	}
+	c.startClients()
 	deadline := int64(20e6)
 	c.eng.RunUntil(deadline)
 	if c.rec.Dropped() == 0 {

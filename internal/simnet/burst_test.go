@@ -220,7 +220,7 @@ func TestBurstDrainMatchesStepOrder(t *testing.T) {
 // checkCalendar verifies the two-tier invariant on a live engine: every
 // pending event sits in the one structure its time assigns it, in the
 // slot its time assigns it, the counters and occupancy bitmaps agree
-// with the chains, and the far edge leads the cursor by at most farLead
+// with the ring chains and far lists, and the far edge leads the cursor by at most farLead
 // half-rings. It returns the first violation, or "".
 func checkCalendar(e *Engine) string {
 	edge := e.farBase << farShift
@@ -242,14 +242,20 @@ func checkCalendar(e *Engine) string {
 			}
 		}
 	}
-	for slot, i := range e.farHead {
+	blocks := 0
+	for slot := range numFar {
 		if e.farOcc[slot>>6]>>(slot&63)&1 == 0 {
-			continue
+			continue // an empty slot's list is stale
 		}
-		if i == nilIdx {
-			return fmt.Sprintf("far slot %d: occupied, chain empty", slot)
+		list, n, msg := farList(e, slot)
+		if msg != "" {
+			return msg
 		}
-		for ; i != nilIdx; i = e.slab[i].nxt {
+		blocks += n
+		if len(list) == 0 {
+			return fmt.Sprintf("far slot %d: occupied, list empty", slot)
+		}
+		for _, i := range list {
 			far++
 			if f := e.slab[i].at >> farTimeShift; f < e.farBase || f >= e.farBase+numFar || int(f)&farMask != slot {
 				return fmt.Sprintf("far slot %d holds far bucket %d, outside [edge %d, +%d) or misfiled", slot, f, e.farBase, numFar)
@@ -257,7 +263,14 @@ func checkCalendar(e *Engine) string {
 		}
 	}
 	if ring != e.ringCount || far != e.farCount {
-		return fmt.Sprintf("chains hold ring=%d far=%d, counters say %d/%d", ring, far, e.ringCount, e.farCount)
+		return fmt.Sprintf("ring chains and far lists hold %d/%d, counters say %d/%d", ring, far, e.ringCount, e.farCount)
+	}
+	free := 0
+	for b := e.farFree; b != nilIdx && free <= len(e.farBlk); b = e.farBlk[b].next {
+		free++
+	}
+	if blocks+free != len(e.farBlk) {
+		return fmt.Sprintf("far lists use %d blocks and %d are free, the block slab holds %d", blocks, free, len(e.farBlk))
 	}
 	for _, i := range e.overflow {
 		if f := e.slab[i].at >> farTimeShift; f < e.farBase+numFar {
@@ -265,6 +278,30 @@ func checkCalendar(e *Engine) string {
 		}
 	}
 	return ""
+}
+
+// farList returns far slot's list, the number of blocks it spans, and
+// a message when its blocks are malformed: a block that is not full
+// before the tail, a tail that is not the last block, or a cycle.
+func farList(e *Engine, slot int) ([]int32, int, string) {
+	var list []int32
+	n := 0
+	for b := e.farHead[slot]; ; b = e.farBlk[b].next {
+		if n++; n > len(e.farBlk) {
+			return nil, n, fmt.Sprintf("far slot %d: block chain longer than the block slab", slot)
+		}
+		blk := &e.farBlk[b]
+		list = append(list, blk.idx[:blk.n]...)
+		if b == e.farTail[slot] {
+			if blk.next != nilIdx {
+				return nil, n, fmt.Sprintf("far slot %d: tail block %d links on to %d", slot, b, blk.next)
+			}
+			return list, n, ""
+		}
+		if blk.n != farBlockLen || blk.next == nilIdx {
+			return nil, n, fmt.Sprintf("far slot %d: block %d holds %d of %d before the tail", slot, b, blk.n, farBlockLen)
+		}
+	}
 }
 
 // TestCalendarInvariants steps randomized scripts one event at a time

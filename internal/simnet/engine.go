@@ -6,7 +6,7 @@
 //
 // Pending events live in a two-tier calendar (DESIGN.md § Performance
 // model): a ring of fine time buckets for the near future and a coarse
-// far tier behind it, so scheduling is an O(1) chain push at any
+// far tier behind it, so scheduling is an O(1) push at any
 // distance a simulation reaches. Execution collects the occupied
 // buckets of a small leading window at once — the burst — into a
 // reusable index batch, orders each bucket's chain as one segment, and
@@ -115,6 +115,19 @@ const (
 	initialSlabCap = 128
 )
 
+// farBlockLen is the capacity of one far-tier block: 62 indices, so a
+// block with its count and link is 256 bytes.
+const farBlockLen = 62
+
+// farBlock is one block of a far-tier list: idx[:n] in scheduling
+// order, then the block at index next (nilIdx ends the list). Free
+// blocks chain through next from Engine.farFree.
+type farBlock struct {
+	idx  [farBlockLen]int32
+	n    int32
+	next int32
+}
+
 // Engine is a single-threaded discrete-event scheduler. The zero value
 // is ready to use at time 0.
 type Engine struct {
@@ -136,14 +149,22 @@ type Engine struct {
 	head      [numBuckets]int32
 	occ       [occWords]uint64
 
-	// Far tier: farHead[f&farMask] chains, newest first, the events with
-	// at>>farTimeShift == f for f in [farBase, farBase+numFar), under the
-	// same bitmap rule. farBase is the far edge (see the geometry comment
-	// for the invariant that ties it to curB).
+	// Far tier: far slot f&farMask lists, in scheduling order, the slab
+	// indices of the events with at>>farTimeShift == f for f in
+	// [farBase, farBase+numFar), under the same bitmap rule: an empty
+	// slot's list is stale. farBase is the far edge (see the geometry
+	// comment for the invariant that ties it to curB). A list is a chain
+	// of fixed-size index blocks, farHead[slot] to farTail[slot], carved
+	// from the growable farBlk slab; a spill scans whole blocks instead
+	// of chasing nxt through records scheduled up to a far bucket apart,
+	// and hands them to the farFree chain for the next list to fill.
 	farBase  int64
 	farCount int
 	farHead  [numFar]int32
+	farTail  [numFar]int32
 	farOcc   [farOccWords]uint64
+	farBlk   []farBlock
+	farFree  int32
 
 	// Burst state: the buckets being drained, their indices collected
 	// into batch in (at, scheduling order). batchPos is the dispatch
@@ -162,8 +183,8 @@ type Engine struct {
 	// rest in order.
 	overflow []int32
 
-	// scratch is reused by spillTo (a far chain, reversed) and
-	// sortSegment (the counting pass), so neither allocates once warm.
+	// scratch is reused by sortSegment's counting pass, so it does not
+	// allocate once warm.
 	scratch []int32
 
 	// handlers[hid-1] is the target of events scheduled with hid; IDs
@@ -203,6 +224,7 @@ func (e *Engine) initStorage() {
 func (e *Engine) clearCalendar() {
 	e.occ = [occWords]uint64{}
 	e.farOcc = [farOccWords]uint64{}
+	e.farBlk, e.farFree = e.farBlk[:0], nilIdx
 	e.ringCount, e.farCount = 0, 0
 	e.curB = e.now >> bucketShift
 	e.farBase = e.curB>>farShift + farLead
@@ -296,7 +318,7 @@ func (e *Engine) ScheduleAfter(d int64, hid int32, kind uint8, arg any, x int64)
 // insert places one stored record into the structure that owns its
 // timestamp: spliced into the running burst when it lands at or before
 // the last bucket being drained (so it merges into the dispatch order),
-// a ring bucket below the far edge, a far chain within the far horizon,
+// a ring bucket below the far edge, a far list within the far horizon,
 // or the overflow list beyond it. The destination is chosen by time
 // alone, and i must be the latest-scheduled event its destination will
 // hold: every destination appends.
@@ -309,16 +331,7 @@ func (e *Engine) insert(i int32) {
 	case f < e.farBase:
 		e.chainPush(int(b)&bucketMask, i)
 	case f-e.farBase < numFar:
-		slot := int(f) & farMask
-		w, bit := slot>>6, uint64(1)<<(slot&63)
-		nxt := e.farHead[slot]
-		if e.farOcc[w]&bit == 0 {
-			nxt = nilIdx // the slot was empty: its head is stale
-		}
-		e.slab[i].nxt = nxt
-		e.farHead[slot] = i
-		e.farOcc[w] |= bit
-		e.farCount++
+		e.farPush(int(f)&farMask, i)
 	default:
 		e.overflow = append(e.overflow, i)
 	}
@@ -336,6 +349,39 @@ func (e *Engine) chainPush(slot int, i int32) {
 	e.head[slot] = i
 	e.occ[w] |= bit
 	e.ringCount++
+}
+
+// farPush appends record i to far slot's list, opening the list when
+// the slot was empty (its head and tail are stale) and adding a block
+// when the tail block is full.
+func (e *Engine) farPush(slot int, i int32) {
+	w, bit := slot>>6, uint64(1)<<(slot&63)
+	if e.farOcc[w]&bit == 0 {
+		b := e.newFarBlock()
+		e.farHead[slot], e.farTail[slot] = b, b
+		e.farOcc[w] |= bit
+	} else if e.farBlk[e.farTail[slot]].n == farBlockLen {
+		b := e.newFarBlock()
+		e.farBlk[e.farTail[slot]].next = b
+		e.farTail[slot] = b
+	}
+	t := &e.farBlk[e.farTail[slot]]
+	t.idx[t.n] = i
+	t.n++
+	e.farCount++
+}
+
+// newFarBlock returns an empty block, reusing a spilled one when it can.
+func (e *Engine) newFarBlock() int32 {
+	b := e.farFree
+	if b == nilIdx {
+		e.farBlk = append(e.farBlk, farBlock{})
+		b = int32(len(e.farBlk) - 1)
+	} else {
+		e.farFree = e.farBlk[b].next
+	}
+	e.farBlk[b].n, e.farBlk[b].next = 0, nilIdx
+	return b
 }
 
 // splice inserts index i into the remainder batch[batchPos:] after the
@@ -381,11 +427,11 @@ func nextSet(occ []uint64, start int) int64 {
 	return d + int64(bits.TrailingZeros64(x))
 }
 
-// spillTo advances the far edge to far bucket f: every far chain below
-// it moves into the ring, oldest first, each event into its own
-// bucket, and the overflow events the far horizon now covers are
-// refiled the same way, in order. Nothing can have been filed into a
-// destination of theirs before them, so every chain stays in
+// spillTo advances the far edge to far bucket f: every far list below
+// it moves into the ring, in its order (oldest first), each event into
+// its own bucket, and the overflow events the far horizon now covers
+// are refiled the same way, in order. Nothing can have been filed into
+// a destination of theirs before them, so every chain stays in
 // scheduling order. Callers keep f within farLead of the cursor's far
 // bucket, so the loop runs once or twice.
 func (e *Engine) spillTo(f int64) {
@@ -395,15 +441,16 @@ func (e *Engine) spillTo(f int64) {
 			continue
 		}
 		e.farOcc[slot>>6] &^= 1 << (slot & 63)
-		s := e.scratch[:0]
-		for i := e.farHead[slot]; i != nilIdx; i = e.slab[i].nxt {
-			s = append(s, i)
+		for b := e.farHead[slot]; b != nilIdx; {
+			blk := &e.farBlk[b]
+			e.farCount -= int(blk.n)
+			for _, i := range blk.idx[:blk.n] {
+				e.chainPush(int(e.slab[i].at>>bucketShift)&bucketMask, i)
+			}
+			next := blk.next
+			blk.next, e.farFree = e.farFree, b
+			b = next
 		}
-		e.farCount -= len(s)
-		for k := len(s) - 1; k >= 0; k-- {
-			e.chainPush(int(e.slab[s[k]].at>>bucketShift)&bucketMask, s[k])
-		}
-		e.scratch = s
 	}
 	kept := e.overflow[:0]
 	for _, i := range e.overflow {

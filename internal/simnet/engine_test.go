@@ -261,10 +261,10 @@ func TestEqualTimesKeepPushOrderAcrossTiers(t *testing.T) {
 	}
 }
 
-// TestEngineReset leaves events in every tier — ring, far chains,
+// TestEngineReset leaves events in every tier — ring, far lists,
 // overflow — and requires Reset to drop them all: engines are pooled
-// (simcluster/pool.go), so a chain surviving Reset would replay a
-// previous run's events into the next.
+// (simcluster/pool.go), so a chain or list surviving Reset would replay
+// a previous run's events into the next.
 func TestEngineReset(t *testing.T) {
 	e := NewEngine()
 	r := newRecorder(e)
@@ -298,6 +298,11 @@ func TestEngineReset(t *testing.T) {
 	r2.at(5*farSpan+1, 1)
 	if e.ringCount != 1 || e.farCount != 1 {
 		t.Fatalf("reused engine filed ring=%d far=%d, want 1/1", e.ringCount, e.farCount)
+	}
+	// Far slot 5 still held the previous run's index; the first push
+	// into the emptied slot must have dropped it.
+	if l, _, msg := farList(e, 5); msg != "" || len(l) != 1 || e.slab[l[0]].at != 5*farSpan+1 {
+		t.Fatalf("reused engine: far list 5 holds %d entries (%s), want only the new event", len(l), msg)
 	}
 	e.Run()
 	if want := []refFire{{5, 0}, {5*farSpan + 1, 1}}; !slices.Equal(r2.fires, want) {
@@ -340,6 +345,10 @@ func TestFarTierHoldsArrivalsInOrder(t *testing.T) {
 	}
 	if e.farCount < 9_000 {
 		t.Fatalf("only %d of 10000 initial arrivals filed in the far tier", e.farCount)
+	}
+	// Hundreds of arrivals per far bucket: every list spans many blocks.
+	if msg := checkCalendar(e); msg != "" {
+		t.Fatal(msg)
 	}
 	e.Run()
 	if len(want) != total || len(got) != total {
@@ -499,7 +508,7 @@ func TestZeroValueEngine(t *testing.T) {
 	var e Engine
 	r := newRecorder(&e)
 	// A far-tier delay first: the far edge needs its anchor, and the far
-	// chain must end at nilIdx, not at the zero head.
+	// list must hold that one event, not a stale zero index.
 	r.at(3*farSpan+7, 0)
 	r.at(30, 1)
 	r.at(10, 2)
@@ -507,8 +516,8 @@ func TestZeroValueEngine(t *testing.T) {
 	if e.ringCount != 2 || e.farCount != 1 {
 		t.Fatalf("zero-value engine filed ring=%d far=%d, want 2/1", e.ringCount, e.farCount)
 	}
-	if i := e.farHead[3]; e.slab[i].at != 3*farSpan+7 || e.slab[i].nxt != nilIdx {
-		t.Fatalf("zero-value engine: far chain 3 is not the one event scheduled into it")
+	if l, _, msg := farList(&e, 3); msg != "" || len(l) != 1 || e.slab[l[0]].at != 3*farSpan+7 {
+		t.Fatalf("zero-value engine: far list 3 is not the one event scheduled into it")
 	}
 	e.Run()
 	if want := []refFire{{10, 2}, {15, 3}, {30, 1}, {3*farSpan + 7, 0}}; !slices.Equal(r.fires, want) {
