@@ -3,7 +3,9 @@
 package udpemu
 
 import (
+	"errors"
 	"net"
+	"net/netip"
 	"syscall"
 	"unsafe"
 )
@@ -23,48 +25,6 @@ type mmsghdr struct {
 
 // rawInet4Len is sizeof(struct sockaddr_in).
 const rawInet4Len = uint32(unsafe.Sizeof(syscall.RawSockaddrInet4{}))
-
-// pktAddr is a comparable IPv4 endpoint — the batch path's address
-// currency. Precomputing it per destination keeps sockaddr conversion
-// off the per-packet path, and value comparison makes client-address
-// learning allocation-free.
-type pktAddr struct {
-	ip   [4]byte
-	port uint16
-}
-
-// makePktAddr converts a UDP address; ok is false for non-IPv4
-// addresses, which the batch path cannot target.
-func makePktAddr(a *net.UDPAddr) (pktAddr, bool) {
-	if a == nil {
-		return pktAddr{}, false
-	}
-	ip4 := a.IP.To4()
-	if ip4 == nil || a.Port <= 0 || a.Port > 65535 {
-		return pktAddr{}, false
-	}
-	var pa pktAddr
-	copy(pa.ip[:], ip4)
-	pa.port = uint16(a.Port)
-	return pa, true
-}
-
-// udpAddr converts back for the portable send paths (jitter delay
-// lines, logging). Allocates; never on the steady path.
-func (pa pktAddr) udpAddr() *net.UDPAddr {
-	ip := make(net.IP, 4)
-	copy(ip, pa.ip[:])
-	return &net.UDPAddr{IP: ip, Port: int(pa.port)}
-}
-
-// raw renders the kernel sockaddr (sin_port is big-endian).
-func (pa pktAddr) raw() syscall.RawSockaddrInet4 {
-	return syscall.RawSockaddrInet4{
-		Family: syscall.AF_INET,
-		Port:   pa.port>>8 | pa.port<<8,
-		Addr:   pa.ip,
-	}
-}
 
 // batchConn is one socket's preallocated burst rings: ioBurst receive
 // slots filled by a single recvmmsg per wakeup, and ioBurst send slots
@@ -158,24 +118,33 @@ func (b *batchConn) recv() (int, error) {
 // pkt returns received datagram i's bytes, valid until the next recv.
 func (b *batchConn) pkt(i int) []byte { return b.rbufs[i][:b.rhdrs[i].len] }
 
-// src returns datagram i's source address.
-func (b *batchConn) src(i int) (pktAddr, bool) {
+// src returns datagram i's source address (sin_port is big-endian).
+func (b *batchConn) src(i int) netip.AddrPort {
 	sa := &b.rsas[i]
 	if sa.Family != syscall.AF_INET {
-		return pktAddr{}, false
+		return netip.AddrPort{}
 	}
-	return pktAddr{ip: sa.Addr, port: sa.Port>>8 | sa.Port<<8}, true
+	return netip.AddrPortFrom(netip.AddrFrom4(sa.Addr), sa.Port>>8|sa.Port<<8)
 }
 
 // wslot returns the next free send slot as an empty slice with the
 // slot's full capacity; append the datagram into it, then commit.
 func (b *batchConn) wslot() []byte { return b.wbufs[b.wn][:0] }
 
+// errNotIPv4 drops a datagram whose destination the IPv4 rings cannot
+// name.
+var errNotIPv4 = errors.New("udpemu: batched I/O sends to IPv4 destinations only")
+
 // commit finalizes the current send slot (n bytes to to) and flushes
-// the ring when it is full. It returns the datagrams dropped by a
-// flush.
-func (b *batchConn) commit(n int, to pktAddr) (int, error) {
-	b.wsas[b.wn] = to.raw()
+// the ring when it is full. It returns the datagrams dropped: the
+// flush's, or this one when to is not IPv4.
+func (b *batchConn) commit(n int, to netip.AddrPort) (int, error) {
+	ip := to.Addr()
+	if !ip.Is4() && !ip.Is4In6() {
+		return 1, errNotIPv4
+	}
+	port := to.Port()
+	b.wsas[b.wn] = syscall.RawSockaddrInet4{Family: syscall.AF_INET, Port: port>>8 | port<<8, Addr: ip.As4()}
 	b.wiovs[b.wn].Len = uint64(n)
 	b.wn++
 	if b.wn == ioBurst {
@@ -186,9 +155,9 @@ func (b *batchConn) commit(n int, to pktAddr) (int, error) {
 
 // flush sends every committed slot with as few sendmmsg calls as
 // partial sends allow. A per-datagram kernel error drops that datagram
-// (returned in dropped — the send-failure counter's feed) and keeps
+// (counted in dropped, the send-failure counter's feed) and keeps
 // going; a transport-level error (e.g. the socket closed) drops the
-// rest of the ring and is returned.
+// rest of the ring. err is the last error behind a drop.
 func (b *batchConn) flush() (dropped int, err error) {
 	sent := 0
 	for sent < b.wn {
@@ -223,10 +192,11 @@ func (b *batchConn) flush() (dropped int, err error) {
 			// flushing the rest.
 			dropped++
 			sent++
+			err = serr
 			continue
 		}
 		sent += r
 	}
 	b.wn = 0
-	return dropped, nil
+	return dropped, err
 }

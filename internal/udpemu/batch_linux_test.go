@@ -4,7 +4,10 @@ package udpemu
 
 import (
 	"net"
+	"net/netip"
 	"testing"
+
+	"netclone/internal/wire"
 )
 
 // TestBatchConnRoundTrip exercises the rings directly: fill the write
@@ -13,11 +16,8 @@ import (
 func TestBatchConnRoundTrip(t *testing.T) {
 	aConn, a := newTestBatchConn(t)
 	bConn, b := newTestBatchConn(t)
-	bPA, ok := makePktAddr(bConn.LocalAddr().(*net.UDPAddr))
-	if !ok {
-		t.Fatal("loopback socket not batch-addressable")
-	}
-	aPA, _ := makePktAddr(aConn.LocalAddr().(*net.UDPAddr))
+	bPA := addrPort(bConn.LocalAddr().(*net.UDPAddr))
+	aPA := addrPort(aConn.LocalAddr().(*net.UDPAddr))
 
 	const total = ioBurst + 5 // crosses one auto-flush
 	for i := 0; i < total; i++ {
@@ -42,8 +42,8 @@ func TestBatchConnRoundTrip(t *testing.T) {
 			if len(pkt) != 3 || pkt[2] != 0xEE {
 				t.Fatalf("packet %x", pkt)
 			}
-			if src, ok := b.src(i); !ok || src != aPA {
-				t.Fatalf("src = %+v (ok=%v), want %+v", src, ok, aPA)
+			if src := b.src(i); src != aPA {
+				t.Fatalf("src = %v, want %v", src, aPA)
 			}
 			seen[int(pkt[0])|int(pkt[1])<<8] = true
 		}
@@ -56,7 +56,7 @@ func TestBatchConnRoundTrip(t *testing.T) {
 func TestBatchConnFlushError(t *testing.T) {
 	aConn, a := newTestBatchConn(t)
 	peerConn, _ := newTestBatchConn(t)
-	peerPA, _ := makePktAddr(peerConn.LocalAddr().(*net.UDPAddr))
+	peerPA := addrPort(peerConn.LocalAddr().(*net.UDPAddr))
 
 	const queued = 7
 	for i := 0; i < queued; i++ {
@@ -105,4 +105,44 @@ func newTestBatchConn(t *testing.T) (*net.UDPConn, *batchConn) {
 		t.Fatal(err)
 	}
 	return conn, bc
+}
+
+// memIngress is a switch transport that receives from a memTransport
+// and writes through a real batchConn.
+type memIngress struct {
+	*batchConn
+	in *memTransport
+}
+
+func (x memIngress) recv() (int, error)       { return x.in.recv() }
+func (x memIngress) pkt(i int) []byte         { return x.in.pkt(i) }
+func (x memIngress) src(i int) netip.AddrPort { return x.in.src(i) }
+
+// TestBatchNonIPv4DestinationIsSendError pins the batch transport's
+// address rule: a forward to an IPv6 server and a response to a client
+// learned from an IPv6 source each count one send error, and the switch
+// keeps serving.
+func TestBatchNonIPv4DestinationIsSendError(t *testing.T) {
+	cfg := defaultDcfg()
+	cfg.EnableCloning = false
+	sw, m := newMemSwitch(t, cfg, ioBurst)
+	v6 := netip.MustParseAddrPort("[2001:db8::1]:7000")
+	for sid := uint16(0); sid < 2; sid++ {
+		if err := sw.AddServer(sid, net.UDPAddrFromAddrPort(v6)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	_, bc := newTestBatchConn(t)
+	sw.tr = memIngress{batchConn: bc, in: m}
+	serveMem(t, sw, m)
+
+	client := netip.MustParseAddrPort("[2001:db8::2]:5000")
+	m.deliver(
+		memDatagram{b: request(1, 0), addr: client},
+		memDatagram{b: response(wire.Header{Type: wire.TypeReq, ClientID: 1, ClientSeq: 1}, 0), addr: v6},
+	)
+	m.deliver()
+	if got := sw.SendErrors(); got != 2 {
+		t.Fatalf("SendErrors = %d, want 2 (one forward, one response)", got)
+	}
 }

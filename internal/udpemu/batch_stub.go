@@ -5,26 +5,8 @@ package udpemu
 import "net"
 
 // batchSupported: no recvmmsg/sendmmsg on this platform; every
-// component runs the portable per-packet path (IOAuto degrades,
-// IOBatch fails construction).
+// component runs the portable transport (IOAuto degrades, IOBatch fails
+// construction).
 const batchSupported = false
 
-// pktAddr is the batch path's address currency; inert here.
-type pktAddr struct{}
-
-func makePktAddr(*net.UDPAddr) (pktAddr, bool) { return pktAddr{}, false }
-func (pktAddr) udpAddr() *net.UDPAddr          { return nil }
-
-// batchConn stands in for the ring type. newBatchConn always fails, so
-// the methods — required to compile the shared serve loops — are
-// unreachable.
-type batchConn struct{}
-
-func newBatchConn(*net.UDPConn) (*batchConn, error) { return nil, errBatchUnsupported }
-
-func (b *batchConn) recv() (int, error)               { panic("udpemu: batch I/O unsupported") }
-func (b *batchConn) pkt(int) []byte                   { panic("udpemu: batch I/O unsupported") }
-func (b *batchConn) src(int) (pktAddr, bool)          { panic("udpemu: batch I/O unsupported") }
-func (b *batchConn) wslot() []byte                    { panic("udpemu: batch I/O unsupported") }
-func (b *batchConn) commit(int, pktAddr) (int, error) { panic("udpemu: batch I/O unsupported") }
-func (b *batchConn) flush() (int, error)              { panic("udpemu: batch I/O unsupported") }
+func newBatchConn(*net.UDPConn) (transport, error) { return nil, errBatchUnsupported }

@@ -53,7 +53,7 @@ func runModeCluster(t *testing.T, io IOMode, requests int) (OpenLoopResult, Clus
 func TestBatchedMatchesPortableCounters(t *testing.T) {
 	const requests = 400
 	modes := []IOMode{IOPortable}
-	if BatchSupported() {
+	if batchSupported {
 		modes = append(modes, IOBatch)
 	} else {
 		t.Log("batch path not compiled in on this platform; portable-only run")
@@ -100,12 +100,12 @@ func TestIOModeResolution(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer auto.Close()
-	if auto.Batched() != BatchSupported() {
-		t.Errorf("IOAuto batched=%v, platform support=%v", auto.Batched(), BatchSupported())
+	if auto.Batched() != batchSupported {
+		t.Errorf("IOAuto batched=%v, platform support=%v", auto.Batched(), batchSupported)
 	}
 
 	forced, err := NewSwitch("127.0.0.1:0", defaultDcfg(), IOBatch)
-	if BatchSupported() {
+	if batchSupported {
 		if err != nil {
 			t.Fatalf("IOBatch on a supported platform: %v", err)
 		}
@@ -311,7 +311,7 @@ func TestFaultJitterWindow(t *testing.T) {
 // TestOpenLoopDuplicateBatch drives the C-Clone duplicate path through
 // the batched sender, which interleaves two ring commits per request.
 func TestOpenLoopDuplicateBatch(t *testing.T) {
-	if !BatchSupported() {
+	if !batchSupported {
 		t.Skip("batch path not compiled in")
 	}
 	c, err := StartCluster(ClusterConfig{

@@ -1,9 +1,11 @@
 package udpemu
 
 import (
+	"errors"
 	"fmt"
 	"math/rand/v2"
 	"net"
+	"net/netip"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -35,9 +37,8 @@ type ClientConfig struct {
 type Client struct {
 	cfg    ClientConfig
 	conn   *net.UDPConn
-	bc     *batchConn // nil on the portable path
-	swAddr *net.UDPAddr
-	swPA   pktAddr
+	tr     transport // the write ring belongs to the issuing goroutine
+	swAddr netip.AddrPort
 	rng    *rand.Rand
 
 	mu          sync.Mutex
@@ -50,7 +51,7 @@ type Client struct {
 	nextSeq   uint32
 	redundant int64
 	openDone  atomic.Int64
-	sendErrs  atomic.Int64
+	sendErrs  sendErrors
 
 	hist      *stats.Histogram
 	closed    chan struct{}
@@ -71,73 +72,68 @@ func NewClient(swAddr *net.UDPAddr, cfg ClientConfig) (*Client, error) {
 	if cfg.Timeout <= 0 {
 		cfg.Timeout = 2 * time.Second
 	}
-	bc, err := resolveIO(cfg.IO, conn)
+	tr, err := resolveIO(cfg.IO, conn)
 	if err != nil {
 		conn.Close()
 		return nil, err
 	}
+	return newClient(conn, tr, addrPort(swAddr), cfg), nil
+}
+
+// newClient starts a client's receiver on tr, which moves the packets
+// of conn; Close closes conn.
+func newClient(conn *net.UDPConn, tr transport, swAddr netip.AddrPort, cfg ClientConfig) *Client {
 	c := &Client{
 		cfg:         cfg,
 		conn:        conn,
-		bc:          bc,
+		tr:          tr,
 		swAddr:      swAddr,
+		rng:         rand.New(rand.NewPCG(cfg.Seed, 0xC11E47)),
 		pending:     make(map[uint32]chan []byte),
 		openPending: make(map[uint32]time.Time),
 		abandoned:   make(map[uint32]struct{}),
 		hist:        stats.NewHistogram(),
 		closed:      make(chan struct{}),
 	}
-	c.rng = rand.New(rand.NewPCG(cfg.Seed, 0xC11E47))
-	var paOK bool
-	c.swPA, paOK = makePktAddr(swAddr)
-	if !paOK {
-		c.bc = nil // batch needs a batch-addressable switch
-	}
 	c.wg.Add(1)
 	go c.receiver()
-	return c, nil
+	return c
 }
 
-// Batched reports whether this client runs the recvmmsg/sendmmsg path.
-func (c *Client) Batched() bool { return c.bc != nil }
-
-// SendErrors returns the number of failed request transmissions on the
-// batched open-loop path (the portable path surfaces them as errors).
+// SendErrors returns the number of request datagrams the transport
+// failed to send. A failed open-loop send is counted here and the run
+// goes on; a failed Do also returns the error.
 func (c *Client) SendErrors() int64 { return c.sendErrs.Load() }
 
-// receiver drains responses, settling pending requests and counting
-// redundant (unfiltered duplicate) responses.
+// receiver drains the transport's receive bursts, settling pending
+// requests and counting redundant (unfiltered duplicate) responses.
+// Open-loop settling touches only the histogram and counters, so the
+// steady path stays allocation-free; only a closed-loop response copies
+// its payload out of the burst.
 func (c *Client) receiver() {
 	defer c.wg.Done()
-	if c.bc != nil {
-		c.receiverBatch()
-		return
-	}
-	buf := make([]byte, maxDatagram)
 	for {
-		n, _, err := c.conn.ReadFromUDP(buf)
-		if err != nil {
-			return
-		}
-		c.settle(buf[:n])
-	}
-}
-
-// receiverBatch drains recvmmsg bursts. Open-loop settling touches
-// only the histogram and counters, so the steady path stays
-// allocation-free; only a closed-loop response copies its payload out
-// of the ring.
-func (c *Client) receiverBatch() {
-	for {
-		n, err := c.bc.recv()
+		n, err := c.tr.recv()
 		if err != nil {
 			return
 		}
 		for i := 0; i < n; i++ {
-			c.settle(c.bc.pkt(i))
+			c.settle(c.tr.pkt(i))
 		}
 	}
 }
+
+// send encodes one request into the write ring. The ring flushes itself
+// when full; a failed send is counted and returned.
+func (c *Client) send(h *wire.Header, op workload.OpKind, rank uint64, span uint16, value []byte) error {
+	slot := c.tr.wslot()
+	slot = h.AppendTo(slot)
+	slot = wire.AppendOp(slot, uint8(op), rank, span, value)
+	return c.sendErrs.add(c.tr.commit(len(slot), c.swAddr))
+}
+
+// flush sends what the write ring holds, counting failures.
+func (c *Client) flush() error { return c.sendErrs.add(c.tr.flush()) }
 
 // settle routes one received datagram to its waiting request.
 func (c *Client) settle(pkt []byte) {
@@ -185,12 +181,16 @@ func (c *Client) Do(numGroups int, op workload.OpKind, rank uint64, span uint16,
 		ClientSeq: seq,
 		PktTotal:  1,
 	}
-	out := make([]byte, 0, wire.HeaderLen+wire.OpHeaderLen+len(value))
-	out = h.AppendTo(out)
-	out = wire.AppendOp(out, uint8(op), rank, span, value)
-
+	if wire.HeaderLen+wire.OpHeaderLen+len(value) > maxDatagram {
+		c.abandon(seq)
+		return nil, errTooLarge
+	}
 	start := time.Now()
-	if _, err := c.conn.WriteToUDP(out, c.swAddr); err != nil {
+	err := c.send(&h, op, rank, span, value)
+	if err == nil {
+		err = c.flush()
+	}
+	if err != nil {
 		c.abandon(seq)
 		return nil, err
 	}
@@ -208,6 +208,9 @@ func (c *Client) Do(numGroups int, op workload.OpKind, rank uint64, span uint16,
 		return nil, errClosed
 	}
 }
+
+// errTooLarge rejects a request that does not fit one datagram.
+var errTooLarge = errors.New("udpemu: request does not fit one datagram")
 
 // maxAbandoned bounds the abandoned-sequence memory: most abandoned
 // requests were genuinely lost and their entries would otherwise

@@ -2,6 +2,7 @@ package udpemu
 
 import (
 	"net"
+	"net/netip"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -14,7 +15,7 @@ import (
 // FIFO per line — correct for a constant delay, and jitter windows
 // only ever add delay at enqueue time, never reorder within the line.
 type delayLine struct {
-	send func(b []byte, to *net.UDPAddr) error
+	conn *net.UDPConn
 
 	ch   chan delayedPkt
 	free chan *delayBuf
@@ -33,7 +34,7 @@ type delayBuf struct {
 
 type delayedPkt struct {
 	due time.Time
-	to  *net.UDPAddr
+	to  netip.AddrPort
 	buf *delayBuf
 	n   int
 }
@@ -44,11 +45,11 @@ type delayedPkt struct {
 // link queue.
 const delayLineDepth = 4096
 
-// newDelayLine starts the sender goroutine over the given transmit
-// function (typically a closure over one socket's WriteToUDP).
-func newDelayLine(send func(b []byte, to *net.UDPAddr) error) *delayLine {
+// newDelayLine starts the sender goroutine, which writes to conn
+// directly: it owns no transport write ring, so it shares none.
+func newDelayLine(conn *net.UDPConn) *delayLine {
 	dl := &delayLine{
-		send: send,
+		conn: conn,
 		ch:   make(chan delayedPkt, delayLineDepth),
 		free: make(chan *delayBuf, delayLineDepth),
 	}
@@ -63,7 +64,7 @@ func newDelayLine(send func(b []byte, to *net.UDPAddr) error) *delayLine {
 // enqueue schedules pkt for transmission to to at due. It copies pkt
 // into a freelist buffer; a full line drops the packet (counted in
 // overflows).
-func (dl *delayLine) enqueue(pkt []byte, to *net.UDPAddr, due time.Time) {
+func (dl *delayLine) enqueue(pkt []byte, to netip.AddrPort, due time.Time) {
 	var buf *delayBuf
 	select {
 	case buf = <-dl.free:
@@ -90,14 +91,12 @@ func (dl *delayLine) run() {
 		if d := time.Until(p.due); d > 0 {
 			time.Sleep(d)
 		}
-		if err := dl.send(dl.buf(p), p.to); err != nil {
+		if _, err := dl.conn.WriteToUDPAddrPort(p.buf.b[:p.n], p.to); err != nil {
 			dl.sendErrs.Add(1)
 		}
 		dl.free <- p.buf
 	}
 }
-
-func (dl *delayLine) buf(p delayedPkt) []byte { return p.buf.b[:p.n] }
 
 // close stops the sender after the queue drains.
 func (dl *delayLine) close() {

@@ -50,7 +50,8 @@ type OpenLoopResult struct {
 
 // RunOpenLoop sends requests at the target rate without waiting for
 // responses; the background receiver matches responses to send
-// timestamps and records latencies into the client histogram.
+// timestamps and records latencies into the client histogram. A failed
+// send counts in SendErrors and the run goes on.
 func (c *Client) RunOpenLoop(cfg OpenLoopConfig) (OpenLoopResult, error) {
 	if cfg.RatePerSec <= 0 || cfg.Requests <= 0 {
 		return OpenLoopResult{}, errBadOpenLoop
@@ -64,20 +65,17 @@ func (c *Client) RunOpenLoop(cfg OpenLoopConfig) (OpenLoopResult, error) {
 	arrival := workload.Poisson{RatePerSec: cfg.RatePerSec}
 	rng := simnet.NewRNG(c.cfg.Seed, 0x0197)
 
-	buf := make([]byte, 0, wire.HeaderLen+wire.OpHeaderLen)
 	start := time.Now()
 	next := start
 	for i := 0; i < cfg.Requests; i++ {
 		// Pace against absolute target times so scheduling jitter does
-		// not accumulate into rate drift. In batch mode, going ahead of
-		// schedule is the flush point: the ring drains before the
-		// sender sleeps, so pacing latency is unaffected while
-		// saturated runs amortize one sendmmsg over up to 32 requests.
+		// not accumulate into rate drift. Going ahead of schedule is the
+		// flush point: the ring drains before the sender sleeps, so
+		// pacing latency is unaffected while saturated runs amortize
+		// one sendmmsg over up to 32 requests.
 		next = next.Add(time.Duration(arrival.NextGap(rng)))
 		if d := time.Until(next); d > 0 {
-			if c.bc != nil {
-				c.flushOpenLoop()
-			}
+			c.flush() //nolint:errcheck // counted in SendErrors
 			time.Sleep(d)
 		}
 
@@ -112,27 +110,10 @@ func (c *Client) RunOpenLoop(cfg OpenLoopConfig) (OpenLoopResult, error) {
 				ClientSeq: seq,
 				PktTotal:  1,
 			}
-			if c.bc != nil {
-				slot := c.bc.wslot()
-				slot = h.AppendTo(slot)
-				slot = wire.AppendOp(slot, uint8(op), rank, span, nil)
-				dropped, _ := c.bc.commit(len(slot), c.swPA)
-				if dropped > 0 {
-					c.sendErrs.Add(int64(dropped))
-				}
-				continue
-			}
-			buf = buf[:0]
-			buf = h.AppendTo(buf)
-			buf = wire.AppendOp(buf, uint8(op), rank, span, nil)
-			if _, err := c.conn.WriteToUDP(buf, c.swAddr); err != nil {
-				return OpenLoopResult{}, err
-			}
+			c.send(&h, op, rank, span, nil) //nolint:errcheck // counted in SendErrors
 		}
 	}
-	if c.bc != nil {
-		c.flushOpenLoop()
-	}
+	c.flush() //nolint:errcheck // counted in SendErrors
 	elapsed := time.Since(start)
 	inWindow := c.openDone.Load()
 	time.Sleep(cfg.Drain)
@@ -158,15 +139,6 @@ func (c *Client) RunOpenLoop(cfg OpenLoopConfig) (OpenLoopResult, error) {
 		Elapsed:           elapsed,
 		AchievedRPS:       float64(inWindow) / elapsed.Seconds(),
 	}, nil
-}
-
-// flushOpenLoop drains the batch write ring; failed sends are counted,
-// not fatal — matching how genuinely lost packets behave on this path.
-func (c *Client) flushOpenLoop() {
-	dropped, _ := c.bc.flush()
-	if dropped > 0 {
-		c.sendErrs.Add(int64(dropped))
-	}
 }
 
 // settleOpenLoop is called by the receiver for responses that do not

@@ -3,6 +3,7 @@ package udpemu
 import (
 	"encoding/binary"
 	"net"
+	"net/netip"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -31,10 +32,10 @@ const relayPreambleLen = 2
 type Relay struct {
 	down   *net.UDPConn
 	up     *net.UDPConn
-	swAddr *net.UDPAddr
+	swAddr netip.AddrPort
 	delay  time.Duration
 
-	servers map[uint16]*net.UDPAddr // immutable after Serve
+	servers map[uint16]netip.AddrPort // immutable after Serve
 
 	dlDown *delayLine
 	dlUp   *delayLine
@@ -62,19 +63,13 @@ func NewRelay(swAddr *net.UDPAddr, delay time.Duration) (*Relay, error) {
 	r := &Relay{
 		down:    down,
 		up:      up,
-		swAddr:  swAddr,
+		swAddr:  addrPort(swAddr),
 		delay:   delay,
-		servers: make(map[uint16]*net.UDPAddr),
+		servers: make(map[uint16]netip.AddrPort),
 		closed:  make(chan struct{}),
+		dlDown:  newDelayLine(down),
+		dlUp:    newDelayLine(up),
 	}
-	r.dlDown = newDelayLine(func(b []byte, to *net.UDPAddr) error {
-		_, err := down.WriteToUDP(b, to)
-		return err
-	})
-	r.dlUp = newDelayLine(func(b []byte, to *net.UDPAddr) error {
-		_, err := up.WriteToUDP(b, to)
-		return err
-	})
 	return r, nil
 }
 
@@ -87,7 +82,7 @@ func (r *Relay) UpAddr() *net.UDPAddr { return r.up.LocalAddr().(*net.UDPAddr) }
 
 // AddServer registers a local server. Call before Serve; the table is
 // read lock-free afterwards.
-func (r *Relay) AddServer(sid uint16, addr *net.UDPAddr) { r.servers[sid] = addr }
+func (r *Relay) AddServer(sid uint16, addr *net.UDPAddr) { r.servers[sid] = addrPort(addr) }
 
 // SendErrors counts failed forwards in either direction.
 func (r *Relay) SendErrors() int64 {
@@ -107,7 +102,7 @@ func (r *Relay) serveDown() {
 	defer r.wg.Done()
 	buf := make([]byte, maxDatagram+relayPreambleLen)
 	for {
-		n, _, err := r.down.ReadFromUDP(buf)
+		n, _, err := r.down.ReadFromUDPAddrPort(buf)
 		if err != nil {
 			return
 		}
@@ -115,8 +110,8 @@ func (r *Relay) serveDown() {
 			continue
 		}
 		sid := binary.LittleEndian.Uint16(buf)
-		dst := r.servers[sid]
-		if dst == nil {
+		dst, ok := r.servers[sid]
+		if !ok {
 			continue
 		}
 		r.forward(r.dlDown, r.down, buf[relayPreambleLen:n], dst)
@@ -128,7 +123,7 @@ func (r *Relay) serveUp() {
 	defer r.wg.Done()
 	buf := make([]byte, maxDatagram)
 	for {
-		n, _, err := r.up.ReadFromUDP(buf)
+		n, _, err := r.up.ReadFromUDPAddrPort(buf)
 		if err != nil {
 			return
 		}
@@ -138,9 +133,9 @@ func (r *Relay) serveUp() {
 
 // forward sends pkt to dst, through the direction's delay line when
 // the rack has fabric latency.
-func (r *Relay) forward(dl *delayLine, conn *net.UDPConn, pkt []byte, dst *net.UDPAddr) {
+func (r *Relay) forward(dl *delayLine, conn *net.UDPConn, pkt []byte, dst netip.AddrPort) {
 	if r.delay <= 0 {
-		if _, err := conn.WriteToUDP(pkt, dst); err != nil {
+		if _, err := conn.WriteToUDPAddrPort(pkt, dst); err != nil {
 			r.sendErrs.Add(1)
 		}
 		return

@@ -2,6 +2,7 @@ package udpemu
 
 import (
 	"net"
+	"net/netip"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -39,16 +40,14 @@ const inlinePayload = wire.OpHeaderLen + kvstore.ValueSize + 16
 
 // Server is a UDP worker server: a dispatcher goroutine feeding a FCFS
 // queue drained by worker goroutines, with NetClone state piggybacking
-// and the cloned-request drop guard (§3.4, §4.2). In batch mode the
-// dispatcher drains recvmmsg bursts and workers hand responses to an
-// egress goroutine that flushes them with sendmmsg.
+// and the cloned-request drop guard (§3.4, §4.2). The dispatcher drains
+// the transport's receive bursts, and workers hand responses to an
+// egress goroutine that owns the write ring and flushes it.
 type Server struct {
 	cfg    ServerConfig
 	conn   *net.UDPConn
-	bc     *batchConn // nil on the portable path
-	swAddr *net.UDPAddr
-	swPA   pktAddr
-	swPAOK bool
+	tr     transport
+	swAddr netip.AddrPort
 	store  *kvstore.Store
 
 	queue    chan serverJob
@@ -107,7 +106,7 @@ func NewServer(addr string, swAddr *net.UDPAddr, cfg ServerConfig) (*Server, err
 	if cfg.QueueCap <= 0 {
 		cfg.QueueCap = 1024
 	}
-	bc, err := resolveIO(cfg.IO, conn)
+	tr, err := resolveIO(cfg.IO, conn)
 	if err != nil {
 		conn.Close()
 		return nil, err
@@ -116,37 +115,29 @@ func NewServer(addr string, swAddr *net.UDPAddr, cfg ServerConfig) (*Server, err
 	if store == nil {
 		store = kvstore.NewStore(1024)
 	}
+	// The egress freelist bounds prepared-response memory; workers block
+	// on it, so its depth only needs to cover the flusher's in-flight
+	// window.
+	depth := cfg.Workers + 2*ioBurst
 	s := &Server{
-		cfg:    cfg,
-		conn:   conn,
-		bc:     bc,
-		swAddr: swAddr,
-		store:  store,
-		queue:  make(chan serverJob, cfg.QueueCap),
-		closed: make(chan struct{}),
+		cfg:      cfg,
+		conn:     conn,
+		tr:       tr,
+		swAddr:   addrPort(swAddr),
+		store:    store,
+		queue:    make(chan serverJob, cfg.QueueCap),
+		egress:   make(chan *respBuf, depth),
+		respFree: make(chan *respBuf, depth),
+		closed:   make(chan struct{}),
 	}
-	s.swPA, s.swPAOK = makePktAddr(swAddr)
-	if bc != nil && s.swPAOK {
-		// The egress freelist bounds prepared-response memory; workers
-		// block on it, so its depth only needs to cover the flusher's
-		// in-flight window.
-		depth := cfg.Workers + 2*ioBurst
-		s.egress = make(chan *respBuf, depth)
-		s.respFree = make(chan *respBuf, depth)
-		for i := 0; i < depth; i++ {
-			s.respFree <- &respBuf{}
-		}
-	} else {
-		s.bc = nil // batch needs a batch-addressable switch too
+	for i := 0; i < depth; i++ {
+		s.respFree <- &respBuf{}
 	}
 	return s, nil
 }
 
 // Addr returns the server's bound address for switch registration.
 func (s *Server) Addr() *net.UDPAddr { return s.conn.LocalAddr().(*net.UDPAddr) }
-
-// Batched reports whether this server runs the recvmmsg/sendmmsg path.
-func (s *Server) Batched() bool { return s.bc != nil }
 
 // Processed returns the number of requests served.
 func (s *Server) Processed() int64 { return s.processed.Load() }
@@ -167,42 +158,23 @@ func (s *Server) SendErrors() int64 { return s.sendErrs.Load() }
 // loses in-flight work; recovery starts empty.
 func (s *Server) SetDown(down bool) { s.down.Store(down) }
 
-// Serve starts the workers and the dispatcher loop; it returns after
+// Serve starts the workers and the egress loop, then runs the
+// dispatcher over the transport's receive bursts; it returns after
 // Close.
 func (s *Server) Serve() error {
 	for i := 0; i < s.cfg.Workers; i++ {
 		s.workersWG.Add(1)
 		go s.worker()
 	}
-	if s.bc != nil {
-		s.egressWG.Add(1)
-		go s.egressLoop()
-		return s.serveBatch()
-	}
-	return s.servePortable()
-}
-
-// servePortable is the per-packet reference ingress loop.
-func (s *Server) servePortable() error {
-	buf := make([]byte, maxDatagram)
+	s.egressWG.Add(1)
+	go s.egressLoop()
 	for {
-		n, _, err := s.conn.ReadFromUDP(buf)
-		if err != nil {
-			return s.shutdown(err)
-		}
-		s.dispatch(buf[:n])
-	}
-}
-
-// serveBatch drains recvmmsg bursts into the dispatcher.
-func (s *Server) serveBatch() error {
-	for {
-		n, err := s.bc.recv()
+		n, err := s.tr.recv()
 		if err != nil {
 			return s.shutdown(err)
 		}
 		for i := 0; i < n; i++ {
-			s.dispatch(s.bc.pkt(i))
+			s.dispatch(s.tr.pkt(i))
 		}
 	}
 }
@@ -212,9 +184,7 @@ func (s *Server) serveBatch() error {
 func (s *Server) shutdown(readErr error) error {
 	close(s.queue)
 	s.workersWG.Wait()
-	if s.egress != nil {
-		close(s.egress)
-	}
+	close(s.egress)
 	s.egressWG.Wait()
 	select {
 	case <-s.closed:
@@ -259,7 +229,6 @@ func (s *Server) dispatch(pkt []byte) {
 // responds through the switch with piggybacked queue state.
 func (s *Server) worker() {
 	defer s.workersWG.Done()
-	out := make([]byte, 0, maxDatagram)
 	var value [kvstore.ValueSize]byte
 	for job := range s.queue {
 		if s.down.Load() {
@@ -300,28 +269,17 @@ func (s *Server) worker() {
 		h.State = uint16(qlen)
 		h.PayloadLen = uint16(len(respPayload))
 
-		if s.egress != nil {
-			rb := <-s.respFree
-			b := h.AppendTo(rb.b[:0])
-			b = append(b, respPayload...)
-			rb.n = len(b)
-			s.egress <- rb
-			continue
-		}
-		out = out[:0]
-		out = h.AppendTo(out)
-		out = append(out, respPayload...)
-		if _, err := s.conn.WriteToUDP(out, s.swAddr); err == nil {
-			s.processed.Add(1)
-		} else {
-			s.sendErrs.Add(1)
-		}
+		rb := <-s.respFree
+		b := h.AppendTo(rb.b[:0])
+		b = append(b, respPayload...)
+		rb.n = len(b)
+		s.egress <- rb
 	}
 }
 
-// egressLoop aggregates prepared responses and flushes them with
-// sendmmsg: one blocking take, then everything already waiting, up to
-// the ring size per flush.
+// egressLoop aggregates prepared responses and flushes them: one
+// blocking take, then everything already waiting, up to the ring size
+// per flush.
 func (s *Server) egressLoop() {
 	defer s.egressWG.Done()
 	for rb := range s.egress {
@@ -340,7 +298,7 @@ func (s *Server) egressLoop() {
 				break fill
 			}
 		}
-		dropped, _ := s.bc.flush()
+		dropped, _ := s.tr.flush()
 		if dropped > 0 {
 			s.sendErrs.Add(int64(dropped))
 		}
@@ -351,12 +309,11 @@ func (s *Server) egressLoop() {
 // commitResp moves one prepared response into the write ring and
 // returns its buffer to the freelist.
 func (s *Server) commitResp(rb *respBuf) {
-	slot := s.bc.wslot()
+	slot := s.tr.wslot()
 	slot = append(slot, rb.b[:rb.n]...)
-	dropped, _ := s.bc.commit(len(slot), s.swPA)
-	if dropped > 0 {
+	if dropped, _ := s.tr.commit(len(slot), s.swAddr); dropped > 0 {
 		s.sendErrs.Add(int64(dropped))
-		s.processed.Add(int64(-dropped)) // flushed mid-fill: keep the count honest
+		s.processed.Add(int64(-dropped)) // dropped mid-fill: keep the count honest
 	}
 	s.respFree <- rb
 }

@@ -9,12 +9,13 @@
 // far larger than the microsecond effects the paper measures, so all
 // latency figures come from the simulator (see DESIGN.md §1).
 //
-// I/O runs in one of two modes (DESIGN.md §12): the portable per-packet
-// net.UDPConn path, and — on Linux amd64/arm64 — a batched path that
-// drains and flushes bursts of up to 32 packets per recvmmsg/sendmmsg
-// syscall through preallocated rings, allocation-free in steady state.
-// IOAuto picks the batched path when available; IOPortable pins the
-// reference path the equivalence tests compare against.
+// Every node reads and writes through one burst transport (DESIGN.md
+// §12): on Linux amd64/arm64 a recvmmsg/sendmmsg ring that moves up to
+// 32 packets per syscall, elsewhere — or under IOPortable — bursts of
+// one through net.UDPConn. Both run the same loops through fixed
+// buffers, allocation-free in steady state. IOAuto picks the batched
+// transport when available; IOPortable pins the reference the
+// equivalence tests compare against.
 package udpemu
 
 import (
@@ -22,6 +23,7 @@ import (
 	"fmt"
 	"math/rand/v2"
 	"net"
+	"net/netip"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -34,25 +36,16 @@ import (
 // packets (§3.7).
 const maxDatagram = 2048
 
-// sendTarget is one forwarding-table entry: the portable address, the
-// batch path's precomputed form, and — for servers behind a rack relay
-// — the encapsulation the downlink hop needs.
+// sendTarget is one forwarding-table entry: the destination and — for
+// servers behind a rack relay — the encapsulation the downlink hop
+// needs.
 type sendTarget struct {
-	addr *net.UDPAddr
-	pa   pktAddr
-	paOK bool
-	// encap servers live behind a relay: addr is the relay downlink and
+	to netip.AddrPort
+	// encap servers live behind a relay: to is the relay downlink and
 	// each packet is prefixed with encapSID so the relay can route it
 	// (see relayPreambleLen).
 	encap    bool
 	encapSID uint16
-}
-
-// newSendTarget precomputes both address forms.
-func newSendTarget(addr *net.UDPAddr) *sendTarget {
-	t := &sendTarget{addr: addr}
-	t.pa, t.paOK = makePktAddr(addr)
-	return t
 }
 
 // Switch is a UDP NetClone switch emulator — the client rack's ToR.
@@ -60,21 +53,17 @@ func newSendTarget(addr *net.UDPAddr) *sendTarget {
 // servers on remote racks are reached through their rack's Relay.
 type Switch struct {
 	conn *net.UDPConn
-	bc   *batchConn // nil on the portable path
+	tr   transport
 
 	mu      sync.Mutex
 	dp      *dataplane.Switch
-	servers map[uint16]*sendTarget
-	clients map[uint16]*sendTarget
+	servers map[uint16]sendTarget
+	clients map[uint16]sendTarget
 
 	faults *faultState // nil without a fault schedule
 	dl     *delayLine  // jitter egress; nil until a schedule needs it
 
-	// scratch marshals delayed (jittered) packets; owned by the serve
-	// goroutine.
-	scratch [maxDatagram + relayPreambleLen]byte
-
-	sendErrs  atomic.Int64
+	sendErrs  sendErrors
 	lossDrops atomic.Int64
 
 	wg        sync.WaitGroup
@@ -98,7 +87,7 @@ func NewSwitch(addr string, cfg dataplane.Config, mode ...IOMode) (*Switch, erro
 	if len(mode) > 0 {
 		io = mode[0]
 	}
-	bc, err := resolveIO(io, conn)
+	tr, err := resolveIO(io, conn)
 	if err != nil {
 		conn.Close()
 		return nil, err
@@ -110,10 +99,10 @@ func NewSwitch(addr string, cfg dataplane.Config, mode ...IOMode) (*Switch, erro
 	}
 	return &Switch{
 		conn:    conn,
-		bc:      bc,
+		tr:      tr,
 		dp:      dp,
-		servers: make(map[uint16]*sendTarget),
-		clients: make(map[uint16]*sendTarget),
+		servers: make(map[uint16]sendTarget),
+		clients: make(map[uint16]sendTarget),
 		closed:  make(chan struct{}),
 	}, nil
 }
@@ -121,8 +110,12 @@ func NewSwitch(addr string, cfg dataplane.Config, mode ...IOMode) (*Switch, erro
 // Addr returns the switch socket address clients and servers dial.
 func (s *Switch) Addr() *net.UDPAddr { return s.conn.LocalAddr().(*net.UDPAddr) }
 
-// Batched reports whether this switch runs the recvmmsg/sendmmsg path.
-func (s *Switch) Batched() bool { return s.bc != nil }
+// Batched reports whether this switch runs the recvmmsg/sendmmsg
+// transport.
+func (s *Switch) Batched() bool {
+	_, portable := s.tr.(*portableConn)
+	return !portable
+}
 
 // ServerRoute is one server's control-plane registration: its ID, its
 // own socket, and — for a server on a remote rack — the downlink of the
@@ -150,12 +143,10 @@ func (s *Switch) InstallServers(routes []ServerRoute) error {
 	}
 	for _, r := range routes {
 		if r.RelayDown == nil {
-			s.servers[r.SID] = newSendTarget(r.Addr)
+			s.servers[r.SID] = sendTarget{to: addrPort(r.Addr)}
 			continue
 		}
-		t := newSendTarget(r.RelayDown)
-		t.encap, t.encapSID = true, r.SID
-		s.servers[r.SID] = t
+		s.servers[r.SID] = sendTarget{to: addrPort(r.RelayDown), encap: true, encapSID: r.SID}
 	}
 	return nil
 }
@@ -205,58 +196,19 @@ func (s *Switch) LossDrops() int64 { return s.lossDrops.Load() }
 func (s *Switch) setFaultState(f *faultState) {
 	s.faults = f
 	if f != nil && len(f.sched.Jitter) > 0 {
-		s.dl = newDelayLine(func(b []byte, to *net.UDPAddr) error {
-			_, err := s.conn.WriteToUDP(b, to)
-			return err
-		})
+		s.dl = newDelayLine(s.conn)
 	}
 }
 
 // Serve processes packets until Close. It is typically run in a
-// goroutine; it returns after Close.
+// goroutine; it returns after Close. Each burst is one recv, one lock
+// acquisition around the pipeline and one flush of what it forwards.
 func (s *Switch) Serve() error {
-	if s.bc != nil {
-		return s.serveBatch()
-	}
-	return s.servePortable()
-}
-
-// servePortable is the per-packet reference loop: one ReadFromUDP and
-// one WriteToUDP syscall per datagram, exactly the pre-batching I/O
-// discipline.
-func (s *Switch) servePortable() error {
-	s.wg.Add(1)
-	defer s.wg.Done()
-	rng := s.newServeRNG()
-	buf := make([]byte, maxDatagram)
-	for {
-		n, from, err := s.conn.ReadFromUDP(buf)
-		if err != nil {
-			select {
-			case <-s.closed:
-				return nil
-			default:
-				return err
-			}
-		}
-		now := time.Now()
-		if p := s.faults.lossP(now); p > 0 && rng.Float64() < p {
-			s.lossDrops.Add(1)
-			continue
-		}
-		s.handlePacket(buf[:n], from, now, rng)
-	}
-}
-
-// serveBatch drains bursts of up to ioBurst datagrams per recvmmsg,
-// runs the pipeline under one lock acquisition per burst, and flushes
-// the accumulated sends with sendmmsg. No allocation in steady state.
-func (s *Switch) serveBatch() error {
 	s.wg.Add(1)
 	defer s.wg.Done()
 	rng := s.newServeRNG()
 	for {
-		n, err := s.bc.recv()
+		n, err := s.tr.recv()
 		if err != nil {
 			select {
 			case <-s.closed:
@@ -273,13 +225,10 @@ func (s *Switch) serveBatch() error {
 				s.lossDrops.Add(1)
 				continue
 			}
-			s.handleBatch(i, now, rng)
+			s.handle(i, now, rng)
 		}
 		s.mu.Unlock()
-		dropped, _ := s.bc.flush()
-		if dropped > 0 {
-			s.sendErrs.Add(int64(dropped))
-		}
+		s.sendErrs.add(s.tr.flush())
 	}
 }
 
@@ -290,9 +239,10 @@ func (s *Switch) newServeRNG() *rand.Rand {
 	return rand.New(rand.NewPCG(0xD0A7E11, uint64(s.Addr().Port)))
 }
 
-// handlePacket decodes, runs the pipeline, and forwards — the portable
-// path.
-func (s *Switch) handlePacket(pkt []byte, from *net.UDPAddr, now time.Time, rng *rand.Rand) {
+// handle runs the pipeline for burst slot i and queues the resulting
+// sends into the write ring. Caller holds s.mu.
+func (s *Switch) handle(i int, now time.Time, rng *rand.Rand) {
+	pkt := s.tr.pkt(i)
 	if !wire.IsNetClone(pkt) {
 		return // non-NetClone traffic would take the plain L2/L3 path
 	}
@@ -302,154 +252,55 @@ func (s *Switch) handlePacket(pkt []byte, from *net.UDPAddr, now time.Time, rng 
 	}
 	payload := pkt[wire.HeaderLen:]
 
-	s.mu.Lock()
 	// Learn the client's address from its requests so responses can be
 	// routed back (the emulator's stand-in for L3 routing state).
 	if h.Type == wire.TypeReq && h.Clo == wire.CloNone {
-		if known := s.clients[h.ClientID]; known == nil || !udpAddrEqual(known.addr, from) {
-			s.clients[h.ClientID] = newSendTarget(cloneUDPAddr(from))
+		if src := s.tr.src(i); src.IsValid() && s.clients[h.ClientID].to != src {
+			s.clients[h.ClientID] = sendTarget{to: src}
 		}
 	}
 	res := s.dp.Process(&h)
 
 	// Recirculate clones immediately: the loopback port of the ASIC is a
 	// second pipeline pass (§3.4).
-	var cloneRes dataplane.Result
-	var cloneHdr wire.Header
-	hasClone := false
-	if res.Act == dataplane.ActCloneAndForward {
-		cloneHdr = res.Clone
-		cloneRes = s.dp.Process(&cloneHdr)
-		hasClone = cloneRes.Act == dataplane.ActForwardServer
-	}
-	dstServer := s.servers[res.DstSID]
-	cloneServer := s.servers[cloneRes.DstSID]
-	dstClient := s.clients[h.ClientID]
-	s.mu.Unlock()
-
 	switch res.Act {
 	case dataplane.ActForwardServer, dataplane.ActCloneAndForward:
-		if dstServer != nil {
-			s.send(&h, payload, dstServer, now, rng)
+		var cloneRes dataplane.Result
+		cloneHdr := res.Clone
+		if res.Act == dataplane.ActCloneAndForward {
+			cloneRes = s.dp.Process(&cloneHdr)
 		}
-		if hasClone && cloneServer != nil {
-			s.send(&cloneHdr, payload, cloneServer, now, rng)
+		if t, ok := s.servers[res.DstSID]; ok {
+			s.emit(&h, payload, t, now, rng)
+		}
+		if res.Act == dataplane.ActCloneAndForward && cloneRes.Act == dataplane.ActForwardServer {
+			if t, ok := s.servers[cloneRes.DstSID]; ok {
+				s.emit(&cloneHdr, payload, t, now, rng)
+			}
 		}
 	case dataplane.ActForwardClient:
-		if dstClient != nil {
-			s.send(&h, payload, dstClient, now, rng)
+		if t, ok := s.clients[h.ClientID]; ok {
+			s.emit(&h, payload, t, now, rng)
 		}
 	case dataplane.ActDrop, dataplane.ActPassL3:
 	}
 }
 
-// handleBatch runs the pipeline for receive-ring slot i and queues the
-// resulting sends into the write ring. Caller holds s.mu.
-func (s *Switch) handleBatch(i int, now time.Time, rng *rand.Rand) {
-	pkt := s.bc.pkt(i)
-	if !wire.IsNetClone(pkt) {
-		return
+// emit encodes one packet into the next write slot and commits it (a
+// full ring flushes itself), or, when a jitter window is active, hands
+// it to the delay line instead and leaves the slot uncommitted.
+func (s *Switch) emit(h *wire.Header, payload []byte, t sendTarget, now time.Time, rng *rand.Rand) {
+	out := s.tr.wslot()
+	if t.encap {
+		out = append(out, byte(t.encapSID), byte(t.encapSID>>8))
 	}
-	var h wire.Header
-	if _, err := h.Unmarshal(pkt); err != nil {
-		return
-	}
-	payload := pkt[wire.HeaderLen:]
-
-	if h.Type == wire.TypeReq && h.Clo == wire.CloNone {
-		if src, ok := s.bc.src(i); ok {
-			if known := s.clients[h.ClientID]; known == nil || !known.paOK || known.pa != src {
-				s.clients[h.ClientID] = &sendTarget{addr: src.udpAddr(), pa: src, paOK: true}
-			}
-		}
-	}
-	res := s.dp.Process(&h)
-	var cloneRes dataplane.Result
-	var cloneHdr wire.Header
-	hasClone := false
-	if res.Act == dataplane.ActCloneAndForward {
-		cloneHdr = res.Clone
-		cloneRes = s.dp.Process(&cloneHdr)
-		hasClone = cloneRes.Act == dataplane.ActForwardServer
-	}
-
-	switch res.Act {
-	case dataplane.ActForwardServer, dataplane.ActCloneAndForward:
-		if t := s.servers[res.DstSID]; t != nil {
-			s.emitBatch(&h, payload, t, now, rng)
-		}
-		if hasClone {
-			if t := s.servers[cloneRes.DstSID]; t != nil {
-				s.emitBatch(&cloneHdr, payload, t, now, rng)
-			}
-		}
-	case dataplane.ActForwardClient:
-		if t := s.clients[h.ClientID]; t != nil {
-			s.emitBatch(&h, payload, t, now, rng)
-		}
-	case dataplane.ActDrop, dataplane.ActPassL3:
-	}
-}
-
-// emitBatch queues one packet into the write ring (flushing when it
-// fills), or detours through the jitter delay line when a window is
-// active.
-func (s *Switch) emitBatch(h *wire.Header, payload []byte, t *sendTarget, now time.Time, rng *rand.Rand) {
+	out = h.AppendTo(out)
+	out = append(out, payload...)
 	if extra := s.faults.jitter(now, rng); extra > 0 && s.dl != nil {
-		s.emitDelayed(h, payload, t, now.Add(extra))
+		s.dl.enqueue(out, t.to, now.Add(extra)) // copies; the slot stays free
 		return
 	}
-	if !t.paOK {
-		s.sendPortable(h, payload, t)
-		return
-	}
-	out := s.bc.wslot()
-	if t.encap {
-		out = append(out, byte(t.encapSID), byte(t.encapSID>>8))
-	}
-	out = h.AppendTo(out)
-	out = append(out, payload...)
-	dropped, _ := s.bc.commit(len(out), t.pa)
-	if dropped > 0 {
-		s.sendErrs.Add(int64(dropped))
-	}
-}
-
-// send transmits one packet on the portable path, with the jitter
-// detour shared with the batch path.
-func (s *Switch) send(h *wire.Header, payload []byte, t *sendTarget, now time.Time, rng *rand.Rand) {
-	if extra := s.faults.jitter(now, rng); extra > 0 && s.dl != nil {
-		s.emitDelayed(h, payload, t, now.Add(extra))
-		return
-	}
-	s.sendPortable(h, payload, t)
-}
-
-// sendPortable re-encodes the (possibly rewritten) header and
-// transmits with one WriteToUDP — the reference send. Failures are
-// counted, not discarded.
-func (s *Switch) sendPortable(h *wire.Header, payload []byte, t *sendTarget) {
-	out := make([]byte, 0, relayPreambleLen+wire.HeaderLen+len(payload))
-	if t.encap {
-		out = append(out, byte(t.encapSID), byte(t.encapSID>>8))
-	}
-	out = h.AppendTo(out)
-	out = append(out, payload...)
-	if _, err := s.conn.WriteToUDP(out, t.addr); err != nil {
-		s.sendErrs.Add(1)
-	}
-}
-
-// emitDelayed marshals into the serve goroutine's scratch buffer and
-// hands the packet to the jitter delay line.
-func (s *Switch) emitDelayed(h *wire.Header, payload []byte, t *sendTarget, due time.Time) {
-	out := s.scratch[:0]
-	if t.encap {
-		out = append(out, byte(t.encapSID), byte(t.encapSID>>8))
-	}
-	out = h.AppendTo(out)
-	out = append(out, payload...)
-	s.dl.enqueue(out, t.addr, due)
+	s.sendErrs.add(s.tr.commit(len(out), t.to))
 }
 
 // Close shuts the switch down and waits for Serve to return. It is
@@ -466,16 +317,6 @@ func (s *Switch) Close() error {
 	})
 	s.wg.Wait()
 	return err
-}
-
-func cloneUDPAddr(a *net.UDPAddr) *net.UDPAddr {
-	ip := make(net.IP, len(a.IP))
-	copy(ip, a.IP)
-	return &net.UDPAddr{IP: ip, Port: a.Port, Zone: a.Zone}
-}
-
-func udpAddrEqual(a, b *net.UDPAddr) bool {
-	return a.Port == b.Port && a.IP.Equal(b.IP)
 }
 
 // errClosed reports use after Close.

@@ -1,0 +1,338 @@
+package udpemu
+
+import (
+	"errors"
+	"math/rand/v2"
+	"net"
+	"net/netip"
+	"sync/atomic"
+	"testing"
+	"time"
+
+	"netclone/internal/dataplane"
+	"netclone/internal/wire"
+	"netclone/internal/workload"
+)
+
+// memTransport is a loss-free in-process transport: recv hands out the
+// bursts sent on in, one per call, and flush copies what the write ring
+// held onto out (when set) as one burst. Its write ring holds size
+// datagrams in preallocated slots, so commit and a flush without out
+// allocate nothing.
+type memTransport struct {
+	in  chan []memDatagram
+	cur []memDatagram
+
+	size    int // write-ring capacity, 1..ioBurst
+	bufs    [ioBurst][maxDatagram + relayPreambleLen]byte
+	ring    [ioBurst]memDatagram
+	wn      int
+	out     chan []memDatagram
+	flushes atomic.Int64 // flushes that carried datagrams
+	// fail, when set, decides whether flush number n (counting from 1)
+	// drops its datagrams.
+	fail func(n int64) bool
+}
+
+type memDatagram struct {
+	b    []byte
+	addr netip.AddrPort
+}
+
+var errMemFlush = errors.New("memTransport: injected flush failure")
+
+// newMemTransport makes in unbuffered, so deliver returns only once a
+// receive loop took the burst. out is buffered so that a node's flush
+// does not wait for a test that reads the flushed bursts only after the
+// node is done; 64 is more than such a test flushes.
+func newMemTransport(size int) *memTransport {
+	return &memTransport{in: make(chan []memDatagram), size: size, out: make(chan []memDatagram, 64)}
+}
+
+func (m *memTransport) recv() (int, error) {
+	burst, ok := <-m.in
+	if !ok {
+		return 0, net.ErrClosed
+	}
+	m.cur = burst
+	return len(burst), nil
+}
+
+func (m *memTransport) pkt(i int) []byte         { return m.cur[i].b }
+func (m *memTransport) src(i int) netip.AddrPort { return m.cur[i].addr }
+func (m *memTransport) wslot() []byte            { return m.bufs[m.wn][:0] }
+
+func (m *memTransport) commit(n int, to netip.AddrPort) (int, error) {
+	m.ring[m.wn] = memDatagram{b: m.bufs[m.wn][:n], addr: to}
+	m.wn++
+	if m.wn == m.size {
+		return m.flush()
+	}
+	return 0, nil
+}
+
+func (m *memTransport) flush() (int, error) {
+	n := m.wn
+	if n == 0 {
+		return 0, nil
+	}
+	m.wn = 0
+	if k := m.flushes.Add(1); m.fail != nil && m.fail(k) {
+		return n, errMemFlush
+	}
+	if m.out != nil {
+		burst := make([]memDatagram, n)
+		for i, d := range m.ring[:n] {
+			burst[i] = memDatagram{b: append([]byte(nil), d.b...), addr: d.addr}
+		}
+		m.out <- burst
+	}
+	return 0, nil
+}
+
+// deliver hands burst to the node's receive loop and returns once the
+// loop has taken it. Delivering a second burst therefore returns only
+// after the node finished the first one.
+func (m *memTransport) deliver(burst ...memDatagram) { m.in <- burst }
+
+var (
+	memClientAddr = netip.MustParseAddrPort("10.0.0.1:5000")
+	memServerAddr = [2]netip.AddrPort{
+		netip.MustParseAddrPort("10.0.1.1:7000"),
+		netip.MustParseAddrPort("10.0.1.2:7000"),
+	}
+)
+
+// newMemSwitch returns a switch on a memTransport with two servers
+// installed at memServerAddr. Nothing serves it yet.
+func newMemSwitch(t *testing.T, cfg dataplane.Config, size int) (*Switch, *memTransport) {
+	t.Helper()
+	sw, err := NewSwitch("127.0.0.1:0", cfg, IOPortable)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { sw.Close() })
+	for sid, ap := range memServerAddr {
+		if err := sw.AddServer(uint16(sid), net.UDPAddrFromAddrPort(ap)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	m := newMemTransport(size)
+	sw.tr = m
+	return sw, m
+}
+
+// serveMem runs sw.Serve on its memTransport until the test ends.
+func serveMem(t *testing.T, sw *Switch, m *memTransport) {
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		sw.Serve() //nolint:errcheck // ended by closing the transport
+	}()
+	t.Cleanup(func() {
+		close(m.in)
+		<-done
+	})
+}
+
+func encode(h wire.Header, payload []byte) []byte {
+	return append(h.AppendTo(nil), payload...)
+}
+
+func request(seq uint32, group uint16) []byte {
+	h := wire.Header{Type: wire.TypeReq, Group: group, ClientID: 1, ClientSeq: seq, PktTotal: 1}
+	return encode(h, wire.AppendOp(nil, uint8(workload.OpGet), uint64(seq), 0, nil))
+}
+
+// response is what a server answers to a forwarded request header.
+func response(req wire.Header, sid uint16) []byte {
+	req.Type, req.SID, req.State = wire.TypeResp, sid, 0
+	return encode(req, nil)
+}
+
+// TestSwitchHandleAllocsNothing is the allocation guard of the switch's
+// one handler: a plain request, a clone pair and a response each cost
+// zero allocations per packet.
+func TestSwitchHandleAllocsNothing(t *testing.T) {
+	noClone := defaultDcfg()
+	noClone.EnableCloning = false
+	for _, tc := range []struct {
+		name  string
+		cfg   dataplane.Config
+		pkt   []byte
+		emits int
+	}{
+		{"request", noClone, request(1, 0), 1},
+		{"clone pair", defaultDcfg(), request(1, 0), 2},
+		{"response", defaultDcfg(), response(wire.Header{Type: wire.TypeReq, ClientID: 1, ClientSeq: 1}, 0), 1},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			sw, m := newMemSwitch(t, tc.cfg, ioBurst)
+			m.out = nil
+			// The client is learned once, as a real client's first
+			// request does.
+			sw.clients[1] = sendTarget{to: memClientAddr}
+			m.cur = []memDatagram{{b: tc.pkt, addr: memClientAddr}}
+			rng := rand.New(rand.NewPCG(1, 2))
+			now := time.Now()
+			handle := func() {
+				sw.mu.Lock()
+				sw.handle(0, now, rng)
+				sw.mu.Unlock()
+				if m.wn != tc.emits {
+					t.Fatalf("handler queued %d datagrams, want %d", m.wn, tc.emits)
+				}
+				m.flush() //nolint:errcheck // no failure injected
+			}
+			if allocs := testing.AllocsPerRun(200, handle); allocs != 0 {
+				t.Errorf("%v allocations per packet, want 0", allocs)
+			}
+		})
+	}
+}
+
+// TestSwitchOneFlushPerBurst pins the switch's per-burst shape: 32
+// datagrams taken by one recv leave in one flush, and every forwarded
+// header is what dataplane.Process yields applied directly. The burst
+// holds eight requests, each cloned and each followed by a datagram
+// that is not NetClone's, then both responses of each request: the
+// first is forwarded and the slower twin filtered. So 24 datagrams
+// leave — fewer than a ring, so only the end-of-burst flush sends them.
+func TestSwitchOneFlushPerBurst(t *testing.T) {
+	cfg := defaultDcfg()
+	sw, m := newMemSwitch(t, cfg, ioBurst)
+	ref, err := dataplane.New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := ref.InstallServers([]dataplane.ServerEntry{
+		{SID: 0, Addr: uint32(memServerAddr[0].Port())},
+		{SID: 1, Addr: uint32(memServerAddr[1].Port())},
+	}); err != nil {
+		t.Fatal(err)
+	}
+
+	type fwd struct {
+		h  wire.Header
+		to netip.AddrPort
+	}
+	var burst []memDatagram
+	var want []fwd
+	var resps []memDatagram
+	for seq := uint32(1); seq <= 8; seq++ {
+		pkt := request(seq, uint16(seq)%uint16(ref.NumGroups()))
+		burst = append(burst, memDatagram{b: pkt, addr: memClientAddr},
+			memDatagram{b: []byte("not netclone"), addr: memClientAddr})
+		var h wire.Header
+		if _, err := h.Unmarshal(pkt); err != nil {
+			t.Fatal(err)
+		}
+		res := ref.Process(&h)
+		if res.Act != dataplane.ActCloneAndForward {
+			t.Fatalf("request %d: %v on an idle cluster, want a clone", seq, res.Act)
+		}
+		clone := res.Clone
+		cr := ref.Process(&clone)
+		if cr.Act != dataplane.ActForwardServer {
+			t.Fatalf("request %d: recirculated clone %v", seq, cr.Act)
+		}
+		want = append(want, fwd{h, memServerAddr[res.DstSID]}, fwd{clone, memServerAddr[cr.DstSID]})
+		resps = append(resps,
+			memDatagram{b: response(h, res.DstSID), addr: memServerAddr[res.DstSID]},
+			memDatagram{b: response(clone, cr.DstSID), addr: memServerAddr[cr.DstSID]})
+	}
+	for _, d := range resps {
+		burst = append(burst, d)
+		var h wire.Header
+		if _, err := h.Unmarshal(d.b); err != nil {
+			t.Fatal(err)
+		}
+		switch res := ref.Process(&h); res.Act {
+		case dataplane.ActForwardClient:
+			want = append(want, fwd{h, memClientAddr})
+		case dataplane.ActDrop:
+		default:
+			t.Fatalf("response %+v: %v", h, res.Act)
+		}
+	}
+	if len(burst) != ioBurst || len(want) != 24 {
+		t.Fatalf("fixture: %d datagrams in, %d expected out", len(burst), len(want))
+	}
+
+	serveMem(t, sw, m)
+	m.deliver(burst...)
+	m.deliver() // returns once the first burst is done
+	if n := m.flushes.Load(); n != 1 {
+		t.Fatalf("%d flushes for one burst, want 1", n)
+	}
+	got := <-m.out
+	if len(got) != len(want) {
+		t.Fatalf("flushed %d datagrams, want %d", len(got), len(want))
+	}
+	for i, d := range got {
+		var h wire.Header
+		if _, err := h.Unmarshal(d.b); err != nil {
+			t.Fatalf("datagram %d: %v", i, err)
+		}
+		if h != want[i].h || d.addr != want[i].to {
+			t.Errorf("datagram %d: %+v to %v, want %+v to %v", i, h, d.addr, want[i].h, want[i].to)
+		}
+	}
+}
+
+// TestOpenLoopCountsFailedSends pins the open loop's failure handling
+// on a ring of one, as the portable transport sends: every fourth flush
+// fails, the run goes on and returns no error, SendErrors holds the
+// exact count, and the next run starts clean. A loss-free echo answers
+// every request that leaves.
+func TestOpenLoopCountsFailedSends(t *testing.T) {
+	m := newMemTransport(1)
+	var failing atomic.Bool
+	failing.Store(true)
+	m.fail = func(n int64) bool { return failing.Load() && n%4 == 0 }
+	echoDone := make(chan struct{})
+	go func() { // the switch and servers: answer every request
+		defer close(echoDone)
+		for burst := range m.out {
+			for i, d := range burst {
+				var h wire.Header
+				if _, err := h.Unmarshal(d.b); err != nil {
+					panic(err)
+				}
+				burst[i].b = response(h, 0)
+			}
+			m.in <- burst
+		}
+	}()
+	conn, err := net.ListenUDP("udp", &net.UDPAddr{IP: net.IPv4(127, 0, 0, 1)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cl := newClient(conn, m, memServerAddr[0], ClientConfig{ClientID: 1, FilterTables: 2, Seed: 1})
+	defer func() {
+		close(m.out)
+		<-echoDone
+		close(m.in)
+		cl.Close()
+	}()
+
+	cfg := OpenLoopConfig{NumGroups: 2, RatePerSec: 20000, Requests: 100, Drain: 50 * time.Millisecond}
+	res, err := cl.RunOpenLoop(cfg)
+	if err != nil {
+		t.Fatalf("run with failing sends returned %v, want nil", err)
+	}
+	if got := cl.SendErrors(); got != 25 {
+		t.Fatalf("SendErrors = %d, want 25", got)
+	}
+	if res.Completed != 75 {
+		t.Fatalf("completed %d, want the 75 requests that left", res.Completed)
+	}
+	failing.Store(false)
+	res, err = cl.RunOpenLoop(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Completed != 100 || cl.SendErrors() != 25 {
+		t.Fatalf("second run: completed %d (want 100), SendErrors %d (want 25)", res.Completed, cl.SendErrors())
+	}
+}

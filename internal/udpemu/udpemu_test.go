@@ -142,7 +142,11 @@ func TestDuplicatesArriveWithoutFiltering(t *testing.T) {
 			t.Fatalf("request %d: %v", i, err)
 		}
 	}
-	time.Sleep(100 * time.Millisecond)
+	// The slower twins trail the responses Do returned with: wait for
+	// the first, up to a second.
+	for deadline := time.Now().Add(time.Second); tc.client.Redundant() == 0 && time.Now().Before(deadline); {
+		time.Sleep(time.Millisecond)
+	}
 	if r := tc.client.Redundant(); r == 0 {
 		t.Error("filtering disabled but the client saw no redundant responses")
 	}
@@ -253,5 +257,24 @@ func TestSwitchStringer(t *testing.T) {
 	tc := startCluster(t, 2, defaultDcfg())
 	if tc.sw.String() == "" {
 		t.Error("switch String() empty")
+	}
+}
+
+// TestClientAddressRelearned pins the switch's client-address learning:
+// when a client ID reappears from a new socket, responses follow it
+// there instead of going to the address first learned.
+func TestClientAddressRelearned(t *testing.T) {
+	tc := startCluster(t, 2, defaultDcfg())
+	if _, err := tc.client.Do(tc.sw.NumGroups(), workload.OpGet, 1, 0, nil); err != nil {
+		t.Fatal(err)
+	}
+	tc.client.Close()
+	moved, err := NewClient(tc.sw.Addr(), ClientConfig{ClientID: 1, Seed: 8, Timeout: 500 * time.Millisecond})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer moved.Close()
+	if _, err := moved.Do(tc.sw.NumGroups(), workload.OpGet, 2, 0, nil); err != nil {
+		t.Fatalf("client ID 1 from a new socket: %v", err)
 	}
 }
