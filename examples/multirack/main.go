@@ -7,9 +7,11 @@
 // NetClone program; the switch-ID ownership rule makes the client-side
 // ToR do all cloning, filtering, and state tracking while the
 // server-side ToR passes stamped packets through. The example also
-// prints the sampled latency breakdown, showing that the aggregation
-// layer adds only fixed path cost — the tail is still queueing and
-// service variability, which cloning masks.
+// traces every 10th request per client with the flight recorder
+// (WithTrace) and prints the latency breakdown reduced from its
+// records (Result.Trace.Breakdown), showing that the aggregation layer
+// adds only fixed path cost — the tail is still queueing and service
+// variability, which cloning masks.
 //
 //	go run ./examples/multirack [-quick]
 package main
@@ -38,7 +40,8 @@ func main() {
 		netclone.WithOfferedLoad(1e6),
 		netclone.WithWindow(warmup, window),
 		netclone.WithSeed(4),
-		netclone.WithBreakdownSampling(10),
+		// A ring large enough that no record is overwritten.
+		netclone.WithTrace(10, 1<<19),
 	)
 
 	fmt.Println("Multi-rack NetClone: clients and servers on different racks")
@@ -69,12 +72,10 @@ func main() {
 		if remote.Switch.Cloned != 0 {
 			log.Fatal("ownership rule violated: server-side ToR cloned packets")
 		}
-		if res.Breakdown != nil {
-			b := res.Breakdown
-			fmt.Printf("    breakdown: queueWait p99 %.1fus, service p99 %.1fus, path p99 %.1fus, clone wins %d/%d\n",
-				float64(b.QueueWait.P99)/1e3, float64(b.Service.P99)/1e3,
-				float64(b.Path.P99)/1e3, b.WonByClone, b.Sampled)
-		}
+		b := res.Trace.Breakdown()
+		fmt.Printf("    breakdown: queueWait p99 %.1fus, service p99 %.1fus, path p99 %.1fus, clone wins %d/%d (%d records overwritten)\n",
+			float64(b.QueueWait.P99)/1e3, float64(b.Service.P99)/1e3,
+			float64(b.Path.P99)/1e3, b.WonByClone, b.Sampled, res.Trace.Dropped)
 	}
 
 	fmt.Println()

@@ -81,7 +81,7 @@ func main() {
 		len(d.Events), d.Rate, d.Dropped)
 	for _, k := range []string{
 		"issue", "clone", "dispatch", "port-enqueue", "mark", "port-drop",
-		"clone-drop", "server-start", "server-finish", "filter-drop",
+		"clone-drop", "server-arrive", "server-start", "server-finish", "filter-drop",
 		"win", "complete", "redundant",
 	} {
 		if kinds[k] > 0 {

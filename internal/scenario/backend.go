@@ -10,7 +10,7 @@ import (
 // responses) — plus the executing backend's identity and the counters
 // that only a real server/client process can report. Fields that a
 // backend cannot measure stay zero: the Emu backend leaves the
-// sim-only analysis fields (EmptyQueueFrac, Breakdown, Timeline) empty,
+// sim-only analysis fields (EmptyQueueFrac, Timeline, Trace) empty,
 // and the Sim backend derives ServerProcessed from the switch's
 // response count.
 type Result struct {

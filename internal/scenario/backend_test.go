@@ -116,7 +116,6 @@ func TestEmuCapabilityMatrix(t *testing.T) {
 			faults.ServerSlowdown(0, time.Millisecond, 2*time.Millisecond, 4, 0))),
 			"server-slowdown", "faults.ServerSlowdown"},
 		{"timeline", base.With(WithTimeline(time.Millisecond)), "timeline", "WithTimeline"},
-		{"sampling", base.With(WithBreakdownSampling(5)), "sampling", "WithBreakdownSampling"},
 		{"tracing", base.With(WithTrace(1, 0)), "tracing", "WithTrace"},
 		{"no clone guard", base.With(WithoutCloneDropGuard()), "guard", "WithoutCloneDropGuard"},
 		{"single ordering", base.With(WithSingleOrderingGroups()), "ordering", "WithSingleOrderingGroups"},
@@ -158,5 +157,39 @@ func TestEmuCapabilityMatrix(t *testing.T) {
 				t.Fatalf("emu-expressible feature rejected: %v", err)
 			}
 		})
+	}
+}
+
+// TestGroupFieldAddressesAtMost256Servers: n servers form n(n-1)
+// groups and the header's Group field is 16 bits, so every scheme whose
+// switch reads Group rejects a 257th server, on both backends, naming
+// the option to shrink. 256 servers stay accepted, and so does LÆDGE,
+// whose coordinator picks servers without reading Group.
+func TestGroupFieldAddressesAtMost256Servers(t *testing.T) {
+	base := New(
+		WithServers(256, 1),
+		WithWorkload(workload.Exp(25)),
+		WithOfferedLoad(100),
+		WithWindow(0, time.Millisecond),
+	)
+	schemes := []simcluster.Scheme{
+		simcluster.Baseline, simcluster.CClone, simcluster.NetClone,
+		simcluster.NetCloneRackSched, simcluster.NetCloneNoFilter,
+		simcluster.NetCloneSuppress, simcluster.NetCloneAdaptive,
+	}
+	for _, s := range schemes {
+		sc := base.With(WithScheme(s))
+		if err := sc.Validate(); err != nil {
+			t.Errorf("%s: 256 servers rejected: %v", s, err)
+		}
+		for name, be := range map[string]Backend{"sim": Sim(), "emu": Emu()} {
+			_, err := be.Run(sc.With(WithServers(257, 1)))
+			if err == nil || !strings.Contains(err.Error(), "WithServers") {
+				t.Errorf("%s on %s: 257 servers gave %v, want a rejection naming WithServers", s, name, err)
+			}
+		}
+	}
+	if err := base.With(WithScheme(simcluster.LAEDGE), WithServers(257, 1)).Validate(); err != nil {
+		t.Errorf("LAEDGE: 257 servers rejected: %v", err)
 	}
 }

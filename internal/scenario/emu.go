@@ -13,8 +13,8 @@ import (
 
 // ErrSimOnly marks scenarios (or experiments) that need a capability
 // only the simulator models — LAEDGE's coordinator tier, the
-// congestion model, switch outages, timelines, breakdown sampling,
-// client placement, ablation knobs. Callers sweeping many experiments
+// congestion model, switch outages, timelines, tracing, client
+// placement, ablation knobs. Callers sweeping many experiments
 // over a non-sim backend can errors.Is against it to skip instead of
 // abort.
 var ErrSimOnly = errors.New("sim-only capability")
@@ -84,10 +84,11 @@ type emuBackend struct {
 // (WithLoss/faults.Loss), link jitter (faults.Jitter), and server
 // crash/recover (faults.ServerCrash) — run here too, as wall-clock
 // windows on the emu processes. Everything else that only the
-// simulator models (congestion, switch outages, timelines, breakdown
-// sampling, explicit client placement, ablation knobs) is rejected
+// simulator models (congestion, switch outages, timelines, tracing,
+// explicit client placement, ablation knobs) is rejected
 // with an actionable error rather than silently ignored, and so is a
-// client count the wire header's 16-bit ClientID cannot address.
+// client count the wire header's 16-bit ClientID cannot address (a
+// server count its 16-bit Group cannot is rejected on both backends).
 func Emu(opts ...EmuOption) Backend {
 	b := &emuBackend{
 		maxRate:      4000,
@@ -308,8 +309,6 @@ func (b *emuBackend) checkSupported(cfg simcluster.Config) error {
 		return reject("explicit client placement (WithPlacement)")
 	case cfg.TimelineBinNS > 0:
 		return reject("timeline recording (WithTimeline)")
-	case cfg.SampleEvery > 0:
-		return reject("latency breakdown sampling (WithBreakdownSampling)")
 	case cfg.TraceRate > 0:
 		return reject("flight-recorder tracing (WithTrace)")
 	case cfg.DisableServerCloneDrop:

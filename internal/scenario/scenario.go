@@ -191,12 +191,6 @@ func WithSeed(seed uint64) Option {
 	return func(s *Scenario) { s.cfg.Seed = seed }
 }
 
-// WithBreakdownSampling traces every n-th generated request through
-// queueing, service, and path phases (Result.Breakdown). Sim only.
-func WithBreakdownSampling(every int) Option {
-	return func(s *Scenario) { s.cfg.SampleEvery = every }
-}
-
 // WithTimeline records completed requests into per-bin counts over the
 // whole run (the Fig 16 throughput-vs-time shape). Sim only.
 func WithTimeline(bin time.Duration) Option {

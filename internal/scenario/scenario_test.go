@@ -245,7 +245,6 @@ func TestOptionMapping(t *testing.T) {
 		WithFilter(4, 1<<9),
 		WithLoss(0.01),
 		WithTimeline(time.Millisecond),
-		WithBreakdownSampling(10),
 		WithTrace(64, 4096),
 		WithoutCloneDropGuard(),
 		WithSingleOrderingGroups(),
@@ -261,7 +260,6 @@ func TestOptionMapping(t *testing.T) {
 		cfg.Cal.LinkDelayNS != 777 ||
 		cfg.FilterTables != 4 || cfg.FilterSlots != 1<<9 ||
 		cfg.TimelineBinNS != 1e6 ||
-		cfg.SampleEvery != 10 ||
 		cfg.TraceRate != 64 || cfg.TraceCap != 4096 ||
 		!cfg.DisableServerCloneDrop || !cfg.SingleOrderingGroups {
 		t.Fatalf("option mapping wrong: %+v", cfg)

@@ -1,22 +1,33 @@
 package simcluster
 
-import "testing"
+import (
+	"testing"
+
+	"netclone/internal/trace"
+)
+
+// breakdown runs cfg with the flight recorder tracing every rate-th
+// request per client into a ring that overwrites nothing, and reduces
+// the capture to its latency breakdown.
+func breakdown(t *testing.T, cfg Config, rate int) (Result, trace.Breakdown) {
+	t.Helper()
+	cfg.TraceRate, cfg.TraceCap = rate, 1<<18
+	res := mustRun(t, cfg)
+	if res.Trace.Dropped != 0 {
+		t.Fatalf("ring overwrote %d records; the breakdown needs whole lifecycles", res.Trace.Dropped)
+	}
+	return res, res.Trace.Breakdown()
+}
 
 func TestBreakdownDisabledByDefault(t *testing.T) {
 	res := mustRun(t, fastConfig(NetClone))
-	if res.Breakdown != nil {
-		t.Fatal("breakdown present without sampling enabled")
+	if res.Trace != nil {
+		t.Fatal("trace, and so a breakdown, present without tracing enabled")
 	}
 }
 
 func TestBreakdownSamples(t *testing.T) {
-	cfg := fastConfig(NetClone)
-	cfg.SampleEvery = 10
-	res := mustRun(t, cfg)
-	b := res.Breakdown
-	if b == nil {
-		t.Fatal("no breakdown despite SampleEvery")
-	}
+	res, b := breakdown(t, fastConfig(NetClone), 10)
 	if b.Sampled == 0 {
 		t.Fatal("breakdown sampled nothing")
 	}
@@ -31,10 +42,7 @@ func TestBreakdownSamples(t *testing.T) {
 }
 
 func TestBreakdownPhasesAreConsistent(t *testing.T) {
-	cfg := fastConfig(NetClone)
-	cfg.SampleEvery = 5
-	res := mustRun(t, cfg)
-	b := res.Breakdown
+	res, b := breakdown(t, fastConfig(NetClone), 5)
 
 	// Service p50 must be on the order of the Exp(25) distribution (the
 	// winner of two clones: between min-exp ~12.5us and the single mean).
@@ -64,10 +72,8 @@ func TestBreakdownCloneWins(t *testing.T) {
 	// service time is an independent draw).
 	cfg := fastConfig(NetClone)
 	cfg.OfferedRPS = 50_000
-	cfg.SampleEvery = 2
 	cfg.DurationNS = 80e6
-	res := mustRun(t, cfg)
-	b := res.Breakdown
+	_, b := breakdown(t, cfg, 2)
 	if b.Sampled < 100 {
 		t.Fatalf("too few samples: %d", b.Sampled)
 	}
@@ -78,10 +84,65 @@ func TestBreakdownCloneWins(t *testing.T) {
 }
 
 func TestBreakdownWorksForCClone(t *testing.T) {
-	cfg := fastConfig(CClone)
-	cfg.SampleEvery = 7
-	res := mustRun(t, cfg)
-	if res.Breakdown == nil || res.Breakdown.Sampled == 0 {
+	_, b := breakdown(t, fastConfig(CClone), 7)
+	if b.Sampled == 0 {
 		t.Fatal("C-Clone breakdown missing")
+	}
+	// C-Clone's copies are two plain requests: no switch-made clone.
+	if b.WonByClone != 0 {
+		t.Errorf("C-Clone clone wins = %d, want 0", b.WonByClone)
+	}
+}
+
+// TestBreakdownIdleBaselineWaitsOnlyForTheDispatcher runs Baseline at
+// 5% load, where a request finds an idle worker: its queue wait is the
+// dispatcher cost alone, to within one histogram bucket (1/32 of the
+// value's power of two). On a fault-free run every request pays the
+// fixed network path, so the Path clamp at 0 never fires.
+func TestBreakdownIdleBaselineWaitsOnlyForTheDispatcher(t *testing.T) {
+	cfg := fastConfig(Baseline)
+	cfg.OfferedRPS = 28_000
+	_, b := breakdown(t, cfg, 1)
+	if b.Sampled < 1000 {
+		t.Fatalf("too few samples: %d", b.Sampled)
+	}
+	if b.WonByClone != 0 {
+		t.Errorf("Baseline clone wins = %d, want 0", b.WonByClone)
+	}
+	dispatch := DefaultCalibration().DispatcherCostNS
+	if d := b.QueueWait.P50 - dispatch; d < -dispatch>>5 || d > dispatch>>5 {
+		t.Errorf("queue wait p50 = %dns, want the %dns dispatcher cost", b.QueueWait.P50, dispatch)
+	}
+	if b.Path.Min <= 0 {
+		t.Errorf("path min = %dns: the clamp fired on a fault-free run", b.Path.Min)
+	}
+}
+
+// TestTraceServerArriveAfterCloneGuard pins where the server-arrive
+// record sits: past the stale-clone guard, so a copy the guard drops
+// never reads as having reached its server's queue.
+func TestTraceServerArriveAfterCloneGuard(t *testing.T) {
+	cfg := fastConfig(NetClone)
+	cfg.OfferedRPS = 450_000 // busy enough that the guard fires
+	cfg.TraceRate = 1
+	res := mustRun(t, cfg)
+	type copyKey struct {
+		client uint16
+		seq    uint32
+		server int32
+	}
+	dropped := map[copyKey]bool{}
+	for _, e := range res.Trace.Events {
+		if e.Kind == trace.KindCloneDrop {
+			dropped[copyKey{e.Client, e.Seq, e.Value}] = true
+		}
+	}
+	if len(dropped) == 0 {
+		t.Fatal("no clone drops recorded; raise the load")
+	}
+	for _, e := range res.Trace.Events {
+		if e.Kind == trace.KindServerArrive && dropped[copyKey{e.Client, e.Seq, e.Value}] {
+			t.Fatalf("server %d recorded an arrival for the copy of c%d#%d its guard dropped", e.Value, e.Client, e.Seq)
+		}
 	}
 }

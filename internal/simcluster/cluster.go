@@ -27,7 +27,6 @@ type packet struct {
 	traced   bool   // sampled by the flight recorder (trace.go discipline)
 	coordID  int    // owning LÆDGE coordinator (multi-coordinator scale-out)
 	srvEpoch uint32 // owning server's crash epoch at admission (fault model)
-	trace    *reqTrace
 }
 
 // pktFIFO is an allocation-stable FIFO of packets: pops advance a head
@@ -148,8 +147,6 @@ type cluster struct {
 	rec *trace.Recorder
 	// tel is the engine telemetry probe; non-nil exactly when rec is.
 	tel *simnet.Telemetry
-
-	breakdown *breakdownAgg
 }
 
 // pktFlags derives the flight-recorder flag bits from a packet's header:
@@ -283,9 +280,6 @@ func build(cfg Config) (*cluster, error) {
 	}
 	if cfg.TimelineBinNS > 0 {
 		c.timeline = stats.NewTimeSeries(cfg.TimelineBinNS)
-	}
-	if cfg.SampleEvery > 0 {
-		c.breakdown = &breakdownAgg{}
 	}
 	if cfg.TraceRate > 0 {
 		c.rec = getRecorder(cfg.TraceRate, cfg.TraceCap)
@@ -557,10 +551,6 @@ func (c *cluster) result() Result {
 			res.Racks[r] = rs
 		}
 	}
-	if c.breakdown != nil {
-		b := c.breakdown.summarize()
-		res.Breakdown = &b
-	}
 	if c.rec != nil {
 		res.Trace = c.rec.Snapshot()
 		res.Telemetry = &trace.Telemetry{
@@ -691,15 +681,10 @@ func (s *switchNode) fromClient(p *packet) {
 		// Capture the clone's fields before toServer: on a lossy link
 		// toServer may free p, and the freelist may hand the same struct
 		// back as the clone.
-		op, sentAt, traced := p.op, p.sentAt, p.trace != nil
-		recTraced := p.traced
+		op, sentAt, traced := p.op, p.sentAt, p.traced
 		s.toServer(p, int(res.DstSID))
 		clone := c.newPacket()
-		clone.hdr, clone.op, clone.sentAt = res.Clone, op, sentAt
-		clone.traced = recTraced
-		if traced {
-			clone.trace = &reqTrace{isClone: true}
-		}
+		clone.hdr, clone.op, clone.sentAt, clone.traced = res.Clone, op, sentAt, traced
 		c.eng.ScheduleAfter(c.dSwRecirc, s.hid, evSwRecirculate, clone, 0)
 	case dataplane.ActDrop, dataplane.ActPassL3:
 		// Dropped (no route) or not ours; nothing further in this model.
@@ -964,8 +949,8 @@ func (s *server) onRequest(p *packet) {
 		s.cl.freePacket(p)
 		return
 	}
-	if p.trace != nil {
-		p.trace.enqueuedAt = s.cl.eng.Now()
+	if p.traced {
+		s.cl.record(trace.KindServerArrive, p, s.tor.rack, int32(s.sid), -1)
 	}
 	p.srvEpoch = s.epoch
 	// Dispatcher cost, then enqueue or start service.
@@ -1001,10 +986,6 @@ func (s *server) startService(p *packet) {
 			f = 1 + (s.slowFactor-1)*frac
 		}
 		svc = int64(float64(svc) * f)
-	}
-	if p.trace != nil {
-		p.trace.serviceStart = s.cl.eng.Now()
-		p.trace.serviceEnd = s.cl.eng.Now() + svc
 	}
 	if p.traced {
 		s.cl.record(trace.KindServerStart, p, s.tor.rack, int32(s.sid), -1)
@@ -1215,8 +1196,6 @@ func (c *client) generate() {
 	c.nextSeq++
 	c.putPending(seq, pendingReq{sentAt: now, op: op})
 
-	sampled := c.cl.breakdown != nil && c.cl.cfg.SampleEvery > 0 &&
-		c.cl.generated%int64(c.cl.cfg.SampleEvery) == 0
 	// Flight-recorder sampling is a pure function of the sequence
 	// number — no RNG draw — so the decision cannot shift any stream.
 	traced := c.cl.rec != nil && c.cl.rec.Traced(seq)
@@ -1232,10 +1211,6 @@ func (c *client) generate() {
 		}
 		p1 := c.makeRequest(seq, op, c.groupWithFirst(s1), false)
 		p2 := c.makeRequest(seq, op, c.groupWithFirst(s2), false)
-		if sampled {
-			p1.trace = &reqTrace{}
-			p2.trace = &reqTrace{isClone: true}
-		}
 		if traced {
 			p1.traced, p2.traced = true, true
 			c.cl.record(trace.KindIssue, p1, c.cl.topo.ClientRack, -1, -1)
@@ -1247,9 +1222,6 @@ func (c *client) generate() {
 		grp := c.pickGroup()
 		direct := op == workload.OpSet // writes are never cloned (§5.5)
 		p := c.makeRequest(seq, op, grp, direct)
-		if sampled {
-			p.trace = &reqTrace{}
-		}
 		if traced {
 			p.traced = true
 			c.cl.record(trace.KindIssue, p, c.cl.topo.ClientRack, -1, -1)
@@ -1369,9 +1341,6 @@ func (c *client) rxFinishHit(p *packet) {
 	now := c.cl.eng.Now()
 	lat := now - p.sentAt
 	c.cl.recordCompletion(now, lat)
-	if c.cl.breakdown != nil && p.trace != nil {
-		c.cl.breakdown.record(p.trace, lat)
-	}
 	if p.traced {
 		c.cl.record(trace.KindComplete, p, c.cl.topo.ClientRack, int32(min(lat, math.MaxInt32)), -1)
 	}

@@ -220,11 +220,6 @@ type Config struct {
 	// byte-identical results.
 	Congestion *congestion.Spec
 
-	// SampleEvery enables the latency breakdown: every N-th generated
-	// request is traced through queueing, service, and path phases
-	// (Result.Breakdown). 0 disables sampling.
-	SampleEvery int
-
 	// TraceRate enables the flight recorder (internal/trace): every
 	// TraceRate-th request per client (by client sequence number — a
 	// deterministic decision, no RNG draw) has its full lifecycle
@@ -292,10 +287,6 @@ type Result struct {
 	// switch-ID rule kept it from NetClone processing. Nil for
 	// single-rack runs.
 	Racks []RackStats
-
-	// Breakdown decomposes sampled request latencies; nil unless
-	// Config.SampleEvery > 0.
-	Breakdown *Breakdown
 
 	// Timeline holds per-bin completion counts when requested.
 	Timeline *stats.TimeSeries
@@ -504,6 +495,12 @@ func (cfg Config) validate() error {
 	if len(workers) < 2 {
 		return fmt.Errorf("scenario: cloning needs at least two servers, got %d; grow WithTopology/WithServers/WithRacks", len(workers))
 	}
+	// n servers form n(n-1) groups, and the header's Group field is 16
+	// bits: past 256 servers, group IDs would wrap onto low groups.
+	// LÆDGE's coordinator picks servers itself; no switch reads Group.
+	if len(workers) > 256 && cfg.Scheme != LAEDGE {
+		return fmt.Errorf("scenario: %d servers form more groups than the 16-bit Group header field addresses; use at most 256 (WithServers/WithRacks/WithTopology)", len(workers))
+	}
 	for i, w := range workers {
 		if w < 1 {
 			return fmt.Errorf("scenario: server %d has %d worker threads, need >= 1 (WithTopology)", i, w)
@@ -541,9 +538,6 @@ func (cfg Config) validate() error {
 	}
 	if cfg.TimelineBinNS < 0 {
 		return fmt.Errorf("scenario: timeline bin is %d ns, need >= 0 (WithTimeline)", cfg.TimelineBinNS)
-	}
-	if cfg.SampleEvery < 0 {
-		return fmt.Errorf("scenario: breakdown sampling every %d requests, need >= 0 (WithBreakdownSampling)", cfg.SampleEvery)
 	}
 	if cfg.TraceRate < 0 {
 		return fmt.Errorf("scenario: trace rate %d, need >= 0 (WithTrace; 0 disables, 1 traces every request)", cfg.TraceRate)

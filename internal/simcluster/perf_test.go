@@ -43,7 +43,7 @@ func perfTestConfigs() map[string]Config {
 		"nofilter":  withScheme(NetCloneNoFilter, nil),
 		"lossy":     withScheme(NetClone, func(c *Config) { *c = withLoss(*c, 0.01) }),
 		"multirack": withScheme(NetClone, func(c *Config) { *c = twoRack(*c) }),
-		"sampled":   withScheme(NetClone, func(c *Config) { c.SampleEvery = 10 }),
+		"sampled":   withScheme(NetClone, func(c *Config) { c.TraceRate = 10 }),
 		"congested": withScheme(NetClone, congested),
 		"suppress":  withScheme(NetCloneSuppress, congested),
 		"adaptive":  withScheme(NetCloneAdaptive, congested),
@@ -117,10 +117,9 @@ func TestFreelistNoStateLeak(t *testing.T) {
 	p.sentAt = 12345
 	p.direct = true
 	p.coordID = 3
-	p.trace = &reqTrace{isClone: true}
 	c.freePacket(p)
 
-	if p.sentAt == 12345 || p.trace != nil {
+	if p.sentAt == 12345 {
 		t.Fatal("freePacket did not poison the freed packet")
 	}
 	q := c.newPacket()
@@ -130,6 +129,29 @@ func TestFreelistNoStateLeak(t *testing.T) {
 	if *q != (packet{}) {
 		t.Errorf("recycled packet carries stale state: %+v", *q)
 	}
+}
+
+// TestPacketHoldsNoPointers keeps packet pointer-free: a slab of
+// pointer-free structs is never scanned by the garbage collector, and
+// poison can fill every field of a freed packet with a sentinel, where
+// a fake pointer would crash the collector instead of the buggy reader.
+func TestPacketHoldsNoPointers(t *testing.T) {
+	var walk func(path string, typ reflect.Type)
+	walk = func(path string, typ reflect.Type) {
+		switch typ.Kind() {
+		case reflect.Struct:
+			for i := 0; i < typ.NumField(); i++ {
+				f := typ.Field(i)
+				walk(path+"."+f.Name, f.Type)
+			}
+		case reflect.Array:
+			walk(path+"[]", typ.Elem())
+		case reflect.Pointer, reflect.UnsafePointer, reflect.Slice, reflect.Map,
+			reflect.Interface, reflect.Chan, reflect.Func, reflect.String:
+			t.Errorf("%s is a %s: packet must hold no pointer", path, typ.Kind())
+		}
+	}
+	walk("packet", reflect.TypeOf(packet{}))
 }
 
 // TestRunReportsEngineEvents sanity-checks the events/sec numerator.

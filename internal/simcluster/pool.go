@@ -96,11 +96,10 @@ func (c *cluster) release() {
 // freed packets with sentinel values so a use-after-free reads garbage
 // loudly instead of silently reading stale-but-plausible state.
 
-// poison fills a freed packet with sentinel values — every header
-// field, so a use-after-free of any field (including Clo, which the
-// server's stale-clone guard branches on) reads loud garbage. The
-// trace pointer is nilled rather than poisoned: a fake pointer would
-// crash the collector, not just the buggy reader.
+// poison fills every field of a freed packet with sentinel values, so a
+// use-after-free of any field (including Clo, which the server's
+// stale-clone guard branches on) reads loud garbage. A packet holds no
+// pointer, so there is no field a sentinel could not fill.
 func poison(p *packet) {
 	const dead = -0x6b6b6b6b6b6b6b6b
 	p.hdr = wire.Header{
@@ -122,10 +121,9 @@ func poison(p *packet) {
 	p.op = 0xAA
 	p.sentAt = dead
 	p.direct = true
-	p.traced = false // a poisoned true would record garbage, not crash
+	p.traced = true // a reader records garbage, or panics on a nil recorder
 	p.coordID = -0x55AA55AA
 	p.srvEpoch = 0xAAAAAAAA
-	p.trace = nil
 }
 
 // newPacket returns a zeroed packet, recycling the freelist when

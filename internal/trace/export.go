@@ -69,8 +69,33 @@ func WriteChrome(w io.Writer, d *Data) error {
 		}
 	}
 
-	// Group events by logical request, preserving first-appearance
-	// order so the output is deterministic.
+	forEachRequest(d, func(r *request) { out = append(out, chromeRequest(r)...) })
+
+	enc := json.NewEncoder(w)
+	return enc.Encode(chromeFile{TraceEvents: out, DisplayTimeUnit: "ns"})
+}
+
+// byKind holds the first record of each kind, nil where there is none.
+type byKind [len(kindNames)]*Event
+
+// request is one logical request rebuilt from its records.
+type request struct {
+	// evs holds the request's records in recording order.
+	evs []Event
+	// first holds the request's first record of each kind.
+	first byKind
+	// copies matches the dispatch, arrive, start and finish records to
+	// request copies by server ID, which is distinct for the original
+	// and its clone (a group's two candidates are different servers by
+	// construction).
+	copies map[int32]*byKind
+}
+
+// forEachRequest rebuilds every logical request in d from its records,
+// in first-appearance order so the callers' output is deterministic,
+// and calls fn on each. It is the one place a request is rebuilt from
+// the recorder's records: WriteChrome and Breakdown both read it.
+func forEachRequest(d *Data, fn func(r *request)) {
 	groups := map[uint64][]Event{}
 	var order []uint64
 	for _, e := range d.Events {
@@ -80,64 +105,50 @@ func WriteChrome(w io.Writer, d *Data) error {
 		}
 		groups[k] = append(groups[k], e)
 	}
-
 	for _, k := range order {
-		evs := groups[k]
-		out = append(out, chromeRequest(evs)...)
-	}
-
-	enc := json.NewEncoder(w)
-	return enc.Encode(chromeFile{TraceEvents: out, DisplayTimeUnit: "ns"})
-}
-
-// chromeRequest renders one logical request's event group.
-func chromeRequest(evs []Event) []chromeEvent {
-	var out []chromeEvent
-	var issue, complete *Event
-	cloned, suppressed, budgetSkip := false, false, false
-	var winner int32 = -1
-	for i := range evs {
-		e := &evs[i]
-		switch e.Kind {
-		case KindIssue:
-			if issue == nil {
-				issue = e
+		r := request{evs: groups[k], copies: map[int32]*byKind{}}
+		for i := range r.evs {
+			e := &r.evs[i]
+			if int(e.Kind) < len(r.first) && r.first[e.Kind] == nil {
+				r.first[e.Kind] = e
 			}
-		case KindComplete:
-			if complete == nil {
-				complete = e
-			}
-		case KindClone:
-			cloned = true
-		case KindSuppress:
-			suppressed = true
-		case KindBudgetSkip:
-			budgetSkip = true
-		case KindWin:
-			if winner < 0 {
-				winner = e.Value // first response past the filter wins
+			switch e.Kind {
+			case KindDispatch, KindServerArrive, KindServerStart, KindServerFinish:
+				c := r.copies[e.Value]
+				if c == nil {
+					c = &byKind{}
+					r.copies[e.Value] = c
+				}
+				if c[e.Kind] == nil {
+					c[e.Kind] = e
+				}
 			}
 		}
+		fn(&r)
 	}
-	name := ""
-	if len(evs) > 0 {
-		name = fmt.Sprintf("req c%d#%d", evs[0].Client, evs[0].Seq)
-	}
+}
+
+// chromeRequest renders one logical request.
+func chromeRequest(r *request) []chromeEvent {
+	var out []chromeEvent
+	evs := r.evs
+	issue, complete, win := r.first[KindIssue], r.first[KindComplete], r.first[KindWin]
+	name := fmt.Sprintf("req c%d#%d", evs[0].Client, evs[0].Seq)
 
 	// Outer request-lifetime span on the issuing client's track.
 	if issue != nil && complete != nil && complete.At >= issue.At {
 		args := map[string]any{
-			"cloned":     cloned,
+			"cloned":     r.first[KindClone] != nil,
 			"latency_ns": complete.Value,
 		}
-		if suppressed {
+		if r.first[KindSuppress] != nil {
 			args["suppressed"] = true
 		}
-		if budgetSkip {
+		if r.first[KindBudgetSkip] != nil {
 			args["budget_skip"] = true
 		}
-		if winner >= 0 {
-			args["winner"] = winner
+		if win != nil {
+			args["winner"] = win.Value // first response past the filter
 		}
 		if complete.Flags&FlagECN != 0 {
 			args["ecn"] = true
@@ -151,33 +162,8 @@ func chromeRequest(evs []Event) []chromeEvent {
 
 	// Per-copy nested spans on the destination server's track: the
 	// in-flight span (dispatch -> finish) containing the service span
-	// (start -> finish). Copies are matched by destination server ID —
-	// distinct for the original and its clone (the group's two
-	// candidates are different servers by construction).
-	perServer := map[int32]*[3]*Event{} // dispatch, start, finish
-	for i := range evs {
-		e := &evs[i]
-		var slot int
-		switch e.Kind {
-		case KindDispatch:
-			slot = 0
-		case KindServerStart:
-			slot = 1
-		case KindServerFinish:
-			slot = 2
-		default:
-			continue
-		}
-		trio := perServer[e.Value]
-		if trio == nil {
-			trio = &[3]*Event{}
-			perServer[e.Value] = trio
-		}
-		if trio[slot] == nil {
-			trio[slot] = e
-		}
-	}
-	// Deterministic copy order: walk the events again instead of the map.
+	// (start -> finish). Deterministic copy order: walk the events
+	// instead of the map.
 	emitted := map[int32]bool{}
 	for i := range evs {
 		e := &evs[i]
@@ -185,8 +171,8 @@ func chromeRequest(evs []Event) []chromeEvent {
 			continue
 		}
 		emitted[e.Value] = true
-		trio := perServer[e.Value]
-		disp, start, fin := trio[0], trio[1], trio[2]
+		c := r.copies[e.Value]
+		disp, start, fin := c[KindDispatch], c[KindServerStart], c[KindServerFinish]
 		if fin == nil {
 			continue // dropped en route or in queue: no span to close
 		}
@@ -215,8 +201,8 @@ func chromeRequest(evs []Event) []chromeEvent {
 	for i := range evs {
 		e := &evs[i]
 		switch e.Kind {
-		case KindIssue, KindComplete, KindDispatch, KindServerStart,
-			KindServerFinish, KindPortEnqueue:
+		case KindIssue, KindComplete, KindDispatch, KindServerArrive,
+			KindServerStart, KindServerFinish, KindPortEnqueue:
 			continue
 		}
 		args := map[string]any{"req": name}

@@ -2,9 +2,9 @@
 // request-lifecycle records written into preallocated ring buffers, plus
 // the run-telemetry snapshot types surfaced through Result.Telemetry.
 //
-// The package is deliberately a leaf — no imports from the rest of the
-// module — so any layer (engine, cluster) can record into
-// it without dependency cycles. The recording discipline mirrors the
+// The package imports nothing from the module but internal/stats (for
+// the Breakdown reduction's histograms), so any layer (engine, cluster)
+// can record into it without dependency cycles. The recording discipline mirrors the
 // packet freelist's zero-alloc contract: a Recorder never allocates
 // after construction (Record writes into the prebuilt ring, head-drop
 // on overflow), and a disabled recorder is a nil pointer whose guard is
@@ -46,6 +46,10 @@ const (
 	// KindCloneDrop: the server-side stale-clone guard (§3.4) dropped a
 	// cloned request that found a non-empty queue (Value = server ID).
 	KindCloneDrop
+	// KindServerArrive: the request reached the server NIC past the
+	// stale-clone guard, before the dispatcher cost (Value = server ID).
+	// Not drawn by WriteChrome; Breakdown measures queue wait from it.
+	KindServerArrive
 	// KindServerStart: a worker thread began service (Value = server ID).
 	KindServerStart
 	// KindServerFinish: service completed and the response was emitted
@@ -68,7 +72,7 @@ const (
 // kindNames maps a Kind to its export label.
 var kindNames = [...]string{
 	"", "issue", "clone", "dispatch", "suppress", "budget-skip",
-	"port-enqueue", "mark", "port-drop", "clone-drop",
+	"port-enqueue", "mark", "port-drop", "clone-drop", "server-arrive",
 	"server-start", "server-finish", "filter-drop", "win",
 	"complete", "redundant",
 }

@@ -340,10 +340,6 @@ type FaultWindow = simcluster.FaultWindow
 // whole run. Sim only.
 func WithTimeline(bin time.Duration) ScenarioOption { return scenario.WithTimeline(bin) }
 
-// WithBreakdownSampling traces every n-th request through queueing,
-// service, and path phases (Result.Breakdown). Sim only.
-func WithBreakdownSampling(every int) ScenarioOption { return scenario.WithBreakdownSampling(every) }
-
 // WithShards is accepted and ignored; Result.ShardInfo reports the
 // request back.
 //
