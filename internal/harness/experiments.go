@@ -175,9 +175,11 @@ func fig10Figs() []sweepFig {
 }
 
 // fig1112Figs declares Fig 11 / Fig 12 — Redis-like and Memcached-like
-// application workloads. The KVMix is immutable after construction, so
-// sharing it across concurrently running points is safe.
+// application workloads. A KVMix and its Zipf keys are immutable after
+// construction, so sharing them across concurrently running points is
+// safe; the four figures share one 1M-key alias table.
 func fig1112Figs() []sweepFig {
+	keys := workload.NewZipf(kvstore.DefaultObjects, 0.99)
 	var figs []sweepFig
 	for _, v := range []struct {
 		id    string
@@ -198,7 +200,7 @@ func fig1112Figs() []sweepFig {
 			paper:  "Fig 11/12",
 			base: scenario.New(
 				scenario.WithTopology(homWorkers(defaultServers, kvThreads)...),
-				scenario.WithKVWorkload(workload.NewKVMix(v.pGet, v.pScan, kvstore.DefaultObjects, 0.99), v.model),
+				scenario.WithKVWorkload(&workload.KVMix{PGet: v.pGet, PScan: v.pScan, Keys: keys}, v.model),
 			),
 			schemes: vsCClone,
 		})

@@ -97,6 +97,9 @@ type ClusterCounters struct {
 	// CrashDrops counts packets and queued jobs discarded by servers
 	// inside crash windows.
 	CrashDrops int64
+	// QueueDrops counts requests servers discarded because their
+	// dispatcher queue was full.
+	QueueDrops int64
 }
 
 // StartCluster binds and starts the whole cluster on loopback. On error
@@ -233,6 +236,7 @@ func (c *Cluster) Counters() ClusterCounters {
 		out.Processed += s.Processed()
 		out.CloneDrops += s.CloneDrops()
 		out.CrashDrops += s.CrashDrops()
+		out.QueueDrops += s.QueueDrops()
 		out.SendErrors += s.SendErrors()
 	}
 	for _, r := range c.Relays {

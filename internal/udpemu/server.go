@@ -62,10 +62,14 @@ type Server struct {
 	// down marks a crash window (FaultSchedule): arriving packets are
 	// dropped and queued work is discarded until recovery.
 	down atomic.Bool
+	// lastBurst is the size of the dispatcher's latest receive burst:
+	// what it found waiting in the socket (DESIGN.md §12).
+	lastBurst atomic.Int32
 
 	processed  atomic.Int64
 	cloneDrops atomic.Int64
 	crashDrops atomic.Int64
+	queueDrops atomic.Int64
 	sendErrs   atomic.Int64
 }
 
@@ -150,6 +154,10 @@ func (s *Server) CloneDrops() int64 { return s.cloneDrops.Load() }
 // while a crash window held the server down.
 func (s *Server) CrashDrops() int64 { return s.crashDrops.Load() }
 
+// QueueDrops returns the number of requests discarded because the
+// dispatcher's queue was full.
+func (s *Server) QueueDrops() int64 { return s.queueDrops.Load() }
+
 // SendErrors returns the number of failed response transmissions.
 func (s *Server) SendErrors() int64 { return s.sendErrs.Load() }
 
@@ -173,6 +181,7 @@ func (s *Server) Serve() error {
 		if err != nil {
 			return s.shutdown(err)
 		}
+		s.lastBurst.Store(int32(n))
 		for i := 0; i < n; i++ {
 			s.dispatch(s.tr.pkt(i))
 		}
@@ -222,6 +231,7 @@ func (s *Server) dispatch(pkt []byte) {
 	case s.queue <- job:
 	default:
 		// Queue overflow: drop, as a real server NIC queue would.
+		s.queueDrops.Add(1)
 	}
 }
 
@@ -262,11 +272,7 @@ func (s *Server) worker() {
 		h := job.hdr
 		h.Type = wire.TypeResp
 		h.SID = s.cfg.SID
-		qlen := len(s.queue)
-		if qlen > 65535 {
-			qlen = 65535
-		}
-		h.State = uint16(qlen)
+		h.State = s.load()
 		h.PayloadLen = uint16(len(respPayload))
 
 		rb := <-s.respFree
@@ -275,6 +281,17 @@ func (s *Server) worker() {
 		rb.n = len(b)
 		s.egress <- rb
 	}
+}
+
+// load is the queue state a response piggybacks: the FCFS queue or,
+// when larger, the latest receive burst's excess over the worker pool.
+// The socket is part of the queue: the last response of a burst sees
+// the FCFS queue it has just drained while the next burst already
+// waits in the socket. Bursts of one (the portable transport) never
+// exceed the pool, so there the signal is the queue alone.
+func (s *Server) load() uint16 {
+	qlen := max(len(s.queue), int(s.lastBurst.Load())-s.cfg.Workers)
+	return uint16(min(qlen, 65535))
 }
 
 // egressLoop aggregates prepared responses and flushes them: one

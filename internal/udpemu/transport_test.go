@@ -97,6 +97,7 @@ func (m *memTransport) deliver(burst ...memDatagram) { m.in <- burst }
 
 var (
 	memClientAddr = netip.MustParseAddrPort("10.0.0.1:5000")
+	memSwitchAddr = netip.MustParseAddrPort("10.0.0.254:9000")
 	memServerAddr = [2]netip.AddrPort{
 		netip.MustParseAddrPort("10.0.1.1:7000"),
 		netip.MustParseAddrPort("10.0.1.2:7000"),
@@ -133,6 +134,30 @@ func serveMem(t *testing.T, sw *Switch, m *memTransport) {
 		close(m.in)
 		<-done
 	})
+}
+
+// newMemServer returns a server on a memTransport, serving until the
+// test ends. Its responses leave through the transport's out channel.
+func newMemServer(t *testing.T, cfg ServerConfig) (*Server, *memTransport) {
+	t.Helper()
+	cfg.IO = IOPortable
+	srv, err := NewServer("127.0.0.1:0", net.UDPAddrFromAddrPort(memSwitchAddr), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := newMemTransport(ioBurst)
+	srv.tr = m
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		srv.Serve() //nolint:errcheck // ended by closing the transport
+	}()
+	t.Cleanup(func() {
+		close(m.in)
+		<-done
+		srv.Close()
+	})
+	return srv, m
 }
 
 func encode(h wire.Header, payload []byte) []byte {
@@ -334,5 +359,72 @@ func TestOpenLoopCountsFailedSends(t *testing.T) {
 	}
 	if res.Completed != 100 || cl.SendErrors() != 25 {
 		t.Fatalf("second run: completed %d (want 100), SendErrors %d (want 25)", res.Completed, cl.SendErrors())
+	}
+}
+
+// requestBurst is one burst of n requests from the switch, ClientSeq
+// 1..n.
+func requestBurst(n int) []memDatagram {
+	burst := make([]memDatagram, n)
+	for i := range burst {
+		burst[i] = memDatagram{b: request(uint32(i+1), 0), addr: memSwitchAddr}
+	}
+	return burst
+}
+
+// TestServerReportsBurstBacklog pins the load a server piggybacks when
+// a receive burst outnumbers its workers: one burst of 8 requests into
+// 2 workers leaves 6 waiting, so every response reports at least 6,
+// and the response to the last request, which finds the FCFS queue
+// empty, reports exactly 6.
+func TestServerReportsBurstBacklog(t *testing.T) {
+	_, m := newMemServer(t, ServerConfig{SID: 1, Workers: 2})
+	m.deliver(requestBurst(8)...)
+	state := map[uint32]uint16{}
+	for len(state) < 8 {
+		select {
+		case burst := <-m.out:
+			for _, d := range burst {
+				var h wire.Header
+				if _, err := h.Unmarshal(d.b); err != nil || h.Type != wire.TypeResp || d.addr != memSwitchAddr {
+					t.Fatalf("server sent %+v to %v (%v), want a response to the switch", h, d.addr, err)
+				}
+				state[h.ClientSeq] = h.State
+			}
+		case <-time.After(5 * time.Second):
+			t.Fatalf("%d of 8 responses after 5s", len(state))
+		}
+	}
+	for seq, st := range state {
+		if st < 6 {
+			t.Errorf("response %d reports State %d, want at least 6", seq, st)
+		}
+	}
+	if st := state[8]; st != 6 {
+		t.Errorf("response to the last request reports State %d, want 6", st)
+	}
+}
+
+// TestServerCountsQueueOverflow pins the dispatcher's overflow count: a
+// one-slot queue in front of one slow worker takes at most two of a
+// burst of 8, the rest are counted as queue drops, and the cluster
+// counters carry the server's count.
+func TestServerCountsQueueOverflow(t *testing.T) {
+	srv, m := newMemServer(t, ServerConfig{SID: 1, Workers: 1, QueueCap: 1, ExtraServiceTime: 20 * time.Millisecond})
+	m.deliver(requestBurst(8)...)
+	deadline := time.Now().Add(5 * time.Second)
+	for srv.Processed()+srv.QueueDrops() < 8 {
+		if time.Now().After(deadline) {
+			t.Fatalf("processed %d, queue drops %d after 5s; want them to sum to 8", srv.Processed(), srv.QueueDrops())
+		}
+		time.Sleep(time.Millisecond)
+	}
+	if n := srv.QueueDrops(); n < 6 || srv.Processed()+n != 8 {
+		t.Fatalf("processed %d, queue drops %d; want at least 6 drops and a sum of 8", srv.Processed(), n)
+	}
+	sw, _ := newMemSwitch(t, defaultDcfg(), ioBurst)
+	c := &Cluster{Switch: sw, Servers: []*Server{srv}}
+	if got := c.Counters().QueueDrops; got != srv.QueueDrops() {
+		t.Fatalf("ClusterCounters.QueueDrops = %d, want the server's %d", got, srv.QueueDrops())
 	}
 }
