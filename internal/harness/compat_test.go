@@ -51,6 +51,10 @@ import (
 // switch-failure knobs) moved ext-multirack onto WithRacks and fig16
 // onto a faults.SwitchOutage injection with no re-pin: the file stayed
 // byte-identical.
+// The LAEDGE duplicate fix (a coordinator's duplicate now carries its
+// owner, so its response no longer returns to coordinator 0) re-pinned
+// one cell: abl-multicoord's "LAEDGE x2 coordinators" Achieved MRPS,
+// 0.65 → 0.66. Every other byte of the file stayed identical.
 //
 // To regenerate after an intentional, documented change:
 //

@@ -153,6 +153,7 @@ func (co *coordinator) dispatch(p *packet) {
 		co.sendToServer(p, idle[i])
 		dup := co.cl.newPacket()
 		dup.hdr, dup.op, dup.sentAt = p.hdr, p.op, p.sentAt
+		dup.coordID, dup.traced = p.coordID, p.traced // its response returns to this owner
 		co.sendToServer(dup, idle[j])
 		co.pendingPair[p.hdr.LamportID()] = false
 	case len(idle) == 1:

@@ -43,3 +43,26 @@ func TestMultiCoordinatorDeterminism(t *testing.T) {
 		t.Error("multi-coordinator runs not deterministic")
 	}
 }
+
+// TestLaedgeDuplicateReturnsToOwner pins that a coordinator's duplicate
+// carries its owner: with several coordinators, both copies' responses
+// must come back to the coordinator that cloned them, which forwards
+// exactly one. A duplicate routed to another coordinator would reach
+// the client as a second response.
+func TestLaedgeDuplicateReturnsToOwner(t *testing.T) {
+	for _, k := range []int{2, 3} {
+		cfg := fastConfig(LAEDGE)
+		cfg.Workers = []int{8, 8, 8, 8, 8, 8}
+		cfg.OfferedRPS = 570_000 // ~30% of 48 workers at a 25 us mean
+		cfg.WarmupNS, cfg.DurationNS = 1e6, 3e6
+		cfg.Seed = 3
+		cfg.NumCoordinators = k
+		res := mustRun(t, cfg)
+		if res.Completed == 0 {
+			t.Fatalf("%d coordinators: nothing completed", k)
+		}
+		if res.RedundantAtClient != 0 {
+			t.Errorf("%d coordinators: %d redundant responses reached clients", k, res.RedundantAtClient)
+		}
+	}
+}

@@ -15,7 +15,7 @@ type IOMode uint8
 
 const (
 	// IOAuto uses the batched path when the platform and socket support
-	// it (Linux amd64/arm64, IPv4 socket) and falls back to the
+	// it (Linux amd64/arm64, IPv4 socket, UDP_GRO) and falls back to the
 	// portable path otherwise. The default.
 	IOAuto IOMode = iota
 	// IOPortable forces the one-datagram-per-syscall net.UDPConn path —
@@ -27,9 +27,10 @@ const (
 	IOBatch
 )
 
-// ioBurst is the batch size: how many datagrams one recvmmsg drains and
-// one sendmmsg flushes. 32 mirrors the simulator's event-burst window
-// (DESIGN.md §7) and common NIC burst sizes.
+// ioBurst is the batch size: how many messages one recvmmsg drains and
+// how many datagrams the write ring holds before it flushes. 32 mirrors
+// the simulator's event-burst window (DESIGN.md §7) and common NIC burst
+// sizes.
 const ioBurst = 32
 
 // String returns the flag spelling of the mode.
@@ -62,7 +63,7 @@ func ParseIOMode(s string) (IOMode, error) {
 
 // errBatchUnsupported rejects IOBatch where the batch path cannot run.
 var errBatchUnsupported = errors.New(
-	"udpemu: batched I/O needs Linux on amd64/arm64 and an IPv4-bound socket; use -io portable or IOAuto")
+	"udpemu: batched I/O needs Linux 5.0 or later on amd64/arm64 and an IPv4-bound socket; use -io portable or IOAuto")
 
 // transport is every node's one packet interface: a receive burst and a
 // write ring. recv blocks until at least one datagram is ready and

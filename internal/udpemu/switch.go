@@ -11,7 +11,8 @@
 //
 // Every node reads and writes through one burst transport (DESIGN.md
 // §12): on Linux amd64/arm64 a recvmmsg/sendmmsg ring that moves up to
-// 32 packets per syscall, elsewhere — or under IOPortable — bursts of
+// 32 messages per syscall, a run of equal datagrams per message (UDP
+// GSO and GRO), elsewhere — or under IOPortable — bursts of
 // one through net.UDPConn. Both run the same loops through fixed
 // buffers, allocation-free in steady state. IOAuto picks the batched
 // transport when available; IOPortable pins the reference the
