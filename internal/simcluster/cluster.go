@@ -939,9 +939,7 @@ func (s *server) onRequest(p *packet) {
 		s.cl.freePacket(p)
 		return
 	}
-	// Server-side guard (§3.4): a cloned request that finds a non-empty
-	// queue is dropped — the tracked "idle" state was stale.
-	if p.hdr.Clo == wire.CloClone && s.queue.len() > 0 && !s.cl.cfg.DisableServerCloneDrop {
+	if !dataplane.AdmitRequest(p.hdr.Clo, s.queue.len(), !s.cl.cfg.DisableServerCloneDrop) {
 		s.cloneDrops++
 		if p.traced {
 			s.cl.record(trace.KindCloneDrop, p, s.tor.rack, int32(s.sid), -1)
@@ -1026,10 +1024,7 @@ func (s *server) finish(p *packet) {
 	// state (§3.3 "Response packets").
 	p.hdr.Type = wire.TypeResp
 	p.hdr.SID = s.sid
-	if qlen > 65535 {
-		qlen = 65535
-	}
-	p.hdr.State = uint16(qlen)
+	p.hdr.State = dataplane.ServerState(qlen, 0)
 	if s.tor != s.cl.sw {
 		// Remote rack: the response first hits the server's own ToR,
 		// which passes it through to the clients' ToR (§3.7).

@@ -1,11 +1,13 @@
 package udpemu
 
 import (
+	"slices"
 	"testing"
 	"time"
 
 	"netclone/internal/dataplane"
 	"netclone/internal/faults"
+	"netclone/internal/workload"
 )
 
 // runModeCluster drives one open-loop run on a fresh 4-server NetClone
@@ -194,6 +196,64 @@ func TestMultiRackCluster(t *testing.T) {
 	if mean := c.MergedLatency().Summarize().Mean; mean < float64(2*oneWay) {
 		t.Errorf("mean latency %v ns below the 2x one-way delay floor %v",
 			time.Duration(mean), 2*oneWay)
+	}
+}
+
+// relaySlack bounds what a relayed round trip may add beyond its
+// injected delay: two extra loopback hops and two timer wake-ups. On a
+// 2-vCPU Linux host the runtime timer rounds a short sleep up to about
+// a millisecond, so a delay line that waits on it overshoots this bound
+// at every delay.
+const relaySlack = 400 * time.Microsecond
+
+// TestRelayDelayAccuracy pins the emulated fabric delay from both
+// sides: with one relay rack at one-way delay d, the relays add at
+// least 2d to the closed-loop p50 round trip (a wait never undershoots)
+// and at most 2d + relaySlack. The clusters take turns request by
+// request, so host load weighs on each the same.
+func TestRelayDelayAccuracy(t *testing.T) {
+	delays := []time.Duration{0, 20 * time.Microsecond, 150 * time.Microsecond}
+	clusters := make([]*Cluster, len(delays))
+	for k, d := range delays {
+		c, err := StartCluster(ClusterConfig{
+			Dataplane: dataplane.Config{FilterTables: 2, FilterSlots: 1 << 10, EnableFiltering: true},
+			Racks: []RackSpec{
+				{},                               // client rack: no local servers
+				{Workers: []int{2, 2}, Delay: d}, // behind a relay when d > 0
+			},
+			Seed: 7,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer c.Close()
+		clusters[k] = c
+	}
+	const warmup, requests = 20, 300
+	rtts := make([][]time.Duration, len(delays))
+	for i := range warmup + requests {
+		for k, c := range clusters {
+			start := time.Now()
+			if _, err := c.Clients[0].Do(c.Switch.NumGroups(), workload.OpGet, uint64(i), 0, nil); err != nil {
+				t.Fatal(err)
+			}
+			if i >= warmup {
+				rtts[k] = append(rtts[k], time.Since(start))
+			}
+		}
+	}
+	p50 := make([]time.Duration, len(delays))
+	for k, r := range rtts {
+		slices.Sort(r)
+		p50[k] = r[len(r)/2]
+	}
+	for k, d := range delays[1:] {
+		got := p50[k+1]
+		t.Logf("one-way delay %v: p50 round trip %v (%v without relays)", d, got, p50[0])
+		if added := got - p50[0]; added < 2*d || added > 2*d+relaySlack {
+			t.Errorf("one-way delay %v: p50 round trip %v against %v without relays adds %v, want %v to %v",
+				d, got, p50[0], added, 2*d, 2*d+relaySlack)
+		}
 	}
 }
 

@@ -84,13 +84,13 @@ func (dl *delayLine) enqueue(pkt []byte, to netip.AddrPort, due time.Time) {
 	}
 }
 
-// run drains the line in order, sleeping until each packet's due time.
+// run drains the line in order, sleeping until each packet's due time
+// on a thread of its own (lockDelayThread).
 func (dl *delayLine) run() {
 	defer dl.wg.Done()
+	lockDelayThread()
 	for p := range dl.ch {
-		if d := time.Until(p.due); d > 0 {
-			time.Sleep(d)
-		}
+		sleepUntil(p.due)
 		if _, err := dl.conn.WriteToUDPAddrPort(p.buf.b[:p.n], p.to); err != nil {
 			dl.sendErrs.Add(1)
 		}

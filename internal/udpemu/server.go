@@ -7,6 +7,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"netclone/internal/dataplane"
 	"netclone/internal/kvstore"
 	"netclone/internal/wire"
 	"netclone/internal/workload"
@@ -41,8 +42,8 @@ const inlinePayload = wire.OpHeaderLen + kvstore.ValueSize + 16
 // Server is a UDP worker server: a dispatcher goroutine feeding a FCFS
 // queue drained by worker goroutines, with NetClone state piggybacking
 // and the cloned-request drop guard (§3.4, §4.2). The dispatcher drains
-// the transport's receive bursts, and workers hand responses to an
-// egress goroutine that owns the write ring and flushes it.
+// the transport's receive bursts, and workers hand answered responses
+// by value to an egress goroutine that encodes them into its write ring.
 type Server struct {
 	cfg    ServerConfig
 	conn   *net.UDPConn
@@ -50,9 +51,8 @@ type Server struct {
 	swAddr netip.AddrPort
 	store  *kvstore.Store
 
-	queue    chan serverJob
-	egress   chan *respBuf
-	respFree chan *respBuf
+	queue  chan serverJob
+	egress chan serverResp
 
 	workersWG sync.WaitGroup
 	egressWG  sync.WaitGroup
@@ -87,10 +87,12 @@ func (j *serverJob) payload() []byte {
 	return j.buf[:j.n]
 }
 
-// respBuf is one prepared response awaiting the egress flush.
-type respBuf struct {
-	n int
-	b [maxDatagram]byte
+// serverResp is one answered request awaiting the egress loop: the
+// response header and a payload of at most one kvstore value.
+type serverResp struct {
+	hdr     wire.Header
+	n       int
+	payload [kvstore.ValueSize]byte
 }
 
 // NewServer binds a worker server to addr and targets the given switch
@@ -119,25 +121,19 @@ func NewServer(addr string, swAddr *net.UDPAddr, cfg ServerConfig) (*Server, err
 	if store == nil {
 		store = kvstore.NewStore(1024)
 	}
-	// The egress freelist bounds prepared-response memory; workers block
-	// on it, so its depth only needs to cover the flusher's in-flight
-	// window.
-	depth := cfg.Workers + 2*ioBurst
-	s := &Server{
-		cfg:      cfg,
-		conn:     conn,
-		tr:       tr,
-		swAddr:   addrPort(swAddr),
-		store:    store,
-		queue:    make(chan serverJob, cfg.QueueCap),
-		egress:   make(chan *respBuf, depth),
-		respFree: make(chan *respBuf, depth),
-		closed:   make(chan struct{}),
-	}
-	for i := 0; i < depth; i++ {
-		s.respFree <- &respBuf{}
-	}
-	return s, nil
+	return &Server{
+		cfg:    cfg,
+		conn:   conn,
+		tr:     tr,
+		swAddr: addrPort(swAddr),
+		store:  store,
+		queue:  make(chan serverJob, cfg.QueueCap),
+		// Workers block on a full egress channel, so its capacity
+		// bounds the answered responses not yet in the write ring:
+		// every worker's next response plus two rings.
+		egress: make(chan serverResp, cfg.Workers+2*ioBurst),
+		closed: make(chan struct{}),
+	}, nil
 }
 
 // Addr returns the server's bound address for switch registration.
@@ -214,9 +210,7 @@ func (s *Server) dispatch(pkt []byte) {
 		s.crashDrops.Add(1)
 		return
 	}
-	// §3.4: drop cloned requests when the queue is non-empty — the
-	// tracked idle state was stale.
-	if h.Clo == wire.CloClone && len(s.queue) > 0 {
+	if !dataplane.AdmitRequest(h.Clo, len(s.queue), true) {
 		s.cloneDrops.Add(1)
 		return
 	}
@@ -239,7 +233,6 @@ func (s *Server) dispatch(pkt []byte) {
 // responds through the switch with piggybacked queue state.
 func (s *Server) worker() {
 	defer s.workersWG.Done()
-	var value [kvstore.ValueSize]byte
 	for job := range s.queue {
 		if s.down.Load() {
 			// The crash loses queued work; nothing is executed or
@@ -247,20 +240,19 @@ func (s *Server) worker() {
 			s.crashDrops.Add(1)
 			continue
 		}
-		var respPayload []byte
+		var r serverResp
 		op, rank, span, val, err := wire.DecodeOp(job.payload())
 		if err == nil {
 			switch workload.OpKind(op) {
 			case workload.OpGet:
-				n := s.store.Get(rank, value[:])
-				respPayload = value[:n]
+				r.n = s.store.Get(rank, r.payload[:])
 			case workload.OpScan:
 				if span == 0 {
 					span = workload.ScanSpan
 				}
 				sum, _ := s.store.Scan(rank, int(span))
-				value[0] = byte(sum >> 56) // surface the checksum so the read is not elided
-				respPayload = value[:8]
+				r.payload[0] = byte(sum >> 56) // surface the checksum so the read is not elided
+				r.n = 8
 			case workload.OpSet:
 				s.store.Set(rank, val)
 			}
@@ -269,39 +261,23 @@ func (s *Server) worker() {
 			time.Sleep(s.cfg.ExtraServiceTime)
 		}
 
-		h := job.hdr
-		h.Type = wire.TypeResp
-		h.SID = s.cfg.SID
-		h.State = s.load()
-		h.PayloadLen = uint16(len(respPayload))
-
-		rb := <-s.respFree
-		b := h.AppendTo(rb.b[:0])
-		b = append(b, respPayload...)
-		rb.n = len(b)
-		s.egress <- rb
+		r.hdr = job.hdr
+		r.hdr.Type = wire.TypeResp
+		r.hdr.SID = s.cfg.SID
+		r.hdr.State = dataplane.ServerState(len(s.queue), int(s.lastBurst.Load())-s.cfg.Workers)
+		r.hdr.PayloadLen = uint16(r.n)
+		s.egress <- r
 	}
 }
 
-// load is the queue state a response piggybacks: the FCFS queue or,
-// when larger, the latest receive burst's excess over the worker pool.
-// The socket is part of the queue: the last response of a burst sees
-// the FCFS queue it has just drained while the next burst already
-// waits in the socket. Bursts of one (the portable transport) never
-// exceed the pool, so there the signal is the queue alone.
-func (s *Server) load() uint16 {
-	qlen := max(len(s.queue), int(s.lastBurst.Load())-s.cfg.Workers)
-	return uint16(min(qlen, 65535))
-}
-
-// egressLoop aggregates prepared responses and flushes them: one
-// blocking take, then everything already waiting, up to the ring size
-// per flush.
+// egressLoop encodes answered responses into the write ring and
+// flushes them: one blocking take, then everything already waiting, up
+// to the ring size per flush.
 func (s *Server) egressLoop() {
 	defer s.egressWG.Done()
-	for rb := range s.egress {
+	for r := range s.egress {
 		batched := 1
-		s.commitResp(rb)
+		s.commitResp(&r)
 	fill:
 		for batched < ioBurst {
 			select {
@@ -309,7 +285,7 @@ func (s *Server) egressLoop() {
 				if !ok {
 					break fill
 				}
-				s.commitResp(more)
+				s.commitResp(&more)
 				batched++
 			default:
 				break fill
@@ -323,16 +299,14 @@ func (s *Server) egressLoop() {
 	}
 }
 
-// commitResp moves one prepared response into the write ring and
-// returns its buffer to the freelist.
-func (s *Server) commitResp(rb *respBuf) {
-	slot := s.tr.wslot()
-	slot = append(slot, rb.b[:rb.n]...)
+// commitResp encodes one answered response into the next write slot.
+func (s *Server) commitResp(r *serverResp) {
+	slot := r.hdr.AppendTo(s.tr.wslot())
+	slot = append(slot, r.payload[:r.n]...)
 	if dropped, _ := s.tr.commit(len(slot), s.swAddr); dropped > 0 {
 		s.sendErrs.Add(int64(dropped))
 		s.processed.Add(int64(-dropped)) // dropped mid-fill: keep the count honest
 	}
-	s.respFree <- rb
 }
 
 // Close stops the server and waits for workers to drain. It is

@@ -255,3 +255,54 @@ func TestDocsNameRealFlagsAndScripts(t *testing.T) {
 		t.Errorf("found %d flags and %d script paths in the documents: a pattern has rotted", flags, scripts)
 	}
 }
+
+// TestRunListsNameRealTests: every Test name in a `-run` list of the CI
+// workflow and in every mutant patch's Tests: header is a func in some
+// _test.go of the tree. `go test -run` quietly runs fewer tests when a
+// listed name is stale, so a renamed test would drop out of CI's race
+// steps, and a mutant would be judged by fewer tests than it names.
+func TestRunListsNameRealTests(t *testing.T) {
+	funcs := goFuncNames(t, regexp.MustCompile(`(?m)^func (Test\w*)\(`), true)
+	lists := map[string][]string{} // file -> its -run lists
+	ci, err := os.ReadFile(filepath.Join(".github", "workflows", "ci.yml"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, m := range regexp.MustCompile(`-run '([^']*)'`).FindAllSubmatch(ci, -1) {
+		lists["ci.yml"] = append(lists["ci.yml"], string(m[1]))
+	}
+	patches, err := filepath.Glob(filepath.Join("testdata", "mutants", "*.patch"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	testsRE := regexp.MustCompile(`(?m)^Tests: (.*)$`)
+	for _, path := range patches {
+		src, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if m := testsRE.FindSubmatch(src); m != nil {
+			lists[path] = append(lists[path], string(m[1]))
+		} else {
+			t.Errorf("%s has no Tests: header", path)
+		}
+	}
+	seen := map[string]bool{}
+	for file, runs := range lists {
+		for _, run := range runs {
+			for _, name := range strings.Split(run, "|") {
+				if !strings.HasPrefix(name, "Test") {
+					continue // '^$' and other patterns that name no test
+				}
+				seen[name] = true
+				if !slices.Contains(funcs, name) {
+					t.Errorf("%s runs %s, which no _test.go defines", file, name)
+				}
+			}
+		}
+	}
+	if len(seen) == 0 || len(patches) == 0 {
+		t.Errorf("found %d test names in %d patches and ci.yml: a pattern has rotted", len(seen), len(patches))
+	}
+	t.Logf("%d distinct test names checked", len(seen))
+}

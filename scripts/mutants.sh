@@ -4,19 +4,26 @@
 #   scripts/mutants.sh [name ...]
 #
 # Each testdata/mutants/<name>.patch is one small deliberate bug. Its
-# header, the lines before the diff, names the package and the tests
+# header, the lines before the diff, names the packages and the tests
 # that must catch it:
 #
 #   Package: ./internal/udpemu
 #   Tests: TestGetRoundTrip|TestSwitchOneFlushPerBurst
 #
+# Package: is a space-separated list. A bug in code that several
+# packages call names each of them, and the tests run in each listed
+# package on its own; the mutant counts as killed only when its named
+# tests fail in every listed package, so each caller's tests must
+# catch it.
+#
 # The script makes a git worktree at HEAD in a temporary directory and,
 # for each patch (all of them, or the names given), applies it, runs the
 # named tests under a timeout and reverts it. A mutant is
-#   killed    when a named test fails or the run times out (a hang),
-#   survived  when the named tests pass,
+#   killed    when, in every listed package, a named test fails or the
+#             run times out (a hang),
+#   survived  when the named tests pass in some listed package,
 #   stale     when the patch no longer applies to HEAD,
-#   broken    when the mutated package does not build.
+#   broken    when a listed package does not build.
 # It prints one line per mutant and a summary, and exits non-zero unless
 # every mutant was killed. Failed runs leave their test output in
 # $TMPDIR only while the script runs; rerun one mutant by name to see it.
@@ -51,22 +58,31 @@ for patch in "${patches[@]}"; do
         stale=$((stale + 1))
         continue
     fi
-    log="$tmp/$name.log"
-    status=0
-    (cd "$tree" && timeout 100 go test -count=1 -timeout 90s -run "^($tests)\$" "$pkg") >"$log" 2>&1 || status=$?
-    if [ "$status" -eq 0 ]; then
-        echo "survived  $name"
-        survived=$((survived + 1))
-    elif grep -q '\[build failed\]\|\[setup failed\]' "$log"; then
-        echo "broken    $name"
-        sed 's/^/    /' "$log" | head -n 20
-        broken=$((broken + 1))
-    else
+    verdict=killed reasons=
+    for p in $pkg; do
+        log="$tmp/$name.log"
+        status=0
+        (cd "$tree" && timeout 100 go test -count=1 -timeout 90s -run "^($tests)\$" "$p") >"$log" 2>&1 || status=$?
+        if [ "$status" -eq 0 ]; then
+            verdict=survived reasons="$p passes"
+            break
+        elif grep -q '\[build failed\]\|\[setup failed\]' "$log"; then
+            verdict=broken reasons="$p does not build"
+            break
+        fi
         reason=$(grep -m 1 -- '--- FAIL\|^panic:' "$log" || true)
         [ "$status" -eq 124 ] && reason="timed out"
-        echo "killed    $name    ${reason:-exit $status}"
-        killed=$((killed + 1))
-    fi
+        reasons="${reasons:+$reasons; }${reason:-exit $status}"
+    done
+    printf '%-9s %s    %s\n' "$verdict" "$name" "$reasons"
+    case $verdict in
+    killed) killed=$((killed + 1)) ;;
+    survived) survived=$((survived + 1)) ;;
+    broken)
+        broken=$((broken + 1))
+        sed 's/^/    /' "$log" | head -n 20
+        ;;
+    esac
     git -C "$tree" checkout --quiet -- .
 done
 
