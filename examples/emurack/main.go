@@ -5,9 +5,10 @@
 // uplink, a mid-run server crash/recover, a 20% loss window — and runs
 // it unchanged on both backends. The simulator executes the fabric and
 // the fault plan on virtual time; the emu backend renders the remote
-// rack as an in-process relay that delays real datagrams and arms the
-// same fault windows on the wall clock (loss and jitter at the relay,
-// the crash by muting the server's socket). Both backends lose some
+// rack's fabric as delay lines that hold real datagrams in the switch
+// and in the rack's servers, and arms the same fault windows on the
+// wall clock (loss and jitter at the switch, the crash by muting the
+// server's socket). Both backends lose some
 // completions to the chaos and neither collapses — the parity the
 // capability matrix in DESIGN.md §12 pins.
 //

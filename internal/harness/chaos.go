@@ -303,7 +303,7 @@ func registerChaosTwoRack() {
 			opts = opts.withDefaults()
 			// Deliberately no requireSim: the definition uses only
 			// capabilities both backends express — a two-rack fabric
-			// behind delay relays and the socket-expressible fault kinds
+			// behind delay lines and the socket-expressible fault kinds
 			// — so Options.Backend = scenario.Emu() runs it unchanged on
 			// real sockets (the CI emu chaos smoke does exactly that).
 			dist := workload.WithJitter(workload.Exp(25), highVariability)

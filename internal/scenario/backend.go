@@ -31,7 +31,7 @@ type Result struct {
 	ShardInfo ShardInfo
 
 	// SendErrors counts failed socket transmissions across the emu
-	// cluster's components (switch, servers, rack relays, clients).
+	// cluster's components (switch, servers, clients).
 	// Always 0 on Sim, whose links cannot fail to transmit; a non-zero
 	// value on Emu flags host-level socket trouble rather than modelled
 	// behavior.

@@ -78,8 +78,8 @@ type emuBackend struct {
 // Supported schemes: Baseline, CClone (client-side duplicate sends),
 // NetClone, NetCloneNoFilter, and NetCloneRackSched. LAEDGE needs a
 // coordinator process the emulation does not provide. Multi-rack
-// fabrics (WithRacks) run here: each remote rack's servers sit behind a
-// relay socket injecting the compiled one-way inter-ToR delay. The
+// fabrics (WithRacks) run here: the switch and each remote rack's
+// servers hold their datagrams for the compiled one-way inter-ToR delay. The
 // socket-expressible fault kinds — loss windows
 // (WithLoss/faults.Loss), link jitter (faults.Jitter), and server
 // crash/recover (faults.ServerCrash) — run here too, as wall-clock
@@ -200,9 +200,9 @@ func (b *emuBackend) Run(sc *Scenario) (Result, error) {
 }
 
 // emuRacks lays the scenario's fabric out as emu rack specs:
-// every non-client rack's servers run behind a relay injecting the
-// compiled one-way inter-ToR delay. Single-rack fabrics return nil and
-// attach every server straight to the switch socket.
+// every non-client rack's servers are reached across the compiled
+// one-way inter-ToR delay. Single-rack fabrics return nil and attach
+// every server straight to the switch socket.
 func emuRacks(cfg simcluster.Config) []udpemu.RackSpec {
 	if cfg.Topology.NumRacks() <= 1 {
 		return nil

@@ -96,7 +96,7 @@ func TestEmuRateCap(t *testing.T) {
 
 // chaosTwoRackScenario is the shared chaos definition both backends
 // must accept: a two-rack fabric with a mid-run server crash/recover
-// and a loss window. The emu backend renders the fabric as rack relays
+// and a loss window. The emu backend renders the fabric as delay lines
 // and the faults as wall-clock windows; the simulator executes the
 // same plan on virtual time.
 func chaosTwoRackScenario() *Scenario {

@@ -159,9 +159,9 @@ func TestLaedgeFabricMessageUniform(t *testing.T) {
 }
 
 // TestEmuFabricTopology: multi-rack fabrics run on the emulation —
-// every remote rack behind a delay-injecting relay — while explicit
-// client placement (which would re-home the relays' delays) stays
-// sim-only with an actionable error.
+// every remote rack across delay lines in the switch and its servers —
+// while explicit client placement (which would re-home those delays)
+// stays sim-only with an actionable error.
 func TestEmuFabricTopology(t *testing.T) {
 	base := New(
 		WithScheme(simcluster.NetClone),
@@ -184,7 +184,7 @@ func TestEmuFabricTopology(t *testing.T) {
 	}
 
 	// A one-rack WithRacks fabric with default placement is the plain
-	// single-rack shape; a two-rack fabric runs through rack relays.
+	// single-rack shape; a two-rack fabric runs through delay lines.
 	for _, tc := range []struct {
 		name string
 		sc   *Scenario

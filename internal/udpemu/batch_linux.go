@@ -101,10 +101,7 @@ type batchConn struct {
 
 	// The buffers come last, so the garbage collector's scan of the
 	// struct ends before them.
-	//
-	// Write slots leave headroom past maxDatagram for the 2-byte relay
-	// preamble prepended when forwarding a full-size datagram.
-	wbufs [ioBurst][maxDatagram + 4]byte
+	wbufs [ioBurst][maxDatagram]byte
 	rbufs [ioBurst][groBufLen]byte
 }
 

@@ -14,9 +14,10 @@ import (
 // RackSpec describes one rack of an emulated multi-rack fabric: its
 // servers' worker counts and the one-way fabric delay between its ToR
 // and the client rack's ToR (the sum of both uplinks in the topology
-// model). The rack with zero delay is the client rack — its servers
-// attach directly to the Switch; every other rack gets a Relay
-// injecting the delay on both directions.
+// model). The rack with zero delay is the client rack. Every other
+// rack's servers see the delay in both directions: the switch holds
+// their requests in a rack delay line and each server holds its
+// responses in one of its own.
 type RackSpec struct {
 	Workers []int
 	Delay   time.Duration
@@ -36,7 +37,7 @@ type ClusterConfig struct {
 	// Racks, when non-empty, lays the servers out across emulated
 	// racks: server IDs run rack by rack in order, matching the
 	// topology layer's FlatWorkers numbering. Racks with a positive
-	// Delay run behind a Relay.
+	// Delay are reached across that one-way fabric delay.
 	Racks []RackSpec
 	// Clients is the number of measuring clients (default 1).
 	Clients int
@@ -64,7 +65,6 @@ type ClusterConfig struct {
 type Cluster struct {
 	Switch  *Switch
 	Servers []*Server
-	Relays  []*Relay
 	Clients []*Client
 	store   *kvstore.Store
 
@@ -89,7 +89,7 @@ type ClusterCounters struct {
 	// Redundant sums the duplicate responses that reached the clients.
 	Redundant int64
 	// SendErrors sums failed socket transmissions across the switch,
-	// servers, relays, and clients — previously discarded silently.
+	// servers, and clients, delay-line overflows included.
 	SendErrors int64
 	// LossDrops counts packets dropped by active loss windows at the
 	// switch.
@@ -148,33 +148,13 @@ func StartCluster(cfg ClusterConfig) (*Cluster, error) {
 	}
 	go sw.Serve() //nolint:errcheck // terminated by Close
 
-	// One relay per delayed rack; the client rack (zero delay) attaches
-	// its servers straight to the switch socket.
-	relays := map[int]*Relay{}
-	for ri, r := range cfg.Racks {
-		if r.Delay <= 0 {
-			continue
-		}
-		rel, err := NewRelay(sw.Addr(), r.Delay)
-		if err != nil {
-			c.Close()
-			return nil, fmt.Errorf("udpemu: relay for rack %d: %w", ri, err)
-		}
-		relays[ri] = rel
-		c.Relays = append(c.Relays, rel)
-	}
-
 	routes := make([]ServerRoute, 0, len(workers))
 	for sid, threads := range workers {
-		var rel *Relay
+		var delay time.Duration
 		if serverRack != nil {
-			rel = relays[serverRack[sid]]
+			delay = cfg.Racks[serverRack[sid]].Delay
 		}
-		swAddr := sw.Addr()
-		if rel != nil {
-			swAddr = rel.UpAddr()
-		}
-		srv, err := NewServer("127.0.0.1:0", swAddr, ServerConfig{
+		srv, err := NewServer("127.0.0.1:0", sw.Addr(), ServerConfig{
 			SID:              uint16(sid),
 			Workers:          threads,
 			Store:            c.store,
@@ -186,20 +166,15 @@ func StartCluster(cfg ClusterConfig) (*Cluster, error) {
 			return nil, fmt.Errorf("udpemu: server %d: %w", sid, err)
 		}
 		c.Servers = append(c.Servers, srv)
-		go srv.Serve() //nolint:errcheck
-		route := ServerRoute{SID: uint16(sid), Addr: srv.Addr()}
-		if rel != nil {
-			rel.AddServer(route.SID, route.Addr)
-			route.RelayDown = rel.DownAddr()
+		if delay > 0 {
+			srv.delayUplink(delay)
 		}
-		routes = append(routes, route)
+		go srv.Serve() //nolint:errcheck
+		routes = append(routes, ServerRoute{SID: uint16(sid), Addr: srv.Addr(), Delay: delay})
 	}
 	if err := sw.InstallServers(routes); err != nil {
 		c.Close()
 		return nil, fmt.Errorf("udpemu: register servers: %w", err)
-	}
-	for _, rel := range c.Relays {
-		rel.Serve()
 	}
 
 	for i := 0; i < cfg.Clients; i++ {
@@ -238,9 +213,6 @@ func (c *Cluster) Counters() ClusterCounters {
 		out.CrashDrops += s.CrashDrops()
 		out.QueueDrops += s.QueueDrops()
 		out.SendErrors += s.SendErrors()
-	}
-	for _, r := range c.Relays {
-		out.SendErrors += r.SendErrors()
 	}
 	for _, cl := range c.Clients {
 		out.Redundant += cl.Redundant()
@@ -326,7 +298,7 @@ func (c *Cluster) armFaults(start time.Time) {
 	}()
 }
 
-// Close shuts down clients, servers, relays, and switch, in that
+// Close shuts down clients, servers, and switch, in that
 // order. It is idempotent and safe on partially constructed clusters.
 func (c *Cluster) Close() error {
 	c.closeOnce.Do(func() {
@@ -337,9 +309,6 @@ func (c *Cluster) Close() error {
 		}
 		for _, s := range c.Servers {
 			errs = append(errs, s.Close())
-		}
-		for _, r := range c.Relays {
-			errs = append(errs, r.Close())
 		}
 		if c.Switch != nil {
 			errs = append(errs, c.Switch.Close())

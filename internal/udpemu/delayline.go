@@ -10,15 +10,23 @@ import (
 
 // delayLine injects one-way link latency into a forwarding path: the
 // caller stamps each packet with its due time, a sender goroutine
-// sleeps until then and transmits. Buffers come from a preallocated
-// freelist, so steady-state forwarding does not allocate. Packets are
-// FIFO per line — correct for a constant delay, and jitter windows
-// only ever add delay at enqueue time, never reorder within the line.
+// sleeps until then and transmits. Buffers are allocated on first use,
+// up to delayLineDepth, and reused after, so a line costs memory in
+// proportion to the most packets it ever held at once, and steady-state
+// forwarding does not allocate. Packets are FIFO per line — correct for
+// a constant delay, and jitter windows only ever add delay at enqueue
+// time, never reorder within the line.
+//
+// A line has one producer: enqueue is called from one goroutine only
+// (the switch's Serve loop, or a server's egress loop).
 type delayLine struct {
 	conn *net.UDPConn
 
-	ch   chan delayedPkt
-	free chan *delayBuf
+	ch chan *delayBuf
+
+	mu   sync.Mutex
+	free *delayBuf // sent buffers, linked through next
+	made int       // buffers allocated so far; producer-only
 
 	sendErrs  atomic.Int64
 	overflows atomic.Int64
@@ -28,15 +36,13 @@ type delayLine struct {
 	closeOnce sync.Once
 }
 
+// delayBuf is one delayed packet: its due time, destination and bytes.
 type delayBuf struct {
-	b [maxDatagram + 4]byte
-}
-
-type delayedPkt struct {
-	due time.Time
-	to  netip.AddrPort
-	buf *delayBuf
-	n   int
+	due  time.Time
+	to   netip.AddrPort
+	n    int
+	next *delayBuf
+	b    [maxDatagram]byte
 }
 
 // delayLineDepth bounds in-flight delayed packets per line. At the emu
@@ -48,40 +54,34 @@ const delayLineDepth = 4096
 // newDelayLine starts the sender goroutine, which writes to conn
 // directly: it owns no transport write ring, so it shares none.
 func newDelayLine(conn *net.UDPConn) *delayLine {
-	dl := &delayLine{
-		conn: conn,
-		ch:   make(chan delayedPkt, delayLineDepth),
-		free: make(chan *delayBuf, delayLineDepth),
-	}
-	for i := 0; i < delayLineDepth; i++ {
-		dl.free <- &delayBuf{}
-	}
+	dl := &delayLine{conn: conn, ch: make(chan *delayBuf, delayLineDepth)}
 	dl.wg.Add(1)
 	go dl.run()
 	return dl
 }
 
 // enqueue schedules pkt for transmission to to at due. It copies pkt
-// into a freelist buffer; a full line drops the packet (counted in
-// overflows).
+// into a free buffer, allocating one while fewer than delayLineDepth
+// exist; a line already holding that many drops the packet (counted in
+// overflows). ch holds at most every buffer, so the send never blocks.
 func (dl *delayLine) enqueue(pkt []byte, to netip.AddrPort, due time.Time) {
-	var buf *delayBuf
-	select {
-	case buf = <-dl.free:
-	default:
-		dl.overflows.Add(1)
-		return
+	dl.mu.Lock()
+	buf := dl.free
+	if buf != nil {
+		dl.free = buf.next
 	}
-	n := copy(buf.b[:], pkt)
-	select {
-	case dl.ch <- delayedPkt{due: due, to: to, buf: buf, n: n}:
-		dl.delayed.Add(1)
-	default:
-		// Freelist and channel have equal depth, so this branch is
-		// unreachable; keep it non-blocking for safety.
-		dl.free <- buf
-		dl.overflows.Add(1)
+	dl.mu.Unlock()
+	if buf == nil {
+		if dl.made == delayLineDepth {
+			dl.overflows.Add(1)
+			return
+		}
+		dl.made++
+		buf = new(delayBuf)
 	}
+	buf.due, buf.to, buf.n = due, to, copy(buf.b[:], pkt)
+	dl.ch <- buf
+	dl.delayed.Add(1)
 }
 
 // run drains the line in order, sleeping until each packet's due time
@@ -91,15 +91,30 @@ func (dl *delayLine) run() {
 	lockDelayThread()
 	for p := range dl.ch {
 		sleepUntil(p.due)
-		if _, err := dl.conn.WriteToUDPAddrPort(p.buf.b[:p.n], p.to); err != nil {
+		if _, err := dl.conn.WriteToUDPAddrPort(p.b[:p.n], p.to); err != nil {
 			dl.sendErrs.Add(1)
 		}
-		dl.free <- p.buf
+		dl.mu.Lock()
+		p.next, dl.free = dl.free, p
+		dl.mu.Unlock()
 	}
 }
 
-// close stops the sender after the queue drains.
+// lost counts the packets the line failed to send or had no room for;
+// a nil line lost none.
+func (dl *delayLine) lost() int64 {
+	if dl == nil {
+		return 0
+	}
+	return dl.sendErrs.Load() + dl.overflows.Load()
+}
+
+// close stops the sender after the queue drains. The producer must
+// have stopped. Closing a nil line does nothing.
 func (dl *delayLine) close() {
+	if dl == nil {
+		return
+	}
 	dl.closeOnce.Do(func() { close(dl.ch) })
 	dl.wg.Wait()
 }

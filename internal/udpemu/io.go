@@ -111,7 +111,7 @@ type portableConn struct {
 	rn   int
 	rsrc netip.AddrPort
 
-	wbuf [maxDatagram + relayPreambleLen]byte
+	wbuf [maxDatagram]byte
 	wn   int // bytes committed to the one write slot; 0 when empty
 	wto  netip.AddrPort
 }

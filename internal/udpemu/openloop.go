@@ -65,7 +65,46 @@ func (c *Client) RunOpenLoop(cfg OpenLoopConfig) (OpenLoopResult, error) {
 	arrival := workload.Poisson{RatePerSec: cfg.RatePerSec}
 	rng := simnet.NewRNG(c.cfg.Seed, 0x0197)
 
+	// The pacing loop runs on a thread of its own so that its waits end
+	// on time (lockDelayThread, sleepUntil); the thread ends with the
+	// loop, and its lowered timer slack with it.
 	start := time.Now()
+	paced := make(chan struct{})
+	go func() {
+		defer close(paced)
+		lockDelayThread()
+		c.pace(cfg, start, arrival, rng)
+	}()
+	<-paced
+	elapsed := time.Since(start)
+	inWindow := c.openDone.Load()
+	time.Sleep(cfg.Drain)
+
+	// Abandon stragglers so a subsequent run starts clean and their
+	// late responses are ignored rather than miscounted as duplicates.
+	c.mu.Lock()
+	if len(c.abandoned)+len(c.openPending) >= maxAbandoned {
+		c.abandoned = make(map[uint32]struct{})
+	}
+	for seq := range c.openPending {
+		c.abandoned[seq] = struct{}{}
+	}
+	c.openPending = make(map[uint32]time.Time)
+	c.mu.Unlock()
+
+	completed := c.openDone.Load()
+	c.openDone.Store(0)
+	return OpenLoopResult{
+		Sent:              cfg.Requests,
+		Completed:         completed,
+		CompletedInWindow: inWindow,
+		Elapsed:           elapsed,
+		AchievedRPS:       float64(inWindow) / elapsed.Seconds(),
+	}, nil
+}
+
+// pace sends cfg.Requests requests at Poisson gaps from start.
+func (c *Client) pace(cfg OpenLoopConfig, start time.Time, arrival workload.Poisson, rng *rand.Rand) {
 	next := start
 	for i := 0; i < cfg.Requests; i++ {
 		// Pace against absolute target times so scheduling jitter does
@@ -74,9 +113,9 @@ func (c *Client) RunOpenLoop(cfg OpenLoopConfig) (OpenLoopResult, error) {
 		// pacing latency is unaffected while saturated runs amortize
 		// one sendmmsg over up to 32 requests.
 		next = next.Add(time.Duration(arrival.NextGap(rng)))
-		if d := time.Until(next); d > 0 {
+		if time.Until(next) > 0 {
 			c.flush() //nolint:errcheck // counted in SendErrors
-			time.Sleep(d)
+			sleepUntil(next)
 		}
 
 		op := workload.OpGet
@@ -114,31 +153,6 @@ func (c *Client) RunOpenLoop(cfg OpenLoopConfig) (OpenLoopResult, error) {
 		}
 	}
 	c.flush() //nolint:errcheck // counted in SendErrors
-	elapsed := time.Since(start)
-	inWindow := c.openDone.Load()
-	time.Sleep(cfg.Drain)
-
-	// Abandon stragglers so a subsequent run starts clean and their
-	// late responses are ignored rather than miscounted as duplicates.
-	c.mu.Lock()
-	if len(c.abandoned)+len(c.openPending) >= maxAbandoned {
-		c.abandoned = make(map[uint32]struct{})
-	}
-	for seq := range c.openPending {
-		c.abandoned[seq] = struct{}{}
-	}
-	c.openPending = make(map[uint32]time.Time)
-	c.mu.Unlock()
-
-	completed := c.openDone.Load()
-	c.openDone.Store(0)
-	return OpenLoopResult{
-		Sent:              cfg.Requests,
-		Completed:         completed,
-		CompletedInWindow: inWindow,
-		Elapsed:           elapsed,
-		AchievedRPS:       float64(inWindow) / elapsed.Seconds(),
-	}, nil
 }
 
 // settleOpenLoop is called by the receiver for responses that do not

@@ -54,6 +54,11 @@ type Server struct {
 	queue  chan serverJob
 	egress chan serverResp
 
+	// up holds responses for the fabric delay upDelay on a remote
+	// rack; nil on the client rack (delayUplink).
+	up      *delayLine
+	upDelay time.Duration
+
 	workersWG sync.WaitGroup
 	egressWG  sync.WaitGroup
 	closed    chan struct{}
@@ -95,8 +100,7 @@ type serverResp struct {
 	payload [kvstore.ValueSize]byte
 }
 
-// NewServer binds a worker server to addr and targets the given switch
-// (or, on a remote rack, the rack relay's uplink).
+// NewServer binds a worker server to addr and targets the given switch.
 func NewServer(addr string, swAddr *net.UDPAddr, cfg ServerConfig) (*Server, error) {
 	udpAddr, err := net.ResolveUDPAddr("udp", addr)
 	if err != nil {
@@ -155,7 +159,16 @@ func (s *Server) CrashDrops() int64 { return s.crashDrops.Load() }
 func (s *Server) QueueDrops() int64 { return s.queueDrops.Load() }
 
 // SendErrors returns the number of failed response transmissions.
-func (s *Server) SendErrors() int64 { return s.sendErrs.Load() }
+func (s *Server) SendErrors() int64 { return s.sendErrs.Load() + s.up.lost() }
+
+// delayUplink places the server on a remote rack: every response waits
+// out the one-way fabric delay d on the server's own socket before it
+// leaves. The delay stays on this side of the fabric so that the switch
+// reads the piggybacked state as old as the fabric makes it (§3.3–3.4).
+// Call before Serve.
+func (s *Server) delayUplink(d time.Duration) {
+	s.up, s.upDelay = newDelayLine(s.conn), d
+}
 
 // SetDown flips the crash-window state (the cluster's fault executor
 // drives it). Going down discards what is already queued — the crash
@@ -191,6 +204,7 @@ func (s *Server) shutdown(readErr error) error {
 	s.workersWG.Wait()
 	close(s.egress)
 	s.egressWG.Wait()
+	s.up.close()
 	select {
 	case <-s.closed:
 		return nil
@@ -299,10 +313,16 @@ func (s *Server) egressLoop() {
 	}
 }
 
-// commitResp encodes one answered response into the next write slot.
+// commitResp encodes one answered response into the next write slot,
+// or, on a remote rack, hands it to the uplink line and leaves the slot
+// uncommitted.
 func (s *Server) commitResp(r *serverResp) {
 	slot := r.hdr.AppendTo(s.tr.wslot())
 	slot = append(slot, r.payload[:r.n]...)
+	if s.up != nil {
+		s.up.enqueue(slot, s.swAddr, time.Now().Add(s.upDelay)) // copies
+		return
+	}
 	if dropped, _ := s.tr.commit(len(slot), s.swAddr); dropped > 0 {
 		s.sendErrs.Add(int64(dropped))
 		s.processed.Add(int64(-dropped)) // dropped mid-fill: keep the count honest

@@ -38,20 +38,19 @@ import (
 const maxDatagram = 2048
 
 // sendTarget is one forwarding-table entry: the destination and — for
-// servers behind a rack relay — the encapsulation the downlink hop
-// needs.
+// a server on a remote rack — the one-way fabric delay to its rack and
+// the delay line that holds packets for it.
 type sendTarget struct {
-	to netip.AddrPort
-	// encap servers live behind a relay: to is the relay downlink and
-	// each packet is prefixed with encapSID so the relay can route it
-	// (see relayPreambleLen).
-	encap    bool
-	encapSID uint16
+	to    netip.AddrPort
+	delay time.Duration
+	dl    *delayLine // nil: send at once, or through the jitter line
 }
 
 // Switch is a UDP NetClone switch emulator — the client rack's ToR.
-// Clients and servers exchange all traffic through its single socket;
-// servers on remote racks are reached through their rack's Relay.
+// Clients and servers exchange all traffic through its single socket.
+// Every other rack's ToR only forwards at L3, so a server there is a
+// direct destination whose packets wait out the fabric delay in one of
+// the switch's rack lines.
 type Switch struct {
 	conn *net.UDPConn
 	tr   transport
@@ -61,8 +60,9 @@ type Switch struct {
 	servers map[uint16]sendTarget
 	clients map[uint16]sendTarget
 
-	faults *faultState // nil without a fault schedule
-	dl     *delayLine  // jitter egress; nil until a schedule needs it
+	faults *faultState                  // nil without a fault schedule
+	dl     *delayLine                   // jitter egress; nil until a schedule needs it
+	racks  map[time.Duration]*delayLine // one line per distinct rack delay
 
 	sendErrs  sendErrors
 	lossDrops atomic.Int64
@@ -104,6 +104,7 @@ func NewSwitch(addr string, cfg dataplane.Config, mode ...IOMode) (*Switch, erro
 		dp:      dp,
 		servers: make(map[uint16]sendTarget),
 		clients: make(map[uint16]sendTarget),
+		racks:   make(map[time.Duration]*delayLine),
 		closed:  make(chan struct{}),
 	}, nil
 }
@@ -119,19 +120,21 @@ func (s *Switch) Batched() bool {
 }
 
 // ServerRoute is one server's control-plane registration: its ID, its
-// own socket, and — for a server on a remote rack — the downlink of the
-// rack relay it is reached through (nil for a directly attached server).
+// own socket, and — for a server on a remote rack — the one-way fabric
+// delay between that rack's ToR and this one (zero for a directly
+// attached server).
 type ServerRoute struct {
-	SID       uint16
-	Addr      *net.UDPAddr
-	RelayDown *net.UDPAddr
+	SID   uint16
+	Addr  *net.UDPAddr
+	Delay time.Duration
 }
 
 // InstallServers registers every route with the control plane in one
 // data-plane install (one group-table build). The address-table entry
-// is the server's UDP port; a relayed server's forwarding entry points
-// at the relay downlink with the server's ID as the encapsulation
-// preamble.
+// is the server's UDP port; a remote server's forwarding entry carries
+// its rack's delay and the line for that delay. Routes with equal
+// delays share one line, which stays FIFO because its delay is
+// constant.
 func (s *Switch) InstallServers(routes []ServerRoute) error {
 	entries := make([]dataplane.ServerEntry, len(routes))
 	for i, r := range routes {
@@ -143,11 +146,14 @@ func (s *Switch) InstallServers(routes []ServerRoute) error {
 		return err
 	}
 	for _, r := range routes {
-		if r.RelayDown == nil {
-			s.servers[r.SID] = sendTarget{to: addrPort(r.Addr)}
-			continue
+		t := sendTarget{to: addrPort(r.Addr)}
+		if r.Delay > 0 {
+			if s.racks[r.Delay] == nil {
+				s.racks[r.Delay] = newDelayLine(s.conn)
+			}
+			t.delay, t.dl = r.Delay, s.racks[r.Delay]
 		}
-		s.servers[r.SID] = sendTarget{to: addrPort(r.RelayDown), encap: true, encapSID: r.SID}
+		s.servers[r.SID] = t
 	}
 	return nil
 }
@@ -182,9 +188,11 @@ func (s *Switch) Stats() dataplane.Stats {
 // SendErrors counts failed transmissions (satellite of DESIGN.md §12:
 // previously discarded silently).
 func (s *Switch) SendErrors() int64 {
-	n := s.sendErrs.Load()
-	if s.dl != nil {
-		n += s.dl.sendErrs.Load() + s.dl.overflows.Load()
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	n := s.sendErrs.Load() + s.dl.lost()
+	for _, dl := range s.racks {
+		n += dl.lost()
 	}
 	return n
 }
@@ -288,18 +296,21 @@ func (s *Switch) handle(i int, now time.Time, rng *rand.Rand) {
 }
 
 // emit encodes one packet into the next write slot and commits it (a
-// full ring flushes itself), or, when a jitter window is active, hands
-// it to the delay line instead and leaves the slot uncommitted.
+// full ring flushes itself), or, when the target's rack is remote or a
+// jitter window is active, hands it to a delay line due after the rack
+// delay plus the jitter, and leaves the slot uncommitted.
 func (s *Switch) emit(h *wire.Header, payload []byte, t sendTarget, now time.Time, rng *rand.Rand) {
-	out := s.tr.wslot()
-	if t.encap {
-		out = append(out, byte(t.encapSID), byte(t.encapSID>>8))
-	}
-	out = h.AppendTo(out)
+	out := h.AppendTo(s.tr.wslot())
 	out = append(out, payload...)
-	if extra := s.faults.jitter(now, rng); extra > 0 && s.dl != nil {
-		s.dl.enqueue(out, t.to, now.Add(extra)) // copies; the slot stays free
-		return
+	dl := t.dl
+	if dl == nil {
+		dl = s.dl
+	}
+	if dl != nil {
+		if wait := t.delay + s.faults.jitter(now, rng); wait > 0 {
+			dl.enqueue(out, t.to, now.Add(wait)) // copies; the slot stays free
+			return
+		}
 	}
 	s.sendErrs.add(s.tr.commit(len(out), t.to))
 }
@@ -312,8 +323,9 @@ func (s *Switch) Close() error {
 		close(s.closed)
 		err = s.conn.Close()
 		s.wg.Wait()
-		if s.dl != nil {
-			s.dl.close()
+		s.dl.close()
+		for _, dl := range s.racks {
+			dl.close()
 		}
 	})
 	s.wg.Wait()

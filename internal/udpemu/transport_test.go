@@ -24,7 +24,7 @@ type memTransport struct {
 	cur []memDatagram
 
 	size    int // write-ring capacity, 1..ioBurst
-	bufs    [ioBurst][maxDatagram + relayPreambleLen]byte
+	bufs    [ioBurst][maxDatagram]byte
 	ring    [ioBurst]memDatagram
 	wn      int
 	out     chan []memDatagram
