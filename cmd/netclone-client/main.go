@@ -22,13 +22,13 @@ import (
 
 	"netclone/internal/simnet"
 	"netclone/internal/udpemu"
+	"netclone/internal/wire"
 	"netclone/internal/workload"
 )
 
 func main() {
 	var (
 		swAddr  = flag.String("switch", "127.0.0.1:9000", "switch address")
-		id      = flag.Uint("id", 1, "client ID")
 		n       = flag.Int("n", 10_000, "number of requests")
 		groups  = flag.Int("groups", 2, "switch group count: n*(n-1) for n servers")
 		pGet    = flag.Float64("get", 0.99, "GET fraction")
@@ -42,6 +42,11 @@ func main() {
 		dup     = flag.Bool("duplicate", false, "send every request twice (client-side static cloning, the C-Clone baseline; open loop only)")
 		ioFlag  = flag.String("io", "auto", "syscall discipline: auto (recvmmsg/sendmmsg bursts where supported), portable (one syscall per packet), batch (require the burst path)")
 	)
+	id := uint16(1)
+	flag.Func("id", "client ID, 0..65535 (default 1)", func(s string) (err error) {
+		id, err = wire.ParseID(s)
+		return err
+	})
 	flag.Parse()
 	if *dup && *rate <= 0 {
 		fatal(fmt.Errorf("-duplicate needs the open loop; add -rate"))
@@ -56,7 +61,7 @@ func main() {
 		fatal(err)
 	}
 	cl, err := udpemu.NewClient(sw, udpemu.ClientConfig{
-		ClientID:     uint16(*id),
+		ClientID:     id,
 		FilterTables: *tables,
 		Timeout:      *timeout,
 		Seed:         *seed,

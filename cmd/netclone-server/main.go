@@ -21,18 +21,23 @@ import (
 
 	"netclone/internal/kvstore"
 	"netclone/internal/udpemu"
+	"netclone/internal/wire"
 )
 
 func main() {
 	var (
 		listen  = flag.String("listen", "127.0.0.1:9101", "server UDP listen address")
 		swAddr  = flag.String("switch", "127.0.0.1:9000", "switch address")
-		sid     = flag.Uint("sid", 0, "NetClone server ID")
 		workers = flag.Int("workers", 8, "worker goroutines (paper: 8-16 threads)")
 		objects = flag.Int("objects", kvstore.DefaultObjects, "key-value store size")
 		extra   = flag.Duration("extra-service", 0, "added busy time per request")
 		ioFlag  = flag.String("io", "auto", "syscall discipline: auto (recvmmsg/sendmmsg bursts where supported), portable (one syscall per packet), batch (require the burst path)")
 	)
+	var sid uint16
+	flag.Func("sid", "NetClone server ID, 0..65535 (default 0)", func(s string) (err error) {
+		sid, err = wire.ParseID(s)
+		return err
+	})
 	flag.Parse()
 
 	ioMode, err := udpemu.ParseIOMode(*ioFlag)
@@ -44,7 +49,7 @@ func main() {
 		fatal(err)
 	}
 	srv, err := udpemu.NewServer(*listen, sw, udpemu.ServerConfig{
-		SID:              uint16(*sid),
+		SID:              sid,
 		Workers:          *workers,
 		Store:            kvstore.NewStore(*objects),
 		ExtraServiceTime: *extra,
@@ -54,7 +59,7 @@ func main() {
 		fatal(err)
 	}
 	fmt.Printf("netclone-server sid=%d on %s -> switch %s (%d workers, %d objects, io=%s)\n",
-		*sid, srv.Addr(), sw, *workers, *objects, ioMode)
+		sid, srv.Addr(), sw, *workers, *objects, ioMode)
 
 	done := make(chan error, 1)
 	go func() { done <- srv.Serve() }()

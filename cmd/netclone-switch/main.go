@@ -19,13 +19,13 @@ import (
 	"net"
 	"os"
 	"os/signal"
-	"strconv"
 	"strings"
 	"syscall"
 
 	"netclone/internal/scenario"
 	"netclone/internal/simcluster"
 	"netclone/internal/udpemu"
+	"netclone/internal/wire"
 )
 
 // serverFlags collects repeated -server sid=host:port flags.
@@ -38,11 +38,11 @@ func (f serverFlags) Set(v string) error {
 	if !ok {
 		return fmt.Errorf("want sid=host:port, got %q", v)
 	}
-	id, err := strconv.ParseUint(sid, 10, 16)
+	id, err := wire.ParseID(sid)
 	if err != nil {
-		return fmt.Errorf("bad server ID %q: %w", sid, err)
+		return err
 	}
-	f[uint16(id)] = addr
+	f[id] = addr
 	return nil
 }
 
@@ -53,9 +53,13 @@ func main() {
 		filterTables = flag.Int("filter-tables", 2, "number of response filter tables")
 		filterSlots  = flag.Int("filter-slots", 1<<17, "hash slots per filter table (power of two)")
 		maxServers   = flag.Int("max-servers", 64, "server ID space (table capacity)")
-		switchID     = flag.Uint("switch-id", 0, "multi-rack switch ID (0 = single rack)")
 		ioFlag       = flag.String("io", "auto", "syscall discipline: auto (recvmmsg/sendmmsg bursts where supported), portable (one syscall per packet), batch (require the burst path)")
 	)
+	var switchID uint16
+	flag.Func("switch-id", "multi-rack switch ID, 0..65535 (default 0 = single rack)", func(s string) (err error) {
+		switchID, err = wire.ParseID(s)
+		return err
+	})
 	servers := serverFlags{}
 	flag.Var(servers, "server", "worker registration sid=host:port (repeatable)")
 	flag.Parse()
@@ -70,7 +74,7 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	cfg.SwitchID = uint16(*switchID)
+	cfg.SwitchID = switchID
 	ioMode, err := udpemu.ParseIOMode(*ioFlag)
 	if err != nil {
 		fatal(err)

@@ -7,10 +7,10 @@
 // the fault plan on virtual time; the emu backend renders the remote
 // rack's fabric as delay lines that hold real datagrams in the switch
 // and in the rack's servers, and arms the same fault windows on the
-// wall clock (loss and jitter at the switch, the crash by muting the
-// server's socket). Both backends lose some
-// completions to the chaos and neither collapses — the parity the
-// capability matrix in DESIGN.md §12 pins.
+// wall clock (loss at the switch, the crash by muting the server's
+// socket). Both backends lose some completions to the chaos and
+// neither collapses — the parity the capability matrix in DESIGN.md
+// §12 pins.
 //
 // Only socket-expressible faults run here: a kind the emu backend
 // cannot express on real sockets (a service-time slowdown, a switch

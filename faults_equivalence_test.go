@@ -79,7 +79,6 @@ func TestFaultPlanRoundTripFacade(t *testing.T) {
 		netclone.FaultServerCrash(0, 2*time.Millisecond, 4*time.Millisecond),
 		netclone.FaultServerSlowdown(1, time.Millisecond, 6*time.Millisecond, 3, time.Millisecond),
 		netclone.FaultLossRamp(5*time.Millisecond, 7*time.Millisecond, 0.3, 0),
-		netclone.FaultJitter(0, netclone.FaultForever, 5*time.Microsecond),
 	)
 	sc := eqBase(netclone.NetClone, 0).With(netclone.WithFaults(plan))
 	if err := sc.Validate(); err != nil {
@@ -93,7 +92,7 @@ func TestFaultPlanRoundTripFacade(t *testing.T) {
 	if f == nil {
 		t.Fatal("no FaultSummary on a faulted run")
 	}
-	if len(f.Windows) != 4 || f.Windows[0].Kind != "server-crash" || f.Windows[3].UntilNS != int64(netclone.FaultForever) {
+	if len(f.Windows) != 3 || f.Windows[0].Kind != "server-crash" || f.Windows[2].Kind != "loss" {
 		t.Errorf("executed windows wrong: %+v", f.Windows)
 	}
 	if f.ServersDownMax != 1 {

@@ -1,10 +1,9 @@
 // Package faults is the declarative fault-plan layer of the scenario
 // API: a Plan is an ordered set of typed, time-scheduled injections —
-// server crashes, service-time stragglers, time-varying loss windows,
-// link-latency jitter, coordinator failures, and switch outages — that
-// the simulator executes through its typed event engine (the §3.6
-// robustness story generalized from two hard-coded knobs to an open
-// family of chaos experiments).
+// server crashes, service-time stragglers, time-varying loss windows
+// and switch outages — that the simulator executes through its typed
+// event engine (the §3.6 robustness story generalized from two
+// hard-coded knobs to an open family of chaos experiments).
 //
 // The package is a pure description layer: it knows window arithmetic
 // and contradiction rules, but nothing about the cluster that executes
@@ -44,13 +43,6 @@ const (
 	// window, with the probability interpolated linearly from StartProb
 	// to EndProb across it (equal values give the §3.6 static model).
 	KindLoss
-	// KindJitter adds a uniform random extra delay in [0, MaxExtraNS]
-	// to every client<->switch<->server link traversal in the window.
-	KindJitter
-	// KindCoordinatorCrash takes one LÆDGE coordinator down during the
-	// window: its queue, pending pairs, and outstanding counts are
-	// lost, and packets arriving while it is down are dropped.
-	KindCoordinatorCrash
 	// KindSwitchOutage stops the client-side ToR during the window —
 	// all packets are dropped and its soft state is lost, exactly the
 	// Fig 16 stop/reactivate experiment.
@@ -69,10 +61,6 @@ func (k Kind) String() string {
 		return "server-slowdown"
 	case KindLoss:
 		return "loss"
-	case KindJitter:
-		return "jitter"
-	case KindCoordinatorCrash:
-		return "coordinator-crash"
 	case KindSwitchOutage:
 		return "switch-outage"
 	default:
@@ -87,8 +75,8 @@ func (k Kind) String() string {
 type Injection struct {
 	Kind Kind
 
-	// Target is the server or coordinator index for targeted kinds,
-	// and -1 for the global kinds (loss, jitter, switch outage).
+	// Target is the server index for targeted kinds, and -1 for the
+	// global kinds (loss, switch outage).
 	Target int
 
 	// FromNS and UntilNS bound the active window [FromNS, UntilNS) in
@@ -108,10 +96,6 @@ type Injection struct {
 	// probability, interpolated linearly across the window.
 	StartProb float64
 	EndProb   float64
-
-	// MaxExtraNS is the jitter window's maximum extra one-way link
-	// delay; each traversal draws uniformly from [0, MaxExtraNS].
-	MaxExtraNS int64
 }
 
 // ServerCrash takes server down during [at, recoverAt); use Forever to
@@ -146,22 +130,6 @@ func LossRamp(from, until time.Duration, startP, endP float64) Injection {
 		FromNS: int64(from), UntilNS: int64(until),
 		StartProb: startP, EndProb: endP,
 	}
-}
-
-// Jitter adds a uniform random extra delay in [0, maxExtra] to every
-// client<->switch<->server link traversal during [from, until).
-func Jitter(from, until time.Duration, maxExtra time.Duration) Injection {
-	return Injection{
-		Kind: KindJitter, Target: -1,
-		FromNS: int64(from), UntilNS: int64(until),
-		MaxExtraNS: int64(maxExtra),
-	}
-}
-
-// CoordinatorCrash takes LÆDGE coordinator coord down during
-// [at, recoverAt).
-func CoordinatorCrash(coord int, at, recoverAt time.Duration) Injection {
-	return Injection{Kind: KindCoordinatorCrash, Target: coord, FromNS: int64(at), UntilNS: int64(recoverAt)}
 }
 
 // SwitchOutage stops the client-side ToR during [at, recoverAt) — the
@@ -220,11 +188,9 @@ func (p *Plan) Len() int {
 func (p *Plan) Empty() bool { return p.Len() == 0 }
 
 // Cluster describes the topology a plan will run against, for target
-// bounds checking. Coordinators is 0 for schemes without a coordinator
-// tier.
+// bounds checking.
 type Cluster struct {
-	Servers      int
-	Coordinators int
+	Servers int
 }
 
 // Validate checks every injection's fields and window, and rejects
@@ -275,7 +241,7 @@ func (in Injection) validate(c Cluster) error {
 	}
 	if in.UntilNS <= in.FromNS {
 		switch in.Kind {
-		case KindServerCrash, KindCoordinatorCrash, KindSwitchOutage:
+		case KindServerCrash, KindSwitchOutage:
 			return fmt.Errorf("%s recovery at %d ns is not after failure at %d ns",
 				in.Kind, in.UntilNS, in.FromNS)
 		default:
@@ -283,20 +249,10 @@ func (in Injection) validate(c Cluster) error {
 				in.Kind, in.UntilNS, in.FromNS)
 		}
 	}
-	switch in.Kind {
-	case KindServerCrash, KindServerSlowdown:
-		if in.Target < 0 || in.Target >= c.Servers {
-			return fmt.Errorf("%s targets server %d, cluster has servers 0..%d",
-				in.Kind, in.Target, c.Servers-1)
-		}
-	case KindCoordinatorCrash:
-		if c.Coordinators == 0 {
-			return fmt.Errorf("coordinator-crash needs a coordinator tier; only the LAEDGE scheme has one")
-		}
-		if in.Target < 0 || in.Target >= c.Coordinators {
-			return fmt.Errorf("coordinator-crash targets coordinator %d, tier has coordinators 0..%d",
-				in.Target, c.Coordinators-1)
-		}
+	targeted := in.Kind == KindServerCrash || in.Kind == KindServerSlowdown
+	if targeted && (in.Target < 0 || in.Target >= c.Servers) {
+		return fmt.Errorf("%s targets server %d, cluster has servers 0..%d",
+			in.Kind, in.Target, c.Servers-1)
 	}
 	switch in.Kind {
 	case KindServerSlowdown:
@@ -315,10 +271,6 @@ func (in Injection) validate(c Cluster) error {
 			if prob < 0 || prob >= 1 {
 				return fmt.Errorf("loss probability %g, need [0, 1) (Loss/LossRamp)", prob)
 			}
-		}
-	case KindJitter:
-		if in.MaxExtraNS <= 0 {
-			return fmt.Errorf("jitter max extra delay %d ns, need > 0 (Jitter)", in.MaxExtraNS)
 		}
 	}
 	return nil

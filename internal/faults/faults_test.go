@@ -6,7 +6,7 @@ import (
 	"time"
 )
 
-var testCluster = Cluster{Servers: 6, Coordinators: 2}
+var testCluster = Cluster{Servers: 6}
 
 // TestValidateAcceptsWellFormed covers one well-formed injection of
 // every kind, including Forever windows and a zero-ramp slowdown.
@@ -18,8 +18,6 @@ func TestValidateAcceptsWellFormed(t *testing.T) {
 		ServerSlowdown(3, 0, Forever, 2, 0),
 		Loss(0, 50*time.Millisecond, 0.01),
 		LossRamp(60*time.Millisecond, 80*time.Millisecond, 0.5, 0),
-		Jitter(10*time.Millisecond, 90*time.Millisecond, 50*time.Microsecond),
-		CoordinatorCrash(1, 40*time.Millisecond, 45*time.Millisecond),
 		SwitchOutage(95*time.Millisecond, 99*time.Millisecond),
 	)
 	if err := p.Validate(testCluster); err != nil {
@@ -71,11 +69,6 @@ func TestValidateRejections(t *testing.T) {
 			want: "servers 0..5",
 		},
 		{
-			name: "coordinator target out of range",
-			plan: New(CoordinatorCrash(2, 0, time.Second)),
-			want: "coordinators 0..1",
-		},
-		{
 			name: "slowdown factor zero",
 			plan: New(ServerSlowdown(0, 0, time.Second, 0, 0)),
 			want: "factor",
@@ -99,11 +92,6 @@ func TestValidateRejections(t *testing.T) {
 			name: "loss ramp endpoint out of range",
 			plan: New(LossRamp(0, time.Second, 0.5, 1.5)),
 			want: "loss probability",
-		},
-		{
-			name: "jitter without extra delay",
-			plan: New(Jitter(0, time.Second, 0)),
-			want: "jitter",
 		},
 		{
 			name: "unknown kind",
@@ -148,17 +136,6 @@ func TestValidateRejections(t *testing.T) {
 				t.Errorf("error %q does not mention %q", err, tc.want)
 			}
 		})
-	}
-}
-
-// TestCoordinatorFaultNeedsTier pins the scheme contradiction: a
-// coordinator crash in a cluster without a coordinator tier is
-// rejected with a message naming LAEDGE.
-func TestCoordinatorFaultNeedsTier(t *testing.T) {
-	p := New(CoordinatorCrash(0, 0, time.Second))
-	err := p.Validate(Cluster{Servers: 6})
-	if err == nil || !strings.Contains(err.Error(), "LAEDGE") {
-		t.Fatalf("coordinator fault without tier not rejected usefully: %v", err)
 	}
 }
 

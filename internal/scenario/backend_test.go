@@ -88,8 +88,8 @@ func TestSwitchConfigMapping(t *testing.T) {
 // test: every still-rejected feature fails fast (before any socket is
 // opened) with an error that wraps ErrSimOnly, names the setter that
 // enabled it, and suggests Sim(); every emu-supported feature —
-// the paper's two-ToR deployment, loss windows, link jitter, server
-// crash/recover — runs end to end.
+// the paper's two-ToR deployment, loss windows, server crash/recover —
+// runs end to end.
 func TestEmuCapabilityMatrix(t *testing.T) {
 	base := New(
 		WithScheme(simcluster.NetClone),
@@ -145,8 +145,6 @@ func TestEmuCapabilityMatrix(t *testing.T) {
 		{"loss window", base.With(WithLoss(0.01))},
 		{"loss ramp", base.With(WithFaultInjections(
 			faults.LossRamp(0, 5*time.Millisecond, 0.05, 0)))},
-		{"jitter", base.With(WithFaultInjections(
-			faults.Jitter(0, faults.Forever, 100*time.Microsecond)))},
 		{"server crash", base.With(WithFaults(faults.New(
 			faults.ServerCrash(0, time.Millisecond, 2*time.Millisecond))))},
 		{"two-ToR fabric", base.With(WithRacks(topology.Rack{}, topology.Rack{Servers: []int{2, 2}}))},

@@ -80,10 +80,9 @@ type emuBackend struct {
 // coordinator process the emulation does not provide. Multi-rack
 // fabrics (WithRacks) run here: the switch and each remote rack's
 // servers hold their datagrams for the compiled one-way inter-ToR delay. The
-// socket-expressible fault kinds — loss windows
-// (WithLoss/faults.Loss), link jitter (faults.Jitter), and server
-// crash/recover (faults.ServerCrash) — run here too, as wall-clock
-// windows on the emu processes. Everything else that only the
+// socket-expressible fault kinds — loss windows (WithLoss/faults.Loss)
+// and server crash/recover (faults.ServerCrash) — run here too, as
+// wall-clock windows on the emu processes. Everything else that only the
 // simulator models (congestion, switch outages, timelines, tracing,
 // explicit client placement, ablation knobs) is rejected
 // with an actionable error rather than silently ignored, and so is a
@@ -236,11 +235,6 @@ func emuFaults(cfg simcluster.Config) *udpemu.FaultSchedule {
 				From: from, Until: until,
 				StartProb: in.StartProb, EndProb: in.EndProb,
 			})
-		case faults.KindJitter:
-			fs.Jitter = append(fs.Jitter, udpemu.JitterWindow{
-				From: from, Until: until,
-				MaxExtra: time.Duration(in.MaxExtraNS),
-			})
 		case faults.KindServerCrash:
 			fs.Crashes = append(fs.Crashes, udpemu.CrashWindow{
 				Target: in.Target, From: from, Until: until,
@@ -286,7 +280,7 @@ const maxEmuClients = 1 << 16
 
 // checkSupported rejects scenario features only the simulator models.
 // Multi-rack fabrics and the socket-expressible fault kinds (loss
-// windows, link jitter, server crash/recover) run on the emu cluster;
+// windows, server crash/recover) run on the emu cluster;
 // everything else is rejected by name, with the setter that enabled it
 // and the Sim() escape hatch.
 func (b *emuBackend) checkSupported(cfg simcluster.Config) error {
@@ -318,13 +312,11 @@ func (b *emuBackend) checkSupported(cfg simcluster.Config) error {
 	}
 	for _, in := range cfg.Faults.Injections() {
 		switch in.Kind {
-		case faults.KindLoss, faults.KindJitter, faults.KindServerCrash:
+		case faults.KindLoss, faults.KindServerCrash:
 			// Socket-expressible: emuFaults schedules these on the emu
 			// processes.
 		case faults.KindServerSlowdown:
 			return reject("the server-slowdown fault (faults.ServerSlowdown)")
-		case faults.KindCoordinatorCrash:
-			return reject("the coordinator-crash fault (faults.CoordinatorCrash)")
 		case faults.KindSwitchOutage:
 			return reject("the switch-outage fault (faults.SwitchOutage)")
 		default:

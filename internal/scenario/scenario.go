@@ -219,19 +219,19 @@ func WithFilter(tables, slots int) Option {
 
 // WithFaults sets the scenario's declarative fault plan (internal/
 // faults): typed, time-scheduled injections — server crash/recover,
-// service-time stragglers, time-varying loss windows, link jitter,
-// coordinator failures, and switch outages — executed by the simulator
-// through its typed event engine. It replaces any previously composed
-// plan, including entries added by WithLoss; an empty (or nil) plan is
-// byte-identical to no plan at all. A Fig 16 switch stop/reactivate
-// cycle is WithFaultInjections(faults.SwitchOutage(failAt, recoverAt)).
-// Sim only.
+// service-time stragglers, time-varying loss windows and switch
+// outages — executed by the simulator through its typed event engine.
+// It replaces any previously composed plan, including entries added by
+// WithLoss; an empty (or nil) plan is byte-identical to no plan at all.
+// A Fig 16 switch stop/reactivate cycle is
+// WithFaultInjections(faults.SwitchOutage(failAt, recoverAt)).
+// The Emu backend runs only the loss and server-crash kinds.
 func WithFaults(plan *faults.Plan) Option {
 	return func(s *Scenario) { s.cfg.Faults = plan }
 }
 
 // WithFaultInjections appends injections to the scenario's fault plan,
-// composing with whatever plan is already set. Sim only.
+// composing with whatever plan is already set. Emu: as WithFaults.
 func WithFaultInjections(inj ...faults.Injection) Option {
 	return func(s *Scenario) { s.cfg.Faults = s.cfg.Faults.With(inj...) }
 }
@@ -239,7 +239,7 @@ func WithFaultInjections(inj ...faults.Injection) Option {
 // WithLoss drops each link traversal independently with probability p —
 // the §3.6 dropped-messages failure model. Shorthand for appending the
 // constant whole-run loss window faults.Loss(0, faults.Forever, p) to
-// the fault plan. Sim only.
+// the fault plan. Runs on both backends.
 func WithLoss(p float64) Option {
 	return WithFaultInjections(faults.Loss(0, faults.Forever, p))
 }

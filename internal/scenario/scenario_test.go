@@ -146,12 +146,6 @@ func TestValidateRejections(t *testing.T) {
 			want: "overlap",
 		},
 		{
-			name: "fault plan coordinator crash without LAEDGE",
-			sc: New(validBase()...).With(WithFaults(faults.New(
-				faults.CoordinatorCrash(0, time.Millisecond, 2*time.Millisecond)))),
-			want: "LAEDGE",
-		},
-		{
 			name: "fault plan slowdown factor zero",
 			sc: New(validBase()...).With(WithFaults(faults.New(
 				faults.ServerSlowdown(0, 0, time.Millisecond, 0, 0)))),
@@ -290,9 +284,9 @@ func TestOptionMapping(t *testing.T) {
 	}
 	// WithFaults replaces, WithFaultInjections composes.
 	plan := faults.New(faults.ServerCrash(0, time.Millisecond, 2*time.Millisecond))
-	composed := New(WithLoss(0.5), WithFaults(plan), WithFaultInjections(faults.Jitter(0, time.Second, time.Microsecond))).Config()
+	composed := New(WithLoss(0.5), WithFaults(plan), WithFaultInjections(faults.Loss(0, time.Second, 0.1))).Config()
 	ci := composed.Faults.Injections()
-	if len(ci) != 2 || ci[0].Kind != faults.KindServerCrash || ci[1].Kind != faults.KindJitter {
+	if len(ci) != 2 || ci[0].Kind != faults.KindServerCrash || ci[1].Kind != faults.KindLoss || ci[1].StartProb != 0.1 {
 		t.Fatalf("WithFaults/WithFaultInjections composition wrong: %+v", ci)
 	}
 }

@@ -5,7 +5,6 @@ import (
 	"math/rand/v2"
 
 	"netclone/internal/dataplane"
-	"netclone/internal/faults"
 	"netclone/internal/simnet"
 	"netclone/internal/stats"
 	"netclone/internal/topology"
@@ -114,12 +113,6 @@ type cluster struct {
 	lossSlope  float64
 	lossFromNS int64
 
-	// Jitter-window state: inside a window each jittered link
-	// traversal pays an extra uniform delay in [0, jitterMaxNS].
-	jitterActive bool
-	jitterMaxNS  int64
-	jitterRNG    *rand.Rand // non-nil only when the plan has jitter windows
-
 	pktPool []*packet
 	pktSlab *pktSlab // pooled backing of the primed freelist
 
@@ -202,15 +195,6 @@ func (c *cluster) maybeLose() bool {
 		return true
 	}
 	return false
-}
-
-// jitterExtra returns the extra one-way delay of a jittered link
-// traversal: 0 (and no RNG draw) outside a jitter window.
-func (c *cluster) jitterExtra() int64 {
-	if !c.jitterActive {
-		return 0
-	}
-	return c.jitterRNG.Int64N(c.jitterMaxNS + 1)
 }
 
 // Run executes one experiment point. Every call owns all of its state —
@@ -309,12 +293,6 @@ func build(cfg Config) (*cluster, error) {
 	if inj := cfg.Faults.Injections(); len(inj) > 0 {
 		c.faults = newFaultCtl(c, inj)
 		c.degHist = stats.NewHistogram()
-		for _, in := range inj {
-			if in.Kind == faults.KindJitter {
-				c.jitterRNG = simnet.NewRNG(cfg.Seed, 401)
-				break
-			}
-		}
 		// Faults active from t <= 0 flip their state now.
 		c.faults.activateImmediate()
 	}
@@ -710,10 +688,10 @@ func (s *switchNode) toServer(p *packet, dst int) {
 		return
 	}
 	if c.cong != nil {
-		c.congToServer(dst, p, c.dSwLink+c.jitterExtra())
+		c.congToServer(dst, p, c.dSwLink)
 		return
 	}
-	c.eng.ScheduleAfter(c.dSwLink+c.jitterExtra(), c.servers[dst].hid, evSrvOnRequest, p, 0)
+	c.eng.ScheduleAfter(c.dSwLink, c.servers[dst].hid, evSrvOnRequest, p, 0)
 }
 
 // transitRequest is the server-side ToR's handling of a stamped request:
@@ -786,10 +764,10 @@ func (s *switchNode) toClient(p *packet, dst int) {
 		return
 	}
 	if c.cong != nil {
-		c.congToClient(dst, p, c.dSwLink+c.jitterExtra())
+		c.congToClient(dst, p, c.dSwLink)
 		return
 	}
-	c.eng.ScheduleAfter(c.dSwLink+c.jitterExtra(), c.cliHid, evCliOnResponse, p, int64(dst))
+	c.eng.ScheduleAfter(c.dSwLink, c.cliHid, evCliOnResponse, p, int64(dst))
 }
 
 // recirculate re-injects a clone into the ingress pipeline.
@@ -1028,9 +1006,9 @@ func (s *server) finish(p *packet) {
 	if s.tor != s.cl.sw {
 		// Remote rack: the response first hits the server's own ToR,
 		// which passes it through to the clients' ToR (§3.7).
-		s.cl.eng.ScheduleAfter(s.cl.dLink+s.cl.jitterExtra(), s.tor.hid, evSwTransitResponse, p, 0)
+		s.cl.eng.ScheduleAfter(s.cl.dLink, s.tor.hid, evSwTransitResponse, p, 0)
 	} else {
-		s.cl.eng.ScheduleAfter(s.cl.dLink+s.cl.jitterExtra(), s.cl.sw.hid, evSwFromServer, p, 0)
+		s.cl.eng.ScheduleAfter(s.cl.dLink, s.cl.sw.hid, evSwFromServer, p, 0)
 	}
 
 	// Pull the next request.
@@ -1283,7 +1261,7 @@ func (c *client) sendPacket(p *packet, now int64) {
 	}
 	done := start + c.cl.dCliPkt
 	c.txBusyUntil = done
-	c.cl.eng.Schedule(done+c.cl.dLink+c.cl.jitterExtra(), c.cl.sw.hid, evSwFromClient, p, 0)
+	c.cl.eng.Schedule(done+c.cl.dLink, c.cl.sw.hid, evSwFromClient, p, 0)
 }
 
 // onResponse handles a response arriving at the client NIC: it joins the

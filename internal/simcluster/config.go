@@ -194,9 +194,9 @@ type Config struct {
 
 	// Faults, when non-nil and non-empty, is the declarative fault plan
 	// executed during the run (internal/faults): typed, time-scheduled
-	// injections — server crashes, stragglers, time-varying loss,
-	// link jitter, coordinator and switch failures (the §3.6 dropped
-	// messages and the Fig 16 switch outage among them).
+	// injections — server crashes, stragglers, time-varying loss and
+	// switch outages (the §3.6 dropped messages and the Fig 16 switch
+	// outage among them).
 	Faults *faults.Plan
 
 	// Topology, when non-nil, is the declarative leaf–spine fabric the
@@ -566,17 +566,14 @@ func (cfg Config) validate() error {
 	if cfg.NumCoordinators > 0 && cfg.Scheme != LAEDGE {
 		return fmt.Errorf("scenario: %d coordinators declared but scheme %s has no coordinator tier; WithCoordinators applies to LAEDGE only", cfg.NumCoordinators, cfg.Scheme)
 	}
-	if err := cfg.Faults.Validate(faults.Cluster{
-		Servers:      len(workers),
-		Coordinators: cfg.coordinatorTier(),
-	}); err != nil {
+	if err := cfg.Faults.Validate(faults.Cluster{Servers: len(workers)}); err != nil {
 		return fmt.Errorf("scenario: invalid fault plan: %w", err)
 	}
 	return nil
 }
 
-// coordinatorTier returns the number of coordinators a fault plan may
-// target: the (defaulted) LÆDGE tier size, 0 for every other scheme.
+// coordinatorTier returns the (defaulted) LÆDGE tier size, 0 for every
+// other scheme.
 func (cfg Config) coordinatorTier() int {
 	if cfg.Scheme != LAEDGE {
 		return 0

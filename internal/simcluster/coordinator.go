@@ -36,10 +36,6 @@ type coordinator struct {
 	capacity    []int
 	idleBuf     []int // scratch for idleServers, reused across events
 
-	// down marks a crashed coordinator (fault model): every packet
-	// event arriving while down is dropped.
-	down bool
-
 	queue    pktFIFO // requests waiting for an idle server
 	queueMax int
 
@@ -69,56 +65,22 @@ func newCoordinator(c *cluster, id, k int) *coordinator {
 	return co
 }
 
-// crash takes the coordinator down: its request queue, dedup pairs,
-// and outstanding-dispatch view are all soft state and die with it.
-// Workers keep executing already-dispatched requests, but their
-// responses arrive at a dead coordinator and are dropped.
-func (co *coordinator) crash() {
-	co.down = true
-	for co.queue.len() > 0 {
-		co.cl.freePacket(co.queue.pop())
-	}
-	clear(co.pendingPair)
-	clear(co.outstanding)
-}
-
-// recoverUp restarts the coordinator with the empty state crash left.
-func (co *coordinator) recoverUp() { co.down = false }
-
-// dropIfDown frees p and reports true when the coordinator is down:
-// every packet event reaching a crashed coordinator is dropped. Each
-// event method checks it first.
-func (co *coordinator) dropIfDown(p *packet) bool {
-	if !co.down {
-		return false
-	}
-	co.cl.faultDrops++
-	co.cl.freePacket(p)
-	return true
-}
-
 // arriveRequest queues a request reaching the coordinator NIC for a CPU
 // slot, after which dispatch routes it.
 func (co *coordinator) arriveRequest(p *packet) {
-	if !co.dropIfDown(p) {
-		co.cpuSchedule(evCoDispatch, p, 0)
-	}
+	co.cpuSchedule(evCoDispatch, p, 0)
 }
 
 // arriveResponse queues a worker response for a CPU slot, after which
 // onResponse processes it.
 func (co *coordinator) arriveResponse(p *packet) {
-	if !co.dropIfDown(p) {
-		co.cpuSchedule(evCoResponse, p, 0)
-	}
+	co.cpuSchedule(evCoResponse, p, 0)
 }
 
 // transmit puts p on the link to the switch once its TX slot is done;
 // kind is the switch event it arrives as, x its destination index.
 func (co *coordinator) transmit(p *packet, kind uint8, x int64) {
-	if !co.dropIfDown(p) {
-		co.cl.eng.ScheduleAfter(co.cl.dLink, co.cl.sw.hid, kind, p, x)
-	}
+	co.cl.eng.ScheduleAfter(co.cl.dLink, co.cl.sw.hid, kind, p, x)
 }
 
 // cpuSchedule charges one packet-processing slot on the coordinator CPU
@@ -138,9 +100,6 @@ func (co *coordinator) cpuSchedule(kind uint8, p *packet, x int64) {
 // requests finding no idle worker are queued and re-dispatched from
 // onResponse.
 func (co *coordinator) dispatch(p *packet) {
-	if co.dropIfDown(p) {
-		return
-	}
 	idle := co.idleServers()
 	switch {
 	case len(idle) >= 2:
@@ -188,9 +147,6 @@ func (co *coordinator) sendToServer(p *packet, sid int) {
 
 // onResponse runs when the CPU slot for a worker response completes.
 func (co *coordinator) onResponse(p *packet) {
-	if co.dropIfDown(p) {
-		return
-	}
 	sid := int(p.hdr.SID)
 	if sid < len(co.outstanding) && co.outstanding[sid] > 0 {
 		co.outstanding[sid]--

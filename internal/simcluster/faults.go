@@ -13,8 +13,8 @@ import (
 // transitions sorted by time, each applied by one typed engine event
 // (evFaultTrans, arg nil, x = transition index — no allocation).
 // Transitions flip scalar state on the cluster's nodes (switch.down,
-// server.down/epoch, slowdown factors, the loss-window parameters, the
-// jitter window); the per-packet steady path only reads those scalars,
+// server.down/epoch, slowdown factors, the loss-window parameters); the
+// per-packet steady path only reads those scalars,
 // so fault scheduling adds zero allocations and — with no plan — zero
 // behavioral difference to a fault-free run.
 
@@ -144,21 +144,6 @@ func (f *faultCtl) apply(tr faultTrans) {
 			}
 		} else {
 			c.lossActive = false
-		}
-	case faults.KindJitter:
-		c := f.cl
-		if tr.begin {
-			c.jitterActive = true
-			c.jitterMaxNS = in.MaxExtraNS
-		} else {
-			c.jitterActive = false
-		}
-	case faults.KindCoordinatorCrash:
-		co := f.cl.coords[in.Target]
-		if tr.begin {
-			co.crash()
-		} else {
-			co.recoverUp()
 		}
 	}
 }

@@ -104,62 +104,28 @@ func TestLossRampDecays(t *testing.T) {
 	}
 }
 
-// TestJitterStretchesLatency: whole-run link jitter shifts the latency
-// distribution up without losing packets.
-func TestJitterStretchesLatency(t *testing.T) {
-	base := mustRun(t, faultConfig())
-	cfg := faultConfig()
-	cfg.Faults = faults.New(faults.Jitter(0, faults.Forever, 50*time.Microsecond))
-	jit := mustRun(t, cfg)
-	if jit.LostPackets != 0 || jit.Faults.DroppedPackets != 0 {
-		t.Error("jitter dropped packets")
-	}
-	if jit.Latency.P50 <= base.Latency.P50 {
-		t.Errorf("jittered p50 %d ns not above baseline %d ns", jit.Latency.P50, base.Latency.P50)
-	}
-}
-
-// TestCoordinatorCrashDropsAndRecovers: a LÆDGE coordinator outage
-// drops its traffic, loses its soft state, and the tier keeps serving
-// after recovery.
-func TestCoordinatorCrashDropsAndRecovers(t *testing.T) {
-	cfg := faultConfig()
-	cfg.Scheme = LAEDGE
-	cfg.NumCoordinators = 2
-	cfg.Faults = faults.New(faults.CoordinatorCrash(0, 5*time.Millisecond, 9*time.Millisecond))
-	res := mustRun(t, cfg)
-	if res.Faults.DroppedPackets == 0 {
-		t.Error("crashed coordinator dropped nothing")
-	}
-	if res.Completed == 0 || res.Completed >= res.Generated {
-		t.Errorf("completions malformed under coordinator crash: %d of %d",
-			res.Completed, res.Generated)
-	}
-}
-
 // TestAdjacentWindowsDeclaredOutOfOrder pins the equal-time transition
 // rule: when one window ends exactly where the next begins, the end
 // applies first regardless of plan declaration order, so the second
 // window stays active instead of being cancelled by its neighbour's
 // end transition.
 func TestAdjacentWindowsDeclaredOutOfOrder(t *testing.T) {
-	// The later jitter window is declared first. If its begin ran
-	// before the earlier window's end, jitter would be off for all of
-	// [10ms, 20ms) and the run would match the single-window run.
+	// The later loss window is declared first. If its begin ran before
+	// the earlier window's end, loss would be off for all of
+	// [10ms, 20ms) and the run would lose exactly what the
+	// single-window run loses.
 	cfg := faultConfig()
 	cfg.Faults = faults.New(
-		faults.Jitter(10*time.Millisecond, 20*time.Millisecond, 100*time.Microsecond),
-		faults.Jitter(time.Millisecond, 10*time.Millisecond, 100*time.Microsecond),
+		faults.Loss(10*time.Millisecond, 20*time.Millisecond, 0.05),
+		faults.Loss(time.Millisecond, 10*time.Millisecond, 0.05),
 	)
 	both := mustRun(t, cfg)
 	single := faultConfig()
-	single.Faults = faults.New(
-		faults.Jitter(time.Millisecond, 10*time.Millisecond, 100*time.Microsecond),
-	)
+	single.Faults = faults.New(faults.Loss(time.Millisecond, 10*time.Millisecond, 0.05))
 	res := mustRun(t, single)
-	if both.Latency.P99 <= res.Latency.P99 {
-		t.Errorf("second adjacent jitter window had no effect (p99 %d vs %d ns): its begin was cancelled by the neighbour's end",
-			both.Latency.P99, res.Latency.P99)
+	if both.LostPackets <= res.LostPackets || both.Completed >= res.Completed {
+		t.Errorf("second adjacent loss window had no effect (lost %d vs %d, completed %d vs %d): its begin was cancelled by the neighbour's end",
+			both.LostPackets, res.LostPackets, both.Completed, res.Completed)
 	}
 
 	// Back-to-back crashes of the same server, declared out of order:
@@ -213,9 +179,6 @@ func TestFaultConfigRejections(t *testing.T) {
 				faults.Loss(5*time.Millisecond, 15*time.Millisecond, 0.2),
 			)
 		}, "overlap"},
-		{"plan coordinator fault without tier", func(c *Config) {
-			c.Faults = faults.New(faults.CoordinatorCrash(0, 0, time.Millisecond))
-		}, "LAEDGE"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -250,7 +213,7 @@ func randomValidPlan(rng *rand.Rand, servers int, durNS int64) *faults.Plan {
 		case 2:
 			inj = append(inj, faults.LossRamp(from, until, rng.Float64()*0.6, rng.Float64()*0.6))
 		case 3:
-			inj = append(inj, faults.Jitter(from, until, time.Duration(1+rng.Int64N(20_000))))
+			inj = append(inj, faults.Loss(from, until, rng.Float64()*0.3))
 		case 4:
 			inj = append(inj, faults.SwitchOutage(from, until))
 		}
@@ -283,8 +246,8 @@ func TestFaultPlanPurity(t *testing.T) {
 }
 
 // buildFaulted assembles a warm cluster with every steady-path fault
-// mechanism active for the whole run: a straggler, a constant loss
-// window, and link jitter.
+// mechanism active for the whole run: a straggler and a constant loss
+// window.
 func buildFaulted(tb testing.TB) *cluster {
 	tb.Helper()
 	cfg := Config{
@@ -297,7 +260,6 @@ func buildFaulted(tb testing.TB) *cluster {
 		Faults: faults.New(
 			faults.ServerSlowdown(0, 0, faults.Forever, 2, 0),
 			faults.Loss(0, faults.Forever, 0.001),
-			faults.Jitter(0, faults.Forever, 2*time.Microsecond),
 		),
 	}
 	cfg, err := cfg.Normalized()
@@ -312,7 +274,7 @@ func buildFaulted(tb testing.TB) *cluster {
 }
 
 // TestFaultSteadyPathZeroAllocs guards the subsystem's performance
-// contract: with active fault windows (slowdown + loss + jitter), the
+// contract: with active fault windows (slowdown + loss), the
 // per-event steady path allocates nothing — fault state is scalar
 // reads, transitions are typed events, and the degraded histogram
 // reuses the stats layer's allocation-free Record path.

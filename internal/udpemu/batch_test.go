@@ -331,42 +331,6 @@ func TestFaultCrashRecover(t *testing.T) {
 	}
 }
 
-// TestFaultJitterWindow pins the jitter detour: every forwarded packet
-// takes the delay line, all requests still complete, and the injected
-// delay shows up as a latency floor.
-func TestFaultJitterWindow(t *testing.T) {
-	const maxExtra = 2 * time.Millisecond
-	c, err := StartCluster(ClusterConfig{
-		Dataplane: dataplane.Config{FilterTables: 2, FilterSlots: 1 << 10},
-		Workers:   []int{2, 2},
-		Seed:      9,
-		Faults: &FaultSchedule{
-			Jitter: []JitterWindow{{From: 0, Until: faults.Forever, MaxExtra: maxExtra}},
-		},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-	const requests = 100
-	runs, err := c.RunOpenLoop(OpenLoopConfig{
-		RatePerSec: 1000, Requests: requests, Drain: 400 * time.Millisecond,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var completed int64
-	for _, r := range runs {
-		completed += r.Completed
-	}
-	if completed < requests*95/100 {
-		t.Fatalf("completed %d of %d under jitter (jitter only delays)", completed, requests)
-	}
-	if c.Switch.dl == nil || c.Switch.dl.delayed.Load() == 0 {
-		t.Error("jitter window active but no packet took the delay line")
-	}
-}
-
 // TestOpenLoopDuplicateBatch drives the C-Clone duplicate path through
 // the batched sender, which interleaves two ring commits per request.
 func TestOpenLoopDuplicateBatch(t *testing.T) {

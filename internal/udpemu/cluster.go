@@ -55,8 +55,8 @@ type ClusterConfig struct {
 	// IOAuto; DESIGN.md §12).
 	IO IOMode
 	// Faults schedules the socket-expressible fault kinds — loss
-	// windows, link jitter, server crash/recover — relative to the
-	// open-loop start (RunOpenLoop arms the clock).
+	// windows, server crash/recover — relative to the open-loop start
+	// (RunOpenLoop arms the clock).
 	Faults *FaultSchedule
 }
 
@@ -144,7 +144,7 @@ func StartCluster(cfg ClusterConfig) (*Cluster, error) {
 	}
 	if !cfg.Faults.Empty() {
 		c.faults = newFaultState(*cfg.Faults)
-		sw.setFaultState(c.faults)
+		sw.faults = c.faults
 	}
 	go sw.Serve() //nolint:errcheck // terminated by Close
 

@@ -13,9 +13,9 @@ import (
 // sleeps until then and transmits. Buffers are allocated on first use,
 // up to delayLineDepth, and reused after, so a line costs memory in
 // proportion to the most packets it ever held at once, and steady-state
-// forwarding does not allocate. Packets are FIFO per line — correct for
-// a constant delay, and jitter windows only ever add delay at enqueue
-// time, never reorder within the line.
+// forwarding does not allocate. Packets leave in FIFO order, which is
+// exact because each line carries one constant delay: a packet enqueued
+// later is never due earlier.
 //
 // A line has one producer: enqueue is called from one goroutine only
 // (the switch's Serve loop, or a server's egress loop).
@@ -30,7 +30,6 @@ type delayLine struct {
 
 	sendErrs  atomic.Int64
 	overflows atomic.Int64
-	delayed   atomic.Int64
 
 	wg        sync.WaitGroup
 	closeOnce sync.Once
@@ -81,7 +80,6 @@ func (dl *delayLine) enqueue(pkt []byte, to netip.AddrPort, due time.Time) {
 	}
 	buf.due, buf.to, buf.n = due, to, copy(buf.b[:], pkt)
 	dl.ch <- buf
-	dl.delayed.Add(1)
 }
 
 // run drains the line in order, sleeping until each packet's due time

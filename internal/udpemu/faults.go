@@ -2,7 +2,6 @@ package udpemu
 
 import (
 	"math"
-	"math/rand/v2"
 	"sort"
 	"sync/atomic"
 	"time"
@@ -10,19 +9,18 @@ import (
 
 // FaultSchedule is the socket-expressible subset of the declarative
 // fault-plan layer (internal/faults), translated to wall-clock window
-// offsets: loss windows and link jitter applied at the switch, and
-// server crash/recover windows applied in the server processes. Window
+// offsets: loss windows applied at the switch, and server
+// crash/recover windows applied in the server processes. Window
 // offsets are relative to the open-loop start (Cluster.RunOpenLoop
 // arms the clock), mapping 1:1 from the simulator's virtual-time
 // offsets — the emu send window spans the scenario duration, since the
 // open loop sends rate x duration requests at that rate.
 //
-// The remaining fault kinds (server slowdown, coordinator crash,
-// switch outage) need simulator machinery and stay sim-only; the
-// scenario layer rejects them by name.
+// The remaining fault kinds (server slowdown, switch outage) need
+// simulator machinery and stay sim-only; the scenario layer rejects
+// them by name.
 type FaultSchedule struct {
 	Loss    []LossWindow
-	Jitter  []JitterWindow
 	Crashes []CrashWindow
 }
 
@@ -34,15 +32,6 @@ type FaultSchedule struct {
 type LossWindow struct {
 	From, Until        time.Duration
 	StartProb, EndProb float64
-}
-
-// JitterWindow adds a uniform random extra delay in [0, MaxExtra] to
-// every packet the switch forwards during [From, Until) —
-// faults.Jitter on real sockets (delayed egress through the switch's
-// delay line).
-type JitterWindow struct {
-	From, Until time.Duration
-	MaxExtra    time.Duration
 }
 
 // CrashWindow takes server Target (-1 for every server) down during
@@ -57,12 +46,12 @@ type CrashWindow struct {
 // Empty reports whether the schedule does nothing; nil schedules are
 // empty.
 func (fs *FaultSchedule) Empty() bool {
-	return fs == nil || (len(fs.Loss) == 0 && len(fs.Jitter) == 0 && len(fs.Crashes) == 0)
+	return fs == nil || (len(fs.Loss) == 0 && len(fs.Crashes) == 0)
 }
 
 // faultState is the armed runtime form: an immutable schedule plus the
-// wall-clock zero set when the open loop starts. Loss and jitter are
-// pure functions of elapsed time evaluated on the switch's serve
+// wall-clock zero set when the open loop starts. Loss is a pure
+// function of elapsed time evaluated on the switch's serve
 // goroutine (no locks, no allocation); crashes are executed by a
 // cluster goroutine flipping server down-flags at the transitions.
 type faultState struct {
@@ -105,24 +94,6 @@ func (f *faultState) lossP(now time.Time) float64 {
 		}
 		frac := float64(el-from) / float64(until-from)
 		return w.StartProb + (w.EndProb-w.StartProb)*frac
-	}
-	return 0
-}
-
-// jitter draws the extra egress delay active at now (0 outside every
-// window).
-func (f *faultState) jitter(now time.Time, rng *rand.Rand) time.Duration {
-	if f == nil || len(f.sched.Jitter) == 0 {
-		return 0
-	}
-	el := f.elapsed(now)
-	if el < 0 {
-		return 0
-	}
-	for _, w := range f.sched.Jitter {
-		if el >= int64(w.From) && el < int64(w.Until) && w.MaxExtra > 0 {
-			return time.Duration(rng.Int64N(int64(w.MaxExtra) + 1))
-		}
 	}
 	return 0
 }

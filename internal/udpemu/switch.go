@@ -43,7 +43,7 @@ const maxDatagram = 2048
 type sendTarget struct {
 	to    netip.AddrPort
 	delay time.Duration
-	dl    *delayLine // nil: send at once, or through the jitter line
+	dl    *delayLine // nil: send at once
 }
 
 // Switch is a UDP NetClone switch emulator — the client rack's ToR.
@@ -60,8 +60,7 @@ type Switch struct {
 	servers map[uint16]sendTarget
 	clients map[uint16]sendTarget
 
-	faults *faultState                  // nil without a fault schedule
-	dl     *delayLine                   // jitter egress; nil until a schedule needs it
+	faults *faultState                  // nil without a fault schedule; set before Serve
 	racks  map[time.Duration]*delayLine // one line per distinct rack delay
 
 	sendErrs  sendErrors
@@ -190,7 +189,7 @@ func (s *Switch) Stats() dataplane.Stats {
 func (s *Switch) SendErrors() int64 {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	n := s.sendErrs.Load() + s.dl.lost()
+	n := s.sendErrs.Load()
 	for _, dl := range s.racks {
 		n += dl.lost()
 	}
@@ -199,15 +198,6 @@ func (s *Switch) SendErrors() int64 {
 
 // LossDrops counts packets dropped by an active loss window.
 func (s *Switch) LossDrops() int64 { return s.lossDrops.Load() }
-
-// setFaultState arms the socket-expressible fault gates. Call before
-// Serve.
-func (s *Switch) setFaultState(f *faultState) {
-	s.faults = f
-	if f != nil && len(f.sched.Jitter) > 0 {
-		s.dl = newDelayLine(s.conn)
-	}
-}
 
 // Serve processes packets until Close. It is typically run in a
 // goroutine; it returns after Close. Each burst is one recv, one lock
@@ -234,23 +224,22 @@ func (s *Switch) Serve() error {
 				s.lossDrops.Add(1)
 				continue
 			}
-			s.handle(i, now, rng)
+			s.handle(i, now)
 		}
 		s.mu.Unlock()
 		s.sendErrs.add(s.tr.flush())
 	}
 }
 
-// newServeRNG seeds the serve goroutine's private RNG (loss draws,
-// jitter draws) from the bound port, keeping the hot path free of
-// shared state.
+// newServeRNG seeds the serve goroutine's private RNG (loss draws)
+// from the bound port, keeping the hot path free of shared state.
 func (s *Switch) newServeRNG() *rand.Rand {
 	return rand.New(rand.NewPCG(0xD0A7E11, uint64(s.Addr().Port)))
 }
 
 // handle runs the pipeline for burst slot i and queues the resulting
 // sends into the write ring. Caller holds s.mu.
-func (s *Switch) handle(i int, now time.Time, rng *rand.Rand) {
+func (s *Switch) handle(i int, now time.Time) {
 	pkt := s.tr.pkt(i)
 	if !wire.IsNetClone(pkt) {
 		return // non-NetClone traffic would take the plain L2/L3 path
@@ -280,37 +269,31 @@ func (s *Switch) handle(i int, now time.Time, rng *rand.Rand) {
 			cloneRes = s.dp.Process(&cloneHdr)
 		}
 		if t, ok := s.servers[res.DstSID]; ok {
-			s.emit(&h, payload, t, now, rng)
+			s.emit(&h, payload, t, now)
 		}
 		if res.Act == dataplane.ActCloneAndForward && cloneRes.Act == dataplane.ActForwardServer {
 			if t, ok := s.servers[cloneRes.DstSID]; ok {
-				s.emit(&cloneHdr, payload, t, now, rng)
+				s.emit(&cloneHdr, payload, t, now)
 			}
 		}
 	case dataplane.ActForwardClient:
 		if t, ok := s.clients[h.ClientID]; ok {
-			s.emit(&h, payload, t, now, rng)
+			s.emit(&h, payload, t, now)
 		}
 	case dataplane.ActDrop, dataplane.ActPassL3:
 	}
 }
 
 // emit encodes one packet into the next write slot and commits it (a
-// full ring flushes itself), or, when the target's rack is remote or a
-// jitter window is active, hands it to a delay line due after the rack
-// delay plus the jitter, and leaves the slot uncommitted.
-func (s *Switch) emit(h *wire.Header, payload []byte, t sendTarget, now time.Time, rng *rand.Rand) {
+// full ring flushes itself), or, when the target's rack is remote,
+// hands it to that rack's delay line due after the rack delay, and
+// leaves the slot uncommitted.
+func (s *Switch) emit(h *wire.Header, payload []byte, t sendTarget, now time.Time) {
 	out := h.AppendTo(s.tr.wslot())
 	out = append(out, payload...)
-	dl := t.dl
-	if dl == nil {
-		dl = s.dl
-	}
-	if dl != nil {
-		if wait := t.delay + s.faults.jitter(now, rng); wait > 0 {
-			dl.enqueue(out, t.to, now.Add(wait)) // copies; the slot stays free
-			return
-		}
+	if t.dl != nil {
+		t.dl.enqueue(out, t.to, now.Add(t.delay)) // copies; the slot stays free
+		return
 	}
 	s.sendErrs.add(s.tr.commit(len(out), t.to))
 }
@@ -323,7 +306,6 @@ func (s *Switch) Close() error {
 		close(s.closed)
 		err = s.conn.Close()
 		s.wg.Wait()
-		s.dl.close()
 		for _, dl := range s.racks {
 			dl.close()
 		}

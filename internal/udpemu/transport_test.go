@@ -2,7 +2,6 @@ package udpemu
 
 import (
 	"errors"
-	"math/rand/v2"
 	"net"
 	"net/netip"
 	"sync/atomic"
@@ -198,11 +197,10 @@ func TestSwitchHandleAllocsNothing(t *testing.T) {
 			// request does.
 			sw.clients[1] = sendTarget{to: memClientAddr}
 			m.cur = []memDatagram{{b: tc.pkt, addr: memClientAddr}}
-			rng := rand.New(rand.NewPCG(1, 2))
 			now := time.Now()
 			handle := func() {
 				sw.mu.Lock()
-				sw.handle(0, now, rng)
+				sw.handle(0, now)
 				sw.mu.Unlock()
 				if m.wn != tc.emits {
 					t.Fatalf("handler queued %d datagrams, want %d", m.wn, tc.emits)

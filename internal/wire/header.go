@@ -16,6 +16,8 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"math"
+	"strconv"
 )
 
 // Port is the reserved L4 (UDP) destination port for NetClone packets.
@@ -231,4 +233,15 @@ func IsNetClone(buf []byte) bool {
 	return len(buf) >= 3 &&
 		binary.BigEndian.Uint16(buf[0:2]) == Magic &&
 		buf[2] == Version
+}
+
+// ParseID parses a decimal ID bound for one of the header's 16-bit ID
+// fields (SID, ClientID, SwitchID). A value the field cannot hold is an
+// error, not a silent wrap: 70000 would otherwise run as 4464.
+func ParseID(s string) (uint16, error) {
+	v, err := strconv.ParseUint(s, 10, 16)
+	if err != nil {
+		return 0, fmt.Errorf("ID %q is not an integer in 0..%d", s, math.MaxUint16)
+	}
+	return uint16(v), nil
 }

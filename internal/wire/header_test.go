@@ -2,6 +2,9 @@ package wire
 
 import (
 	"bytes"
+	"flag"
+	"io"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -246,5 +249,47 @@ func TestMarshalZeroAlloc(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Fatalf("marshal+unmarshal allocates %v times per op, want 0", allocs)
+	}
+}
+
+// TestParseID pins the 16-bit bound of the command-line IDs: every
+// value a header ID field holds parses, and anything else is rejected
+// rather than narrowed. Through flag.Func, the error names the flag.
+func TestParseID(t *testing.T) {
+	for _, tc := range []struct {
+		in   string
+		want uint16
+		ok   bool
+	}{
+		{"0", 0, true},
+		{"1", 1, true},
+		{"4464", 4464, true},
+		{"65535", 65535, true},
+		{"65536", 0, false},
+		{"70000", 0, false},
+		{"-1", 0, false},
+		{"", 0, false},
+		{"0x10", 0, false},
+		{"sid", 0, false},
+	} {
+		got, err := ParseID(tc.in)
+		if tc.ok && (err != nil || got != tc.want) {
+			t.Errorf("ParseID(%q) = %d, %v; want %d", tc.in, got, err, tc.want)
+		}
+		if !tc.ok && err == nil {
+			t.Errorf("ParseID(%q) = %d, want an error", tc.in, got)
+		}
+	}
+
+	fs := flag.NewFlagSet("netclone-server", flag.ContinueOnError)
+	fs.SetOutput(io.Discard)
+	var sid uint16
+	fs.Func("sid", "server ID", func(s string) (err error) {
+		sid, err = ParseID(s)
+		return err
+	})
+	err := fs.Parse([]string{"-sid", "70000"})
+	if err == nil || !strings.Contains(err.Error(), "-sid") {
+		t.Errorf("out-of-range -sid parsed as %d with error %v; want an error naming -sid", sid, err)
 	}
 }

@@ -309,18 +309,6 @@ func FaultLossRamp(from, until time.Duration, startP, endP float64) FaultInjecti
 	return faults.LossRamp(from, until, startP, endP)
 }
 
-// FaultJitter adds a uniform random extra delay in [0, maxExtra] to
-// every client<->switch<->server link traversal during [from, until).
-func FaultJitter(from, until time.Duration, maxExtra time.Duration) FaultInjection {
-	return faults.Jitter(from, until, maxExtra)
-}
-
-// FaultCoordinatorCrash takes a LAEDGE coordinator down during
-// [at, recoverAt).
-func FaultCoordinatorCrash(coord int, at, recoverAt time.Duration) FaultInjection {
-	return faults.CoordinatorCrash(coord, at, recoverAt)
-}
-
 // FaultSwitchOutage stops the client-side ToR during [at, recoverAt),
 // dropping all packets and its soft state (§3.6) — the Fig 16
 // experiment.

@@ -141,6 +141,27 @@ func goFuncNames(t *testing.T, re *regexp.Regexp, tests bool) []string {
 	return names
 }
 
+// docsLineBudget caps README + DESIGN + EXPERIMENTS together. It only
+// goes down: a change that adds a user-visible surface pays for its
+// paragraph by cutting one elsewhere.
+const docsLineBudget = 1452
+
+// TestDocsLineBudget holds the top-level documents at or below
+// docsLineBudget lines.
+func TestDocsLineBudget(t *testing.T) {
+	total := 0
+	for _, doc := range docs {
+		text, err := os.ReadFile(doc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		total += bytes.Count(text, []byte("\n"))
+	}
+	if total > docsLineBudget {
+		t.Errorf("README + DESIGN + EXPERIMENTS are %d lines, over the budget of %d: cut as many lines as you add", total, docsLineBudget)
+	}
+}
+
 // TestDocsNameRealTests keeps the prose honest: every backticked
 // Test*/Benchmark*/Fuzz* name in the top-level documents (a trailing *
 // is a prefix match) is a func in some _test.go of the tree, the
