@@ -1,6 +1,6 @@
-// Command netclone-server runs one NetClone worker server over UDP: a
-// dispatcher feeding a FCFS queue drained by worker goroutines, backed by
-// the in-memory key-value store, with queue-state piggybacking and the
+// Command netclone-server runs one NetClone worker server over UDP: one
+// loop serving a FCFS queue over a modeled worker pool, backed by the
+// in-memory key-value store, with queue-state piggybacking and the
 // cloned-request drop guard (§3.4, §4.2). It is the distributed
 // counterpart of the servers the in-process netclone.Emu() backend
 // manages; the processed/cloneDrops counters it prints on exit are the
@@ -17,7 +17,6 @@ import (
 	"os"
 	"os/signal"
 	"syscall"
-	"time"
 
 	"netclone/internal/kvstore"
 	"netclone/internal/udpemu"
@@ -28,9 +27,9 @@ func main() {
 	var (
 		listen  = flag.String("listen", "127.0.0.1:9101", "server UDP listen address")
 		swAddr  = flag.String("switch", "127.0.0.1:9000", "switch address")
-		workers = flag.Int("workers", 8, "worker goroutines (paper: 8-16 threads)")
+		workers = flag.Int("workers", 8, "service slots the server models: requests in service at once (paper: 8-16 worker threads)")
 		objects = flag.Int("objects", kvstore.DefaultObjects, "key-value store size")
-		extra   = flag.Duration("extra-service", 0, "added busy time per request")
+		extra   = flag.Duration("extra-service", 0, "service time per request on its slot")
 		ioFlag  = flag.String("io", "auto", "syscall discipline: auto (recvmmsg/sendmmsg bursts where supported), portable (one syscall per packet), batch (require the burst path)")
 	)
 	var sid uint16
@@ -68,13 +67,13 @@ func main() {
 	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
 	select {
 	case <-sig:
-	case err := <-done:
-		if err != nil {
-			fatal(err)
-		}
+		srv.Close()
+		err = <-done // Serve returns once no response is held
+	case err = <-done:
 	}
-	srv.Close()
-	time.Sleep(50 * time.Millisecond) // let workers drain
+	if err != nil {
+		fatal(err)
+	}
 	fmt.Printf("processed=%d cloneDrops=%d\n", srv.Processed(), srv.CloneDrops())
 }
 

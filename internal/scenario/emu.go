@@ -68,9 +68,9 @@ type emuBackend struct {
 // It is an emulator, not a performance testbed: loopback RTT jitter
 // dwarfs the microsecond effects the paper measures, offered rates are
 // capped (EmuMaxRate), the warmup window is skipped, and a synthetic
-// service-time distribution is applied as its mean in real busy time
-// per request (the per-request variability the paper studies needs the
-// simulator's nanosecond clock). Use it to
+// service-time distribution is applied as its mean, a wall-clock due
+// time per request (the per-request variability the paper studies needs
+// the simulator's nanosecond clock). Use it to
 // prove the protocol end-to-end and to compare the unified counters
 // (clones, filter drops, clone drops, redundant responses) against the
 // Sim backend; use Sim for latency figures.
@@ -132,9 +132,9 @@ func (b *emuBackend) Run(sc *Scenario) (Result, error) {
 		requests = 20
 	}
 
-	// A synthetic distribution becomes per-request busy time on the real
-	// workers — the mean, since the emulated server burns wall-clock
-	// time rather than sampling (see the Emu doc for fidelity limits).
+	// A synthetic distribution becomes each server's fixed service time,
+	// its mean: a response leaves when its FCFS service would end (see
+	// the Emu doc for fidelity limits).
 	var extraService time.Duration
 	if cfg.Service != nil {
 		extraService = time.Duration(cfg.Service.Mean())

@@ -31,8 +31,8 @@ type ClusterConfig struct {
 	// Dataplane configures the switch pipeline. MaxServers is raised to
 	// fit Workers if it is too small.
 	Dataplane dataplane.Config
-	// Workers holds the worker-goroutine count of each server; its
-	// length is the number of servers. Ignored when Racks is set.
+	// Workers holds each server's service-slot count; its length is
+	// the number of servers. Ignored when Racks is set.
 	Workers []int
 	// Racks, when non-empty, lays the servers out across emulated
 	// racks: server IDs run rack by rack in order, matching the
@@ -43,9 +43,9 @@ type ClusterConfig struct {
 	Clients int
 	// StoreObjects sizes the shared key-value store (default 1<<16).
 	StoreObjects int
-	// ExtraServiceTime adds busy time per request on every server —
-	// how the emulation approximates a synthetic service-time
-	// distribution (its mean) on real workers.
+	// ExtraServiceTime is every server's service time per request
+	// (ServerConfig.ExtraServiceTime): how the emulation applies a
+	// synthetic service-time distribution, as its mean.
 	ExtraServiceTime time.Duration
 	// Timeout bounds each closed-loop request (default 2s).
 	Timeout time.Duration
@@ -94,11 +94,11 @@ type ClusterCounters struct {
 	// LossDrops counts packets dropped by active loss windows at the
 	// switch.
 	LossDrops int64
-	// CrashDrops counts packets and queued jobs discarded by servers
-	// inside crash windows.
+	// CrashDrops counts the requests servers lost to crash windows
+	// (Server.CrashDrops).
 	CrashDrops int64
-	// QueueDrops counts requests servers discarded because their
-	// dispatcher queue was full.
+	// QueueDrops counts requests servers discarded because their FCFS
+	// queue was full.
 	QueueDrops int64
 }
 

@@ -8,19 +8,20 @@ import (
 	"time"
 )
 
-// delayLine injects one-way link latency into a forwarding path: the
-// caller stamps each packet with its due time, a sender goroutine
-// sleeps until then and transmits. Buffers are allocated on first use,
-// up to delayLineDepth, and reused after, so a line costs memory in
-// proportion to the most packets it ever held at once, and steady-state
-// forwarding does not allocate. Packets leave in FIFO order, which is
-// exact because each line carries one constant delay: a packet enqueued
-// later is never due earlier.
+// delayLine holds packets until they are due, for link latency or a
+// server's service time: the caller stamps each packet with its due
+// time, a sender goroutine sleeps until then and transmits. Buffers are
+// allocated on first use, up to delayLineDepth, and reused after, so a
+// line costs memory in proportion to the most packets it ever held at
+// once, and steady-state forwarding does not allocate. Packets leave in
+// FIFO order, which is exact because due times never decrease: a rack
+// line adds one constant delay, and a server's line one to the end of
+// FCFS service.
 //
-// A line has one producer: enqueue is called from one goroutine only
-// (the switch's Serve loop, or a server's egress loop).
+// A line has one producer, the Serve loop of its switch or server.
 type delayLine struct {
-	conn *net.UDPConn
+	conn    datagramWriter
+	crashes *crashLog // a server's: drops what a crash cut short
 
 	ch chan *delayBuf
 
@@ -35,13 +36,21 @@ type delayLine struct {
 	closeOnce sync.Once
 }
 
-// delayBuf is one delayed packet: its due time, destination and bytes.
+// delayBuf is one delayed packet: its due time, destination and bytes,
+// and for a server's response what crashLog.cut takes.
 type delayBuf struct {
-	due  time.Time
-	to   netip.AddrPort
-	n    int
-	next *delayBuf
-	b    [maxDatagram]byte
+	due    time.Time
+	to     netip.AddrPort
+	n      int
+	finish time.Time
+	epoch  int32
+	next   *delayBuf
+	b      [maxDatagram]byte
+}
+
+// datagramWriter is where a line sends: a node's socket.
+type datagramWriter interface {
+	WriteToUDPAddrPort(b []byte, to netip.AddrPort) (int, error)
 }
 
 // delayLineDepth bounds in-flight delayed packets per line. At the emu
@@ -52,18 +61,19 @@ const delayLineDepth = 4096
 
 // newDelayLine starts the sender goroutine, which writes to conn
 // directly: it owns no transport write ring, so it shares none.
-func newDelayLine(conn *net.UDPConn) *delayLine {
-	dl := &delayLine{conn: conn, ch: make(chan *delayBuf, delayLineDepth)}
+func newDelayLine(conn *net.UDPConn, crashes *crashLog) *delayLine {
+	dl := &delayLine{conn: conn, crashes: crashes, ch: make(chan *delayBuf, delayLineDepth)}
 	dl.wg.Add(1)
 	go dl.run()
 	return dl
 }
 
-// enqueue schedules pkt for transmission to to at due. It copies pkt
-// into a free buffer, allocating one while fewer than delayLineDepth
-// exist; a line already holding that many drops the packet (counted in
-// overflows). ch holds at most every buffer, so the send never blocks.
-func (dl *delayLine) enqueue(pkt []byte, to netip.AddrPort, due time.Time) {
+// enqueue schedules pkt for transmission to to at due (finish and epoch
+// matter on a server's line only). It copies pkt into a free buffer,
+// allocating one while fewer than delayLineDepth exist; a line already
+// holding that many drops the packet (counted in overflows). ch holds
+// at most every buffer, so the send never blocks.
+func (dl *delayLine) enqueue(pkt []byte, to netip.AddrPort, due, finish time.Time, epoch int32) {
 	dl.mu.Lock()
 	buf := dl.free
 	if buf != nil {
@@ -79,17 +89,23 @@ func (dl *delayLine) enqueue(pkt []byte, to netip.AddrPort, due time.Time) {
 		buf = new(delayBuf)
 	}
 	buf.due, buf.to, buf.n = due, to, copy(buf.b[:], pkt)
+	buf.finish, buf.epoch = finish, epoch
 	dl.ch <- buf
 }
 
 // run drains the line in order, sleeping until each packet's due time
-// on a thread of its own (lockDelayThread).
+// on a thread of its own (lockDelayThread). A response a crash already
+// lost is dropped without the wait.
 func (dl *delayLine) run() {
 	defer dl.wg.Done()
 	lockDelayThread()
 	for p := range dl.ch {
-		sleepUntil(p.due)
-		if _, err := dl.conn.WriteToUDPAddrPort(p.b[:p.n], p.to); err != nil {
+		if !dl.crashes.cut(p.epoch, p.finish) {
+			sleepUntil(p.due)
+		}
+		if dl.crashes.cut(p.epoch, p.finish) {
+			dl.crashes.lost.Add(1)
+		} else if _, err := dl.conn.WriteToUDPAddrPort(p.b[:p.n], p.to); err != nil {
 			dl.sendErrs.Add(1)
 		}
 		dl.mu.Lock()

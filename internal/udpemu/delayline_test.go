@@ -24,7 +24,7 @@ func TestDelayLineAllocatesOnDemand(t *testing.T) {
 
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
-	dl := newDelayLine(src)
+	dl := newDelayLine(src, nil)
 	runtime.ReadMemStats(&after)
 	defer dl.close()
 	if got := after.TotalAlloc - before.TotalAlloc; got >= 64<<10 {
@@ -37,7 +37,7 @@ func TestDelayLineAllocatesOnDemand(t *testing.T) {
 	carry := func(n int, wait time.Duration) {
 		due := time.Now().Add(wait)
 		for range n {
-			dl.enqueue(pkt, to, due)
+			dl.enqueue(pkt, to, due, due, 0)
 		}
 		for range n {
 			if _, _, err := dst.ReadFromUDPAddrPort(rbuf); err != nil {

@@ -17,33 +17,29 @@ import (
 type ServerConfig struct {
 	// SID is the server's NetClone ID, registered at the switch.
 	SID uint16
-	// Workers is the number of worker goroutines draining the request
-	// queue (§4.2's worker threads).
+	// Workers is the number of service slots the server models (§4.2's
+	// worker threads): at most Workers requests are in service at once.
 	Workers int
-	// QueueCap bounds the dispatcher's FCFS queue.
+	// QueueCap bounds the requests waiting for a slot; a request that
+	// finds QueueCap waiting is dropped.
 	QueueCap int
 	// Store backs GET/SCAN/SET operations. Nil means a small default
 	// store.
 	Store *kvstore.Store
-	// ExtraServiceTime, when positive, adds busy time per request to
-	// emulate heavier application work in examples.
+	// ExtraServiceTime, when positive, is each request's service time on
+	// its slot: its response leaves when the service ends.
 	ExtraServiceTime time.Duration
 	// IO selects the syscall discipline (default IOAuto; DESIGN.md
 	// §12).
 	IO IOMode
 }
 
-// inlinePayload covers every internal request payload (an op header
-// plus at most one kvstore value) so steady-state dispatch copies into
-// the job value instead of allocating. Larger payloads — possible only
-// from external senders — take a rare allocating path.
-const inlinePayload = wire.OpHeaderLen + kvstore.ValueSize + 16
-
-// Server is a UDP worker server: a dispatcher goroutine feeding a FCFS
-// queue drained by worker goroutines, with NetClone state piggybacking
-// and the cloned-request drop guard (§3.4, §4.2). The dispatcher drains
-// the transport's receive bursts, and workers hand answered responses
-// by value to an egress goroutine that encodes them into its write ring.
+// Server is a UDP worker server with NetClone state piggybacking and the
+// cloned-request drop guard (§3.4, §4.2). One loop serves each receive
+// burst to completion: it admits, executes and answers every request,
+// then flushes the answers in one write. The worker pool is an exact
+// FCFS model of Workers slots, so a response whose service ends in the
+// future waits on the server's delay line until then.
 type Server struct {
 	cfg    ServerConfig
 	conn   *net.UDPConn
@@ -51,53 +47,32 @@ type Server struct {
 	swAddr netip.AddrPort
 	store  *kvstore.Store
 
-	queue  chan serverJob
-	egress chan serverResp
+	// free[j] is when service slot j next falls free, and next is the
+	// slot the next admitted request takes; epoch is the crash count the
+	// loop last saw. All three belong to the loop.
+	free  []time.Time
+	next  int
+	epoch int32
 
-	// up holds responses for the fabric delay upDelay on a remote
-	// rack; nil on the client rack (delayUplink).
+	// up holds each response until the end of its service, plus the
+	// fabric delay upDelay on a remote rack (delayUplink); nil on a local
+	// server without service time, which answers at once.
 	up      *delayLine
 	upDelay time.Duration
 
-	workersWG sync.WaitGroup
-	egressWG  sync.WaitGroup
 	closed    chan struct{}
 	closeOnce sync.Once
 
 	// down marks a crash window (FaultSchedule): arriving packets are
-	// dropped and queued work is discarded until recovery.
-	down atomic.Bool
-	// lastBurst is the size of the dispatcher's latest receive burst:
-	// what it found waiting in the socket (DESIGN.md §12).
-	lastBurst atomic.Int32
+	// dropped until recovery. crashes records when each window began.
+	down    atomic.Bool
+	crashes crashLog
 
-	processed  atomic.Int64
+	processed  atomic.Int64 // answered, send errors included
 	cloneDrops atomic.Int64
 	crashDrops atomic.Int64
 	queueDrops atomic.Int64
-	sendErrs   atomic.Int64
-}
-
-type serverJob struct {
-	hdr wire.Header
-	n   int
-	buf [inlinePayload]byte
-	big []byte // overflow payload; nil on the steady path
-}
-
-func (j *serverJob) payload() []byte {
-	if j.big != nil {
-		return j.big
-	}
-	return j.buf[:j.n]
-}
-
-// serverResp is one answered request awaiting the egress loop: the
-// response header and a payload of at most one kvstore value.
-type serverResp struct {
-	hdr     wire.Header
-	n       int
-	payload [kvstore.ValueSize]byte
+	sendErrs   sendErrors
 }
 
 // NewServer binds a worker server to addr and targets the given switch.
@@ -125,37 +100,40 @@ func NewServer(addr string, swAddr *net.UDPAddr, cfg ServerConfig) (*Server, err
 	if store == nil {
 		store = kvstore.NewStore(1024)
 	}
-	return &Server{
+	s := &Server{
 		cfg:    cfg,
 		conn:   conn,
 		tr:     tr,
 		swAddr: addrPort(swAddr),
 		store:  store,
-		queue:  make(chan serverJob, cfg.QueueCap),
-		// Workers block on a full egress channel, so its capacity
-		// bounds the answered responses not yet in the write ring:
-		// every worker's next response plus two rings.
-		egress: make(chan serverResp, cfg.Workers+2*ioBurst),
+		free:   make([]time.Time, cfg.Workers),
 		closed: make(chan struct{}),
-	}, nil
+	}
+	if cfg.ExtraServiceTime > 0 {
+		s.up = newDelayLine(conn, &s.crashes)
+	}
+	return s, nil
 }
 
 // Addr returns the server's bound address for switch registration.
 func (s *Server) Addr() *net.UDPAddr { return s.conn.LocalAddr().(*net.UDPAddr) }
 
 // Processed returns the number of requests served.
-func (s *Server) Processed() int64 { return s.processed.Load() }
+func (s *Server) Processed() int64 {
+	return s.processed.Load() - s.sendErrs.Load() - s.crashes.lost.Load()
+}
 
 // CloneDrops returns the number of cloned requests dropped by the
 // stale-state guard.
 func (s *Server) CloneDrops() int64 { return s.cloneDrops.Load() }
 
-// CrashDrops returns the number of packets and queued jobs discarded
-// while a crash window held the server down.
-func (s *Server) CrashDrops() int64 { return s.crashDrops.Load() }
+// CrashDrops returns the number of requests a crash window lost: those
+// that arrived while the server was down and those whose service a
+// crash cut short.
+func (s *Server) CrashDrops() int64 { return s.crashDrops.Load() + s.crashes.lost.Load() }
 
-// QueueDrops returns the number of requests discarded because the
-// dispatcher's queue was full.
+// QueueDrops returns the number of requests discarded because QueueCap
+// requests were already waiting.
 func (s *Server) QueueDrops() int64 { return s.queueDrops.Load() }
 
 // SendErrors returns the number of failed response transmissions.
@@ -167,170 +145,157 @@ func (s *Server) SendErrors() int64 { return s.sendErrs.Load() + s.up.lost() }
 // reads the piggybacked state as old as the fabric makes it (§3.3–3.4).
 // Call before Serve.
 func (s *Server) delayUplink(d time.Duration) {
-	s.up, s.upDelay = newDelayLine(s.conn), d
+	if s.up == nil {
+		s.up = newDelayLine(s.conn, &s.crashes)
+	}
+	s.upDelay = d
 }
 
 // SetDown flips the crash-window state (the cluster's fault executor
-// drives it). Going down discards what is already queued — the crash
-// loses in-flight work; recovery starts empty.
-func (s *Server) SetDown(down bool) { s.down.Store(down) }
-
-// Serve starts the workers and the egress loop, then runs the
-// dispatcher over the transport's receive bursts; it returns after
-// Close.
-func (s *Server) Serve() error {
-	for i := 0; i < s.cfg.Workers; i++ {
-		s.workersWG.Add(1)
-		go s.worker()
+// drives it). A crash loses the work in service: a response whose
+// service would have ended after the crash never leaves, and recovery
+// starts with every slot free.
+func (s *Server) SetDown(down bool) {
+	if !s.down.Swap(down) && down {
+		s.crashes.at.Store(time.Now().UnixNano())
+		s.crashes.n.Add(1)
 	}
-	s.egressWG.Add(1)
-	go s.egressLoop()
+}
+
+// Serve runs the server's loop over the transport's receive bursts; it
+// returns after Close, once the delay line has sent or dropped what it
+// held.
+func (s *Server) Serve() error {
+	defer s.up.close()
 	for {
 		n, err := s.tr.recv()
 		if err != nil {
-			return s.shutdown(err)
+			select {
+			case <-s.closed:
+				return nil
+			default:
+				return err
+			}
 		}
-		s.lastBurst.Store(int32(n))
-		for i := 0; i < n; i++ {
-			s.dispatch(s.tr.pkt(i))
-		}
+		s.serveBurst(n)
 	}
 }
 
-// shutdown drains the worker and egress pipelines after the ingress
-// loop ends.
-func (s *Server) shutdown(readErr error) error {
-	close(s.queue)
-	s.workersWG.Wait()
-	close(s.egress)
-	s.egressWG.Wait()
-	s.up.close()
-	select {
-	case <-s.closed:
-		return nil
-	default:
-		return readErr
+// serveBurst serves the n datagrams of the latest receive burst and
+// flushes the responses that are due at once.
+func (s *Server) serveBurst(n int) {
+	now := time.Now()
+	if e := s.crashes.n.Load(); e != s.epoch {
+		clear(s.free) // the crash ended the services in progress
+		s.epoch = e
 	}
+	answered := 0
+	for i := 0; i < n; i++ {
+		if s.serve(s.tr.pkt(i), now, n) {
+			answered++
+		}
+	}
+	s.processed.Add(int64(answered))
+	s.sendErrs.add(s.tr.flush())
 }
 
-// dispatch is the dispatcher thread: validate, apply the crash window
-// and the clone guard, enqueue.
-func (s *Server) dispatch(pkt []byte) {
+// serve answers one request of an n-datagram burst received at now and
+// reports whether it did: the crash window, the clone guard and the
+// queue bound first, then the operation, then the response, committed
+// to the write ring or held on the delay line until it is due.
+func (s *Server) serve(pkt []byte, now time.Time, n int) bool {
 	var h wire.Header
 	if _, err := h.Unmarshal(pkt); err != nil || h.Type != wire.TypeReq {
-		return
+		return false
 	}
 	if s.down.Load() {
 		s.crashDrops.Add(1)
-		return
+		return false
 	}
-	if !dataplane.AdmitRequest(h.Clo, len(s.queue), true) {
+	waiting := s.waiting(now)
+	if !dataplane.AdmitRequest(h.Clo, waiting, true) {
 		s.cloneDrops.Add(1)
-		return
+		return false
 	}
-	job := serverJob{hdr: h}
-	payload := pkt[wire.HeaderLen:]
-	if len(payload) <= inlinePayload {
-		job.n = copy(job.buf[:], payload)
-	} else {
-		job.big = append([]byte(nil), payload...)
-	}
-	select {
-	case s.queue <- job:
-	default:
+	if waiting >= s.cfg.QueueCap {
 		// Queue overflow: drop, as a real server NIC queue would.
 		s.queueDrops.Add(1)
+		return false
 	}
-}
+	finish := s.start(now)
 
-// worker drains the queue, executes operations against the store, and
-// responds through the switch with piggybacked queue state.
-func (s *Server) worker() {
-	defer s.workersWG.Done()
-	for job := range s.queue {
-		if s.down.Load() {
-			// The crash loses queued work; nothing is executed or
-			// answered.
-			s.crashDrops.Add(1)
-			continue
-		}
-		var r serverResp
-		op, rank, span, val, err := wire.DecodeOp(job.payload())
-		if err == nil {
-			switch workload.OpKind(op) {
-			case workload.OpGet:
-				r.n = s.store.Get(rank, r.payload[:])
-			case workload.OpScan:
-				if span == 0 {
-					span = workload.ScanSpan
-				}
-				sum, _ := s.store.Scan(rank, int(span))
-				r.payload[0] = byte(sum >> 56) // surface the checksum so the read is not elided
-				r.n = 8
-			case workload.OpSet:
-				s.store.Set(rank, val)
-			}
-		}
-		if s.cfg.ExtraServiceTime > 0 {
-			time.Sleep(s.cfg.ExtraServiceTime)
-		}
-
-		r.hdr = job.hdr
-		r.hdr.Type = wire.TypeResp
-		r.hdr.SID = s.cfg.SID
-		r.hdr.State = dataplane.ServerState(len(s.queue), int(s.lastBurst.Load())-s.cfg.Workers)
-		r.hdr.PayloadLen = uint16(r.n)
-		s.egress <- r
-	}
-}
-
-// egressLoop encodes answered responses into the write ring and
-// flushes them: one blocking take, then everything already waiting, up
-// to the ring size per flush.
-func (s *Server) egressLoop() {
-	defer s.egressWG.Done()
-	for r := range s.egress {
-		batched := 1
-		s.commitResp(&r)
-	fill:
-		for batched < ioBurst {
-			select {
-			case more, ok := <-s.egress:
-				if !ok {
-					break fill
-				}
-				s.commitResp(&more)
-				batched++
-			default:
-				break fill
-			}
-		}
-		dropped, _ := s.tr.flush()
-		if dropped > 0 {
-			s.sendErrs.Add(int64(dropped))
-		}
-		s.processed.Add(int64(batched - dropped))
-	}
-}
-
-// commitResp encodes one answered response into the next write slot,
-// or, on a remote rack, hands it to the uplink line and leaves the slot
-// uncommitted.
-func (s *Server) commitResp(r *serverResp) {
-	slot := r.hdr.AppendTo(s.tr.wslot())
-	slot = append(slot, r.payload[:r.n]...)
+	out := s.tr.wslot()[:wire.HeaderLen+kvstore.ValueSize]
+	m := s.execute(pkt[wire.HeaderLen:], out[wire.HeaderLen:])
+	out = out[:wire.HeaderLen+m]
+	h.Type, h.SID, h.PayloadLen = wire.TypeResp, s.cfg.SID, uint16(m)
+	h.State = dataplane.ServerState(s.waiting(now), n-s.cfg.Workers)
+	h.MarshalTo(out) //nolint:errcheck // out holds a header
 	if s.up != nil {
-		s.up.enqueue(slot, s.swAddr, time.Now().Add(s.upDelay)) // copies
-		return
+		s.up.enqueue(out, s.swAddr, finish.Add(s.upDelay), finish, s.epoch) // copies; the slot stays free
+		return true
 	}
-	if dropped, _ := s.tr.commit(len(slot), s.swAddr); dropped > 0 {
-		s.sendErrs.Add(int64(dropped))
-		s.processed.Add(int64(-dropped)) // dropped mid-fill: keep the count honest
-	}
+	s.sendErrs.add(s.tr.commit(len(out), s.swAddr))
+	return true
 }
 
-// Close stops the server and waits for workers to drain. It is
-// idempotent.
+// waiting counts the admitted requests whose service has not started at
+// now. A slot's waiting requests follow each other back to back, so a
+// slot free only at f holds (f − now − 1) / ExtraServiceTime of them
+// behind the one in service.
+func (s *Server) waiting(now time.Time) int {
+	st := s.cfg.ExtraServiceTime
+	if st <= 0 {
+		return 0
+	}
+	w := 0
+	for _, f := range s.free {
+		if d := f.Sub(now); d > 0 {
+			w += int((d - 1) / st)
+		}
+	}
+	return w
+}
+
+// start places a request admitted at now on the FCFS model and returns
+// when its service ends. Service times are equal, so the slot that falls
+// free first is the one its Workers-th predecessor took.
+func (s *Server) start(now time.Time) time.Time {
+	slot := &s.free[s.next]
+	s.next = (s.next + 1) % len(s.free)
+	begin := now
+	if slot.After(now) {
+		begin = *slot
+	}
+	*slot = begin.Add(s.cfg.ExtraServiceTime)
+	return *slot
+}
+
+// execute runs a request's operation against the store and writes its
+// answer, at most one value, into out; it returns the answer's length.
+func (s *Server) execute(req, out []byte) int {
+	op, rank, span, val, err := wire.DecodeOp(req)
+	if err != nil {
+		return 0
+	}
+	switch workload.OpKind(op) {
+	case workload.OpGet:
+		return s.store.Get(rank, out)
+	case workload.OpScan:
+		if span == 0 {
+			span = workload.ScanSpan
+		}
+		sum, _ := s.store.Scan(rank, int(span))
+		clear(out[:8])
+		out[0] = byte(sum >> 56) // surface the checksum so the read is not elided
+		return 8
+	case workload.OpSet:
+		s.store.Set(rank, val)
+	}
+	return 0
+}
+
+// Close stops the server; Serve returns once the delay line is done. It
+// is idempotent.
 func (s *Server) Close() error {
 	var err error
 	s.closeOnce.Do(func() {
@@ -338,4 +303,22 @@ func (s *Server) Close() error {
 		err = s.conn.Close()
 	})
 	return err
+}
+
+// crashLog is a server's crash record, shared with its delay line.
+type crashLog struct {
+	n    atomic.Int32 // crashes so far
+	at   atomic.Int64 // when the latest began, in Unix nanoseconds
+	lost atomic.Int64 // held responses whose service a crash cut short
+}
+
+// cut reports whether a service admitted after epoch crashes and ending
+// at finish was cut short by the next crash. Two crashes since its
+// admission count as one before finish. A nil log cuts nothing.
+func (l *crashLog) cut(epoch int32, finish time.Time) bool {
+	if l == nil {
+		return false
+	}
+	n := l.n.Load()
+	return n != epoch && (n-epoch > 1 || l.at.Load() < finish.UnixNano())
 }

@@ -148,7 +148,7 @@ func (s *Switch) InstallServers(routes []ServerRoute) error {
 		t := sendTarget{to: addrPort(r.Addr)}
 		if r.Delay > 0 {
 			if s.racks[r.Delay] == nil {
-				s.racks[r.Delay] = newDelayLine(s.conn)
+				s.racks[r.Delay] = newDelayLine(s.conn, nil)
 			}
 			t.delay, t.dl = r.Delay, s.racks[r.Delay]
 		}
@@ -292,7 +292,7 @@ func (s *Switch) emit(h *wire.Header, payload []byte, t sendTarget, now time.Tim
 	out := h.AppendTo(s.tr.wslot())
 	out = append(out, payload...)
 	if t.dl != nil {
-		t.dl.enqueue(out, t.to, now.Add(t.delay)) // copies; the slot stays free
+		t.dl.enqueue(out, t.to, now.Add(t.delay), now, 0) // copies; the slot stays free
 		return
 	}
 	s.sendErrs.add(s.tr.commit(len(out), t.to))

@@ -1,9 +1,15 @@
 package udpemu
 
 import (
+	"context"
 	"errors"
+	"fmt"
 	"net"
 	"net/netip"
+	"runtime/pprof"
+	"slices"
+	"strconv"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -17,7 +23,8 @@ import (
 // bursts sent on in, one per call, and flush copies what the write ring
 // held onto out (when set) as one burst. Its write ring holds size
 // datagrams in preallocated slots, so commit and a flush without out
-// allocate nothing.
+// allocate nothing. It also stands in for the socket a delay line
+// writes to: each datagram the line sends is a burst of one on out.
 type memTransport struct {
 	in  chan []memDatagram
 	cur []memDatagram
@@ -36,6 +43,7 @@ type memTransport struct {
 type memDatagram struct {
 	b    []byte
 	addr netip.AddrPort
+	at   time.Time // when it left; set on the way out
 }
 
 var errMemFlush = errors.New("memTransport: injected flush failure")
@@ -81,12 +89,19 @@ func (m *memTransport) flush() (int, error) {
 	}
 	if m.out != nil {
 		burst := make([]memDatagram, n)
+		at := time.Now()
 		for i, d := range m.ring[:n] {
-			burst[i] = memDatagram{b: append([]byte(nil), d.b...), addr: d.addr}
+			burst[i] = memDatagram{b: append([]byte(nil), d.b...), addr: d.addr, at: at}
 		}
 		m.out <- burst
 	}
 	return 0, nil
+}
+
+// WriteToUDPAddrPort is the delay line's send (datagramWriter).
+func (m *memTransport) WriteToUDPAddrPort(b []byte, to netip.AddrPort) (int, error) {
+	m.out <- []memDatagram{{b: append([]byte(nil), b...), addr: to, at: time.Now()}}
+	return len(b), nil
 }
 
 // deliver hands burst to the node's receive loop and returns once the
@@ -136,7 +151,8 @@ func serveMem(t *testing.T, sw *Switch, m *memTransport) {
 }
 
 // newMemServer returns a server on a memTransport, serving until the
-// test ends. Its responses leave through the transport's out channel.
+// test ends. Its responses leave through the transport's out channel,
+// the held ones too.
 func newMemServer(t *testing.T, cfg ServerConfig) (*Server, *memTransport) {
 	t.Helper()
 	cfg.IO = IOPortable
@@ -146,6 +162,9 @@ func newMemServer(t *testing.T, cfg ServerConfig) (*Server, *memTransport) {
 	}
 	m := newMemTransport(ioBurst)
 	srv.tr = m
+	if srv.up != nil {
+		srv.up.conn = m
+	}
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
@@ -403,7 +422,7 @@ func TestServerReportsBurstBacklog(t *testing.T) {
 	}
 }
 
-// TestServerCountsQueueOverflow pins the dispatcher's overflow count: a
+// TestServerCountsQueueOverflow pins the server's overflow count: a
 // one-slot queue in front of one slow worker takes at most two of a
 // burst of 8, the rest are counted as queue drops, and the cluster
 // counters carry the server's count.
@@ -425,4 +444,157 @@ func TestServerCountsQueueOverflow(t *testing.T) {
 	if got := c.Counters().QueueDrops; got != srv.QueueDrops() {
 		t.Fatalf("ClusterCounters.QueueDrops = %d, want the server's %d", got, srv.QueueDrops())
 	}
+}
+
+// takeResponses reads n datagrams off m.out, failing the test after 5s,
+// and returns each as the response header it carries and when it left.
+func takeResponses(t *testing.T, m *memTransport, n int) (hs []wire.Header, at []time.Time) {
+	t.Helper()
+	for len(hs) < n {
+		select {
+		case burst := <-m.out:
+			for _, d := range burst {
+				var h wire.Header
+				if _, err := h.Unmarshal(d.b); err != nil || h.Type != wire.TypeResp || d.addr != memSwitchAddr {
+					t.Fatalf("server sent %+v to %v (%v), want a response to the switch", h, d.addr, err)
+				}
+				hs, at = append(hs, h), append(at, d.at)
+			}
+		case <-time.After(5 * time.Second):
+			t.Fatalf("%d of %d responses after 5s", len(hs), n)
+		}
+	}
+	return hs, at
+}
+
+// TestServerServiceTimeOnTime pins the service time as a due time: a
+// burst of 4 requests into 2 slots of 200 µs answers the first two
+// 200 µs after delivery and the last two 400 µs after, each within
+// fabricSlack at the median of 15 bursts (a GC cycle can delay one
+// burst's sender by a millisecond). A worker that slept on the runtime
+// timer took about 1 ms per request.
+func TestServerServiceTimeOnTime(t *testing.T) {
+	const service, rounds = 200 * time.Microsecond, 15
+	_, m := newMemServer(t, ServerConfig{SID: 1, Workers: 2, ExtraServiceTime: service})
+	var left [4][]time.Duration // by ClientSeq - 1
+	for range rounds {
+		delivered := time.Now()
+		m.deliver(requestBurst(4)...)
+		hs, at := takeResponses(t, m, 4)
+		for i, h := range hs {
+			left[h.ClientSeq-1] = append(left[h.ClientSeq-1], at[i].Sub(delivered))
+		}
+	}
+	for i, ds := range left {
+		slices.Sort(ds)
+		want := service * time.Duration(i/2+1)
+		if got := ds[rounds/2]; got < want || got > want+fabricSlack {
+			t.Errorf("response %d left a median %v after delivery, want %v to %v", i+1, got, want, want+fabricSlack)
+		}
+	}
+}
+
+// TestServerCrashLosesHeldResponses pins what a crash does to responses
+// whose service has not ended: none of them leaves, CrashDrops counts
+// them, and a request after recovery finds every slot free, so it is
+// answered after one service time, not after four.
+func TestServerCrashLosesHeldResponses(t *testing.T) {
+	const service = 20 * time.Millisecond
+	srv, m := newMemServer(t, ServerConfig{SID: 1, Workers: 1, ExtraServiceTime: service})
+	m.deliver(requestBurst(3)...)
+	m.deliver() // returns once the three are held
+	srv.SetDown(true)
+	srv.SetDown(false)
+	delivered := time.Now()
+	m.deliver(memDatagram{b: request(4, 0), addr: memSwitchAddr})
+	m.deliver()
+	hs, at := takeResponses(t, m, 1)
+	if hs[0].ClientSeq != 4 {
+		t.Fatalf("response %d left after the crash, want only 4's", hs[0].ClientSeq)
+	}
+	if got := at[0].Sub(delivered); got < service || got >= 2*service {
+		t.Errorf("request after recovery answered %v after delivery, want %v to %v", got, service, 2*service)
+	}
+	if srv.CrashDrops() != 3 || srv.Processed() != 1 {
+		t.Errorf("CrashDrops %d, Processed %d; want 3 and 1", srv.CrashDrops(), srv.Processed())
+	}
+}
+
+// TestServerBurstAllocsNothing is the allocation guard of the server's
+// loop: serving a warm burst of 8 requests and flushing its responses
+// costs zero allocations.
+func TestServerBurstAllocsNothing(t *testing.T) {
+	srv, err := NewServer("127.0.0.1:0", net.UDPAddrFromAddrPort(memSwitchAddr), ServerConfig{SID: 1, Workers: 2, IO: IOPortable})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { srv.Close() })
+	m := newMemTransport(ioBurst)
+	m.out = nil
+	srv.tr = m
+	m.cur = requestBurst(8)
+	if allocs := testing.AllocsPerRun(200, func() { srv.serveBurst(len(m.cur)) }); allocs != 0 {
+		t.Errorf("%v allocations per burst, want 0", allocs)
+	}
+	if got, runs := srv.Processed(), m.flushes.Load(); got != 8*runs {
+		t.Errorf("processed %d requests in %d flushes, want 8 per flush", got, runs)
+	}
+}
+
+// TestLocalServerRunsOneGoroutine: a started server on the client rack
+// without service time is one goroutine, its loop, and Serve returns
+// after Close.
+func TestLocalServerRunsOneGoroutine(t *testing.T) {
+	sw, err := net.ListenUDP("udp", &net.UDPAddr{IP: net.IPv4(127, 0, 0, 1)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sw.Close()
+	var srv *Server
+	served := make(chan error, 1)
+	pprof.Do(context.Background(), pprof.Labels("node", t.Name()), func(context.Context) {
+		if srv, err = NewServer("127.0.0.1:0", sw.LocalAddr().(*net.UDPAddr), ServerConfig{SID: 1, Workers: 2}); err == nil {
+			go func() { served <- srv.Serve() }()
+		}
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := sw.WriteToUDP(request(1, 0), srv.Addr()); err != nil {
+		t.Fatal(err)
+	}
+	sw.SetReadDeadline(time.Now().Add(5 * time.Second)) //nolint:errcheck
+	if _, _, err := sw.ReadFromUDP(make([]byte, maxDatagram)); err != nil {
+		t.Fatalf("no response: %v", err)
+	}
+	if n := labeledGoroutines(t, t.Name()); n != 1 {
+		t.Errorf("server runs %d goroutines, want 1", n)
+	}
+	srv.Close()
+	if err := <-served; err != nil {
+		t.Errorf("Serve returned %v after Close, want nil", err)
+	}
+}
+
+// labeledGoroutines counts the goroutines carrying the pprof label
+// node=name, which goroutines inherit from the one that starts them.
+func labeledGoroutines(t *testing.T, name string) int {
+	var b strings.Builder
+	if err := pprof.Lookup("goroutine").WriteTo(&b, 1); err != nil {
+		t.Fatal(err)
+	}
+	label := fmt.Sprintf("%q:%q", "node", name)
+	n := 0
+	for _, rec := range strings.Split(b.String(), "\n\n") {
+		if !strings.Contains(rec, label) {
+			continue
+		}
+		k, _, _ := strings.Cut(rec, " @")
+		c, err := strconv.Atoi(k)
+		if err != nil {
+			t.Fatalf("goroutine profile record %q: %v", rec, err)
+		}
+		n += c
+	}
+	return n
 }
