@@ -1,7 +1,6 @@
 package udpemu
 
 import (
-	"net"
 	"net/netip"
 	"sync"
 	"sync/atomic"
@@ -15,13 +14,17 @@ import (
 // line costs memory in proportion to the most packets it ever held at
 // once, and steady-state forwarding does not allocate. Packets leave in
 // FIFO order, which is exact because due times never decrease: a rack
-// line adds one constant delay, and a server's line one to the end of
-// FCFS service.
+// line or a server's uplink adds one constant delay, and a server's
+// service line holds each response to the end of its FCFS service.
 //
-// A line has one producer, the Serve loop of its switch or server.
+// A line has one producer: the Serve loop of its switch or server, or,
+// for the uplink of a server with a service time, its service line.
 type delayLine struct {
 	conn    datagramWriter
 	crashes *crashLog // a server's: drops what a crash cut short
+	// depart, when set before the first enqueue, sends each due packet
+	// in place of the write to conn (Server.depart).
+	depart func(p *delayBuf) error
 
 	ch chan *delayBuf
 
@@ -37,15 +40,22 @@ type delayLine struct {
 }
 
 // delayBuf is one delayed packet: its due time, destination and bytes,
-// and for a server's response what crashLog.cut takes.
+// and for a server's response its service.
 type delayBuf struct {
-	due    time.Time
-	to     netip.AddrPort
-	n      int
+	due time.Time
+	to  netip.AddrPort
+	n   int
+	service
+	next *delayBuf
+	b    [maxDatagram]byte
+}
+
+// service is a held response's FCFS service: its end, the crash count
+// and admitted requests before it. The switch's lines pass the zero value.
+type service struct {
 	finish time.Time
 	epoch  int32
-	next   *delayBuf
-	b      [maxDatagram]byte
+	seq    int64
 }
 
 // datagramWriter is where a line sends: a node's socket.
@@ -61,19 +71,18 @@ const delayLineDepth = 4096
 
 // newDelayLine starts the sender goroutine, which writes to conn
 // directly: it owns no transport write ring, so it shares none.
-func newDelayLine(conn *net.UDPConn, crashes *crashLog) *delayLine {
+func newDelayLine(conn datagramWriter, crashes *crashLog) *delayLine {
 	dl := &delayLine{conn: conn, crashes: crashes, ch: make(chan *delayBuf, delayLineDepth)}
 	dl.wg.Add(1)
 	go dl.run()
 	return dl
 }
 
-// enqueue schedules pkt for transmission to to at due (finish and epoch
-// matter on a server's line only). It copies pkt into a free buffer,
-// allocating one while fewer than delayLineDepth exist; a line already
-// holding that many drops the packet (counted in overflows). ch holds
-// at most every buffer, so the send never blocks.
-func (dl *delayLine) enqueue(pkt []byte, to netip.AddrPort, due, finish time.Time, epoch int32) {
+// enqueue schedules pkt for transmission to to at due. It copies pkt
+// into a free buffer, allocating one while fewer than delayLineDepth
+// exist; a line already holding that many drops the packet (counted in
+// overflows). ch holds at most every buffer, so the send never blocks.
+func (dl *delayLine) enqueue(pkt []byte, to netip.AddrPort, due time.Time, sv service) {
 	dl.mu.Lock()
 	buf := dl.free
 	if buf != nil {
@@ -88,8 +97,7 @@ func (dl *delayLine) enqueue(pkt []byte, to netip.AddrPort, due, finish time.Tim
 		dl.made++
 		buf = new(delayBuf)
 	}
-	buf.due, buf.to, buf.n = due, to, copy(buf.b[:], pkt)
-	buf.finish, buf.epoch = finish, epoch
+	buf.due, buf.to, buf.n, buf.service = due, to, copy(buf.b[:], pkt), sv
 	dl.ch <- buf
 }
 
@@ -100,12 +108,18 @@ func (dl *delayLine) run() {
 	defer dl.wg.Done()
 	lockDelayThread()
 	for p := range dl.ch {
-		if !dl.crashes.cut(p.epoch, p.finish) {
+		if !dl.crashes.cut(p.service) {
 			sleepUntil(p.due)
 		}
-		if dl.crashes.cut(p.epoch, p.finish) {
+		var err error
+		if dl.crashes.cut(p.service) {
 			dl.crashes.lost.Add(1)
-		} else if _, err := dl.conn.WriteToUDPAddrPort(p.b[:p.n], p.to); err != nil {
+		} else if dl.depart != nil {
+			err = dl.depart(p)
+		} else {
+			_, err = dl.conn.WriteToUDPAddrPort(p.b[:p.n], p.to)
+		}
+		if err != nil {
 			dl.sendErrs.Add(1)
 		}
 		dl.mu.Lock()

@@ -37,7 +37,7 @@ func TestDelayLineAllocatesOnDemand(t *testing.T) {
 	carry := func(n int, wait time.Duration) {
 		due := time.Now().Add(wait)
 		for range n {
-			dl.enqueue(pkt, to, due, due, 0)
+			dl.enqueue(pkt, to, due, service{})
 		}
 		for range n {
 			if _, _, err := dst.ReadFromUDPAddrPort(rbuf); err != nil {

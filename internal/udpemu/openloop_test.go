@@ -141,6 +141,8 @@ var raceDetector bool
 // A pacer that waits on the runtime timer wakes about a millisecond
 // late, sends the requests it owes in a burst, and reads 3.6-4.2x on a
 // 2-vCPU Linux host; the pacer's own thread and nanosleep read 1.4-2x.
+// The two loops take turns in short chunks, so that a spell of load
+// from other processes on the host weighs on both samples alike.
 func TestOpenLoopPacesOnTime(t *testing.T) {
 	if raceDetector {
 		t.Skip("latency ratio is meaningless under the race detector")
@@ -156,29 +158,29 @@ func TestOpenLoopPacesOnTime(t *testing.T) {
 	}
 	defer c.Close()
 	groups := c.Switch.NumGroups()
-	// The closed-loop samples come from both sides of the open-loop run,
-	// so a drift of the host's speed during the test weighs on both.
 	var rtts []time.Duration
-	doLoop := func() {
-		const warmup, requests = 20, 300
-		for i := range warmup + requests {
+	doLoop := func(requests int) {
+		for i := range requests {
 			start := time.Now()
 			if _, err := c.Clients[0].Do(groups, workload.OpGet, uint64(i), 0, nil); err != nil {
 				t.Fatal(err)
 			}
-			if i >= warmup {
-				rtts = append(rtts, time.Since(start))
-			}
+			rtts = append(rtts, time.Since(start))
 		}
 	}
-	doLoop()
+	doLoop(20) // warm-up
+	rtts = rtts[:0]
 	open := c.Clients[1]
-	if _, err := open.RunOpenLoop(OpenLoopConfig{
-		NumGroups: groups, RatePerSec: 16_000, Requests: 4000, Drain: 100 * time.Millisecond,
-	}); err != nil {
-		t.Fatal(err)
+	const rounds = 8
+	for range rounds {
+		doLoop(75)
+		if _, err := open.RunOpenLoop(OpenLoopConfig{
+			NumGroups: groups, RatePerSec: 16_000, Requests: 500, Drain: 20 * time.Millisecond,
+		}); err != nil {
+			t.Fatal(err)
+		}
 	}
-	doLoop()
+	doLoop(75)
 	slices.Sort(rtts)
 	closed := rtts[len(rtts)/2]
 	p50 := time.Duration(open.Hist().P50())

@@ -38,8 +38,9 @@ type ServerConfig struct {
 // cloned-request drop guard (§3.4, §4.2). One loop serves each receive
 // burst to completion: it admits, executes and answers every request,
 // then flushes the answers in one write. The worker pool is an exact
-// FCFS model of Workers slots, so a response whose service ends in the
-// future waits on the server's delay line until then.
+// FCFS model of Workers slots, so with a service time each response
+// waits on the server's service line until its service ends, and
+// reports the load the server has then.
 type Server struct {
 	cfg    ServerConfig
 	conn   *net.UDPConn
@@ -49,14 +50,18 @@ type Server struct {
 
 	// free[j] is when service slot j next falls free, and next is the
 	// slot the next admitted request takes; epoch is the crash count the
-	// loop last saw. All three belong to the loop.
-	free  []time.Time
-	next  int
-	epoch int32
+	// loop last saw. All three belong to the loop. admitted counts the
+	// requests admitted so far, which the service line reads.
+	free     []time.Time
+	next     int
+	epoch    int32
+	admitted atomic.Int64
 
-	// up holds each response until the end of its service, plus the
-	// fabric delay upDelay on a remote rack (delayUplink); nil on a local
-	// server without service time, which answers at once.
+	// svc holds each response until its service ends (ExtraServiceTime
+	// > 0) and up for the fabric delay upDelay on a remote rack
+	// (delayUplink), after svc when there are both; a server without
+	// either answers at once.
+	svc     *delayLine
 	up      *delayLine
 	upDelay time.Duration
 
@@ -110,7 +115,8 @@ func NewServer(addr string, swAddr *net.UDPAddr, cfg ServerConfig) (*Server, err
 		closed: make(chan struct{}),
 	}
 	if cfg.ExtraServiceTime > 0 {
-		s.up = newDelayLine(conn, &s.crashes)
+		s.svc = newDelayLine(conn, &s.crashes)
+		s.svc.depart = s.depart
 	}
 	return s, nil
 }
@@ -118,9 +124,10 @@ func NewServer(addr string, swAddr *net.UDPAddr, cfg ServerConfig) (*Server, err
 // Addr returns the server's bound address for switch registration.
 func (s *Server) Addr() *net.UDPAddr { return s.conn.LocalAddr().(*net.UDPAddr) }
 
-// Processed returns the number of requests served.
+// Processed returns the number of requests served: answered, and not
+// lost to a failed send or a crash.
 func (s *Server) Processed() int64 {
-	return s.processed.Load() - s.sendErrs.Load() - s.crashes.lost.Load()
+	return s.processed.Load() - s.SendErrors() - s.crashes.lost.Load()
 }
 
 // CloneDrops returns the number of cloned requests dropped by the
@@ -137,7 +144,7 @@ func (s *Server) CrashDrops() int64 { return s.crashDrops.Load() + s.crashes.los
 func (s *Server) QueueDrops() int64 { return s.queueDrops.Load() }
 
 // SendErrors returns the number of failed response transmissions.
-func (s *Server) SendErrors() int64 { return s.sendErrs.Load() + s.up.lost() }
+func (s *Server) SendErrors() int64 { return s.sendErrs.Load() + s.svc.lost() + s.up.lost() }
 
 // delayUplink places the server on a remote rack: every response waits
 // out the one-way fabric delay d on the server's own socket before it
@@ -145,10 +152,7 @@ func (s *Server) SendErrors() int64 { return s.sendErrs.Load() + s.up.lost() }
 // reads the piggybacked state as old as the fabric makes it (§3.3–3.4).
 // Call before Serve.
 func (s *Server) delayUplink(d time.Duration) {
-	if s.up == nil {
-		s.up = newDelayLine(s.conn, &s.crashes)
-	}
-	s.upDelay = d
+	s.up, s.upDelay = newDelayLine(s.conn, &s.crashes), d
 }
 
 // SetDown flips the crash-window state (the cluster's fault executor
@@ -163,10 +167,11 @@ func (s *Server) SetDown(down bool) {
 }
 
 // Serve runs the server's loop over the transport's receive bursts; it
-// returns after Close, once the delay line has sent or dropped what it
-// held.
+// returns after Close, once the delay lines have sent or dropped what
+// they held.
 func (s *Server) Serve() error {
 	defer s.up.close()
+	defer s.svc.close() // first: it feeds up
 	for {
 		n, err := s.tr.recv()
 		if err != nil {
@@ -191,7 +196,7 @@ func (s *Server) serveBurst(n int) {
 	}
 	answered := 0
 	for i := 0; i < n; i++ {
-		if s.serve(s.tr.pkt(i), now, n) {
+		if s.serve(s.tr.pkt(i), now, n, answered) {
 			answered++
 		}
 	}
@@ -199,11 +204,12 @@ func (s *Server) serveBurst(n int) {
 	s.sendErrs.add(s.tr.flush())
 }
 
-// serve answers one request of an n-datagram burst received at now and
-// reports whether it did: the crash window, the clone guard and the
-// queue bound first, then the operation, then the response, committed
-// to the write ring or held on the delay line until it is due.
-func (s *Server) serve(pkt []byte, now time.Time, n int) bool {
+// serve answers one request of an n-datagram burst received at now,
+// after the burst's ahead requests it admitted, and reports whether it
+// did: the crash window, the clone guard and the queue bound first, then
+// the operation, then the response, committed to the write ring or held
+// on a delay line until it is due.
+func (s *Server) serve(pkt []byte, now time.Time, n, ahead int) bool {
 	var h wire.Header
 	if _, err := h.Unmarshal(pkt); err != nil || h.Type != wire.TypeReq {
 		return false
@@ -212,7 +218,7 @@ func (s *Server) serve(pkt []byte, now time.Time, n int) bool {
 		s.crashDrops.Add(1)
 		return false
 	}
-	waiting := s.waiting(now)
+	waiting := s.waiting(now, ahead)
 	if !dataplane.AdmitRequest(h.Clo, waiting, true) {
 		s.cloneDrops.Add(1)
 		return false
@@ -222,30 +228,52 @@ func (s *Server) serve(pkt []byte, now time.Time, n int) bool {
 		s.queueDrops.Add(1)
 		return false
 	}
-	finish := s.start(now)
+	sv := service{finish: s.start(now), epoch: s.epoch, seq: s.admitted.Add(1) - 1}
 
 	out := s.tr.wslot()[:wire.HeaderLen+kvstore.ValueSize]
 	m := s.execute(pkt[wire.HeaderLen:], out[wire.HeaderLen:])
 	out = out[:wire.HeaderLen+m]
 	h.Type, h.SID, h.PayloadLen = wire.TypeResp, s.cfg.SID, uint16(m)
-	h.State = dataplane.ServerState(s.waiting(now), n-s.cfg.Workers)
+	h.State = dataplane.ServerState(waiting, n-s.cfg.Workers)
 	h.MarshalTo(out) //nolint:errcheck // out holds a header
-	if s.up != nil {
-		s.up.enqueue(out, s.swAddr, finish.Add(s.upDelay), finish, s.epoch) // copies; the slot stays free
-		return true
+	switch {
+	case s.svc != nil: // depart stamps the load anew
+		s.svc.enqueue(out, s.swAddr, sv.finish, sv) // copies; the slot stays free
+	case s.up != nil:
+		s.up.enqueue(out, s.swAddr, sv.finish.Add(s.upDelay), sv)
+	default:
+		s.sendErrs.add(s.tr.commit(len(out), s.swAddr))
 	}
-	s.sendErrs.add(s.tr.commit(len(out), s.swAddr))
 	return true
 }
 
+// depart sends a held response as its service ends, stamped with the
+// load then: the requests admitted after it beyond the other Workers − 1
+// slots, the one taking over its slot included, as the simulator's
+// server reads its queue before it pulls the next.
+func (s *Server) depart(p *delayBuf) error {
+	var h wire.Header
+	h.Unmarshal(p.b[:p.n]) //nolint:errcheck // serve encoded it
+	h.State = dataplane.ServerState(int(s.admitted.Load()-p.seq)-s.cfg.Workers, 0)
+	h.MarshalTo(p.b[:]) //nolint:errcheck // p.b holds a header
+	if s.up != nil {
+		s.up.enqueue(p.b[:p.n], p.to, p.finish.Add(s.upDelay), p.service)
+		return nil
+	}
+	_, err := s.svc.conn.WriteToUDPAddrPort(p.b[:p.n], p.to)
+	return err
+}
+
 // waiting counts the admitted requests whose service has not started at
-// now. A slot's waiting requests follow each other back to back, so a
-// slot free only at f holds (f − now − 1) / ExtraServiceTime of them
-// behind the one in service.
-func (s *Server) waiting(now time.Time) int {
+// now. With a service time, a slot's waiting requests follow each other
+// back to back, so a slot free only at f holds (f − now − 1) /
+// ExtraServiceTime of them behind the one in service. Without one, the
+// burst's requests arrive together: of the ahead admitted before this
+// one, those beyond the Workers in service are waiting.
+func (s *Server) waiting(now time.Time, ahead int) int {
 	st := s.cfg.ExtraServiceTime
 	if st <= 0 {
-		return 0
+		return max(0, ahead-s.cfg.Workers)
 	}
 	w := 0
 	for _, f := range s.free {
@@ -294,7 +322,7 @@ func (s *Server) execute(req, out []byte) int {
 	return 0
 }
 
-// Close stops the server; Serve returns once the delay line is done. It
+// Close stops the server; Serve returns once the delay lines are done. It
 // is idempotent.
 func (s *Server) Close() error {
 	var err error
@@ -305,20 +333,21 @@ func (s *Server) Close() error {
 	return err
 }
 
-// crashLog is a server's crash record, shared with its delay line.
+// crashLog is a server's crash record, shared with its delay lines.
 type crashLog struct {
 	n    atomic.Int32 // crashes so far
 	at   atomic.Int64 // when the latest began, in Unix nanoseconds
 	lost atomic.Int64 // held responses whose service a crash cut short
 }
 
-// cut reports whether a service admitted after epoch crashes and ending
-// at finish was cut short by the next crash. Two crashes since its
-// admission count as one before finish. A nil log cuts nothing.
-func (l *crashLog) cut(epoch int32, finish time.Time) bool {
+// cut reports whether the service sv, admitted after sv.epoch crashes
+// and ending at sv.finish, was cut short by the next crash. Two crashes
+// since its admission count as one before its end. A nil log cuts
+// nothing.
+func (l *crashLog) cut(sv service) bool {
 	if l == nil {
 		return false
 	}
 	n := l.n.Load()
-	return n != epoch && (n-epoch > 1 || l.at.Load() < finish.UnixNano())
+	return n != sv.epoch && (n-sv.epoch > 1 || l.at.Load() < sv.finish.UnixNano())
 }

@@ -292,7 +292,7 @@ func (s *Switch) emit(h *wire.Header, payload []byte, t sendTarget, now time.Tim
 	out := h.AppendTo(s.tr.wslot())
 	out = append(out, payload...)
 	if t.dl != nil {
-		t.dl.enqueue(out, t.to, now.Add(t.delay), now, 0) // copies; the slot stays free
+		t.dl.enqueue(out, t.to, now.Add(t.delay), service{}) // copies; the slot stays free
 		return
 	}
 	s.sendErrs.add(s.tr.commit(len(out), t.to))

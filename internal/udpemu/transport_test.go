@@ -162,8 +162,8 @@ func newMemServer(t *testing.T, cfg ServerConfig) (*Server, *memTransport) {
 	}
 	m := newMemTransport(ioBurst)
 	srv.tr = m
-	if srv.up != nil {
-		srv.up.conn = m
+	if srv.svc != nil {
+		srv.svc.conn = m
 	}
 	done := make(chan struct{})
 	go func() {
@@ -518,6 +518,65 @@ func TestServerCrashLosesHeldResponses(t *testing.T) {
 	if srv.CrashDrops() != 3 || srv.Processed() != 1 {
 		t.Errorf("CrashDrops %d, Processed %d; want 3 and 1", srv.CrashDrops(), srv.Processed())
 	}
+}
+
+// TestServerReportsLoadAtDeparture pins when a held response reads the
+// load it reports: as its service ends, like the simulator's server.
+// One slot of 20 ms and three requests 1 ms apart answer at +20, +40
+// and +60 ms, when 2, 1 and 0 of the others still wait to start.
+func TestServerReportsLoadAtDeparture(t *testing.T) {
+	_, m := newMemServer(t, ServerConfig{SID: 1, Workers: 1, ExtraServiceTime: 20 * time.Millisecond})
+	for seq := range uint32(3) {
+		m.deliver(memDatagram{b: request(seq+1, 0), addr: memSwitchAddr})
+		time.Sleep(time.Millisecond)
+	}
+	hs, _ := takeResponses(t, m, 3)
+	for i, h := range hs {
+		if want := uint16(2 - i); h.ClientSeq != uint32(i+1) || h.State != want {
+			t.Errorf("response %d reports State %d, want response %d with State %d", h.ClientSeq, h.State, i+1, want)
+		}
+	}
+}
+
+// TestServerGuardsBurstWithoutServiceTime pins the §3.4 guard when
+// requests take no service time: the requests of one burst arrive
+// together, so into 2 slots the third waits for none and the fourth
+// for one. Of two clones in those places, the second is dropped.
+func TestServerGuardsBurstWithoutServiceTime(t *testing.T) {
+	srv, m := newMemServer(t, ServerConfig{SID: 1, Workers: 2})
+	burst := requestBurst(4)
+	for i := 2; i < 4; i++ {
+		h := wire.Header{Type: wire.TypeReq, ClientID: 1, ClientSeq: uint32(i + 1), PktTotal: 1, Clo: wire.CloClone}
+		burst[i].b = encode(h, wire.AppendOp(nil, uint8(workload.OpGet), uint64(i), 0, nil))
+	}
+	m.deliver(burst...)
+	hs, _ := takeResponses(t, m, 3)
+	if hs[2].ClientSeq != 3 || srv.CloneDrops() != 1 {
+		t.Errorf("answered through %d with %d clone drops, want through 3 with 1", hs[2].ClientSeq, srv.CloneDrops())
+	}
+}
+
+// TestServerCountsHeldSendErrors: a held response that its line fails
+// to write counts as a send error, not as processed.
+func TestServerCountsHeldSendErrors(t *testing.T) {
+	srv, m := newMemServer(t, ServerConfig{SID: 1, Workers: 1, ExtraServiceTime: time.Millisecond})
+	srv.svc.conn = failingWriter{}
+	m.deliver(requestBurst(2)...)
+	m.deliver() // returns once both are held
+	deadline := time.Now().Add(5 * time.Second)
+	for srv.SendErrors() < 2 && time.Now().Before(deadline) {
+		time.Sleep(time.Millisecond)
+	}
+	if srv.SendErrors() != 2 || srv.Processed() != 0 {
+		t.Errorf("SendErrors %d, Processed %d; want 2 and 0", srv.SendErrors(), srv.Processed())
+	}
+}
+
+// failingWriter is a socket whose every write fails.
+type failingWriter struct{}
+
+func (failingWriter) WriteToUDPAddrPort([]byte, netip.AddrPort) (int, error) {
+	return 0, errMemFlush
 }
 
 // TestServerBurstAllocsNothing is the allocation guard of the server's

@@ -144,7 +144,7 @@ func goFuncNames(t *testing.T, re *regexp.Regexp, tests bool) []string {
 // docsLineBudget caps README + DESIGN + EXPERIMENTS together. It only
 // goes down: a change that adds a user-visible surface pays for its
 // paragraph by cutting one elsewhere.
-const docsLineBudget = 1440
+const docsLineBudget = 1439
 
 // TestDocsLineBudget holds the top-level documents at or below
 // docsLineBudget lines.
