@@ -73,5 +73,5 @@ func main() {
 	fmt.Println("Same wire format, same dataplane code, two substrates: the switch")
 	fmt.Println("cloned idle-pair requests and filtered the slower responses in both")
 	fmt.Println("models. Distributed deployments use the same pieces as separate")
-	fmt.Println("processes: cmd/netclone-switch, -server, and -client.")
+	fmt.Println("processes: the switch, server and client roles of cmd/netclone-emu.")
 }

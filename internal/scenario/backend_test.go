@@ -54,7 +54,7 @@ func TestSimBackendValidates(t *testing.T) {
 }
 
 // TestSwitchConfigMapping pins the scheme-to-dataplane mapping shared by
-// the Emu backend and the netclone-switch binary.
+// the Emu backend and the switch role of the netclone-emu binary.
 func TestSwitchConfigMapping(t *testing.T) {
 	cases := []struct {
 		scheme                        simcluster.Scheme

@@ -246,9 +246,9 @@ func emuFaults(cfg simcluster.Config) *udpemu.FaultSchedule {
 
 // SwitchConfig maps a scheme onto the emulated switch's data-plane
 // configuration — the single source of truth shared by the Emu backend
-// and the standalone netclone-switch binary. LAEDGE has no in-switch
-// role and is rejected; C-Clone reduces the switch to plain forwarding
-// because its duplication happens at the client.
+// and the switch role of the netclone-emu binary. LAEDGE has no
+// in-switch role and is rejected; C-Clone reduces the switch to plain
+// forwarding because its duplication happens at the client.
 func SwitchConfig(scheme simcluster.Scheme, filterTables, filterSlots, maxServers int) (dataplane.Config, error) {
 	dcfg := dataplane.Config{
 		MaxServers:   maxServers,

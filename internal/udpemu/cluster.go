@@ -25,8 +25,8 @@ type RackSpec struct {
 
 // ClusterConfig describes an in-process loopback cluster: one switch
 // emulator, one kvstore-backed worker server per Workers entry, and
-// Clients measuring clients — the same lifecycle the three standalone
-// binaries (netclone-switch/-server/-client) wire up across processes.
+// Clients measuring clients — the same lifecycle the switch, server and
+// client roles of the netclone-emu binary wire up across processes.
 type ClusterConfig struct {
 	// Dataplane configures the switch pipeline. MaxServers is raised to
 	// fit Workers if it is too small.

@@ -2,6 +2,6 @@
 
 package udpemu
 
-// The race detector slows every node several-fold, so a 16k req/s
-// open loop saturates the cluster it measures.
+// The race detector slows every send several-fold, so the open-loop
+// pacer's timing test skips itself.
 func init() { raceDetector = true }

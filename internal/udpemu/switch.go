@@ -63,8 +63,9 @@ type Switch struct {
 	faults *faultState                  // nil without a fault schedule; set before Serve
 	racks  map[time.Duration]*delayLine // one line per distinct rack delay
 
-	sendErrs  sendErrors
-	lossDrops atomic.Int64
+	sendErrs   sendErrors
+	lossDrops  atomic.Int64
+	groupWraps atomic.Int64
 
 	wg        sync.WaitGroup
 	closed    chan struct{}
@@ -199,6 +200,11 @@ func (s *Switch) SendErrors() int64 {
 // LossDrops counts packets dropped by an active loss window.
 func (s *Switch) LossDrops() int64 { return s.lossDrops.Load() }
 
+// GroupWraps counts original requests whose Group is past the switch's
+// group count. The data plane takes such a group modulo its count, so a
+// client told the wrong count skews the pair choice without an error.
+func (s *Switch) GroupWraps() int64 { return s.groupWraps.Load() }
+
 // Serve processes packets until Close. It is typically run in a
 // goroutine; it returns after Close. Each burst is one recv, one lock
 // acquisition around the pipeline and one flush of what it forwards.
@@ -251,8 +257,12 @@ func (s *Switch) handle(i int, now time.Time) {
 	payload := pkt[wire.HeaderLen:]
 
 	// Learn the client's address from its requests so responses can be
-	// routed back (the emulator's stand-in for L3 routing state).
+	// routed back (the emulator's stand-in for L3 routing state), and
+	// count a group past the group table (see GroupWraps).
 	if h.Type == wire.TypeReq && h.Clo == wire.CloNone {
+		if int(h.Group) >= s.dp.NumGroups() {
+			s.groupWraps.Add(1)
+		}
 		if src := s.tr.src(i); src.IsValid() && s.clients[h.ClientID].to != src {
 			s.clients[h.ClientID] = sendTarget{to: src}
 		}

@@ -278,3 +278,27 @@ func TestClientAddressRelearned(t *testing.T) {
 		t.Fatalf("client ID 1 from a new socket: %v", err)
 	}
 }
+
+// TestSwitchCountsGroupWraps: a client told the wrong group count (6
+// for a 2-server switch, which has 2 groups) sends groups past the
+// switch's count, and the switch counts them; a client told the right
+// count leaves the count at 0.
+func TestSwitchCountsGroupWraps(t *testing.T) {
+	tc := startCluster(t, 2, defaultDcfg())
+	for i := range 50 {
+		if _, err := tc.client.Do(tc.sw.NumGroups(), workload.OpGet, uint64(i), 0, nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if n := tc.sw.GroupWraps(); n != 0 {
+		t.Fatalf("correct client: GroupWraps = %d, want 0", n)
+	}
+	for i := range 50 {
+		if _, err := tc.client.Do(6, workload.OpGet, uint64(i), 0, nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if n := tc.sw.GroupWraps(); n == 0 {
+		t.Fatal("client sending 6 groups to a 2-group switch: GroupWraps = 0, want > 0")
+	}
+}

@@ -220,16 +220,16 @@ func TestDocsNameRealOptions(t *testing.T) {
 var goToolFlags = []string{"-race", "-count", "-bench", "-benchmem", "-benchtime"}
 
 // TestDocsNameRealFlagsAndScripts: every -flag inside a code span or
-// fenced block of the top-level documents is declared by a flag.* call
-// in a cmd/*/main.go or benchmark/main.go, or is a go toolchain flag;
-// every scripts/ path there exists. The docs cannot teach a deleted flag
-// or script.
+// fenced block of the top-level documents is declared by a flag.* or
+// fs.* (flag set) call in a cmd/*/main.go or benchmark/main.go, or is a
+// go toolchain flag; every scripts/ path there exists. The docs cannot
+// teach a deleted flag or script.
 func TestDocsNameRealFlagsAndScripts(t *testing.T) {
 	mains, err := filepath.Glob("cmd/*/main.go")
 	if err != nil {
 		t.Fatal(err)
 	}
-	declRE := regexp.MustCompile(`flag\.[A-Z]\w*\((?:&?[\w.]+,\s*)?"([\w-]+)"`)
+	declRE := regexp.MustCompile(`(?:flag|fs)\.[A-Z]\w*\((?:&?[\w.]+,\s*)?"([\w-]+)"`)
 	declared := slices.Clone(goToolFlags)
 	for _, path := range append(mains, filepath.Join("benchmark", "main.go")) {
 		src, err := os.ReadFile(path)
