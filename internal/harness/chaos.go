@@ -18,8 +18,7 @@ import (
 // derives from the per-point duration, so Quick() options shrink the
 // whole schedule proportionally, and every experiment is deterministic
 // in (Options.Seed, Options.DurationNS) — the chaos-* family is covered
-// by TestParallelDeterminism and the golden pin like every other
-// experiment.
+// by the golden pin like every other experiment.
 
 // registerChaos registers the chaos experiment family. Called last from
 // the package init, so the chaos experiments append to the paper-order

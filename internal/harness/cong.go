@@ -19,8 +19,7 @@ import (
 // fabric, and the crossover sweep shows where congestion-reactive
 // cloning overtakes fixed cloning. Every experiment is deterministic
 // in Options.Seed with seeds paired across schemes, and the family is
-// covered by TestParallelDeterminism and the golden pin like every
-// other experiment.
+// covered by the golden pin like every other experiment.
 
 // registerCongestion registers the congestion experiment family.
 // Called last from the package init (after registerScale), so the

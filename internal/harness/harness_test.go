@@ -274,40 +274,6 @@ func TestRenderTextAndCSV(t *testing.T) {
 	}
 }
 
-// TestAllExperimentsRunQuick executes every registered experiment at tiny
-// fidelity — an end-to-end smoke test of the full evaluation suite.
-func TestAllExperimentsRunQuick(t *testing.T) {
-	if testing.Short() {
-		t.Skip("full suite smoke test skipped in -short mode")
-	}
-	opts := Options{
-		DurationNS: 5e6,
-		WarmupNS:   1e6,
-		Seed:       3,
-		LoadFracs:  []float64{0.4},
-		Repeats:    2,
-	}
-	for _, e := range All() {
-		e := e
-		t.Run(e.ID, func(t *testing.T) {
-			r, err := e.Run(opts)
-			if err != nil {
-				t.Fatalf("%s failed: %v", e.ID, err)
-			}
-			if len(r.Series) == 0 && len(r.Table) == 0 {
-				t.Fatalf("%s produced no output", e.ID)
-			}
-			var buf bytes.Buffer
-			if err := RenderText(&buf, r); err != nil {
-				t.Fatal(err)
-			}
-			if err := RenderCSV(&buf, r); err != nil {
-				t.Fatal(err)
-			}
-		})
-	}
-}
-
 // TestCongCrossoverSuppressionWins pins the congestion family's
 // headline: with the client down-ports driven into incast overload,
 // near-source clone suppression beats fixed cloning — the clones fixed

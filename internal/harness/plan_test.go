@@ -1,7 +1,6 @@
 package harness
 
 import (
-	"bytes"
 	"strings"
 	"sync"
 	"testing"
@@ -11,113 +10,6 @@ import (
 	"netclone/internal/simcluster"
 	"netclone/internal/topology"
 )
-
-// renderBytes canonicalizes a report for byte-level comparison.
-func renderBytes(t *testing.T, r Report) []byte {
-	t.Helper()
-	var buf bytes.Buffer
-	if err := RenderText(&buf, r); err != nil {
-		t.Fatal(err)
-	}
-	if err := RenderCSV(&buf, r); err != nil {
-		t.Fatal(err)
-	}
-	return buf.Bytes()
-}
-
-// TestParallelDeterminism asserts the tentpole guarantee: every
-// experiment's Report is byte-identical between sequential
-// (Parallelism: 1) and parallel (Parallelism: 8) execution at the same
-// seed.
-func TestParallelDeterminism(t *testing.T) {
-	if testing.Short() {
-		t.Skip("full determinism sweep skipped in -short mode")
-	}
-	base := Options{
-		DurationNS: 4e6,
-		WarmupNS:   1e6,
-		Seed:       5,
-		LoadFracs:  []float64{0.3, 0.8},
-		Repeats:    2,
-	}
-	for _, e := range All() {
-		t.Run(e.ID, func(t *testing.T) {
-			seqOpts := base
-			seqOpts.Parallelism = 1
-			seq, err := e.Run(seqOpts)
-			if err != nil {
-				t.Fatalf("sequential run failed: %v", err)
-			}
-			parOpts := base
-			parOpts.Parallelism = 8
-			par, err := e.Run(parOpts)
-			if err != nil {
-				t.Fatalf("parallel run failed: %v", err)
-			}
-			if !bytes.Equal(renderBytes(t, seq), renderBytes(t, par)) {
-				t.Errorf("%s report differs between Parallelism 1 and 8", e.ID)
-			}
-		})
-	}
-}
-
-// TestTracedDeterminism asserts the flight recorder's counterpart of
-// TestParallelDeterminism: every experiment's Report is byte-identical
-// with tracing on and off at the same seed, while the trace payload
-// flows out through Observe instead of the report. table1/table2 are
-// static reports — no scenario runs, so nothing to observe or trace.
-func TestTracedDeterminism(t *testing.T) {
-	if testing.Short() {
-		t.Skip("full determinism sweep skipped in -short mode")
-	}
-	base := Options{
-		DurationNS: 4e6,
-		WarmupNS:   1e6,
-		Seed:       5,
-		LoadFracs:  []float64{0.3, 0.8},
-		Repeats:    2,
-	}
-	for _, e := range All() {
-		t.Run(e.ID, func(t *testing.T) {
-			plain, err := e.Run(base)
-			if err != nil {
-				t.Fatalf("untraced run failed: %v", err)
-			}
-			var mu sync.Mutex
-			var observed, traced int
-			trOpts := base
-			trOpts.TraceRate = 16
-			trOpts.TraceCap = 1 << 12
-			trOpts.Observe = func(label string, res scenario.Result) {
-				mu.Lock()
-				defer mu.Unlock()
-				observed++
-				if res.Trace != nil && len(res.Trace.Events) > 0 {
-					traced++
-				}
-			}
-			tr, err := e.Run(trOpts)
-			if err != nil {
-				t.Fatalf("traced run failed: %v", err)
-			}
-			if !bytes.Equal(renderBytes(t, plain), renderBytes(t, tr)) {
-				t.Errorf("%s report differs between untraced and traced", e.ID)
-			}
-			if e.ID == "table1" || e.ID == "table2" {
-				if observed != 0 {
-					t.Errorf("static experiment %s called Observe %d time(s)", e.ID, observed)
-				}
-				return
-			}
-			if observed == 0 {
-				t.Error("Observe was never called")
-			}
-			if traced == 0 {
-				t.Error("no observed point carried flight-recorder data")
-			}
-		})
-	}
-}
 
 // TestRunSpecsObserveAndTrace pins the harness observability plumbing
 // on two bare specs: Options.TraceRate arms WithTrace on every point,

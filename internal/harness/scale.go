@@ -16,8 +16,7 @@ import (
 // skewed per-rack capacity on the calibrated workload. Every
 // experiment is deterministic in Options.Seed, seeds are paired across
 // schemes so the delta isolates the fabric knob, and the family is
-// covered by TestParallelDeterminism and the golden pin like every
-// other experiment.
+// covered by the golden pin like every other experiment.
 
 // registerScale registers the scale experiment family. Called last
 // from the package init (after registerChaos), so the scale

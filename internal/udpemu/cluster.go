@@ -265,13 +265,18 @@ func (c *Cluster) RunOpenLoop(cfg OpenLoopConfig) ([]OpenLoopResult, error) {
 // armFaults pins the fault schedule's wall-clock zero and starts the
 // crash executor — the goroutine that flips server down-flags at the
 // schedule's transitions, emulating faults.ServerCrash on real
-// processes.
+// processes. Flips due at or before the zero apply here, before any
+// client sends, so a crash window from 0 drops the first request too.
 func (c *Cluster) armFaults(start time.Time) {
 	if c.faults == nil {
 		return
 	}
 	c.faults.arm(start)
 	ts := c.faults.sched.crashTransitions()
+	for len(ts) > 0 && ts[0].at <= 0 {
+		c.setDown(ts[0])
+		ts = ts[1:]
+	}
 	if len(ts) == 0 {
 		return
 	}
@@ -287,15 +292,21 @@ func (c *Cluster) armFaults(start time.Time) {
 					return
 				}
 			}
-			if t.target < 0 {
-				for _, s := range c.Servers {
-					s.SetDown(t.down)
-				}
-			} else if t.target < len(c.Servers) {
-				c.Servers[t.target].SetDown(t.down)
-			}
+			c.setDown(t)
 		}
 	}()
+}
+
+// setDown applies one crash transition to its target server, or to
+// every server when the target is negative.
+func (c *Cluster) setDown(t crashTransition) {
+	if t.target < 0 {
+		for _, s := range c.Servers {
+			s.SetDown(t.down)
+		}
+	} else if t.target < len(c.Servers) {
+		c.Servers[t.target].SetDown(t.down)
+	}
 }
 
 // Close shuts down clients, servers, and switch, in that

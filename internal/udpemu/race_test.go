@@ -3,5 +3,5 @@
 package udpemu
 
 // The race detector slows every send several-fold, so the open-loop
-// pacer's timing test skips itself.
+// pacer's and the fabric delay's timing tests skip themselves.
 func init() { raceDetector = true }
