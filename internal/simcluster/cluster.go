@@ -21,7 +21,6 @@ import (
 type packet struct {
 	hdr      wire.Header
 	op       workload.OpKind
-	sentAt   int64  // request creation time at the client
 	direct   bool   // bypass NetClone processing (write requests, §5.5)
 	traced   bool   // sampled by the flight recorder (trace.go discipline)
 	coordID  int    // owning LÆDGE coordinator (multi-coordinator scale-out)
@@ -82,7 +81,8 @@ type cluster struct {
 	cliH   node
 	cliHid int32
 
-	endGen int64 // stop generating requests at this time
+	endGen   int64 // stop generating requests at this time
+	deadline int64 // Run stops the engine here: endGen plus the drain slack
 
 	// Per-send invariants of every client, hoisted out of the generation
 	// loop: group count and arrival process are fixed once the clients'
@@ -224,7 +224,7 @@ func Run(cfg Config) (Result, error) {
 	// Drain slack: let in-flight requests complete so tail completions
 	// inside the window are observed even when they finish processing
 	// slightly after endGen. Latency recording is still window-gated.
-	c.eng.RunUntil(c.endGen + cfg.DurationNS)
+	c.eng.RunUntil(c.deadline)
 
 	res := c.result()
 	// The cluster is dead once the result is extracted; hand the
@@ -251,6 +251,7 @@ func build(cfg Config) (*cluster, error) {
 		eng:        getEngine(),
 		hist:       stats.NewHistogram(),
 		endGen:     cfg.WarmupNS + cfg.DurationNS,
+		deadline:   cfg.WarmupNS + 2*cfg.DurationNS,
 		lossRNG:    simnet.NewRNG(cfg.Seed, 400),
 		dSwLink:    cfg.Cal.SwitchDelayNS + cfg.Cal.LinkDelayNS,
 		dSwRecirc:  cfg.Cal.SwitchDelayNS + cfg.Cal.RecircDelayNS,
@@ -447,17 +448,14 @@ func (c *cluster) buildClients() {
 // startClients schedules every client's first arrival, in index order.
 func (c *cluster) startClients() {
 	for i := range c.clients {
-		c.clients[i].start()
+		c.clients[i].nextArrival(c.eng.Now())
 	}
 }
 
-// arrive runs client x's open-loop arrival. Arrivals at or past endGen
-// generate nothing, so they are dropped here, before the client's cache
-// line is touched.
+// arrive runs client x's open-loop arrival. Only arrivals before endGen
+// are ever filed (client.nextArrival), so every one generates.
 func (c *cluster) arrive(x int64) {
-	if c.eng.Now() < c.endGen {
-		c.clients[x].generate()
-	}
+	c.clients[x].generate()
 }
 
 // recordCompletion registers a finished request completing at time t.
@@ -659,10 +657,10 @@ func (s *switchNode) fromClient(p *packet) {
 		// Capture the clone's fields before toServer: on a lossy link
 		// toServer may free p, and the freelist may hand the same struct
 		// back as the clone.
-		op, sentAt, traced := p.op, p.sentAt, p.traced
+		op, traced := p.op, p.traced
 		s.toServer(p, int(res.DstSID))
 		clone := c.newPacket()
-		clone.hdr, clone.op, clone.sentAt, clone.traced = res.Clone, op, sentAt, traced
+		clone.hdr, clone.op, clone.traced = res.Clone, op, traced
 		c.eng.ScheduleAfter(c.dSwRecirc, s.hid, evSwRecirculate, clone, 0)
 	case dataplane.ActDrop, dataplane.ActPassL3:
 		// Dropped (no route) or not ours; nothing further in this model.
@@ -767,7 +765,7 @@ func (s *switchNode) toClient(p *packet, dst int) {
 		c.congToClient(dst, p, c.dSwLink)
 		return
 	}
-	c.eng.ScheduleAfter(c.dSwLink, c.cliHid, evCliOnResponse, p, int64(dst))
+	c.clients[dst].receive(p, c.eng.Now()+c.dSwLink)
 }
 
 // recirculate re-injects a clone into the ingress pipeline.
@@ -858,7 +856,7 @@ func (s *switchNode) coordToClient(p *packet, dst int) {
 		s.cl.congToClient(dst, p, s.cl.dSwLink)
 		return
 	}
-	s.cl.eng.ScheduleAfter(s.cl.dSwLink, s.cl.cliHid, evCliOnResponse, p, int64(dst))
+	s.cl.clients[dst].receive(p, s.cl.eng.Now()+s.cl.dSwLink)
 }
 
 // ---------------------------------------------------------------------
@@ -1124,9 +1122,10 @@ func (c *client) takePending(seq uint32) (pendingReq, bool) {
 }
 
 // client is an open-loop load generator with a sender and a receiver
-// thread (§4.2), each modelled as a FIFO resource with a per-packet cost.
+// thread (§4.2), each modelled as a FIFO resource with a per-packet cost:
+// busy-until arithmetic, no events of their own (sendPacket, receive).
 // Clients live in one slab (cluster.clients) and are not registered
-// with the engine one by one: their events go to the cluster's client
+// with the engine one by one: their arrivals go to the cluster's client
 // handler with the client's index in x.
 type client struct {
 	cl      *cluster
@@ -1137,8 +1136,7 @@ type client struct {
 	pendRing    []pendSlot // power-of-two length; see the pending-request table
 	pendSpill   map[uint32]pendingReq
 	txBusyUntil int64
-	rxQueue     pktFIFO
-	rxBusy      bool
+	rxBusyUntil int64
 	redundant   int64
 
 	// ring is the pendRingMin-slot ring, inline: pendRing starts on it
@@ -1146,14 +1144,18 @@ type client struct {
 	ring [pendRingMin]pendSlot
 }
 
-// start schedules the first generation event.
-func (c *client) start() {
-	c.cl.eng.ScheduleAfter(c.cl.arrival.NextGap(&c.rng.Rand), c.cl.cliHid, evCliGenerate, nil, int64(c.idx))
+// nextArrival draws the gap to the client's next open-loop arrival and
+// files it, unless it lands at or past endGen, where it would generate
+// nothing. The gap is drawn either way, so the client's random stream
+// does not depend on endGen.
+func (c *client) nextArrival(now int64) {
+	if at := now + c.cl.arrival.NextGap(&c.rng.Rand); at < c.cl.endGen {
+		c.cl.eng.Schedule(at, c.cl.cliHid, evCliGenerate, nil, int64(c.idx))
+	}
 }
 
 // generate creates one request (two packets under C-Clone) and schedules
-// the next arrival. The dispatcher (cluster.arrive) calls it only before
-// endGen.
+// the next arrival.
 func (c *client) generate() {
 	now := c.cl.eng.Now()
 	c.cl.generated++
@@ -1205,7 +1207,7 @@ func (c *client) generate() {
 		c.sendPacket(p, now)
 	}
 
-	c.cl.eng.ScheduleAfter(c.cl.arrival.NextGap(&c.rng.Rand), c.cl.cliHid, evCliGenerate, nil, int64(c.idx))
+	c.nextArrival(now)
 }
 
 // pickGroup selects the client's random group ID. In normal operation it
@@ -1248,7 +1250,6 @@ func (c *client) makeRequest(seq uint32, op workload.OpKind, grp uint16, direct 
 		PktTotal:  1,
 	}
 	p.op = op
-	p.sentAt = c.cl.eng.Now()
 	p.direct = direct
 	return p
 }
@@ -1264,69 +1265,58 @@ func (c *client) sendPacket(p *packet, now int64) {
 	c.cl.eng.Schedule(done+c.cl.dLink, c.cl.sw.hid, evSwFromClient, p, 0)
 }
 
-// onResponse handles a response arriving at the client NIC: it joins the
-// receiver thread's FIFO queue. The receiver processes one packet at a
-// time; a response whose request already completed takes the slower
-// dedup-miss path (ClientPktCostNS + DedupMissCostNS) and is discarded —
-// the client-side overhead that response filtering exists to remove
-// (§3.5, Fig 15). An idle receiver serves the packet at once: the queue
-// is only for responses that find it busy.
-func (c *client) onResponse(p *packet) {
-	if c.cl.cong != nil && p.hdr.ECN != 0 {
-		c.cl.cong.markedAtClients++
+// receive is the receiver thread taking response p, which reaches the
+// client NIC at time t. Like the sender, the receiver is a FIFO server
+// with fixed costs, so it is busy-until arithmetic: p's RX starts at
+// max(t, rxBusyUntil) and takes ClientPktCostNS, plus DedupMissCostNS
+// when p's request already completed — the client-side overhead that
+// response filtering exists to remove (§3.5, Fig 15).
+//
+// Every caller passes its clock plus dSwLink as t, so one client's
+// calls come in nondecreasing t, in the order the engine would have
+// dispatched the arrivals: the claims below happen in FIFO order and a
+// twin arriving second still misses. Each effect counts only if
+// the engine would have reached it by the deadline — the ECN mark at t,
+// the completion or redundant response at the end of RX — while the
+// claim is always made, since only later claims of the same seq see it.
+// FuzzClientReceiver holds this to the event-driven receiver it
+// replaced.
+func (c *client) receive(p *packet, t int64) {
+	cl := c.cl
+	if cl.cong != nil && p.hdr.ECN != 0 && t <= cl.deadline {
+		cl.cong.markedAtClients++
 	}
-	if c.rxBusy {
-		c.rxQueue.push(p)
+	req, hit := c.takePending(p.hdr.ClientSeq)
+	finish := max(t, c.rxBusyUntil) + cl.dCliPkt
+	if !hit {
+		finish += cl.dDedupMiss
+	}
+	c.rxBusyUntil = finish
+	if finish > cl.deadline {
+		cl.freePacket(p)
 		return
 	}
-	c.rxBusy = true
-	c.rxServe(p)
-}
-
-// rxServe starts the receiver on p: it claims (or misses) the pending
-// entry immediately, so a twin already queued behind p takes the miss
-// path, then schedules the per-packet RX cost; completion lands in
-// rxFinishHit/rxFinishMiss. A claimed request's send time travels in
-// the packet from here on.
-func (c *client) rxServe(p *packet) {
-	req, ok := c.takePending(p.hdr.ClientSeq)
-	cost := c.cl.dCliPkt
-	if ok {
-		p.sentAt = req.sentAt
-		c.cl.eng.ScheduleAfter(cost, c.cl.cliHid, evCliRxHit, p, int64(c.idx))
+	kind, value := trace.KindRedundant, int32(p.hdr.SID)
+	if hit {
+		lat := finish - req.sentAt
+		cl.recordCompletion(finish, lat)
+		kind, value = trace.KindComplete, int32(min(lat, math.MaxInt32))
 	} else {
-		c.cl.eng.ScheduleAfter(cost+c.cl.dDedupMiss, c.cl.cliHid, evCliRxMiss, p, int64(c.idx))
+		c.redundant++
 	}
-}
-
-// rxServeNext serves the receiver queue's head, or idles the receiver
-// when the queue is empty.
-func (c *client) rxServeNext() {
-	if c.rxQueue.len() == 0 {
-		c.rxBusy = false
-		return
-	}
-	c.rxServe(c.rxQueue.pop())
-}
-
-// rxFinishHit completes the winning response for a pending request.
-func (c *client) rxFinishHit(p *packet) {
-	now := c.cl.eng.Now()
-	lat := now - p.sentAt
-	c.cl.recordCompletion(now, lat)
 	if p.traced {
-		c.cl.record(trace.KindComplete, p, c.cl.topo.ClientRack, int32(min(lat, math.MaxInt32)), -1)
+		// The end of RX lies ahead of the clock: the recorder files it
+		// into its ring once the clock gets there.
+		cl.rec.RecordAhead(trace.Event{
+			At:     finish,
+			Seq:    p.hdr.ClientSeq,
+			Value:  value,
+			Port:   -1,
+			Client: p.hdr.ClientID,
+			Rack:   uint16(cl.topo.ClientRack),
+			Kind:   kind,
+			Flags:  pktFlags(p),
+		})
 	}
-	c.cl.freePacket(p)
-	c.rxServeNext()
-}
-
-// rxFinishMiss discards a response whose request already completed.
-func (c *client) rxFinishMiss(p *packet) {
-	c.redundant++
-	if p.traced {
-		c.cl.record(trace.KindRedundant, p, c.cl.topo.ClientRack, int32(p.hdr.SID), -1)
-	}
-	c.cl.freePacket(p)
-	c.rxServeNext()
+	cl.freePacket(p)
 }

@@ -51,11 +51,11 @@ const adaptiveBurst = 32
 // plus the typed event to fire when it finally leaves the port.
 type portEntry struct {
 	p    *packet
-	x    int64 // event x payload (e.g. destination server ID)
+	x    int64 // event x payload (e.g. destination server ID); the client at a client port
 	post int64 // legacy hop delay, paid after departure
 	svc  int64 // serialization time on this port's link
-	hid  int32 // destination handler
-	kind uint8 // destination event kind
+	hid  int32 // destination handler; unused at a client port
+	kind uint8 // destination event kind; unused at a client port
 	// chain, when >= 0, is a second port the packet traverses after
 	// this one — the spine egress of a fabric crossing. The chained
 	// enqueue happens inline at departure; post/hid/kind/x ride along
@@ -116,6 +116,9 @@ func (q *portQueue) headSvc() int64 { return q.ring[q.head].svc }
 type congCtl struct {
 	eng  *simnet.Engine
 	free func(*packet)
+	// recv hands a packet leaving a client down-port to client dst's
+	// receiver, which it reaches at time at (client.receive).
+	recv func(dst int, p *packet, at int64)
 	h    node  // the registered handler (events.go)
 	hid  int32 // its engine handler ID
 	// rec mirrors the owning cluster's flight recorder; nil when
@@ -165,6 +168,7 @@ func newCongCtl(c *cluster) *congCtl {
 	ctl := &congCtl{
 		eng:       c.eng,
 		free:      c.freePacket,
+		recv:      func(dst int, p *packet, at int64) { c.clients[dst].receive(p, at) },
 		rec:       c.rec,
 		cap:       spec.QueueCap(),
 		markAt:    spec.MarkThreshold(),
@@ -287,9 +291,9 @@ func (ctl *congCtl) enqueue(qi int, e portEntry) {
 }
 
 // depart handles evPortDepart: the head packet of port x finished
-// serializing. It departs (into the chained spine port, or onto its
-// final typed event after the legacy hop delay), and the next queued
-// packet takes the link.
+// serializing. It departs (into the chained spine port, to the client's
+// receiver, or onto its final typed event after the legacy hop delay),
+// and the next queued packet takes the link.
 func (ctl *congCtl) depart(x int64) {
 	qi := int(x)
 	q := &ctl.ports[qi]
@@ -307,6 +311,10 @@ func (ctl *congCtl) depart(x int64) {
 		e.chain = -1
 		e.svc = ctl.ports[next].svcNS
 		ctl.enqueue(next, e)
+		return
+	}
+	if q.class == portClassClient {
+		ctl.recv(int(e.x), e.p, now+e.post)
 		return
 	}
 	ctl.eng.ScheduleAfter(e.post, e.hid, e.kind, e.p, e.x)
@@ -411,8 +419,7 @@ func (c *cluster) congToServer(dst int, p *packet, post int64) {
 // congToClient routes a ToR->client hop through the client's down-port.
 func (c *cluster) congToClient(dst int, p *packet, post int64) {
 	c.cong.enqueue(c.cong.cliBase+dst, portEntry{
-		p: p, hid: c.cliHid, kind: evCliOnResponse, x: int64(dst),
-		post: post, svc: c.cong.svcEdge, chain: -1,
+		p: p, x: int64(dst), post: post, svc: c.cong.svcEdge, chain: -1,
 	})
 }
 

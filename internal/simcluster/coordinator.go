@@ -111,7 +111,7 @@ func (co *coordinator) dispatch(p *packet) {
 		}
 		co.sendToServer(p, idle[i])
 		dup := co.cl.newPacket()
-		dup.hdr, dup.op, dup.sentAt = p.hdr, p.op, p.sentAt
+		dup.hdr, dup.op = p.hdr, p.op
 		dup.coordID, dup.traced = p.coordID, p.traced // its response returns to this owner
 		co.sendToServer(dup, idle[j])
 		co.pendingPair[p.hdr.LamportID()] = false

@@ -37,12 +37,11 @@ const (
 	evSrvDispatch  // dispatcher cost paid; enqueue or start service
 	evSrvFinish    // worker finished executing the request
 
-	// client events. arg = *packet except evCliGenerate (nil); x = the
-	// client's index in cluster.clients, for every kind.
-	evCliGenerate   // open-loop arrival: create the next request
-	evCliOnResponse // response arrives at the client NIC
-	evCliRxHit      // RX thread finished a response with a pending match
-	evCliRxMiss     // RX thread finished a response whose request already completed
+	// client events. arg = nil; x = the client's index in
+	// cluster.clients. A client's sender and receiver are busy-until
+	// arithmetic (client.sendPacket, client.receive): an arrival is its
+	// only event.
+	evCliGenerate // open-loop arrival: create the next request
 
 	// coordinator events (LÆDGE). arg = *packet.
 	evCoArriveRequest  // request arrives at the coordinator NIC
@@ -103,12 +102,6 @@ func (n *node) OnEvent(kind uint8, arg any, x int64) {
 
 	case evCliGenerate:
 		n.self.(*cluster).arrive(x)
-	case evCliOnResponse:
-		n.self.(*cluster).clients[x].onResponse(arg.(*packet))
-	case evCliRxHit:
-		n.self.(*cluster).clients[x].rxFinishHit(arg.(*packet))
-	case evCliRxMiss:
-		n.self.(*cluster).clients[x].rxFinishMiss(arg.(*packet))
 
 	case evCoArriveRequest:
 		n.self.(*coordinator).arriveRequest(arg.(*packet))

@@ -12,7 +12,6 @@ import (
 
 	"netclone/internal/congestion"
 	"netclone/internal/faults"
-	"netclone/internal/wire"
 	"netclone/internal/workload"
 )
 
@@ -143,9 +142,6 @@ var eventMethods = map[string]string{
 	"evSrvDispatch":       "server.dispatch",
 	"evSrvFinish":         "server.finish",
 	"evCliGenerate":       "cluster.arrive",
-	"evCliOnResponse":     "client.onResponse",
-	"evCliRxHit":          "client.rxFinishHit",
-	"evCliRxMiss":         "client.rxFinishMiss",
 	"evCoArriveRequest":   "coordinator.arriveRequest",
 	"evCoDispatch":        "coordinator.dispatch",
 	"evCoArriveResponse":  "coordinator.arriveResponse",
@@ -237,10 +233,10 @@ func TestEventKindsReachTheirMethods(t *testing.T) {
 	checkClientEventsReachTheirClient(t)
 }
 
-// checkClientEventsReachTheirClient delivers each client event kind
-// through the engine with x = k and requires client k, and no other,
-// to act on it: the client handler stands for the whole population,
-// so the index in x is all that routes a client event.
+// checkClientEventsReachTheirClient delivers the client event kind,
+// an arrival, through the engine with x = k and requires client k, and
+// no other, to act on it: the client handler stands for the whole
+// population, so the index in x is all that routes a client event.
 func checkClientEventsReachTheirClient(t *testing.T) {
 	t.Helper()
 	cfg := fastConfig(NetClone)
@@ -255,46 +251,14 @@ func checkClientEventsReachTheirClient(t *testing.T) {
 	}
 	defer c.release()
 	const k = 5
-	// deliver runs one event at the current time; everything it
-	// schedules lies later and stays queued.
-	deliver := func(kind uint8, p *packet) {
-		c.eng.Schedule(c.eng.Now(), c.cliHid, kind, p, k)
-		c.eng.RunUntil(c.eng.Now())
-	}
-	only := func(event, what string, got func(cl *client) bool) {
-		t.Helper()
-		for i := range c.clients {
-			if got(&c.clients[i]) != (i == k) {
-				t.Errorf("%s with x = %d: client %d %s = %v, want %v", event, k, i, what, got(&c.clients[i]), i == k)
-			}
+	// The arrival runs at the current time; everything it schedules
+	// lies later and stays queued.
+	c.eng.Schedule(c.eng.Now(), c.cliHid, evCliGenerate, nil, k)
+	c.eng.RunUntil(c.eng.Now())
+	for i := range c.clients {
+		if got := c.clients[i].nextSeq == 1; got != (i == k) {
+			t.Errorf("evCliGenerate with x = %d: client %d issued a request = %v, want %v", k, i, got, i == k)
 		}
-	}
-
-	deliver(evCliGenerate, nil)
-	only("evCliGenerate", "issued a request", func(cl *client) bool { return cl.nextSeq == 1 })
-
-	resp := c.newPacket()
-	resp.hdr = wire.Header{Type: wire.TypeResp, ClientID: k}
-	deliver(evCliOnResponse, resp)
-	only("evCliOnResponse", "receiver busy", func(cl *client) bool { return cl.rxBusy })
-
-	// With every receiver busy and no queue behind it, the client that
-	// finishes a response goes idle.
-	for _, ev := range []struct {
-		name string
-		kind uint8
-	}{{"evCliRxHit", evCliRxHit}, {"evCliRxMiss", evCliRxMiss}} {
-		for i := range c.clients {
-			c.clients[i].rxBusy = true
-		}
-		p := c.newPacket()
-		p.sentAt = c.eng.Now()
-		deliver(ev.kind, p)
-		only(ev.name, "receiver idle", func(cl *client) bool { return !cl.rxBusy })
-	}
-	only("evCliRxMiss", "counted a redundant response", func(cl *client) bool { return cl.redundant == 1 })
-	if c.completed != 1 {
-		t.Errorf("evCliRxHit completed %d requests, want 1", c.completed)
 	}
 }
 

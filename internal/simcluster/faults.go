@@ -34,11 +34,8 @@ type faultCtl struct {
 	plan  []faults.Injection
 	trans []faultTrans
 
-	// degraded is the merged union of all fault windows; degIdx is the
-	// monotone scan cursor recordCompletion advances (completion times
-	// are non-decreasing, so attribution is O(1) amortized).
+	// degraded is the merged union of all fault windows.
 	degraded [][2]int64
-	degIdx   int
 
 	transitions    int
 	serversDown    int
@@ -149,13 +146,16 @@ func (f *faultCtl) apply(tr faultTrans) {
 }
 
 // inDegraded reports whether completion time t falls inside any fault
-// window. t is non-decreasing across calls (completions run in event
-// order), so the cursor only moves forward.
+// window. Completions are recorded when their response reaches the
+// client, stamped with the end of RX (client.receive), so t is not
+// monotone across clients and every call scans the plan's few windows.
 func (f *faultCtl) inDegraded(t int64) bool {
-	for f.degIdx < len(f.degraded) && t >= f.degraded[f.degIdx][1] {
-		f.degIdx++
+	for _, w := range f.degraded {
+		if t >= w[0] && t < w[1] {
+			return true
+		}
 	}
-	return f.degIdx < len(f.degraded) && t >= f.degraded[f.degIdx][0]
+	return false
 }
 
 // summary reduces the controller into the Result view.

@@ -114,12 +114,11 @@ func TestFreelistNoStateLeak(t *testing.T) {
 	p.hdr.ReqID = 7
 	p.hdr.ClientSeq = 99
 	p.op = workload.OpScan
-	p.sentAt = 12345
 	p.direct = true
 	p.coordID = 3
 	c.freePacket(p)
 
-	if p.sentAt == 12345 {
+	if p.coordID == 3 {
 		t.Fatal("freePacket did not poison the freed packet")
 	}
 	q := c.newPacket()

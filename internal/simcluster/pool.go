@@ -119,7 +119,6 @@ func poison(p *packet) {
 		ECN:        0xAA,
 	}
 	p.op = 0xAA
-	p.sentAt = dead
 	p.direct = true
 	p.traced = true // a reader records garbage, or panics on a nil recorder
 	p.coordID = -0x55AA55AA

@@ -80,7 +80,8 @@ type byKind [len(kindNames)]*Event
 
 // request is one logical request rebuilt from its records.
 type request struct {
-	// evs holds the request's records in recording order.
+	// evs holds the request's records in Data order: by time, ties in
+	// recording order.
 	evs []Event
 	// first holds the request's first record of each kind.
 	first byKind

@@ -5,9 +5,10 @@
 // The package imports nothing from the module but internal/stats (for
 // the Breakdown reduction's histograms), so any layer (engine, cluster)
 // can record into it without dependency cycles. The recording discipline mirrors the
-// packet freelist's zero-alloc contract: a Recorder never allocates
-// after construction (Record writes into the prebuilt ring, head-drop
-// on overflow), and a disabled recorder is a nil pointer whose guard is
+// packet freelist's zero-alloc contract: a Recorder allocates nothing
+// in steady state (Record writes into the prebuilt ring, head-drop on
+// overflow; RecordAhead's side list keeps its high-water capacity
+// across Reset), and a disabled recorder is a nil pointer whose guard is
 // a single branch on the hot path. Tracing is strictly observational:
 // nothing here schedules events or draws RNG, so recorder on/off cannot
 // perturb the simulation's event order (pinned by the equivalence tests
@@ -130,12 +131,18 @@ const DefaultCap = 1 << 16
 // A nil *Recorder means tracing is disabled; callers guard every
 // recording site with a nil (or packet-traced-flag) check, so the
 // disabled path costs one predictable branch.
+//
+// The ring holds records in nondecreasing At, so head-drop keeps the
+// newest window of the run. A record stamped ahead of the clock
+// (RecordAhead) waits in a side list, sorted by At, until the clock
+// reaches it.
 type Recorder struct {
 	rate    uint32
 	buf     []Event
 	next    int
 	full    bool
 	dropped int64
+	ahead   []Event
 }
 
 // NewRecorder builds a recorder sampling every rate-th request per
@@ -162,7 +169,7 @@ func (r *Recorder) Reset(rate, capacity int) {
 	if cap(buf) < capacity {
 		buf = make([]Event, capacity)
 	}
-	*r = Recorder{rate: uint32(rate), buf: buf[:capacity]}
+	*r = Recorder{rate: uint32(rate), buf: buf[:capacity], ahead: r.ahead[:0]}
 }
 
 // Rate returns the sampling rate the recorder was built with.
@@ -174,9 +181,42 @@ func (r *Recorder) Rate() int { return int(r.rate) }
 // stream the simulation consumes.
 func (r *Recorder) Traced(seq uint32) bool { return seq%r.rate == 0 }
 
-// Record appends e to the ring, overwriting the oldest record when
-// full.
+// Record appends e, stamped with the current virtual time, to the ring,
+// overwriting the oldest record when full. Ahead records the clock has
+// reached by e.At go in first.
 func (r *Recorder) Record(e Event) {
+	if len(r.ahead) > 0 && r.ahead[0].At <= e.At {
+		r.fileAhead(e.At)
+	}
+	r.write(e)
+}
+
+// RecordAhead holds e, stamped later than the current virtual time,
+// until a Record at or past e.At (or Snapshot) files it into the ring.
+// Ahead records with equal At keep their recording order.
+func (r *Recorder) RecordAhead(e Event) {
+	i := len(r.ahead)
+	for i > 0 && r.ahead[i-1].At > e.At {
+		i--
+	}
+	r.ahead = append(r.ahead, Event{})
+	copy(r.ahead[i+1:], r.ahead[i:])
+	r.ahead[i] = e
+}
+
+// fileAhead moves the ahead records stamped at or before at into the
+// ring.
+func (r *Recorder) fileAhead(at int64) {
+	n := 0
+	for n < len(r.ahead) && r.ahead[n].At <= at {
+		r.write(r.ahead[n])
+		n++
+	}
+	r.ahead = r.ahead[:copy(r.ahead, r.ahead[n:])]
+}
+
+// write puts e in the ring's next slot.
+func (r *Recorder) write(e Event) {
 	if r.full {
 		r.dropped++
 	}
@@ -188,7 +228,8 @@ func (r *Recorder) Record(e Event) {
 	}
 }
 
-// Len returns the number of records currently held.
+// Len returns the number of records the ring holds (ahead records wait
+// outside it).
 func (r *Recorder) Len() int {
 	if r.full {
 		return len(r.buf)
@@ -199,8 +240,12 @@ func (r *Recorder) Len() int {
 // Dropped returns the number of records lost to ring overwrite.
 func (r *Recorder) Dropped() int64 { return r.dropped }
 
-// Snapshot copies the ring out in recording (time) order.
+// Snapshot files every ahead record, since the run is over, and copies
+// the ring out in recording order, which is time order.
 func (r *Recorder) Snapshot() *Data {
+	if len(r.ahead) > 0 {
+		r.fileAhead(r.ahead[len(r.ahead)-1].At)
+	}
 	d := &Data{Rate: int(r.rate), Dropped: r.dropped}
 	d.Events = make([]Event, 0, r.Len())
 	if r.full {

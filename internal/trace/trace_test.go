@@ -49,6 +49,46 @@ func TestRecorderPartialSnapshotOrder(t *testing.T) {
 	}
 }
 
+// TestRecordAheadKeepsTimeOrder interleaves records stamped ahead of
+// the clock, as the client receiver's end of RX is, with records at the
+// clock, across a ring that wraps: the ring must hold them in
+// nondecreasing At, equal-At ahead records in recording order and
+// ahead of a clock record at the same At, and so head-drop must keep
+// the newest window by time.
+func TestRecordAheadKeepsTimeOrder(t *testing.T) {
+	r := NewRecorder(1, 6)
+	// Seq tells the records apart.
+	type rec struct {
+		at    int64
+		seq   uint32
+		ahead bool
+	}
+	for _, e := range []rec{
+		{0, 0, false}, {9, 1, true}, {1, 2, false}, {4, 3, true}, {9, 4, true},
+		{2, 5, false}, {4, 6, false}, {5, 7, false}, {12, 8, true}, {9, 9, false},
+	} {
+		ev := Event{At: e.at, Seq: e.seq}
+		if e.ahead {
+			r.RecordAhead(ev)
+		} else {
+			r.Record(ev)
+		}
+	}
+	// Filed order: 0@0 2@1 5@2 3@4 6@4 7@5 1@9 4@9 9@9, then 8@12 at
+	// Snapshot; a ring of 6 keeps the last six.
+	d := r.Snapshot()
+	var got []uint32
+	for _, e := range d.Events {
+		got = append(got, e.Seq)
+	}
+	if want := []uint32{6, 7, 1, 4, 9, 8}; !reflect.DeepEqual(got, want) {
+		t.Errorf("Snapshot seqs = %v, want %v", got, want)
+	}
+	if d.Dropped != 4 {
+		t.Errorf("Dropped = %d, want 4", d.Dropped)
+	}
+}
+
 func TestRecorderTraced(t *testing.T) {
 	r := NewRecorder(4, 8)
 	for seq := uint32(0); seq < 12; seq++ {
