@@ -138,6 +138,24 @@ func SwitchOutage(at, recoverAt time.Duration) Injection {
 	return Injection{Kind: KindSwitchOutage, Target: -1, FromNS: int64(at), UntilNS: int64(recoverAt)}
 }
 
+// SlowdownAt returns the factor the slowdowns among inj put on server's
+// service times at t: the Factor of the window that holds t (FromNS <=
+// t < UntilNS), ramped from 1 over its first RampNS. ok is false when no
+// window holds t. A valid plan's windows on one server do not overlap,
+// so at most one does.
+func SlowdownAt(inj []Injection, server int, t int64) (factor float64, ok bool) {
+	for _, in := range inj {
+		if in.Kind != KindServerSlowdown || in.Target != server || t < in.FromNS || t >= in.UntilNS {
+			continue
+		}
+		if end := in.FromNS + in.RampNS; t < end {
+			return 1 + (in.Factor-1)*(float64(t-in.FromNS)/float64(end-in.FromNS)), true
+		}
+		return in.Factor, true
+	}
+	return 1, false
+}
+
 // Plan is an ordered, immutable set of injections. The zero value and
 // the nil plan are both the empty plan; With derives extended copies,
 // so one plan can safely fan out across concurrently running scenario

@@ -211,3 +211,43 @@ func TestWindowsMergesIntervals(t *testing.T) {
 		t.Error("empty plan has windows")
 	}
 }
+
+// TestSlowdownAt pins the slowdown lookup: a window holds its start and
+// not its end, a ramp climbs linearly from 1, adjacent windows declared
+// out of order hand over at their shared edge, and other servers' and
+// other kinds' windows do not count.
+func TestSlowdownAt(t *testing.T) {
+	ramped := []Injection{ServerSlowdown(1, 100, 200, 3, 50)}
+	adjacent := []Injection{
+		ServerCrash(0, 0, 1000),
+		ServerSlowdown(0, 200, 300, 2, 0),
+		ServerSlowdown(0, 100, 200, 4, 0),
+		ServerSlowdown(1, 0, Forever, 8, 0),
+	}
+	cases := []struct {
+		name   string
+		inj    []Injection
+		server int
+		t      int64
+		want   float64
+		ok     bool
+	}{
+		{"before the window", ramped, 1, 99, 1, false},
+		{"at the ramp's start", ramped, 1, 100, 1, true},
+		{"halfway up the ramp", ramped, 1, 125, 2, true},
+		{"at the ramp's end", ramped, 1, 150, 3, true},
+		{"last nanosecond of the window", ramped, 1, 199, 3, true},
+		{"at the window's end", ramped, 1, 200, 1, false},
+		{"another server", ramped, 0, 150, 1, false},
+		{"the earlier of two adjacent windows, at its start", adjacent, 0, 100, 4, true},
+		{"the earlier window's last nanosecond", adjacent, 0, 199, 4, true},
+		{"the later window, at the shared edge", adjacent, 0, 200, 2, true},
+		{"past both", adjacent, 0, 300, 1, false},
+		{"a window that never ends", adjacent, 1, 1 << 60, 8, true},
+	}
+	for _, tc := range cases {
+		if got, ok := SlowdownAt(tc.inj, tc.server, tc.t); got != tc.want || ok != tc.ok {
+			t.Errorf("%s: server %d at %d: factor %g (%v), want %g (%v)", tc.name, tc.server, tc.t, got, ok, tc.want, tc.ok)
+		}
+	}
+}

@@ -5,6 +5,7 @@ import (
 	"math/rand/v2"
 
 	"netclone/internal/dataplane"
+	"netclone/internal/faults"
 	"netclone/internal/simnet"
 	"netclone/internal/stats"
 	"netclone/internal/topology"
@@ -19,12 +20,13 @@ import (
 // are recycled through the cluster's freelist (pool.go); see there for
 // the lifecycle rules.
 type packet struct {
-	hdr      wire.Header
-	op       workload.OpKind
-	direct   bool   // bypass NetClone processing (write requests, §5.5)
-	traced   bool   // sampled by the flight recorder (trace.go discipline)
-	coordID  int    // owning LÆDGE coordinator (multi-coordinator scale-out)
-	srvEpoch uint32 // owning server's crash epoch at admission (fault model)
+	hdr       wire.Header
+	op        workload.OpKind
+	direct    bool   // bypass NetClone processing (write requests, §5.5)
+	traced    bool   // sampled by the flight recorder (trace.go discipline)
+	cancelled bool   // killed by a server crash before it started (server.crash)
+	coordID   int    // owning LÆDGE coordinator (multi-coordinator scale-out)
+	srvEpoch  uint32 // owning server's crash epoch at admission (fault model)
 }
 
 // pktFIFO is an allocation-stable FIFO of packets: pops advance a head
@@ -103,6 +105,11 @@ type cluster struct {
 	winStart   int64   // measurement window [winStart, winEnd)
 	winEnd     int64
 	isLaedge   bool
+
+	// rankArrive and rankDispatch are the virtual-time ranks of a
+	// server's arrivals and dispatches (vtRanks): 1 for the one filed
+	// further ahead, 3 for the other.
+	rankArrive, rankDispatch int64
 
 	// Loss-window state, owned by the fault controller: inside a
 	// window each link traversal drops with probability
@@ -263,6 +270,10 @@ func build(cfg Config) (*cluster, error) {
 		winEnd:     cfg.WarmupNS + cfg.DurationNS,
 		isLaedge:   cfg.Scheme == LAEDGE,
 	}
+	c.rankArrive, c.rankDispatch = 1, 3
+	if c.dDispatch > c.dSwLink {
+		c.rankArrive, c.rankDispatch = 3, 1
+	}
 	if cfg.TimelineBinNS > 0 {
 		c.timeline = stats.NewTimeSeries(cfg.TimelineBinNS)
 	}
@@ -402,19 +413,26 @@ func (c *cluster) buildSwitches() error {
 
 // buildServers and buildClients allocate each entity kind as one slab
 // (generators and the smallest pending ring inline, larger rings carved
-// from one more), so building costs a fixed handful of allocations
-// whatever the population.
+// from one more; a server's slots and first requests, one worker's
+// worth each, from two more), so building costs a fixed handful of
+// allocations whatever the population.
 func (c *cluster) buildServers() {
 	slab := make([]server, len(c.cfg.Workers))
 	c.servers = make([]*server, len(slab))
+	workers := 0
+	for _, w := range c.cfg.Workers {
+		workers += w
+	}
+	free, pend := make([]int64, workers), make([]dataplane.Pending[admitted], workers)
 	for sid, w := range c.cfg.Workers {
 		s := &slab[sid]
 		*s = server{
-			cl:      c,
-			sid:     uint16(sid),
-			workers: w,
-			tor:     c.tors[c.topo.ServerRack[sid]],
+			cl:  c,
+			sid: uint16(sid),
+			tor: c.tors[c.topo.ServerRack[sid]],
 		}
+		s.pool.Init(free[:w:w], pend[:0:w])
+		free, pend = free[w:], pend[w:]
 		s.rng.Seed(c.cfg.Seed, 200+uint64(sid))
 		s.hid = s.h.register(c.eng, s)
 		c.servers[sid] = s
@@ -862,109 +880,139 @@ func (s *switchNode) coordToClient(p *packet, dst int) {
 // ---------------------------------------------------------------------
 // Server node
 
-// server models a worker server: a dispatcher feeding a FCFS request
-// queue drained by worker threads (§4.2).
+// server models a worker server: a dispatcher feeding an FCFS pool of
+// worker threads (§4.2), in closed form (dataplane.FCFS): its events are
+// a request's arrival and finish. FuzzServerQueue holds it to the
+// event-driven server it replaced.
 type server struct {
-	cl      *cluster
-	h       node // the registered handler (events.go)
-	sid     uint16
-	hid     int32 // its engine handler ID
-	workers int
-	tor     *switchNode // the server's home-rack ToR
-	rng     simnet.RNG
+	cl   *cluster
+	h    node // the registered handler (events.go)
+	sid  uint16
+	hid  int32       // its engine handler ID
+	tor  *switchNode // the server's home-rack ToR
+	rng  simnet.RNG
+	pool dataplane.FCFS[admitted] // in virtual time (vtRanks)
+	slow []faults.Injection       // the fault plan's slowdowns of this server
 
-	queue pktFIFO
-	busy  int
+	// Fault-model state. epoch counts crashes: a packet admitted under
+	// an older epoch is dead at its finish.
+	down  bool
+	epoch uint32
 
-	// Fault-model state. epoch counts crashes: packets admitted under
-	// an older epoch are dead on arrival at their next event, which is
-	// how a crash kills queued and in-flight work without scanning the
-	// event queue. slow* hold the active slowdown window's parameters.
-	down          bool
-	epoch         uint32
-	slowActive    bool
-	slowFactor    float64
-	slowFromNS    int64
-	slowRampEndNS int64
+	finVT, finN int64 // the latest finish's virtual time, and the finishes run at it
 
 	cloneDrops int64
 	respEmptyQ int64
 	respTotal  int64
 }
 
-// crash takes the server down: queued requests are freed, in-flight
-// work is orphaned by the epoch bump, and the worker pool restarts
-// empty at recovery.
+// admitted is a request on a server's pool: its packet, and where the
+// server's generator stood before it drew the request's service time.
+type admitted struct {
+	p    *packet
+	mark rand.PCG
+}
+
+// The engine runs one nanosecond's events in the order they were filed
+// (DESIGN.md §6). The event-driven server's arrival was filed dSwLink
+// ahead, a dispatch dDispatch ahead and a finish its service time
+// ahead, so the pool keeps time in vtRanks per nanosecond: arrivals and
+// dispatches take ranks 1 and 3 in the order of their leads, a finish
+// rank 0, 2 or 4, before, between or after them.
+const vtRanks = 5
+
+// finishRank is the rank of a finish that took svc from a start at rank
+// startRank. On a lead equal to an arrival's, the arrival's filer (the
+// switch) is taken to run first; on one equal to a dispatch's, the
+// earlier of the dispatch's filer (an arrival) and the start goes first.
+func (c *cluster) finishRank(svc, startRank int64) (r int64) {
+	if svc <= c.dSwLink {
+		r += 2
+	}
+	if svc < c.dDispatch || svc == c.dDispatch && startRank > c.rankArrive {
+		r += 2
+	}
+	return r
+}
+
+// crash takes the server down; work in service dies at its finish. The
+// requests not yet started had drawn no service time in the event-driven
+// server: the generator goes back to before the first of them, and each
+// is cancelled (its finish frees it uncounted) and loses its start
+// record. One still in the dispatcher is a fault drop, as when its
+// dispatch came due by the deadline.
 func (s *server) crash() {
+	c := s.cl
 	s.down = true
 	s.epoch++
-	for s.queue.len() > 0 {
-		s.cl.freePacket(s.queue.pop())
-	}
-	s.busy = 0
+	now, first := c.eng.Now()*vtRanks, true
+	s.pool.Reset(now, func(e *dataplane.Pending[admitted]) {
+		if first {
+			s.rng.Rewind(e.Token.mark)
+			first = false
+		}
+		p := e.Token.p
+		p.cancelled = true
+		if e.Ready >= now && e.Ready/vtRanks <= c.deadline {
+			c.faultDrops++
+		}
+		if p.traced && e.Start/vtRanks <= c.deadline {
+			c.rec.Retract(s.startRecord(p, e.Start/vtRanks))
+		}
+	})
 }
 
 // recoverUp brings a crashed server back with fresh, empty state.
 func (s *server) recoverUp() { s.down = false }
 
-// onRequest handles a request arriving at the server NIC.
+// onRequest handles a request arriving at the server NIC: past the
+// stale-clone guard, it joins the pool, its service time slowed by the
+// window holding its start, and its finish is filed.
 func (s *server) onRequest(p *packet) {
+	c := s.cl
 	// A crashed server drops everything on the floor (fault model).
 	if s.down {
-		s.cl.faultDrops++
-		s.cl.freePacket(p)
+		c.faultDrops++
+		c.freePacket(p)
 		return
 	}
-	if !dataplane.AdmitRequest(p.hdr.Clo, s.queue.len(), !s.cl.cfg.DisableServerCloneDrop) {
+	now := c.eng.Now()
+	if !dataplane.AdmitRequest(p.hdr.Clo, s.pool.Waiting(now*vtRanks+c.rankArrive), !c.cfg.DisableServerCloneDrop) {
 		s.cloneDrops++
 		if p.traced {
-			s.cl.record(trace.KindCloneDrop, p, s.tor.rack, int32(s.sid), -1)
+			c.record(trace.KindCloneDrop, p, s.tor.rack, int32(s.sid), -1)
 		}
-		s.cl.freePacket(p)
+		c.freePacket(p)
 		return
 	}
 	if p.traced {
-		s.cl.record(trace.KindServerArrive, p, s.tor.rack, int32(s.sid), -1)
+		c.record(trace.KindServerArrive, p, s.tor.rack, int32(s.sid), -1)
 	}
 	p.srvEpoch = s.epoch
-	// Dispatcher cost, then enqueue or start service.
-	s.cl.eng.ScheduleAfter(s.cl.dDispatch, s.hid, evSrvDispatch, p, 0)
-}
-
-// dispatch runs after the dispatcher cost: start service on a free
-// worker thread or join the FCFS queue.
-func (s *server) dispatch(p *packet) {
-	if s.down || p.srvEpoch != s.epoch {
-		// Crashed since admission: the dispatcher died with the request.
-		s.cl.faultDrops++
-		s.cl.freePacket(p)
-		return
-	}
-	if s.busy < s.workers {
-		s.busy++
-		s.startService(p)
-	} else {
-		s.queue.push(p)
-	}
-}
-
-// startService begins executing p on a free worker thread.
-func (s *server) startService(p *packet) {
+	mark := s.rng.Mark()
 	svc := s.serviceTime(p.op)
-	if s.slowActive {
-		// Straggler window: multiply the drawn service time by the
-		// (possibly still ramping) slowdown factor.
-		f := s.slowFactor
-		if now := s.cl.eng.Now(); now < s.slowRampEndNS {
-			frac := float64(now-s.slowFromNS) / float64(s.slowRampEndNS-s.slowFromNS)
-			f = 1 + (s.slowFactor-1)*frac
+	vs := s.pool.Admit(now*vtRanks, (now+c.dDispatch)*vtRanks+c.rankDispatch, admitted{p, mark})
+	start := vs / vtRanks
+	if len(s.slow) > 0 {
+		if f, ok := faults.SlowdownAt(s.slow, int(s.sid), start); ok {
+			svc = int64(float64(svc) * f)
 		}
-		svc = int64(float64(svc) * f)
 	}
-	if p.traced {
-		s.cl.record(trace.KindServerStart, p, s.tor.rack, int32(s.sid), -1)
+	end := start + svc
+	vf := end*vtRanks + c.finishRank(svc, vs%vtRanks)
+	s.pool.Hold(vf)
+	if p.traced && start <= c.deadline {
+		c.rec.RecordAhead(s.startRecord(p, start))
 	}
-	s.cl.eng.ScheduleAfter(svc, s.hid, evSrvFinish, p, 0)
+	c.eng.Schedule(end, s.hid, evSrvFinish, p, vf)
+}
+
+// startRecord is p's service-start record at time at.
+func (s *server) startRecord(p *packet, at int64) trace.Event {
+	return trace.Event{
+		At: at, Seq: p.hdr.ClientSeq, Value: int32(s.sid), Port: -1, Client: p.hdr.ClientID,
+		Rack: uint16(s.tor.rack), Kind: trace.KindServerStart, Flags: pktFlags(p),
+	}
 }
 
 func (s *server) serviceTime(op workload.OpKind) int64 {
@@ -974,20 +1022,29 @@ func (s *server) serviceTime(op workload.OpKind) int64 {
 	return s.cl.cfg.Service.Sample(&s.rng.Rand)
 }
 
-// finish completes p, emits the response, and pulls the next queued
-// request. The request packet is rewritten into the response in place —
-// the server owns the only reference, so no copy or pool round-trip is
-// needed (pool.go lifecycle rules).
-func (s *server) finish(p *packet) {
+// finish completes p at virtual time vt and rewrites it into the
+// response in place (pool.go lifecycle rules). It reports the queue the
+// event-driven server read before pulling the next request: those
+// dispatched before vt and starting after it, and of those starting at
+// vt, the ones left to this and the later finishes at vt, each pulling
+// one.
+func (s *server) finish(p *packet, vt int64) {
 	if p.srvEpoch != s.epoch {
-		// The server crashed while this request was in service: the
-		// worker thread died with it, so no response is emitted and the
-		// (post-recovery) pool owes it nothing.
-		s.cl.faultDrops++
+		// A crash killed it in service (no response) or before.
+		if !p.cancelled {
+			s.cl.faultDrops++
+		}
 		s.cl.freePacket(p)
 		return
 	}
-	qlen := s.queue.len()
+	if vt != s.finVT {
+		s.finVT, s.finN = vt, 0
+	}
+	qlen := s.pool.Waiting(vt - 1)
+	if s.finN > 0 {
+		qlen = max(s.pool.Waiting(vt), qlen-int(s.finN))
+	}
+	s.finN++
 	s.respTotal++
 	if qlen == 0 {
 		s.respEmptyQ++
@@ -1007,13 +1064,6 @@ func (s *server) finish(p *packet) {
 		s.cl.eng.ScheduleAfter(s.cl.dLink, s.tor.hid, evSwTransitResponse, p, 0)
 	} else {
 		s.cl.eng.ScheduleAfter(s.cl.dLink, s.cl.sw.hid, evSwFromServer, p, 0)
-	}
-
-	// Pull the next request.
-	if s.queue.len() > 0 {
-		s.startService(s.queue.pop())
-	} else {
-		s.busy--
 	}
 }
 

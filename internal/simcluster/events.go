@@ -32,10 +32,10 @@ const (
 	evSwCoordToServer                // coordinator dispatch arrives at the switch; x = dst server
 	evSwCoordToClient                // coordinator response arrives at the switch; x = dst client
 
-	// server events. arg = *packet.
-	evSrvOnRequest // request arrives at the server NIC
-	evSrvDispatch  // dispatcher cost paid; enqueue or start service
-	evSrvFinish    // worker finished executing the request
+	// server events. arg = *packet. A server's pool is arithmetic
+	// (server.onRequest): an arrival and a finish are its only events.
+	evSrvOnRequest // request arrives at the server NIC: admit it, work out its start and finish
+	evSrvFinish    // worker finished executing the request; x = its virtual time (vtRanks)
 
 	// client events. arg = nil; x = the client's index in
 	// cluster.clients. A client's sender and receiver are busy-until
@@ -95,10 +95,8 @@ func (n *node) OnEvent(kind uint8, arg any, x int64) {
 
 	case evSrvOnRequest:
 		n.self.(*server).onRequest(arg.(*packet))
-	case evSrvDispatch:
-		n.self.(*server).dispatch(arg.(*packet))
 	case evSrvFinish:
-		n.self.(*server).finish(arg.(*packet))
+		n.self.(*server).finish(arg.(*packet), x)
 
 	case evCliGenerate:
 		n.self.(*cluster).arrive(x)

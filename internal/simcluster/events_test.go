@@ -139,7 +139,6 @@ var eventMethods = map[string]string{
 	"evSwCoordToServer":   "switchNode.coordToServer",
 	"evSwCoordToClient":   "switchNode.coordToClient",
 	"evSrvOnRequest":      "server.onRequest",
-	"evSrvDispatch":       "server.dispatch",
 	"evSrvFinish":         "server.finish",
 	"evCliGenerate":       "cluster.arrive",
 	"evCoArriveRequest":   "coordinator.arriveRequest",

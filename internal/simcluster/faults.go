@@ -13,10 +13,12 @@ import (
 // transitions sorted by time, each applied by one typed engine event
 // (evFaultTrans, arg nil, x = transition index — no allocation).
 // Transitions flip scalar state on the cluster's nodes (switch.down,
-// server.down/epoch, slowdown factors, the loss-window parameters); the
-// per-packet steady path only reads those scalars,
-// so fault scheduling adds zero allocations and — with no plan — zero
-// behavioral difference to a fault-free run.
+// server.down/epoch, the loss-window parameters); the per-packet steady
+// path only reads those scalars and, at a slowed server, its slowdown
+// windows (server.slow, read at each service start: a slowdown's
+// transitions change nothing), so fault scheduling adds zero
+// allocations and — with no plan — zero behavioral difference to a
+// fault-free run.
 
 // faultTrans is one compiled transition: injection inj begins (or
 // ends) at time at.
@@ -47,6 +49,10 @@ func newFaultCtl(c *cluster, inj []faults.Injection) *faultCtl {
 	f := &faultCtl{cl: c, plan: inj}
 	f.hid = f.h.register(c.eng, f)
 	for i, in := range inj {
+		if in.Kind == faults.KindServerSlowdown {
+			s := c.servers[in.Target]
+			s.slow = append(s.slow, in)
+		}
 		f.trans = append(f.trans, faultTrans{at: in.FromNS, inj: i, begin: true})
 		if in.UntilNS != math.MaxInt64 {
 			f.trans = append(f.trans, faultTrans{at: in.UntilNS, inj: i, begin: false})
@@ -118,16 +124,6 @@ func (f *faultCtl) apply(tr faultTrans) {
 		} else {
 			s.recoverUp()
 			f.serversDown--
-		}
-	case faults.KindServerSlowdown:
-		s := f.cl.servers[in.Target]
-		if tr.begin {
-			s.slowActive = true
-			s.slowFactor = in.Factor
-			s.slowFromNS = in.FromNS
-			s.slowRampEndNS = in.FromNS + in.RampNS
-		} else {
-			s.slowActive = false
 		}
 	case faults.KindLoss:
 		c := f.cl

@@ -123,6 +123,7 @@ func poison(p *packet) {
 	p.traced = true // a reader records garbage, or panics on a nil recorder
 	p.coordID = -0x55AA55AA
 	p.srvEpoch = 0xAAAAAAAA
+	p.cancelled = true
 }
 
 // newPacket returns a zeroed packet, recycling the freelist when

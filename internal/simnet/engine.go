@@ -693,3 +693,10 @@ func (r *RNG) Seed(seed, stream uint64) {
 	r.pcg.Seed(seed, stream*0x9E3779B97F4A7C15+0xD1B54A32D192ED03)
 	r.Rand = *rand.New(&r.pcg)
 }
+
+// Mark returns where the generator stands; Rewind(m) takes it back
+// there, so the draws made since Mark come again.
+func (r *RNG) Mark() rand.PCG { return r.pcg }
+
+// Rewind puts the generator back where Mark found it.
+func (r *RNG) Rewind(m rand.PCG) { r.pcg = m }

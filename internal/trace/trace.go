@@ -15,6 +15,8 @@
 // in internal/simcluster).
 package trace
 
+import "slices"
+
 // Kind identifies one lifecycle site in a request's journey through the
 // simulated cluster, in rough story order.
 type Kind uint8
@@ -202,6 +204,14 @@ func (r *Recorder) RecordAhead(e Event) {
 	r.ahead = append(r.ahead, Event{})
 	copy(r.ahead[i+1:], r.ahead[i:])
 	r.ahead[i] = e
+}
+
+// Retract drops e, held by RecordAhead and not yet filed: a record of
+// something that will no longer happen.
+func (r *Recorder) Retract(e Event) {
+	if i := slices.Index(r.ahead, e); i >= 0 {
+		r.ahead = slices.Delete(r.ahead, i, i+1)
+	}
 }
 
 // fileAhead moves the ahead records stamped at or before at into the

@@ -48,12 +48,12 @@ type Server struct {
 	swAddr netip.AddrPort
 	store  *kvstore.Store
 
-	// free[j] is when service slot j next falls free, and next is the
-	// slot the next admitted request takes; epoch is the crash count the
-	// loop last saw. All three belong to the loop. admitted counts the
-	// requests admitted so far, which the service line reads.
-	free     []time.Time
-	next     int
+	// pool is the worker slots in nanoseconds since base, and epoch the
+	// crash count the loop last saw; all three belong to the loop.
+	// admitted counts the requests admitted so far, which the service
+	// line reads.
+	pool     dataplane.FCFS[struct{}]
+	base     time.Time
 	epoch    int32
 	admitted atomic.Int64
 
@@ -111,9 +111,10 @@ func NewServer(addr string, swAddr *net.UDPAddr, cfg ServerConfig) (*Server, err
 		tr:     tr,
 		swAddr: addrPort(swAddr),
 		store:  store,
-		free:   make([]time.Time, cfg.Workers),
+		base:   time.Now(),
 		closed: make(chan struct{}),
 	}
+	s.pool.Init(make([]int64, cfg.Workers), nil)
 	if cfg.ExtraServiceTime > 0 {
 		s.svc = newDelayLine(conn, &s.crashes)
 		s.svc.depart = s.depart
@@ -191,7 +192,7 @@ func (s *Server) Serve() error {
 func (s *Server) serveBurst(n int) {
 	now := time.Now()
 	if e := s.crashes.n.Load(); e != s.epoch {
-		clear(s.free) // the crash ended the services in progress
+		s.pool.Reset(0, nil) // the crash ended the services in progress
 		s.epoch = e
 	}
 	answered := 0
@@ -265,37 +266,23 @@ func (s *Server) depart(p *delayBuf) error {
 }
 
 // waiting counts the admitted requests whose service has not started at
-// now. With a service time, a slot's waiting requests follow each other
-// back to back, so a slot free only at f holds (f − now − 1) /
-// ExtraServiceTime of them behind the one in service. Without one, the
-// burst's requests arrive together: of the ahead admitted before this
-// one, those beyond the Workers in service are waiting.
+// now. Without a service time, the burst's requests arrive together: of
+// the ahead admitted before this one, those beyond the Workers in
+// service are waiting.
 func (s *Server) waiting(now time.Time, ahead int) int {
-	st := s.cfg.ExtraServiceTime
-	if st <= 0 {
+	if s.cfg.ExtraServiceTime <= 0 {
 		return max(0, ahead-s.cfg.Workers)
 	}
-	w := 0
-	for _, f := range s.free {
-		if d := f.Sub(now); d > 0 {
-			w += int((d - 1) / st)
-		}
-	}
-	return w
+	return s.pool.Waiting(int64(now.Sub(s.base)))
 }
 
-// start places a request admitted at now on the FCFS model and returns
-// when its service ends. Service times are equal, so the slot that falls
-// free first is the one its Workers-th predecessor took.
+// start places a request admitted at now on the pool and returns when
+// its service ends.
 func (s *Server) start(now time.Time) time.Time {
-	slot := &s.free[s.next]
-	s.next = (s.next + 1) % len(s.free)
-	begin := now
-	if slot.After(now) {
-		begin = *slot
-	}
-	*slot = begin.Add(s.cfg.ExtraServiceTime)
-	return *slot
+	t := int64(now.Sub(s.base))
+	end := s.pool.Admit(t, t, struct{}{}) + int64(s.cfg.ExtraServiceTime)
+	s.pool.Hold(end)
+	return s.base.Add(time.Duration(end))
 }
 
 // execute runs a request's operation against the store and writes its

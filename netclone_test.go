@@ -9,6 +9,7 @@ import (
 	"slices"
 	"strings"
 	"testing"
+	"time"
 
 	"netclone"
 )
@@ -144,7 +145,7 @@ func goFuncNames(t *testing.T, re *regexp.Regexp, tests bool) []string {
 // docsLineBudget caps README + DESIGN + EXPERIMENTS together. It only
 // goes down: a change that adds a user-visible surface pays for its
 // paragraph by cutting one elsewhere.
-const docsLineBudget = 1436
+const docsLineBudget = 1432
 
 // TestDocsLineBudget holds the top-level documents at or below
 // docsLineBudget lines.
@@ -326,4 +327,34 @@ func TestRunListsNameRealTests(t *testing.T) {
 		t.Errorf("found %d test names in %d patches and ci.yml: a pattern has rotted", len(seen), len(patches))
 	}
 	t.Logf("%d distinct test names checked", len(seen))
+}
+
+// TestHotPathEventsPerRequest pins what a request costs the simulator
+// in engine events on the benchmark's hot-path scenario (NetClone, six
+// 16-worker servers, Exp(25) with 1% jitter at 1 MRPS for 1 ms), summed
+// over seeds 1–50. The count is exact per seed: a server costs two
+// events per execution, its arrival and its finish, and a client one
+// per request, its arrival.
+func TestHotPathEventsPerRequest(t *testing.T) {
+	sc := netclone.NewScenario(
+		netclone.WithScheme(netclone.NetClone),
+		netclone.WithServers(6, 16),
+		netclone.WithWorkload(netclone.WithJitter(netclone.Exp(25), 0.01)),
+		netclone.WithOfferedLoad(1e6),
+		netclone.WithWindow(0, time.Millisecond),
+	)
+	var events, completed int64
+	for seed := uint64(1); seed <= 50; seed++ {
+		res, err := netclone.Sim().Run(sc.With(netclone.WithSeed(seed)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		events += res.EngineEvents
+		completed += res.Completed
+	}
+	if perReq := float64(events) / float64(completed); perReq > 9.0 {
+		t.Errorf("%d engine events for %d completed requests: %.3f per request, want at most 9.0", events, completed, perReq)
+	} else {
+		t.Logf("%.3f engine events per completed request", perReq)
+	}
 }
