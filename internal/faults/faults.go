@@ -156,6 +156,17 @@ func SlowdownAt(inj []Injection, server int, t int64) (factor float64, ok bool) 
 	return 1, false
 }
 
+// DownAt reports whether a crash among inj holds server down at t
+// (FromNS <= t < UntilNS).
+func DownAt(inj []Injection, server int, t int64) bool {
+	for _, in := range inj {
+		if in.Kind == KindServerCrash && in.Target == server && in.FromNS <= t && t < in.UntilNS {
+			return true
+		}
+	}
+	return false
+}
+
 // Plan is an ordered, immutable set of injections. The zero value and
 // the nil plan are both the empty plan; With derives extended copies,
 // so one plan can safely fan out across concurrently running scenario

@@ -212,10 +212,11 @@ func TestWindowsMergesIntervals(t *testing.T) {
 	}
 }
 
-// TestSlowdownAt pins the slowdown lookup: a window holds its start and
-// not its end, a ramp climbs linearly from 1, adjacent windows declared
-// out of order hand over at their shared edge, and other servers' and
-// other kinds' windows do not count.
+// TestSlowdownAt pins the two lookups on a server's windows, the
+// slowdown factor and the crash state: a window holds its start and not
+// its end, a ramp climbs linearly from 1, adjacent windows declared out
+// of order hand over at their shared edge, and other servers' and other
+// kinds' windows do not count.
 func TestSlowdownAt(t *testing.T) {
 	ramped := []Injection{ServerSlowdown(1, 100, 200, 3, 50)}
 	adjacent := []Injection{
@@ -224,6 +225,12 @@ func TestSlowdownAt(t *testing.T) {
 		ServerSlowdown(0, 100, 200, 4, 0),
 		ServerSlowdown(1, 0, Forever, 8, 0),
 	}
+	crashes := []Injection{
+		ServerSlowdown(2, 0, 1000, 2, 0),
+		ServerCrash(2, 500, 600),
+		ServerCrash(2, 400, 500),
+		ServerCrash(3, 0, Forever),
+	}
 	cases := []struct {
 		name   string
 		inj    []Injection
@@ -231,23 +238,36 @@ func TestSlowdownAt(t *testing.T) {
 		t      int64
 		want   float64
 		ok     bool
+		down   bool
 	}{
-		{"before the window", ramped, 1, 99, 1, false},
-		{"at the ramp's start", ramped, 1, 100, 1, true},
-		{"halfway up the ramp", ramped, 1, 125, 2, true},
-		{"at the ramp's end", ramped, 1, 150, 3, true},
-		{"last nanosecond of the window", ramped, 1, 199, 3, true},
-		{"at the window's end", ramped, 1, 200, 1, false},
-		{"another server", ramped, 0, 150, 1, false},
-		{"the earlier of two adjacent windows, at its start", adjacent, 0, 100, 4, true},
-		{"the earlier window's last nanosecond", adjacent, 0, 199, 4, true},
-		{"the later window, at the shared edge", adjacent, 0, 200, 2, true},
-		{"past both", adjacent, 0, 300, 1, false},
-		{"a window that never ends", adjacent, 1, 1 << 60, 8, true},
+		{"before the window", ramped, 1, 99, 1, false, false},
+		{"at the ramp's start", ramped, 1, 100, 1, true, false},
+		{"halfway up the ramp", ramped, 1, 125, 2, true, false},
+		{"at the ramp's end", ramped, 1, 150, 3, true, false},
+		{"last nanosecond of the window", ramped, 1, 199, 3, true, false},
+		{"at the window's end", ramped, 1, 200, 1, false, false},
+		{"another server", ramped, 0, 150, 1, false, false},
+		{"the earlier of two adjacent windows, at its start", adjacent, 0, 100, 4, true, true},
+		{"the earlier window's last nanosecond", adjacent, 0, 199, 4, true, true},
+		{"the later window, at the shared edge", adjacent, 0, 200, 2, true, true},
+		{"past both", adjacent, 0, 300, 1, false, true},
+		{"past the crash", adjacent, 0, 1000, 1, false, false},
+		{"a window that never ends", adjacent, 1, 1 << 60, 8, true, false},
+		{"before the earlier of two adjacent crashes", crashes, 2, 399, 2, true, false},
+		{"the earlier crash, at its start", crashes, 2, 400, 2, true, true},
+		{"the earlier crash's last nanosecond", crashes, 2, 499, 2, true, true},
+		{"the later crash, at the shared edge", crashes, 2, 500, 2, true, true},
+		{"the later crash's last nanosecond", crashes, 2, 599, 2, true, true},
+		{"at the later crash's end", crashes, 2, 600, 2, true, false},
+		{"a crash that never ends", crashes, 3, 1 << 60, 1, false, true},
+		{"another server's crash", crashes, 1, 450, 1, false, false},
 	}
 	for _, tc := range cases {
 		if got, ok := SlowdownAt(tc.inj, tc.server, tc.t); got != tc.want || ok != tc.ok {
 			t.Errorf("%s: server %d at %d: factor %g (%v), want %g (%v)", tc.name, tc.server, tc.t, got, ok, tc.want, tc.ok)
+		}
+		if down := DownAt(tc.inj, tc.server, tc.t); down != tc.down {
+			t.Errorf("%s: server %d at %d: down %v, want %v", tc.name, tc.server, tc.t, down, tc.down)
 		}
 	}
 }

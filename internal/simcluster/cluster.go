@@ -3,6 +3,7 @@ package simcluster
 import (
 	"math"
 	"math/rand/v2"
+	"slices"
 
 	"netclone/internal/dataplane"
 	"netclone/internal/faults"
@@ -648,7 +649,7 @@ func (s *switchNode) fromClient(p *packet) {
 			c.congToServer(int(sid1), p, c.dSwLink)
 			return
 		}
-		c.eng.ScheduleAfter(c.dSwLink, c.servers[sid1].hid, evSrvOnRequest, p, 0)
+		c.servers[sid1].arrive(p, c.eng.Now()+c.dSwLink)
 		return
 	}
 	res := s.dp.Process(&p.hdr)
@@ -707,7 +708,7 @@ func (s *switchNode) toServer(p *packet, dst int) {
 		c.congToServer(dst, p, c.dSwLink)
 		return
 	}
-	c.eng.ScheduleAfter(c.dSwLink, c.servers[dst].hid, evSrvOnRequest, p, 0)
+	c.servers[dst].arrive(p, c.eng.Now()+c.dSwLink)
 }
 
 // transitRequest is the server-side ToR's handling of a stamped request:
@@ -741,7 +742,7 @@ func (s *switchNode) transitRequest(p *packet, dst int) {
 		c.congToServer(dst, p, c.dSwLink)
 		return
 	}
-	c.eng.ScheduleAfter(c.dSwLink, c.servers[dst].hid, evSrvOnRequest, p, 0)
+	c.servers[dst].arrive(p, c.eng.Now()+c.dSwLink)
 }
 
 // transitResponse is the server-side ToR's handling of a response headed
@@ -856,7 +857,7 @@ func (s *switchNode) coordToServer(p *packet, dst int) {
 		s.cl.congToServer(dst, p, s.cl.dSwLink)
 		return
 	}
-	s.cl.eng.ScheduleAfter(s.cl.dSwLink, s.cl.servers[dst].hid, evSrvOnRequest, p, 0)
+	s.cl.servers[dst].arrive(p, s.cl.eng.Now()+s.cl.dSwLink)
 }
 
 // coordToClient forwards a coordinator-emitted final response through
@@ -881,8 +882,9 @@ func (s *switchNode) coordToClient(p *packet, dst int) {
 // Server node
 
 // server models a worker server: a dispatcher feeding an FCFS pool of
-// worker threads (§4.2), in closed form (dataplane.FCFS): its events are
-// a request's arrival and finish. FuzzServerQueue holds it to the
+// worker threads (§4.2), in closed form (dataplane.FCFS). The hop that
+// delivers a request admits it (server.arrive), so a server's only
+// event is a request's finish. FuzzServerQueue holds it to the
 // event-driven server it replaced.
 type server struct {
 	cl   *cluster
@@ -892,12 +894,14 @@ type server struct {
 	tor  *switchNode // the server's home-rack ToR
 	rng  simnet.RNG
 	pool dataplane.FCFS[admitted] // in virtual time (vtRanks)
-	slow []faults.Injection       // the fault plan's slowdowns of this server
+	plan []faults.Injection       // the fault plan's crashes and slowdowns of this server
 
-	// Fault-model state. epoch counts crashes: a packet admitted under
-	// an older epoch is dead at its finish.
-	down  bool
+	// epoch counts crashes: a packet admitted under an older epoch is
+	// dead at its finish.
 	epoch uint32
+	// held are the requests, in arrival order, whose hop came before a
+	// crash and whose arrival after its window: the crash admits them.
+	held []heldReq
 
 	finVT, finN int64 // the latest finish's virtual time, and the finishes run at it
 
@@ -911,6 +915,12 @@ type server struct {
 type admitted struct {
 	p    *packet
 	mark rand.PCG
+}
+
+// heldReq is a request that reaches its server at at.
+type heldReq struct {
+	p  *packet
+	at int64
 }
 
 // The engine runs one nanosecond's events in the order they were filed
@@ -940,12 +950,13 @@ func (c *cluster) finishRank(svc, startRank int64) (r int64) {
 // server: the generator goes back to before the first of them, and each
 // is cancelled (its finish frees it uncounted) and loses its start
 // record. One still in the dispatcher is a fault drop, as when its
-// dispatch came due by the deadline.
+// dispatch came due by the deadline. Then the held requests that no
+// later crash precedes arrive, into the empty pool.
 func (s *server) crash() {
 	c := s.cl
-	s.down = true
 	s.epoch++
-	now, first := c.eng.Now()*vtRanks, true
+	t := c.eng.Now()
+	now, first := t*vtRanks, true
 	s.pool.Reset(now, func(e *dataplane.Pending[admitted]) {
 		if first {
 			s.rng.Rewind(e.Token.mark)
@@ -957,44 +968,81 @@ func (s *server) crash() {
 			c.faultDrops++
 		}
 		if p.traced && e.Start/vtRanks <= c.deadline {
-			c.rec.Retract(s.startRecord(p, e.Start/vtRanks))
+			c.rec.Retract(s.event(trace.KindServerStart, p, e.Start/vtRanks))
 		}
 	})
+	n := 0
+	for ; n < len(s.held) && !s.crashAhead(t, s.held[n].at); n++ {
+		s.admit(s.held[n].p, s.held[n].at)
+	}
+	s.held = slices.Delete(s.held, 0, n)
 }
 
-// recoverUp brings a crashed server back with fresh, empty state.
-func (s *server) recoverUp() { s.down = false }
+// crashAhead reports whether a crash of s begins after now and by at.
+func (s *server) crashAhead(now, at int64) bool {
+	for _, in := range s.plan {
+		if in.Kind == faults.KindServerCrash && now < in.FromNS && in.FromNS <= at {
+			return true
+		}
+	}
+	return false
+}
 
-// onRequest handles a request arriving at the server NIC: past the
-// stale-clone guard, it joins the pool, its service time slowed by the
-// window holding its start, and its finish is filed.
-func (s *server) onRequest(p *packet) {
+// arrive takes request p, which the hop running now delivers to the
+// server NIC at time at. Every hop delivers dSwLink ahead, so a server's
+// arrivals come in the order their hops ran. A request that would arrive
+// past the deadline never does. The crash state at at is read from the
+// plan: its transitions, filed before any load, ran first on a tie with
+// an arrival. A request whose hop precedes a crash and whose arrival
+// follows its window waits for that crash to admit it (server.crash).
+func (s *server) arrive(p *packet, at int64) {
 	c := s.cl
-	// A crashed server drops everything on the floor (fault model).
-	if s.down {
-		c.faultDrops++
+	if at > c.deadline {
 		c.freePacket(p)
 		return
 	}
-	now := c.eng.Now()
-	if !dataplane.AdmitRequest(p.hdr.Clo, s.pool.Waiting(now*vtRanks+c.rankArrive), !c.cfg.DisableServerCloneDrop) {
+	if len(s.plan) > 0 {
+		if faults.DownAt(s.plan, int(s.sid), at) {
+			c.faultDrops++
+			c.freePacket(p)
+			return
+		}
+		if s.crashAhead(c.eng.Now(), at) {
+			s.held = append(s.held, heldReq{p, at})
+			return
+		}
+	}
+	s.admit(p, at)
+}
+
+// admit runs arrival p at at: past the stale-clone guard, it joins the
+// pool, its service time slowed by the window holding its start, and
+// its finish is filed. The guard reads the queue at at; the pool drops
+// only the requests started before the engine's clock, which a finish
+// due before at still counts. The finish is filed up to dSwLink before
+// the event-driven arrival filed it, so at its nanosecond it runs ahead
+// of the events filed in between: a convention, not a reproduction,
+// under which no golden cell moves.
+func (s *server) admit(p *packet, at int64) {
+	c := s.cl
+	if !dataplane.AdmitRequest(p.hdr.Clo, s.pool.Waiting(at*vtRanks+c.rankArrive), !c.cfg.DisableServerCloneDrop) {
 		s.cloneDrops++
 		if p.traced {
-			c.record(trace.KindCloneDrop, p, s.tor.rack, int32(s.sid), -1)
+			c.rec.RecordAhead(s.event(trace.KindCloneDrop, p, at))
 		}
 		c.freePacket(p)
 		return
 	}
 	if p.traced {
-		c.record(trace.KindServerArrive, p, s.tor.rack, int32(s.sid), -1)
+		c.rec.RecordAhead(s.event(trace.KindServerArrive, p, at))
 	}
 	p.srvEpoch = s.epoch
 	mark := s.rng.Mark()
 	svc := s.serviceTime(p.op)
-	vs := s.pool.Admit(now*vtRanks, (now+c.dDispatch)*vtRanks+c.rankDispatch, admitted{p, mark})
+	vs := s.pool.Admit(c.eng.Now()*vtRanks, (at+c.dDispatch)*vtRanks+c.rankDispatch, admitted{p, mark})
 	start := vs / vtRanks
-	if len(s.slow) > 0 {
-		if f, ok := faults.SlowdownAt(s.slow, int(s.sid), start); ok {
+	if len(s.plan) > 0 {
+		if f, ok := faults.SlowdownAt(s.plan, int(s.sid), start); ok {
 			svc = int64(float64(svc) * f)
 		}
 	}
@@ -1002,16 +1050,16 @@ func (s *server) onRequest(p *packet) {
 	vf := end*vtRanks + c.finishRank(svc, vs%vtRanks)
 	s.pool.Hold(vf)
 	if p.traced && start <= c.deadline {
-		c.rec.RecordAhead(s.startRecord(p, start))
+		c.rec.RecordAhead(s.event(trace.KindServerStart, p, start))
 	}
 	c.eng.Schedule(end, s.hid, evSrvFinish, p, vf)
 }
 
-// startRecord is p's service-start record at time at.
-func (s *server) startRecord(p *packet, at int64) trace.Event {
+// event is s's trace record of kind k for p at time at.
+func (s *server) event(k trace.Kind, p *packet, at int64) trace.Event {
 	return trace.Event{
 		At: at, Seq: p.hdr.ClientSeq, Value: int32(s.sid), Port: -1, Client: p.hdr.ClientID,
-		Rack: uint16(s.tor.rack), Kind: trace.KindServerStart, Flags: pktFlags(p),
+		Rack: uint16(s.tor.rack), Kind: k, Flags: pktFlags(p),
 	}
 }
 

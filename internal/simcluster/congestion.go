@@ -51,11 +51,11 @@ const adaptiveBurst = 32
 // plus the typed event to fire when it finally leaves the port.
 type portEntry struct {
 	p    *packet
-	x    int64 // event x payload (e.g. destination server ID); the client at a client port
+	x    int64 // event x payload (e.g. destination server ID); the client or server at a down-port
 	post int64 // legacy hop delay, paid after departure
 	svc  int64 // serialization time on this port's link
-	hid  int32 // destination handler; unused at a client port
-	kind uint8 // destination event kind; unused at a client port
+	hid  int32 // destination handler; unused at a down-port
+	kind uint8 // destination event kind; unused at a down-port
 	// chain, when >= 0, is a second port the packet traverses after
 	// this one — the spine egress of a fabric crossing. The chained
 	// enqueue happens inline at departure; post/hid/kind/x ride along
@@ -117,10 +117,12 @@ type congCtl struct {
 	eng  *simnet.Engine
 	free func(*packet)
 	// recv hands a packet leaving a client down-port to client dst's
-	// receiver, which it reaches at time at (client.receive).
-	recv func(dst int, p *packet, at int64)
-	h    node  // the registered handler (events.go)
-	hid  int32 // its engine handler ID
+	// receiver, which it reaches at time at (client.receive); arrive
+	// hands one leaving a server down-port to server dst (server.arrive).
+	recv   func(dst int, p *packet, at int64)
+	arrive func(dst int, p *packet, at int64)
+	h      node  // the registered handler (events.go)
+	hid    int32 // its engine handler ID
 	// rec mirrors the owning cluster's flight recorder; nil when
 	// tracing is off (the usual case — one branch per port event).
 	rec *trace.Recorder
@@ -169,6 +171,7 @@ func newCongCtl(c *cluster) *congCtl {
 		eng:       c.eng,
 		free:      c.freePacket,
 		recv:      func(dst int, p *packet, at int64) { c.clients[dst].receive(p, at) },
+		arrive:    func(dst int, p *packet, at int64) { c.servers[dst].arrive(p, at) },
 		rec:       c.rec,
 		cap:       spec.QueueCap(),
 		markAt:    spec.MarkThreshold(),
@@ -292,8 +295,8 @@ func (ctl *congCtl) enqueue(qi int, e portEntry) {
 
 // depart handles evPortDepart: the head packet of port x finished
 // serializing. It departs (into the chained spine port, to the client's
-// receiver, or onto its final typed event after the legacy hop delay),
-// and the next queued packet takes the link.
+// receiver or the server, or onto its final typed event after the
+// legacy hop delay), and the next queued packet takes the link.
 func (ctl *congCtl) depart(x int64) {
 	qi := int(x)
 	q := &ctl.ports[qi]
@@ -313,8 +316,12 @@ func (ctl *congCtl) depart(x int64) {
 		ctl.enqueue(next, e)
 		return
 	}
-	if q.class == portClassClient {
+	switch q.class {
+	case portClassClient:
 		ctl.recv(int(e.x), e.p, now+e.post)
+		return
+	case portClassServer:
+		ctl.arrive(int(e.x), e.p, now+e.post)
 		return
 	}
 	ctl.eng.ScheduleAfter(e.post, e.hid, e.kind, e.p, e.x)
@@ -411,8 +418,7 @@ func (ctl *congCtl) summary(now int64) *CongestionSummary {
 // congToServer routes a ToR->server hop through the server's down-port.
 func (c *cluster) congToServer(dst int, p *packet, post int64) {
 	c.cong.enqueue(dst, portEntry{
-		p: p, hid: c.servers[dst].hid, kind: evSrvOnRequest,
-		post: post, svc: c.cong.svcEdge, chain: -1,
+		p: p, x: int64(dst), post: post, svc: c.cong.svcEdge, chain: -1,
 	})
 }
 

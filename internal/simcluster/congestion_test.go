@@ -26,7 +26,8 @@ func congTestSpec() *congestion.Spec {
 
 // mm1kGen feeds a single congCtl port: each arrival draws an
 // exponential service time (the per-entry svc field exists exactly for
-// this seam), and departures sink back into the generator.
+// this seam), and departures sink back into the generator: port 0 is a
+// server down-port, which hands what leaves it to congCtl.arrive.
 type mm1kGen struct {
 	eng     *simnet.Engine
 	ctl     *congCtl
@@ -38,21 +39,11 @@ type mm1kGen struct {
 	sunk    int64
 }
 
-const (
-	mmArrive uint8 = iota
-	mmSink
-)
-
-func (g *mm1kGen) OnEvent(kind uint8, _ any, _ int64) {
-	switch kind {
-	case mmArrive:
-		svc := int64(g.rng.ExpFloat64()*g.meanSvc) + 1
-		g.ctl.enqueue(0, portEntry{svc: svc, hid: g.hid, kind: mmSink, chain: -1})
-		if next := int64(g.rng.ExpFloat64()*g.meanArr) + 1; g.eng.Now()+next < g.endT {
-			g.eng.ScheduleAfter(next, g.hid, mmArrive, nil, 0)
-		}
-	case mmSink:
-		g.sunk++
+func (g *mm1kGen) OnEvent(uint8, any, int64) {
+	svc := int64(g.rng.ExpFloat64()*g.meanSvc) + 1
+	g.ctl.enqueue(0, portEntry{svc: svc, chain: -1})
+	if next := int64(g.rng.ExpFloat64()*g.meanArr) + 1; g.eng.Now()+next < g.endT {
+		g.eng.ScheduleAfter(next, g.hid, 0, nil, 0)
 	}
 }
 
@@ -106,7 +97,8 @@ func checkMM1K(t *testing.T, k int, meanSvc, rho, wantPK, wantL float64) {
 		endT: endT,
 	}
 	g.hid = eng.Register(g)
-	eng.ScheduleAfter(1, g.hid, mmArrive, nil, 0)
+	ctl.arrive = func(int, *packet, int64) { g.sunk++ }
+	eng.ScheduleAfter(1, g.hid, 0, nil, 0)
 	eng.RunUntil(endT)
 
 	sum := ctl.summary(endT)

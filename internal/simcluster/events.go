@@ -32,10 +32,10 @@ const (
 	evSwCoordToServer                // coordinator dispatch arrives at the switch; x = dst server
 	evSwCoordToClient                // coordinator response arrives at the switch; x = dst client
 
-	// server events. arg = *packet. A server's pool is arithmetic
-	// (server.onRequest): an arrival and a finish are its only events.
-	evSrvOnRequest // request arrives at the server NIC: admit it, work out its start and finish
-	evSrvFinish    // worker finished executing the request; x = its virtual time (vtRanks)
+	// server events. arg = *packet. A server's pool is arithmetic and
+	// the hop that delivers a request admits it (server.arrive): a
+	// finish is its only event.
+	evSrvFinish // worker finished executing the request; x = its virtual time (vtRanks)
 
 	// client events. arg = nil; x = the client's index in
 	// cluster.clients. A client's sender and receiver are busy-until
@@ -93,8 +93,6 @@ func (n *node) OnEvent(kind uint8, arg any, x int64) {
 	case evSwCoordToClient:
 		n.self.(*switchNode).coordToClient(arg.(*packet), int(x))
 
-	case evSrvOnRequest:
-		n.self.(*server).onRequest(arg.(*packet))
 	case evSrvFinish:
 		n.self.(*server).finish(arg.(*packet), x)
 

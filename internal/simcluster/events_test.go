@@ -138,7 +138,6 @@ var eventMethods = map[string]string{
 	"evSwRecirculate":     "switchNode.recirculate",
 	"evSwCoordToServer":   "switchNode.coordToServer",
 	"evSwCoordToClient":   "switchNode.coordToClient",
-	"evSrvOnRequest":      "server.onRequest",
 	"evSrvFinish":         "server.finish",
 	"evCliGenerate":       "cluster.arrive",
 	"evCoArriveRequest":   "coordinator.arriveRequest",

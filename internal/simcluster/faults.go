@@ -13,10 +13,11 @@ import (
 // transitions sorted by time, each applied by one typed engine event
 // (evFaultTrans, arg nil, x = transition index — no allocation).
 // Transitions flip scalar state on the cluster's nodes (switch.down,
-// server.down/epoch, the loss-window parameters); the per-packet steady
-// path only reads those scalars and, at a slowed server, its slowdown
-// windows (server.slow, read at each service start: a slowdown's
-// transitions change nothing), so fault scheduling adds zero
+// server.epoch and its pool, the loss-window parameters); the
+// per-packet steady path only reads those scalars and, at a faulted
+// server, its windows (server.plan: whether a crash holds a request's
+// arrival, the slowdown at its start; a slowdown's transitions change
+// nothing, a crash's end neither), so fault scheduling adds zero
 // allocations and — with no plan — zero behavioral difference to a
 // fault-free run.
 
@@ -49,9 +50,9 @@ func newFaultCtl(c *cluster, inj []faults.Injection) *faultCtl {
 	f := &faultCtl{cl: c, plan: inj}
 	f.hid = f.h.register(c.eng, f)
 	for i, in := range inj {
-		if in.Kind == faults.KindServerSlowdown {
+		if in.Kind == faults.KindServerCrash || in.Kind == faults.KindServerSlowdown {
 			s := c.servers[in.Target]
-			s.slow = append(s.slow, in)
+			s.plan = append(s.plan, in)
 		}
 		f.trans = append(f.trans, faultTrans{at: in.FromNS, inj: i, begin: true})
 		if in.UntilNS != math.MaxInt64 {
@@ -122,7 +123,6 @@ func (f *faultCtl) apply(tr faultTrans) {
 				f.serversDownMax = f.serversDown
 			}
 		} else {
-			s.recoverUp()
 			f.serversDown--
 		}
 	case faults.KindLoss:

@@ -16,15 +16,17 @@ import (
 )
 
 // srvModel is the event-driven server that the arithmetic one replaced,
-// transcribed as it ran: an arrival runs the stale-clone guard on the
-// queue and files its dispatch dDispatch later; the dispatch starts
-// service on a free worker or joins the FCFS queue; a start draws the
-// service time, slowed by the window active then, and files the finish;
-// a finish reads the queue for the load report, then pulls the next
-// request. A crash frees the queue and orphans the work in service by
-// its epoch. It runs on its own engine until the deadline, its fault
-// transitions filed before anything else, as the fault controller files
-// them, and each arrival filed dSwLink ahead, as a switch files it.
+// transcribed as it ran, each stage an event of its own: an arrival,
+// filed dSwLink ahead as a switch filed it, reads the crash state, runs
+// the stale-clone guard on the queue and files its dispatch dDispatch
+// later; the dispatch starts service on a free worker or joins the FCFS
+// queue; a start draws the service time, slowed by the window active
+// then, and files the finish; a finish reads the queue for the load
+// report, then pulls the next request. A crash frees the queue and
+// orphans the work in service by its epoch. It runs on its own engine
+// until the deadline, its fault transitions filed before anything else,
+// as the fault controller files them. The arithmetic server has none of
+// these events but the finish: the hop admits the request.
 type srvModel struct {
 	eng       *simnet.Engine
 	hid       int32
@@ -268,7 +270,8 @@ func decodeSrv(data []byte) srvCase {
 	return tc
 }
 
-// checkServer drives the arithmetic servers and the event-driven model
+// checkServer drives the arithmetic servers, each request handed over
+// at its hop dSwLink before its arrival, and the event-driven model
 // with the same arrivals and fault plan and requires the same
 // admissions, guard drops, trace records (arrival, start, finish),
 // responses and their load reports, empty-queue counts, fault drops and
@@ -322,7 +325,7 @@ func checkServer(t *testing.T, tc srvCase) {
 		c.freePacket(p)
 	}))
 	feed := c.eng.Register(handlerFunc(func(_ uint8, arg any, x int64) {
-		c.eng.ScheduleAfter(c.dSwLink, c.servers[x].hid, evSrvOnRequest, arg, 0)
+		c.servers[x].arrive(arg.(*packet), c.eng.Now()+c.dSwLink)
 	}))
 	mfeed := m.eng.Register(handlerFunc(func(_ uint8, arg any, _ int64) {
 		m.eng.ScheduleAfter(c.dSwLink, m.hid, mArrive, arg, 0)
@@ -421,5 +424,79 @@ func TestServerCrashDropsStartRecords(t *testing.T) {
 			{at: srvStart + 1000, srv: 1}, {at: srvStart + 6000, srv: 0},
 		},
 		deadline: math.MaxInt64 / vtRanks / 2,
+	})
+}
+
+// srvLead is the lead a switch files an arrival with (dSwLink at the
+// default calibration): a hop at t delivers at t + srvLead.
+const srvLead = 1400
+
+// TestServerCrashBetweenHopAndArrival: requests whose hops come before a
+// crash and whose arrivals come after its window reach the pool the
+// crash emptied, in order, ahead of a later hop's; one that waits
+// through two crashes arrives after the second. The crash cancels what
+// was admitted before it as ever.
+func TestServerCrashBetweenHopAndArrival(t *testing.T) {
+	const a = srvStart + 5000
+	checkServer(t, srvCase{
+		workers: []int{1, 1},
+		service: pickDist{700, 2000},
+		guard:   true,
+		plan: []faults.Injection{
+			faults.ServerCrash(0, a-1000, a-500),
+			faults.ServerCrash(1, a-1000, a-800),
+			faults.ServerCrash(1, a-600, a-400),
+		},
+		arrivals: []srvArrival{
+			{at: srvStart, srv: 0}, {at: a - 1500, srv: 0}, {at: a - 1500, srv: 1},
+			{at: a - 1200, srv: 0, clone: true}, {at: a - 1200, srv: 1},
+			{at: a, srv: 0}, {at: a, srv: 1}, {at: a, srv: 0, clone: true},
+			{at: a + 100, srv: 0}, {at: a + 100, srv: 1, clone: true},
+			{at: a + 1000, srv: 0, clone: true}, {at: a + 1000, srv: 1},
+		},
+		deadline: math.MaxInt64 / vtRanks / 2,
+	})
+}
+
+// TestServerArrivalAtCrashEdges: an arrival at a crash's start is
+// dropped, one at its end admitted, whatever the hop saw.
+func TestServerArrivalAtCrashEdges(t *testing.T) {
+	const from, until = srvStart + 3000, srvStart + 4000
+	checkServer(t, srvCase{
+		workers: []int{2, 1},
+		service: workload.Fixed{NS: 500},
+		guard:   true,
+		plan: []faults.Injection{
+			faults.ServerCrash(0, from, until),
+			faults.ServerCrash(1, from, from+srvLead/2),
+		},
+		arrivals: []srvArrival{
+			{at: from - 1, srv: 0}, {at: from - 1, srv: 1},
+			{at: from, srv: 0}, {at: from, srv: 1},
+			{at: from + srvLead/2 - 1, srv: 1}, {at: from + srvLead/2, srv: 1},
+			{at: until - 1, srv: 0}, {at: until, srv: 0}, {at: until, srv: 0, clone: true},
+			{at: until + 1, srv: 1},
+		},
+		deadline: math.MaxInt64 / vtRanks / 2,
+	})
+}
+
+// TestServerArrivalPastDeadline: a request whose hop runs by the
+// deadline and whose arrival falls after it is never admitted, drawn,
+// guarded or counted; one arriving at the deadline is.
+func TestServerArrivalPastDeadline(t *testing.T) {
+	const deadline = srvStart + 2000
+	checkServer(t, srvCase{
+		workers: []int{1, 1},
+		service: workload.Fixed{NS: 1500},
+		guard:   true,
+		plan:    []faults.Injection{faults.ServerCrash(1, deadline+100, deadline+200)},
+		arrivals: []srvArrival{
+			{at: srvStart, srv: 0}, {at: srvStart, srv: 1}, {at: deadline - 1, srv: 0},
+			{at: deadline, srv: 0}, {at: deadline, srv: 0, clone: true},
+			{at: deadline + 1, srv: 0}, {at: deadline + 1, srv: 0, clone: true},
+			{at: deadline + 300, srv: 1}, {at: deadline + srvLead, srv: 1},
+		},
+		deadline: deadline,
 	})
 }

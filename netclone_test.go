@@ -332,9 +332,9 @@ func TestRunListsNameRealTests(t *testing.T) {
 // TestHotPathEventsPerRequest pins what a request costs the simulator
 // in engine events on the benchmark's hot-path scenario (NetClone, six
 // 16-worker servers, Exp(25) with 1% jitter at 1 MRPS for 1 ms), summed
-// over seeds 1–50. The count is exact per seed: a server costs two
-// events per execution, its arrival and its finish, and a client one
-// per request, its arrival.
+// over seeds 1–50. The count is exact per seed: a server costs one
+// event per execution, its finish, and a client one per request, its
+// arrival.
 func TestHotPathEventsPerRequest(t *testing.T) {
 	sc := netclone.NewScenario(
 		netclone.WithScheme(netclone.NetClone),
@@ -352,8 +352,8 @@ func TestHotPathEventsPerRequest(t *testing.T) {
 		events += res.EngineEvents
 		completed += res.Completed
 	}
-	if perReq := float64(events) / float64(completed); perReq > 9.0 {
-		t.Errorf("%d engine events for %d completed requests: %.3f per request, want at most 9.0", events, completed, perReq)
+	if perReq := float64(events) / float64(completed); perReq > 7.0 {
+		t.Errorf("%d engine events for %d completed requests: %.3f per request, want at most 7.0", events, completed, perReq)
 	} else {
 		t.Logf("%.3f engine events per completed request", perReq)
 	}
